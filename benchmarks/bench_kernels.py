@@ -1,10 +1,12 @@
-"""Timing comparison: numba kernel builds vs the numpy fallbacks.
+"""Kernel timings: numba kernel builds vs the numpy fallbacks.
 
 The active build is frozen at import time by AMPHISENSE_NUMBA, so the two
-paths cannot run in one interpreter.  Invoked normally, this script times
-the current build, re-executes itself with AMPHISENSE_NUMBA=0 in a child
+paths cannot run in one interpreter.  When the active build is numba, this
+script times it, re-executes itself with AMPHISENSE_NUMBA=0 in a child
 process, and prints both columns side by side with the speedup and the
-max disagreement between the paths on identical inputs.
+max disagreement between the paths on identical inputs.  Without numba
+there is nothing to compare against, so it prints one column, labelled
+with the build it timed.
 
 Usage:
     python3 benchmarks/bench_kernels.py [--repeat N] [--json]
@@ -89,6 +91,12 @@ def main():
     if args.json:
         print(json.dumps(mine))
         return 0
+    names = [k for k in mine if k != "build"]
+    if mine["build"] != "numba":
+        print(f"{'kernel':<26}{mine['build']:>12}")
+        for name in names:
+            print(f"{name:<26}{mine[name]['s']:>11.4f}s")
+        return 0
 
     env = dict(os.environ, AMPHISENSE_NUMBA="0")
     proc = subprocess.run(
@@ -97,10 +105,6 @@ def main():
         env=env, capture_output=True, text=True, check=True,
     )
     other = json.loads(proc.stdout.strip().splitlines()[-1])
-    if mine["build"] == other["build"]:
-        print("numba unavailable or disabled; timed the fallback twice")
-
-    names = [k for k in mine if k != "build"]
     print(f"{'kernel':<26}{mine['build']:>12}{other['build']:>12}"
           f"{'speedup':>10}{'|digest diff|':>16}")
     for name in names:

@@ -428,21 +428,18 @@ def _simulate_foot_jig(transduce, params, cfg, rng):
 def _simulate_flow_jig(transduce, params, cfg, rng):
     rest = transduce(0.0)
     s = np.linspace(0.0, 1.0, cfg.samples_per_cycle)
-    forces = cfg.flow_force_max * np.sin(2.0 * np.pi * s)
-    X, Y, cids, ltypes = [], [], [], []
-    for c in range(cfg.n_train + cfg.n_eval):
-        cid = f"flow-{c:02d}"
-        for f in forces:
-            pose = transduce(f)
-            b = magnetics.flow_flux(pose, params)
-            noise = rng.normal(scale=cfg.noise_sigma, size=(cfg.n_average, 3))
-            b_meas = b + noise.mean(axis=0)
-            est = magnetics.invert_flow_flux(
-                b_meas, pose.d_z0, params, rest,
-                resid_accept=max(5.0 * cfg.noise_sigma, 1e-9),
-            )
-            X.append([est.p_x - rest.p_x, est.p_y - rest.p_y])
-            Y.append([f])
-            cids.append(cid)
-            ltypes.append("flow")
-    return CalibrationDataset("flow", np.array(X), np.array(Y), cids, ltypes)
+    n_cycles = cfg.n_train + cfg.n_eval
+    forces = np.tile(cfg.flow_force_max * np.sin(2.0 * np.pi * s), n_cycles)
+    b = np.array([magnetics.flow_flux(transduce(f), params) for f in forces])
+    noise = rng.normal(scale=cfg.noise_sigma, size=(len(forces), cfg.n_average, 3))
+    # the sweep is continuous, so each fix warm-starts from the previous one
+    est, ok = magnetics.invert_flow_flux_batch(
+        b + noise.mean(axis=1), rest.d_z0, params, rest,
+        resid_accept=max(5.0 * cfg.noise_sigma, 1e-9),
+    )
+    if not ok.all():
+        raise magnetics.NoConvergenceError(
+            f"flow jig inversion stalled at sweep point {int(np.argmin(ok))}")
+    cids = [f"flow-{c:02d}" for c in range(n_cycles) for _ in s]
+    return CalibrationDataset("flow", est[:, :2] - [rest.p_x, rest.p_y],
+                              forces[:, None], cids, ["flow"] * len(forces))

@@ -8,7 +8,9 @@ Commands (all outputs under --out):
   analyze <trace.csv>        recompute metrics from a stored trace
   plot <trace.csv> [spec]    time-series panels as standalone SVG
 
-Exit code is 0 iff every bounded metric in the produced report passes.
+Exit code is 0 iff every bounded metric in the produced report passes;
+a config, parse or sensing-model error prints one `error:` line and
+exits 2.
 Config arguments accept a filesystem path or the name of a bundled file
 (e.g. `walk_floor`).
 """
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import busring, calibration, cpg, plant
+from . import busring, calibration, cpg, magnetics, plant
 
 log = logging.getLogger("amphisense")
 
@@ -465,8 +467,7 @@ def _load_json(path: str) -> dict:
 
 def cmd_run(args) -> int:
     path = _resolve_config(args.scenario)
-    doc = _load_json(path)
-    scenario = plant.Scenario(**doc)
+    scenario = plant.Scenario.from_json(_load_json(path))
     if args.seed is not None:
         scenario.seed = args.seed
     os.makedirs(args.out, exist_ok=True)
@@ -603,7 +604,7 @@ def cmd_analyze(args) -> int:
     result = plant.ScenarioResult.read_csv(args.trace)
     scenario = None
     if args.scenario is not None:
-        scenario = plant.Scenario(**_load_json(_resolve_config(args.scenario)))
+        scenario = plant.Scenario.from_json(_load_json(_resolve_config(args.scenario)))
     report = analyze_trace(result, scenario)
     os.makedirs(args.out, exist_ok=True)
     stem = os.path.splitext(os.path.basename(args.trace))[0]
@@ -669,7 +670,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (HarnessError, plant.PlantError, calibration.CalibrationError,
-            busring.BusError, FileNotFoundError) as e:
+            busring.BusError, magnetics.SensorModelError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -227,13 +227,15 @@ def invert_flow_flux_batch(
     from the rotation grid around initial_guess.  resid_accept > tol admits
     least-squares fixes for flux that sits off the model image (see
     invert_flow_flux).  Returns an (N, 3) array of (p_x, p_y, h_y) rows and
-    an (N,) bool convergence mask; unconverged rows come back NaN.
+    an (N,) bool convergence mask; unconverged rows, and rows at or below the
+    noise floor, come back NaN.
     """
     b = np.asarray(b, dtype=float)
     guess = initial_guess.as_array()
     sols, ok = _kernels.flow_newton_batch(
         b, d_z0, params.n_t, guess, max_jump, tol, resid_accept, max_iter
     )
+    ok &= np.linalg.norm(b, axis=1) > params.noise_floor
     sols[~ok] = np.nan
     return sols, ok
 
@@ -276,6 +278,8 @@ def lowpass_step(state: LowPassState, x, dt: float) -> np.ndarray:
 def lowpass_trace(x: np.ndarray, dt: float, cutoff_hz: float = 3.6) -> np.ndarray:
     """Filter a whole (N,) or (N, k) uniformly-sampled trace in one pass."""
     x = np.asarray(x, dtype=float)
+    if len(x) == 0:
+        return x.copy()
     tau = 1.0 / (2.0 * math.pi * cutoff_hz)
     alpha = dt / (tau + dt)
     if x.ndim == 1:

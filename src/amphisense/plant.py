@@ -25,7 +25,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -40,6 +40,7 @@ FIN_NAMES = ("fin_link1", "fin_link2", "fin_link4", "fin_link6",
 SENSOR_NAMES = FOOT_NAMES + FIN_NAMES
 FIN_MOUNT_LINKS = (0, 1, 3, 5, 7, "tail")   # 0-based spine link per fin
 FIN_ANTERIOR_JOINT = (0, 1, 3, 5, 7, 7)     # 0-based axial joint per fin
+_FOOT_DIPOLE = magnetics.DipoleParams(n_t=50.0)
 
 
 class PlantError(ValueError):
@@ -345,6 +346,8 @@ class Scenario:
         if self.duration_s <= 0 or self.dt <= 0:
             raise PlantError("duration and dt must be positive")
         self.log_flux = tuple(self.log_flux)
+        if not set(self.log_flux) <= set(SENSOR_NAMES):
+            raise PlantError(f"log_flux names modules outside {SENSOR_NAMES}")
 
     @property
     def weight_n(self) -> float:
@@ -363,13 +366,17 @@ class Scenario:
         if not isinstance(source, dict):
             with open(source) as fh:
                 source = json.load(fh)
+        allowed = [f.name for f in fields(cls)]
+        unknown = sorted(set(source) - set(allowed))
+        if unknown:
+            raise PlantError(f"unknown scenario keys {unknown}; "
+                             f"allowed: {', '.join(allowed)}")
         return cls(**source)
 
 
 def _fit_sensor_models(scenario, foot_model, fins):
     """Per-unit bench calibration, seeded from the scenario."""
     models = {}
-    foot_params = magnetics.DipoleParams(n_t=50.0)
 
     def foot_transduce(w):
         return foot_deflection_p(w, foot_model)
@@ -377,7 +384,7 @@ def _fit_sensor_models(scenario, foot_model, fins):
     for i, name in enumerate(FOOT_NAMES):
         rng = np.random.default_rng(scenario.seed * 100 + 11 + i)
         cfg = calibration.JigConfig(noise_sigma=scenario.noise_sigma_mt)
-        ds = calibration.simulate_jig(foot_transduce, foot_params, cfg, rng)
+        ds = calibration.simulate_jig(foot_transduce, _FOOT_DIPOLE, cfg, rng)
         train, _ = ds.train_eval_split()
         models[name] = calibration.fit_poly(train)
     for i, name in enumerate(FIN_NAMES):
@@ -392,34 +399,6 @@ def _fit_sensor_models(scenario, foot_model, fins):
         train, _ = ds.train_eval_split()
         models[name] = calibration.fit_poly(train)
     return models
-
-
-class _SensorChannel:
-    """Host-side state for one module: filter, inversion, model."""
-
-    def __init__(self, name, model, rest_pose, params, sigma):
-        self.name = name
-        self.model = model
-        self.rest = rest_pose
-        self.params = params
-        self.filt = magnetics.LowPassState()
-        self.resid_accept = max(5.0 * sigma, 1e-9)
-        self.is_foot = name.startswith("foot")
-        self.last_pose = rest_pose
-        self.flux_filt = np.zeros(3)
-
-    def ingest(self, flux, dt):
-        self.flux_filt = magnetics.lowpass_step(self.filt, flux, dt)
-        if self.is_foot:
-            p = magnetics.invert_foot_flux(self.flux_filt, self.params)
-            return calibration.apply_poly(self.model, p)
-        pose = magnetics.invert_flow_flux(
-            self.flux_filt, self.rest.d_z0, self.params,
-            initial_guess=self.last_pose, resid_accept=self.resid_accept,
-        )
-        self.last_pose = pose
-        dp = (pose.p_x - self.rest.p_x, pose.p_y - self.rest.p_y)
-        return calibration.apply_poly(self.model, dp)
 
 
 @dataclass
@@ -450,90 +429,43 @@ class ScenarioResult:
         return cls(scenario=None, columns=header, data=data)
 
 
-def run_scenario(scenario: Scenario) -> ScenarioResult:
-    """Execute the full pipeline at 1 kHz; returns the wide trace.
-
-    Loop order per tick: oscillator step -> joint targets -> forces ->
-    elastic/fin transduction -> flux render (+noise) -> ring framing ->
-    host decode -> low-pass -> inversion -> calibration models ->
-    estimates; the gait supervisor polls the estimated foot-force sum
-    on a 50 Hz tick.
-    """
-    params, graph, jmap = cpg.build_gait_network()
+def _tick_loop(scenario, net, foot_model, fins, line, swim_from, data, col):
+    """Physics and bus path, swimming from tick swim_from on.  Writes the
+    truth columns of `data`; returns each module's sample ticks and flux."""
+    params, graph, jmap = net
     kin = RobotKinematics()
-    foot_model = ElasticFootModel()
-    fins = [FlowFinModel() for _ in FIN_NAMES]
-    contact_cfg = ContactConfig()
-    models = _fit_sensor_models(scenario, foot_model, fins)
-
-    line = busring.LineConfig()
     n_mod = len(SENSOR_NAMES)
     slot = line.frame_time + line.inter_frame_gap
     round_p = busring.ring_round_period(n_mod, line)
     # closed-form fault-free ring schedule (validated against the event
     # sim in the bus tests): sample time of module i, round k
     t_sample0 = line.ctrl_time + line.inter_frame_gap
-
-    foot_params = magnetics.DipoleParams(n_t=50.0)
-    channels = []
-    for i, name in enumerate(SENSOR_NAMES):
-        if name.startswith("foot"):
-            rest = None
-            ch_params = foot_params
-        else:
-            fin = fins[i - 4]
-            rest = fin.pose_for_force(0.0)
-            ch_params = fin.dipole_params
-        channels.append(_SensorChannel(name, models[name], rest, ch_params,
-                                       scenario.noise_sigma_mt))
+    cap = min(len(data), int(len(data) * scenario.dt / round_p) + 2)
+    ticks = np.zeros((n_mod, cap), dtype=int)
+    flux = np.zeros((n_mod, cap, 3))
+    count = np.zeros(n_mod, dtype=int)
+    gt_q = col["gt_q_" + jmap.names[0]]         # joints, then foot wrenches
+    gt_fin = col[f"gt_{FIN_NAMES[0]}_force"]    # fin forces, then fin angles
 
     rng_noise = np.random.default_rng(scenario.seed * 100 + 7)
     state = cpg.initial_state(
         params, scenario.drive, rng=np.random.default_rng(scenario.seed * 100 + 3)
     )
-    mode0 = cpg.GaitMode.WALKING if scenario.drive < cpg.D_SWIM else cpg.GaitMode.SWIMMING
-    cmd = cpg.GaitCommand(mode=mode0, drive=scenario.drive)
-
-    n_steps = int(round(scenario.duration_s / scenario.dt))
-    columns = ["t", "mode", "drive"]
-    columns += [f"gt_q_{nm}" for nm in jmap.names]
-    for leg in ("fl", "fr", "hl", "hr"):
-        columns += [f"gt_foot_{leg}_{c}" for c in ("fx", "tp", "ty")]
-    for leg in ("fl", "fr", "hl", "hr"):
-        columns += [f"est_foot_{leg}_{c}" for c in ("fx", "tp", "ty")]
-    columns += [f"gt_{nm}_force" for nm in FIN_NAMES]
-    columns += [f"gt_{nm}_angle" for nm in FIN_NAMES]
-    columns += [f"est_{nm}_force" for nm in FIN_NAMES]
-    columns += ["est_foot_sum"]
-    for nm in scenario.log_flux:
-        columns += [f"raw_{nm}_b{a}" for a in "xyz"]
-        columns += [f"filt_{nm}_b{a}" for a in "xyz"]
-    data = np.zeros((n_steps, len(columns)))
-
-    est_wrench = {nm: calibration.FootWrench(0.0, 0.0, 0.0) for nm in FOOT_NAMES}
-    est_fin = {nm: 0.0 for nm in FIN_NAMES}
-    raw_flux = {nm: np.zeros(3) for nm in SENSOR_NAMES}
-    next_round = np.zeros(n_mod, dtype=int)
+    swimming = scenario.drive >= cpg.D_SWIM
+    drive = scenario.drive
     x_body = scenario.x_start
     q_prev = None
     prev_mounts = None
-    switch_time = None
-    ctrl_every = max(1, int(round(0.020 / scenario.dt)))
 
-    for k in range(n_steps):
-        t = k * scenario.dt
-        state.drive = cmd.drive
-        if scenario.drive_switch_t is not None and t >= scenario.drive_switch_t:
-            if cmd.mode is cpg.GaitMode.WALKING:
-                cmd = cpg.GaitCommand(cpg.GaitMode.SWIMMING, cpg.D_SWIM)
-                state.drive = cmd.drive
-                switch_time = t
+    for k in range(len(data)):
+        if k == swim_from:
+            swimming, drive = True, cpg.D_SWIM
+        state.drive = drive
         state = cpg.step_network(state, params, graph, scenario.dt)
         q = cpg.joint_targets(cpg.oscillator_output(state), jmap, scenario.gain)
 
         fk = kin.forward(q)
-        speed = (scenario.advance_speed if cmd.mode is cpg.GaitMode.WALKING
-                 else scenario.swim_speed)
+        speed = scenario.swim_speed if swimming else scenario.advance_speed
         x_body += speed * scenario.dt
 
         # terrain under each foot and buoyancy from body immersion
@@ -552,7 +484,7 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
             weight_eff = scenario.weight_n * (1.0 - frac)
 
         wrenches, _ = contact_forces(q, kin, on_floor, weight_eff,
-                                     contact_cfg, q_prev, scenario.dt)
+                                     q_prev=q_prev, dt=scenario.dt)
         q_prev = q
 
         mounts = fk["fin_mounts"]
@@ -561,9 +493,9 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
         else:
             mount_speed = np.linalg.norm(mounts - prev_mounts, axis=1) / scenario.dt
         prev_mounts = mounts
-        stream = scenario.swim_speed if cmd.mode is cpg.GaitMode.SWIMMING else 0.0
+        stream = scenario.swim_speed if swimming else 0.0
         in_water = scenario.terrain == "water" or (
-            scenario.terrain == "shoreline" and cmd.mode is cpg.GaitMode.SWIMMING
+            scenario.terrain == "shoreline" and swimming
         )
         fin_force = np.zeros(len(FIN_NAMES))
         fin_angle = np.zeros(len(FIN_NAMES))
@@ -576,54 +508,121 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
 
         # ring frames whose sample slot landed inside this tick
         for i, name in enumerate(SENSOR_NAMES):
-            t_s = t_sample0 + i * slot + next_round[i] * round_p
-            if t_s > t:
+            if t_sample0 + i * slot + count[i] * round_p > k * scenario.dt:
                 continue
-            next_round[i] += 1
-            if name.startswith("foot"):
+            if name in FOOT_NAMES:
                 p = foot_deflection_p(wrenches[FOOT_NAMES.index(name)], foot_model)
-                clean = magnetics.dipole_flux_radial(p, foot_params)
+                clean = magnetics.dipole_flux_radial(p, _FOOT_DIPOLE)
             else:
                 fi = FIN_NAMES.index(name)
-                fin = fins[fi]
-                fpose = fin.pose_for_angle(fin_angle[fi])
-                clean = magnetics.flow_flux(fpose, fin.dipole_params)
+                fpose = fins[fi].pose_for_angle(fin_angle[fi])
+                clean = magnetics.flow_flux(fpose, fins[fi].dipole_params)
             noisy = clean + scenario.noise_sigma_mt * rng_noise.standard_normal(3)
-            sample = busring.FluxSample(module_id=i, flux_mt=noisy)
-            wire = busring.decode_frame(busring.encode_frame(sample))
-            raw_flux[name] = wire.flux_mt
-            est = channels[i].ingest(wire.flux_mt, round_p)
-            if name.startswith("foot"):
-                est_wrench[name] = est
-            else:
-                est_fin[name] = est
+            wire = busring.encode_frame(busring.FluxSample(i, noisy))
+            ticks[i, count[i]] = k
+            flux[i, count[i]] = busring.decode_frame(wire).flux_mt
+            count[i] += 1
 
-        est_sum = sum(est_wrench[nm].f_x for nm in FOOT_NAMES)
-        # supervisor holds off until the first bus rounds have delivered
+        truth = np.hstack([q] + [(w.f_x, w.tau_pitch, w.tau_yaw) for w in wrenches])
+        data[k, gt_q:gt_q + len(truth)] = truth
+        data[k, gt_fin:gt_fin + 2 * len(FIN_NAMES)] = np.concatenate([fin_force, fin_angle])
+    return ticks, flux, count
+
+
+def _hold(ticks, values, n_steps):
+    """Per-tick trace holding each sample from its tick on; 0 before the first."""
+    idx = np.searchsorted(ticks, np.arange(n_steps), side="right")
+    return np.concatenate([np.zeros((1, values.shape[1])), values])[idx]
+
+
+def _host_side(names, streams, scenario, models, fins, round_p, data, col):
+    """Low-pass, inversion and calibrated model over each named module's whole
+    sample stream, into the est_*, raw_*, filt_* and est_foot_sum columns."""
+    ticks, flux, count = streams
+    for name in names:
+        i = SENSOR_NAMES.index(name)
+        tk, raw = ticks[i, :count[i]], flux[i, :count[i]]
+        filt = magnetics.lowpass_trace(raw, round_p)
+        if name in FOOT_NAMES:
+            p = magnetics.invert_foot_flux_batch(filt, _FOOT_DIPOLE)
+            if np.isnan(p).any():
+                raise magnetics.BelowNoiseFloorError(f"{name}: flux below noise floor")
+            est = calibration.apply_poly_batch(models[name], p)[:, [2, 0, 1]]
+            est_cols = [col[f"est_{name}_{c}"] for c in ("fx", "tp", "ty")]
+        else:
+            rest = fins[i - len(FOOT_NAMES)].pose_for_force(0.0)
+            pose, ok = magnetics.invert_flow_flux_batch(
+                filt, rest.d_z0, fins[i - len(FOOT_NAMES)].dipole_params, rest,
+                resid_accept=max(5.0 * scenario.noise_sigma_mt, 1e-9))
+            if not ok.all():
+                t_bad = tk[np.argmin(ok)] * scenario.dt
+                raise magnetics.NoConvergenceError(
+                    f"{name}: fin inversion stalled at t = {t_bad:.3f} s")
+            est = calibration.apply_poly_batch(
+                models[name], pose[:, :2] - [rest.p_x, rest.p_y])
+            est_cols = [col[f"est_{name}_force"]]
+        data[:, est_cols] = _hold(tk, est, len(data))
+        if name in scenario.log_flux:
+            data[:, [col[f"raw_{name}_b{a}"] for a in "xyz"]] = _hold(tk, raw, len(data))
+            data[:, [col[f"filt_{name}_b{a}"] for a in "xyz"]] = _hold(tk, filt, len(data))
+    data[:, col["est_foot_sum"]] = sum(data[:, col[f"est_{nm}_fx"]] for nm in FOOT_NAMES)
+
+
+def run_scenario(scenario: Scenario) -> ScenarioResult:
+    """Execute the full pipeline at 1 kHz; returns the wide trace.
+
+    The tick loop runs robot and ring bus; the host side then filters,
+    inverts and calibrates each module's whole sample stream.  The gait
+    switch is one-way and no tick before it depends on it, so the 50 Hz
+    supervisor polls the estimated foot-force sum after a pass; when a poll
+    at tick k leaves walking, the tick loop runs again with swimming physics
+    from tick k + 1.  An open-loop drive_switch_t switches at its own tick.
+    """
+    net = cpg.build_gait_network()
+    foot_model = ElasticFootModel()
+    fins = [FlowFinModel() for _ in FIN_NAMES]
+    models = _fit_sensor_models(scenario, foot_model, fins)
+    line = busring.LineConfig()
+    round_p = busring.ring_round_period(len(SENSOR_NAMES), line)
+
+    n_steps = int(round(scenario.duration_s / scenario.dt))
+    legs = ("fl", "fr", "hl", "hr")
+    columns = ["t", "mode", "drive"]
+    columns += [f"gt_q_{nm}" for nm in net[2].names]
+    columns += [f"gt_foot_{leg}_{c}" for leg in legs for c in ("fx", "tp", "ty")]
+    columns += [f"est_foot_{leg}_{c}" for leg in legs for c in ("fx", "tp", "ty")]
+    columns += [f"gt_{nm}_force" for nm in FIN_NAMES]
+    columns += [f"gt_{nm}_angle" for nm in FIN_NAMES]
+    columns += [f"est_{nm}_force" for nm in FIN_NAMES]
+    columns += ["est_foot_sum"]
+    for nm in scenario.log_flux:
+        columns += [f"raw_{nm}_b{a}" for a in "xyz"]
+        columns += [f"filt_{nm}_b{a}" for a in "xyz"]
+    col = {c: j for j, c in enumerate(columns)}
+    data = np.zeros((n_steps, len(columns)))
+    t = data[:, 0] = np.arange(n_steps) * scenario.dt
+
+    walking = scenario.drive < cpg.D_SWIM
+    switch_k = n_steps
+    if walking and scenario.drive_switch_t is not None:
+        switch_k = int(np.searchsorted(t, scenario.drive_switch_t))
+    streams = _tick_loop(scenario, net, foot_model, fins, line, switch_k, data, col)
+    if walking and scenario.feedback:
+        _host_side(FOOT_NAMES, streams, scenario, models, fins, round_p, data, col)
+        cmd = cpg.GaitCommand(cpg.GaitMode.WALKING, scenario.drive)
+        # the supervisor holds off until the first bus rounds have delivered
         # estimates for every foot (the startup default of zero would
         # otherwise read as an airborne robot)
-        if scenario.feedback and k % ctrl_every == 0 and t >= 0.05:
-            new_cmd = cpg.transition_controller(est_sum, cmd)
-            if new_cmd.mode is not cmd.mode:
-                switch_time = t
-            cmd = new_cmd
+        for k in range(0, switch_k, max(1, int(round(0.020 / scenario.dt)))):
+            if t[k] >= 0.05 and cpg.transition_controller(
+                    data[k, col["est_foot_sum"]], cmd).mode is not cmd.mode:
+                switch_k = k
+                streams = _tick_loop(scenario, net, foot_model, fins, line, k + 1,
+                                     data, col)
+                break
+    _host_side(SENSOR_NAMES, streams, scenario, models, fins, round_p, data, col)
 
-        row = [t, float(cmd.mode is cpg.GaitMode.SWIMMING), cmd.drive]
-        row += list(q)
-        for w in wrenches:
-            row += [w.f_x, w.tau_pitch, w.tau_yaw]
-        for nm in FOOT_NAMES:
-            e = est_wrench[nm]
-            row += [e.f_x, e.tau_pitch, e.tau_yaw]
-        row += list(fin_force)
-        row += list(fin_angle)
-        row += [est_fin[nm] for nm in FIN_NAMES]
-        row += [est_sum]
-        for nm in scenario.log_flux:
-            i = SENSOR_NAMES.index(nm)
-            row += list(raw_flux[nm])
-            row += list(channels[i].flux_filt)
-        data[k] = row
-
+    data[:, 1], data[:, 2] = float(not walking), scenario.drive
+    data[switch_k:, 1:3] = 1.0, cpg.D_SWIM
     return ScenarioResult(scenario=scenario, columns=columns, data=data,
-                          switch_time=switch_time)
+                          switch_time=float(t[switch_k]) if switch_k < n_steps else None)

@@ -10,7 +10,13 @@ import json
 import numpy as np
 import pytest
 
-from amphisense import harness, plant
+from amphisense import harness, magnetics, plant
+
+# a short shoreline crossing whose switch passes every bounded metric
+SHORT_SHORELINE = {
+    "name": "short_shore", "terrain": "shoreline", "duration_s": 0.8,
+    "advance_speed": 0.08, "x_start": 0.25, "seed": 0, "window_start": 0.2,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -138,14 +144,31 @@ class TestCliRun:
         assert {"gait_freq", "axial_amp", "wave_monotone",
                 "wave_total_lag"} <= names
 
-    def test_malformed_json_exits_nonzero(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{ not json,,")
-        assert harness.main(["--out", str(tmp_path), "run", str(bad)]) == 2
+    # case: (scenario JSON text or None for a name that resolves to
+    # nothing, exception run_scenario raises or None, exit code)
+    EXIT_CASES = {
+        "passing_run": (json.dumps(SHORT_SHORELINE), None, 0),
+        "malformed_json": ("{ not json,,", None, 2),
+        "unknown_config_name": (None, None, 2),
+        "unknown_key": ('{"dragg": 1}', None, 2),
+        "sensor_model_error": ("{}", magnetics.NoConvergenceError("stalled"), 2),
+    }
 
-    def test_unknown_config_name_exits_nonzero(self, tmp_path):
-        rc = harness.main(["--out", str(tmp_path), "run", "no_such_scenario"])
-        assert rc == 2
+    @pytest.mark.parametrize("case", EXIT_CASES)
+    def test_exit_code(self, case, tmp_path, monkeypatch, capsys):
+        text, raises, code = self.EXIT_CASES[case]
+        arg = "no_such_scenario"
+        if text is not None:
+            arg = tmp_path / "sc.json"
+            arg.write_text(text)
+        if raises is not None:
+            def stalled_run(scenario):
+                raise raises
+            monkeypatch.setattr(plant, "run_scenario", stalled_run)
+        assert harness.main(["--out", str(tmp_path), "run", str(arg)]) == code
+        if code == 2:
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_bundled_names_resolve(self):
         for name in ("walk_floor", "swim_pool", "shoreline_transition",

@@ -181,6 +181,10 @@ class TestFlowInversion:
     def test_noise_floor_raises(self):
         with pytest.raises(mg.NoConvergenceError):
             mg.invert_flow_flux([1e-6, 0.0, 0.0], FLOW_DZ0, FLOW_PARAMS, FLOW_GUESS)
+        # the batch marks such a row unconverged instead
+        b = np.vstack([mg.flow_flux(FLOW_GUESS, FLOW_PARAMS), [1e-6, 0.0, 0.0]])
+        _, ok = mg.invert_flow_flux_batch(b, FLOW_DZ0, FLOW_PARAMS, FLOW_GUESS)
+        assert ok.tolist() == [True, False]
 
     def test_off_image_flux_rejected_when_strict(self):
         # with B_x = B_y = 0 the model caps |B_z| below ~5.8 mT for this

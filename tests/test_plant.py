@@ -263,6 +263,12 @@ class TestScenarioConfig:
         with pytest.raises(plant.PlantError):
             plant.Scenario(duration_s=-1.0)
 
+    def test_unknown_key_and_module(self):
+        with pytest.raises(plant.PlantError, match="dragg"):
+            plant.Scenario.from_json({"dragg": 1})
+        with pytest.raises(plant.PlantError):
+            plant.Scenario(log_flux=("foot_xx",))
+
     def test_json_round_trip(self, tmp_path):
         sc = plant.Scenario(name="rt", terrain="shoreline", x_waterline=0.2,
                             duration_s=3.0, seed=9)
@@ -355,3 +361,23 @@ class TestRunScenario:
         back = plant.ScenarioResult.read_csv(path)
         assert back.columns == res.columns
         assert np.allclose(back.data, res.data, atol=1e-9)
+
+    def test_one_tick_holds_estimates_at_zero(self):
+        # the first ring slot lands after tick 0, so every stream is empty
+        res = plant.run_scenario(plant.Scenario(name="tick", duration_s=1e-3))
+        assert res.data.shape[0] == 1
+        for j, name in enumerate(res.columns):
+            if name.startswith(("est_", "raw_", "filt_")):
+                assert res.data[0, j] == 0.0, name
+
+    def test_feedback_changes_nothing_before_the_switch(self):
+        # the runner replays the supervisor after a pass and reruns from the
+        # switch; that holds only if no tick before the switch depends on it
+        kw = dict(name="shore", terrain="shoreline", duration_s=1.2,
+                  advance_speed=0.08, x_start=0.2, window_start=0.2, seed=1)
+        fb = plant.run_scenario(plant.Scenario(feedback=True, **kw))
+        open_loop = plant.run_scenario(plant.Scenario(feedback=False, **kw))
+        assert fb.switch_time is not None and open_loop.switch_time is None
+        k = int(round(fb.switch_time / 1e-3))
+        assert fb.col("mode")[k] == 1.0 and fb.col("mode")[k - 1] == 0.0
+        np.testing.assert_array_equal(fb.data[:k], open_loop.data[:k])
