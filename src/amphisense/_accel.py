@@ -15,7 +15,7 @@ try:
     from numba import njit as _njit
 
     NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - numba is a hard dep, but stay usable
+except ImportError:  # numba is an optional extra
     _njit = None
     NUMBA_AVAILABLE = False
 

@@ -1,15 +1,15 @@
 """Numerical kernels, built two ways.
 
-Every kernel here has a numba build (explicit loops under ``@njit``) and a
-numpy/scipy fallback.  The build is chosen once at import time by
-``_accel.USE_NUMBA`` (numba installed and the AMPHISENSE_NUMBA env var not
-set to 0/false/off/no).  Public names keep identical signatures and agree to
-float rounding, so callers never branch and tests can cross-check the paths
-by reimporting with the flag flipped.
+Every kernel here but the low-pass scan has a numba build (explicit loops
+under ``@njit``) and a numpy/scipy fallback.  The build is chosen once at
+import time by ``_accel.USE_NUMBA`` (numba installed and the
+AMPHISENSE_NUMBA env var not set to 0/false/off/no).  Public names keep
+identical signatures and agree to float rounding, so callers never branch
+and tests can cross-check the paths by reimporting with the flag flipped.
 
-Sequential recurrences (IIR filter scan, Newton continuation, oscillator
-integration) are where numba pays; the fallbacks vectorize across elements
-wherever the recurrence allows and loop in Python where it does not.
+Sequential recurrences (Newton continuation, oscillator integration) are
+where numba pays; the fallbacks vectorize across elements wherever the
+recurrence allows and loop in Python where it does not.
 """
 
 import math
@@ -24,32 +24,22 @@ from ._accel import USE_NUMBA, jit
 # first-order low-pass scan
 # ---------------------------------------------------------------------------
 
-def _lowpass_scan_loops(x, alpha, out):
-    n, k = x.shape
-    for c in range(k):
-        y = x[0, c]
-        out[0, c] = y
-        for i in range(1, n):
-            y = y + alpha * (x[i, c] - y)
-            out[i, c] = y
+# One build: scipy's lfilter is compiled already, and a numba loop timed
+# no faster.
 
-
-def _lowpass_scan_numpy(x, alpha):
-    # y[n] = alpha x[n] + (1 - alpha) y[n-1], seeded so y[0] = x[0]
+def _lowpass_scan_numpy(x, alpha, y0=None):
+    # y[n] = alpha x[n] + (1 - alpha) y[n-1], with y[-1] = y0 (default x[0])
     b = np.array([alpha])
     a = np.array([1.0, alpha - 1.0])
-    zi = (1.0 - alpha) * x[0][None, :]
+    zi = (1.0 - alpha) * np.asarray(x[0] if y0 is None else y0, dtype=float)[None, :]
     y, _ = signal.lfilter(b, a, x, axis=0, zi=zi)
     return y
 
 
-def lowpass_scan(x: np.ndarray, alpha: float) -> np.ndarray:
-    x = np.ascontiguousarray(x, dtype=float)
-    if USE_NUMBA:
-        out = np.empty_like(x)
-        _lowpass_scan_loops(x, alpha, out)
-        return out
-    return _lowpass_scan_numpy(x, alpha)
+def lowpass_scan(x: np.ndarray, alpha: float, y0=None) -> np.ndarray:
+    """First-order IIR scan down the rows of x, continuing from the output
+    y0 (k,) before them; by default the trace starts at x[0]."""
+    return _lowpass_scan_numpy(np.asarray(x, dtype=float), alpha, y0)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +423,6 @@ if USE_NUMBA:
     _flow_invert_one = jit(_flow_invert_one)
     _flow_newton_batch_core = jit(_flow_newton_batch_core)
     _flow_flux_batch_loops = jit(_flow_flux_batch_loops)
-    _lowpass_scan_loops = jit(_lowpass_scan_loops)
     _cpg_deriv_loops = jit(_cpg_deriv_loops)
     _cpg_step_loops = jit(_cpg_step_loops)
     _cpg_rollout_loops = jit(_cpg_rollout_loops)

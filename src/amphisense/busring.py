@@ -39,7 +39,6 @@ OP_RESET = 0x02
 
 FLUX_LSB_MT = 0.001    # mT per count
 TEMP_LSB_C = 0.01      # degC per count
-_INT16_MIN, _INT16_MAX = -32768, 32767
 
 
 class BusError(ValueError):
@@ -93,13 +92,16 @@ class FluxSample:
         self.flux_mt = np.asarray(self.flux_mt, dtype=float).reshape(3)
 
 
-def _to_i16(value, lsb, what):
-    if not math.isfinite(value):
-        raise EncodingRangeError(f"{what} is not finite")
-    counts = int(round(value / lsb))
-    if not _INT16_MIN <= counts <= _INT16_MAX:
-        raise EncodingRangeError(f"{what} {value!r} exceeds int16 range at lsb={lsb}")
-    return counts
+def quantize(values, lsb: float) -> np.ndarray:
+    """Round values (any shape) to int16 wire counts of `lsb`, half to even;
+    raises EncodingRangeError for a value not finite or beyond int16."""
+    counts = np.rint(np.asarray(values, dtype=float) / lsb)
+    # int16 is [-32768, 32767], i.e. |counts + 1/2| <= 32767.5; NaN fails too
+    ok = np.abs(counts + 0.5) <= 32767.5
+    if not ok.all():
+        raise EncodingRangeError(f"value {np.asarray(values)[~ok].flat[0]!r} is not "
+                                 f"finite or exceeds int16 range at lsb={lsb}")
+    return counts.astype(np.int16)
 
 
 def encode_frame(sample: FluxSample, flux_lsb: float = FLUX_LSB_MT,
@@ -107,9 +109,9 @@ def encode_frame(sample: FluxSample, flux_lsb: float = FLUX_LSB_MT,
     """Serialize a sample to the 11-byte wire frame."""
     if not 0 <= sample.module_id <= 0xFF:
         raise EncodingRangeError("module id must fit one byte")
-    words = [_to_i16(v, flux_lsb, f"flux[{k}]") for k, v in enumerate(sample.flux_mt)]
-    words.append(_to_i16(sample.temp_c, temp_lsb, "temperature"))
-    body = bytes([sample.module_id]) + struct.pack("<4h", *words)
+    words = quantize(np.array([*sample.flux_mt, sample.temp_c]),
+                     np.array([flux_lsb, flux_lsb, flux_lsb, temp_lsb]))
+    body = bytes([sample.module_id]) + words.astype("<i2").tobytes()
     return bytes([SYNC_DATA]) + body + bytes([crc8(body)])
 
 

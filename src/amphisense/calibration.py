@@ -407,22 +407,20 @@ def simulate_jig(transduce, params: magnetics.DipoleParams, cfg: JigConfig,
 
 
 def _simulate_foot_jig(transduce, params, cfg, rng):
-    X, Y, cids, ltypes = [], [], [], []
-    for load_type in cfg.load_types:
-        loads = _foot_cycle_loads(load_type, cfg)
-        for c in range(cfg.n_train + cfg.n_eval):
-            cid = f"{load_type}-{c:02d}"
-            for w in loads:
-                p = transduce(FootWrench(tau_pitch=w[0], tau_yaw=w[1], f_x=w[2]))
-                b = magnetics.dipole_flux_radial(p, params)
-                noise = rng.normal(scale=cfg.noise_sigma, size=(cfg.n_average, 3))
-                b_meas = b + noise.mean(axis=0)
-                p_hat = magnetics.invert_foot_flux(b_meas, params)
-                X.append(p_hat)
-                Y.append(w)
-                cids.append(cid)
-                ltypes.append(load_type)
-    return CalibrationDataset("foot", np.array(X), np.array(Y), cids, ltypes)
+    n_cycles = cfg.n_train + cfg.n_eval
+    cycles = [(lt, _foot_cycle_loads(lt, cfg)) for lt in cfg.load_types]
+    loads = np.concatenate([np.tile(w, (n_cycles, 1)) for _, w in cycles])
+    # every cycle of a load type repeats the same magnet positions
+    P = np.concatenate([np.tile([transduce(FootWrench(*w)) for w in ws], (n_cycles, 1))
+                        for _, ws in cycles])
+    noise = rng.normal(scale=cfg.noise_sigma, size=(len(loads), cfg.n_average, 3))
+    p_hat = magnetics.invert_foot_flux_batch(
+        magnetics.dipole_flux_radial(P, params) + noise.mean(axis=1), params)
+    if np.isnan(p_hat).any():
+        raise magnetics.BelowNoiseFloorError("foot jig flux at or below the noise floor")
+    cids = [f"{lt}-{c:02d}" for lt, ws in cycles for c in range(n_cycles) for _ in ws]
+    ltypes = [lt for lt, ws in cycles for _ in range(n_cycles * len(ws))]
+    return CalibrationDataset("foot", p_hat, loads, cids, ltypes)
 
 
 def _simulate_flow_jig(transduce, params, cfg, rng):

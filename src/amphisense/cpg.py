@@ -48,6 +48,7 @@ W_EDGE = 10.0   # coupling weight on every edge, 1/s
 A_RATE = 20.0   # amplitude convergence rate, 1/s
 
 FOOT_SUM_THRESHOLD_N = 7.0
+SWITCH_HOLDOFF_S = 0.05    # until every foot has reported; zeros read airborne
 
 N_AXIAL_JOINTS = 8
 N_JOINTS = 16

@@ -298,7 +298,7 @@ def analyze_trace(result: plant.ScenarioResult,
     else:  # shoreline
         report.add("switched", float(sw is not None), 0.5, 1.5, "")
         s = result.col("est_foot_sum")
-        below = (s < cpg.FOOT_SUM_THRESHOLD_N) & (t >= 0.1)
+        below = (s < cpg.FOOT_SUM_THRESHOLD_N) & (t >= cpg.SWITCH_HOLDOFF_S)
         if below.any() and sw is not None:
             i_cross = int(np.argmax(below))
             latency = t[sw] - t[i_cross]
@@ -453,12 +453,26 @@ def _resolve_config(arg: str) -> str:
     raise HarnessError(f"no such config file or bundled name: {arg!r}")
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, allowed=None) -> dict:
+    """Parse a config file; with `allowed`, an object of those keys only."""
     with open(path) as fh:
         try:
-            return json.load(fh)
+            doc = json.load(fh)
         except json.JSONDecodeError as e:
             raise HarnessError(f"{path}: malformed JSON: {e}") from e
+    if allowed is not None and not isinstance(doc, dict):
+        raise HarnessError(f"{path}: expected a JSON object")
+    unknown = sorted(set(doc) - set(allowed)) if allowed is not None else []
+    if unknown:
+        raise HarnessError(f"{path}: unknown keys {unknown}; allowed: {', '.join(allowed)}")
+    return doc
+
+
+JIG_KEYS = ("kind", "n_units", "noise_sigma", "n_average", "lever", "seed",
+            "torque_band", "force_band", "rmse_max")
+LINE_KEYS = ("n_modules", "duration_s", "baud", "bits_per_byte", "inter_frame_gap",
+             "flip_rate", "kill_at", "expect_rate_hz", "n_motors", "t_write",
+             "t_read", "seed")
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +498,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    cfg = _load_json(_resolve_config(args.jig))
+    cfg = _load_json(_resolve_config(args.jig), JIG_KEYS)
     kind = cfg.get("kind", "foot")
     n_units = int(cfg.get("n_units", 4))
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
@@ -537,7 +551,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_bus_bench(args) -> int:
-    cfg = _load_json(_resolve_config(args.line))
+    cfg = _load_json(_resolve_config(args.line), LINE_KEYS)
     line = busring.LineConfig(
         baud=int(cfg.get("baud", 1_000_000)),
         bits_per_byte=int(cfg.get("bits_per_byte", 10)),

@@ -133,13 +133,15 @@ def dipole_flux(pose: MagnetPose, params: DipoleParams) -> np.ndarray:
 def dipole_flux_radial(p, params: DipoleParams) -> np.ndarray:
     """Dipole flux for the foot geometry, where h = -p/|p| at every pose.
 
-    Collapses to B = -n_t * 2 p / |p|^4.
+    Collapses to B = -n_t * 2 p / |p|^4, for one position (3,) or (..., 3).
     """
-    p = _as_vec3(p)
-    dist = math.sqrt(p[0] * p[0] + p[1] * p[1] + p[2] * p[2])
-    if dist < params.min_distance:
-        raise DegeneratePoseError(f"magnet at {dist:.3g} mm, below {params.min_distance} mm")
-    return -params.n_t * 2.0 * p / dist**4
+    p = np.asarray(p, dtype=float)
+    dist = np.sqrt(p[..., 0] * p[..., 0] + p[..., 1] * p[..., 1] + p[..., 2] * p[..., 2])
+    if not np.all(dist >= params.min_distance):     # NaN fails too
+        raise DegeneratePoseError(
+            f"magnet at {np.min(dist):.3g} mm, below {params.min_distance} mm")
+    # float_power is libm's pow, as float ** is; power's SIMD loop rounds apart
+    return -params.n_t * 2.0 * p / np.float_power(dist, 4)[..., None]
 
 
 def invert_foot_flux(b, params: DipoleParams) -> np.ndarray:
@@ -147,12 +149,11 @@ def invert_foot_flux(b, params: DipoleParams) -> np.ndarray:
 
     From the radial law: |p| = (2 n_t / |B|)^(1/3) and p = -B |p|^4 / (2 n_t).
     """
-    b = _as_vec3(b)
-    bn = math.sqrt(b[0] * b[0] + b[1] * b[1] + b[2] * b[2])
-    if bn <= params.noise_floor:
-        raise BelowNoiseFloorError(f"|B| = {bn:.3g} mT at or below floor {params.noise_floor} mT")
-    dist = (2.0 * params.n_t / bn) ** (1.0 / 3.0)
-    return -b * dist**4 / (2.0 * params.n_t)
+    p = invert_foot_flux_batch(_as_vec3(b)[None], params)[0]
+    if np.isnan(p[0]):
+        raise BelowNoiseFloorError(f"|B| = {np.linalg.norm(b):.3g} mT at or below "
+                                   f"floor {params.noise_floor} mT")
+    return p
 
 
 def invert_foot_flux_batch(b: np.ndarray, params: DipoleParams) -> np.ndarray:
@@ -275,13 +276,13 @@ def lowpass_step(state: LowPassState, x, dt: float) -> np.ndarray:
     return state.y.copy()
 
 
-def lowpass_trace(x: np.ndarray, dt: float, cutoff_hz: float = 3.6) -> np.ndarray:
-    """Filter a whole (N,) or (N, k) uniformly-sampled trace in one pass."""
+def lowpass_trace(x: np.ndarray, dt: float, cutoff_hz: float = 3.6, y0=None) -> np.ndarray:
+    """Filter a whole (N,) or (N, k) uniformly-sampled trace in one pass,
+    from its first sample, or continuing an earlier output y0."""
     x = np.asarray(x, dtype=float)
     if len(x) == 0:
         return x.copy()
     tau = 1.0 / (2.0 * math.pi * cutoff_hz)
     alpha = dt / (tau + dt)
-    if x.ndim == 1:
-        return _kernels.lowpass_scan(x[:, None], alpha)[:, 0]
-    return _kernels.lowpass_scan(x, alpha)
+    y0 = None if y0 is None else np.ravel(y0)
+    return _kernels.lowpass_scan(x.reshape(len(x), -1), alpha, y0).reshape(x.shape)

@@ -4,8 +4,9 @@ Quasi-static desk-scale stand-in for the hardware.  A planar kinematic
 chain (8 spine links, 4 two-joint legs) follows the oscillator network's
 joint targets at 1 kHz.  Foot and fin loads are synthesized from the
 pose, pushed through the elastic transduction models into magnet poses,
-rendered to flux with sensor noise, framed onto the ring bus schedule,
-and decoded/filtered/inverted back into estimates on the host side --
+rendered to flux with sensor noise at the ring bus's sample ticks,
+quantized as the wire carries it, and filtered/inverted back into
+estimates on the host side --
 the same signal path the robot runs, with ground truth retained at
 every stage.
 
@@ -29,9 +30,8 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from . import busring, calibration, cpg, magnetics
+from . import _kernels, busring, calibration, cpg, magnetics
 
-MM_PER_M = 1000.0
 G_ACCEL = 9.81
 
 FOOT_NAMES = ("foot_fl", "foot_fr", "foot_hl", "foot_hr")
@@ -64,63 +64,41 @@ class RobotKinematics:
     front_girdle: int = cpg.FRONT_GIRDLE_JOINT
     hind_girdle: int = cpg.HIND_GIRDLE_JOINT
 
-    @property
-    def body_span(self) -> float:
-        return self.head_length + self.n_axial * self.link_length + self.tail_length
-
     def forward(self, q):
         """Forward kinematics in the body frame (robot faces +x).
 
         Parameters
         ----------
-        q : (16,) joint angles, rad: 8 axial then per leg swing/elev.
+        q : (..., 16) joint angles, rad: 8 axial then per leg swing/elev;
+            leading axes (a trace of poses) carry through.
 
         Returns
         -------
-        dict with axial node positions (9, 2), link headings (8,),
-        snout/tail points, foot positions (4, 2), fin mount points
-        (6, 2).
+        dict with axial node positions (..., 9, 2), link headings (..., 8),
+        snout/tail points, foot positions (..., 4, 2), fin mount points
+        (..., 6, 2).
         """
         q = np.asarray(q, dtype=float)
-        ax = q[: self.n_axial]
+        lead = q.shape[:-1]
         # spine extends backward from the first joint at the origin
-        headings = math.pi + np.cumsum(ax)
-        nodes = np.zeros((self.n_axial + 1, 2))
-        steps = self.link_length * np.column_stack(
-            [np.cos(headings), np.sin(headings)]
-        )
-        nodes[1:] = np.cumsum(steps, axis=0)
-        snout = np.array([self.head_length, 0.0])
-        tail_tip = nodes[-1] + self.tail_length * np.array(
-            [math.cos(headings[-1]), math.sin(headings[-1])]
-        )
+        headings = math.pi + np.cumsum(q[..., : self.n_axial], axis=-1)
+        steps = self.link_length * _unit(headings)
+        nodes = np.concatenate([np.zeros(lead + (1, 2)), np.cumsum(steps, axis=-2)], axis=-2)
+        snout = np.broadcast_to([self.head_length, 0.0], lead + (2,))
+        tail_tip = nodes[..., -1, :] + self.tail_length * _unit(headings[..., -1])
 
-        feet = np.zeros((4, 2))
-        # legs: fl, fr at the front girdle; hl, hr at the hind girdle
-        for li, (leg, girdle) in enumerate(
-            [("fl", self.front_girdle), ("fr", self.front_girdle),
-             ("hl", self.hind_girdle), ("hr", self.hind_girdle)]
-        ):
-            base = nodes[girdle]
-            h = headings[girdle]
-            # links run backward (heading ~ pi), so the robot's left
-            # (+y when facing +x) sits at heading - pi/2
-            side = -1.0 if leg in ("fl", "hl") else 1.0
-            swing = q[8 + 2 * li]
-            # lateral offset then the swung leg segment
-            beta = h + side * math.pi / 2.0
-            root = base + self.leg_lateral * np.array([math.cos(beta), math.sin(beta)])
-            ang = beta + side * swing
-            feet[li] = root + self.leg_length * np.array(
-                [math.cos(ang), math.sin(ang)]
-            )
+        # legs fl, fr at the front girdle, hl, hr at the hind one.  Links
+        # run backward (heading ~ pi), so the robot's left (+y when facing
+        # +x) sits at heading - pi/2: a lateral offset, then the swung leg
+        girdle = [self.front_girdle] * 2 + [self.hind_girdle] * 2
+        side = np.array([-1.0, 1.0, -1.0, 1.0])
+        beta = headings[..., girdle] + side * math.pi / 2.0
+        root = nodes[..., girdle, :] + self.leg_lateral * _unit(beta)
+        feet = root + self.leg_length * _unit(beta + side * q[..., 8:16:2])
 
-        mounts = np.zeros((len(FIN_MOUNT_LINKS), 2))
-        for fi, link in enumerate(FIN_MOUNT_LINKS):
-            if link == "tail":
-                mounts[fi] = tail_tip
-            else:
-                mounts[fi] = 0.5 * (nodes[link] + nodes[link + 1])
+        mounts = np.stack([tail_tip if link == "tail" else
+                           0.5 * (nodes[..., link, :] + nodes[..., link + 1, :])
+                           for link in FIN_MOUNT_LINKS], axis=-2)
         return {
             "nodes": nodes,
             "headings": headings,
@@ -129,6 +107,11 @@ class RobotKinematics:
             "feet": feet,
             "fin_mounts": mounts,
         }
+
+
+def _unit(angle):
+    """Unit vectors (..., 2) at the given headings."""
+    return np.stack([np.cos(angle), np.sin(angle)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -155,16 +138,17 @@ class ElasticFootModel:
 
 def foot_deflection_p(wrench: calibration.FootWrench,
                       model: ElasticFootModel) -> np.ndarray:
-    """Magnet position (mm) under a foot wrench; raises beyond the caps."""
-    if abs(wrench.f_x) > model.f_cap:
-        raise ElasticRangeError(f"f_x {wrench.f_x:.2f} N beyond elastic range")
-    if max(abs(wrench.tau_pitch), abs(wrench.tau_yaw)) > model.tau_cap:
+    """Magnet position (mm) under a foot wrench; raises beyond the caps.
+    Array-valued wrench fields give positions (..., 3)."""
+    if np.any(np.abs(wrench.f_x) > model.f_cap):
+        raise ElasticRangeError(f"f_x {np.max(np.abs(wrench.f_x)):.2f} N beyond elastic range")
+    if np.any(np.maximum(np.abs(wrench.tau_pitch), np.abs(wrench.tau_yaw)) > model.tau_cap):
         raise ElasticRangeError("torque beyond elastic range")
-    return np.array([
+    return np.stack([
         model.p0_mm - model.c_fx * wrench.f_x,
         model.p0_mm * model.c_yaw * wrench.tau_yaw,
         model.p0_mm * model.c_pitch * wrench.tau_pitch,
-    ])
+    ], axis=-1)
 
 
 def foot_deflection(wrench: calibration.FootWrench,
@@ -197,17 +181,19 @@ class FlowFinModel:
         if self.k_torsion <= 0 or self.lever_mm <= 0:
             raise PlantError("spring constant and lever must be positive")
 
-    def angle_for_force(self, force_n: float) -> float:
+    def angle_for_force(self, force_n):
+        """Hinge angle (rad) under a plate force, scalar or array."""
         theta = force_n * self.lever_mm / self.k_torsion
-        return float(min(max(theta, -self.theta_cap), self.theta_cap))
+        return np.clip(theta, -self.theta_cap, self.theta_cap)
+
+    def magnet_coords(self, theta):
+        """Magnet (p_x, p_y, h_y) at hinge angle(s) theta; shape (..., 3)."""
+        return np.stack([self.rho_mm * np.cos(theta), self.rho_mm * np.sin(theta),
+                         np.sin(self.alpha0 + theta)], axis=-1)
 
     def pose_for_angle(self, theta: float) -> magnetics.FlowPose:
-        return magnetics.FlowPose(
-            p_x=self.rho_mm * math.cos(theta),
-            p_y=self.rho_mm * math.sin(theta),
-            h_y=math.sin(self.alpha0 + theta),
-            d_z0=self.d_z0_mm,
-        )
+        p_x, p_y, h_y = self.magnet_coords(theta)
+        return magnetics.FlowPose(p_x=p_x, p_y=p_y, h_y=h_y, d_z0=self.d_z0_mm)
 
     def pose_for_force(self, force_n: float) -> magnetics.FlowPose:
         return self.pose_for_angle(self.angle_for_force(force_n))
@@ -234,50 +220,47 @@ class ContactConfig:
 def stance_weights(q, cfg: ContactConfig):
     """Smooth per-foot stance depth from the leg elevation joints."""
     q = np.asarray(q, dtype=float)
-    elev = q[9:16:2]
+    elev = q[..., 9:16:2]
     u = np.clip((cfg.elev_contact - elev) / (2.0 * cfg.elev_ref), 0.0, 1.0)
     in_contact = elev < cfg.elev_contact
     return np.where(in_contact, cfg.s_min + (1.0 - cfg.s_min) * u, 0.0)
 
 
-def contact_forces(q, kin: RobotKinematics, on_floor, weight_n: float,
+def contact_forces(q, kin: RobotKinematics, on_floor, weight_n,
                    cfg: ContactConfig = ContactConfig(), q_prev=None,
                    dt: float = 1e-3):
     """Per-foot wrenches supporting `weight_n` on the stance feet.
 
-    on_floor: length-4 boolean, terrain under each foot is load-bearing.
-    The supported weight is split over stance feet proportionally to the
+    q is a pose (16,) or a trace (n, 16), q_prev the poses a tick earlier
+    (None: no swing motion), weight_n a scalar or one value per pose and
+    on_floor (..., 4) flags load-bearing terrain under each foot.  The
+    supported weight is split over stance feet proportionally to the
     smooth stance weighting; zero stance feet means floating (all-zero
     wrenches).  Yaw torque models sliding friction against the swing
     motion, pitch torque a center-of-pressure offset that follows the
-    swing angle.
+    swing angle.  Returns wrenches (..., 4, 3) as (f_x, tau_pitch,
+    tau_yaw) and the stance weights (..., 4).
     """
     q = np.asarray(q, dtype=float)
     s = stance_weights(q, cfg) * np.asarray(on_floor, dtype=float)
-    total = s.sum()
-    wrenches = []
-    swing = q[8:16:2]
+    total = s.sum(axis=-1, keepdims=True)
+    swing = q[..., 8:16:2]
     if q_prev is None:
-        swing_rate = np.zeros(4)
+        swing_rate = np.zeros_like(swing)
     else:
-        swing_rate = (swing - np.asarray(q_prev, dtype=float)[8:16:2]) / dt
+        swing_rate = (swing - np.asarray(q_prev, dtype=float)[..., 8:16:2]) / dt
     peak_rate = cpg.TWO_PI * 0.47 * cfg.swing_ref
-    for i in range(4):
-        if total <= 0.0 or s[i] == 0.0:
-            wrenches.append(calibration.FootWrench(0.0, 0.0, 0.0))
-            continue
-        fx = weight_n * s[i] / total
-        slide = np.clip(swing_rate[i] / peak_rate, -1.0, 1.0)
-        tau_yaw = cfg.mu_yaw * fx * cfg.yaw_lever_mm * slide
-        tau_pitch = fx * cfg.cop_offset_mm * np.clip(
-            swing[i] / cfg.swing_ref, -1.0, 1.0
-        )
-        wrenches.append(calibration.FootWrench(tau_pitch, tau_yaw, fx))
+    loaded = (total > 0.0) & (s != 0.0)
+    fx = np.asarray(weight_n, dtype=float)[..., None] * s / np.where(loaded, total, 1.0)
+    slide = np.clip(swing_rate / peak_rate, -1.0, 1.0)
+    tau_yaw = cfg.mu_yaw * fx * cfg.yaw_lever_mm * slide
+    tau_pitch = fx * cfg.cop_offset_mm * np.clip(swing / cfg.swing_ref, -1.0, 1.0)
+    wrenches = np.where(loaded[..., None],
+                        np.stack([fx, tau_pitch, tau_yaw], axis=-1), 0.0)
     return wrenches, s
 
 
-def fin_drag_force(theta_anterior: float, mount_speed: float,
-                   stream_speed: float, fin: FlowFinModel) -> float:
+def fin_drag_force(theta_anterior, mount_speed, stream_speed, fin: FlowFinModel):
     """Plate drag from the local stream striking the bent fin.
 
     Water runs along the anterior link at the scenario stream speed,
@@ -287,34 +270,28 @@ def fin_drag_force(theta_anterior: float, mount_speed: float,
     in that normal component loads the spring.
     """
     speed_sq = stream_speed * stream_speed + mount_speed * mount_speed
-    v_n = math.sqrt(speed_sq) * math.sin(theta_anterior)
-    return fin.c_d * v_n * abs(v_n)
+    v_n = np.sqrt(speed_sq) * np.sin(theta_anterior)
+    return fin.c_d * v_n * np.abs(v_n)
 
 
-def flow_forces(q_trace, kin: RobotKinematics, fins, stream_speed: float,
-                dt: float = 1e-3):
+def flow_forces(q_trace, kin: RobotKinematics, fins, stream_speed,
+                dt: float = 1e-3, mounts=None):
     """Per-fin force traces for a joint-angle trace (n, 16).
 
+    stream_speed is a scalar or one value per row; mounts (n, n_fins, 2)
+    reuse the caller's kinematics.  The first row's mounts count as still.
     Returns (forces (n, n_fins), angles (n, n_fins)).
     """
     q_trace = np.asarray(q_trace, dtype=float)
-    n = q_trace.shape[0]
-    forces = np.zeros((n, len(fins)))
-    angles = np.zeros((n, len(fins)))
-    prev_mounts = None
-    for k in range(n):
-        fk = kin.forward(q_trace[k])
-        mounts = fk["fin_mounts"]
-        if prev_mounts is None:
-            vel = np.zeros(len(fins))
-        else:
-            vel = np.linalg.norm(mounts - prev_mounts, axis=1) / dt
-        prev_mounts = mounts
-        for fi, fin in enumerate(fins):
-            th_ant = q_trace[k, FIN_ANTERIOR_JOINT[fi]]
-            f = fin_drag_force(th_ant, vel[fi], stream_speed, fin)
-            forces[k, fi] = f
-            angles[k, fi] = fin.angle_for_force(f)
+    if mounts is None:
+        mounts = kin.forward(q_trace)["fin_mounts"]
+    speed = np.zeros(mounts.shape[:2])
+    speed[1:] = np.linalg.norm(np.diff(mounts, axis=0), axis=-1) / dt
+    forces, angles = np.zeros((2, len(q_trace), len(fins)))
+    for fi, fin in enumerate(fins):
+        forces[:, fi] = fin_drag_force(q_trace[:, FIN_ANTERIOR_JOINT[fi]],
+                                       speed[:, fi], stream_speed, fin)
+        angles[:, fi] = fin.angle_for_force(forces[:, fi])
     return forces, angles
 
 
@@ -376,27 +353,18 @@ class Scenario:
 
 def _fit_sensor_models(scenario, foot_model, fins):
     """Per-unit bench calibration, seeded from the scenario."""
+    sigma = scenario.noise_sigma_mt
+    # (transduce, dipole, jig, seed offset) of each module's bench
+    benches = [(lambda w: foot_deflection_p(w, foot_model), _FOOT_DIPOLE,
+                calibration.JigConfig(noise_sigma=sigma), 11 + i)
+               for i in range(len(FOOT_NAMES))]
+    benches += [(fin.pose_for_force, fin.dipole_params,
+                 calibration.JigConfig(kind="flow", noise_sigma=sigma, n_average=8), 51 + i)
+                for i, fin in enumerate(fins)]
     models = {}
-
-    def foot_transduce(w):
-        return foot_deflection_p(w, foot_model)
-
-    for i, name in enumerate(FOOT_NAMES):
-        rng = np.random.default_rng(scenario.seed * 100 + 11 + i)
-        cfg = calibration.JigConfig(noise_sigma=scenario.noise_sigma_mt)
-        ds = calibration.simulate_jig(foot_transduce, _FOOT_DIPOLE, cfg, rng)
-        train, _ = ds.train_eval_split()
-        models[name] = calibration.fit_poly(train)
-    for i, name in enumerate(FIN_NAMES):
-        fin = fins[i]
-        rng = np.random.default_rng(scenario.seed * 100 + 51 + i)
-        cfg = calibration.JigConfig(
-            kind="flow", noise_sigma=scenario.noise_sigma_mt, n_average=8
-        )
-        ds = calibration.simulate_jig(
-            fin.pose_for_force, fin.dipole_params, cfg, rng
-        )
-        train, _ = ds.train_eval_split()
+    for name, (transduce, dipole, cfg, offset) in zip(SENSOR_NAMES, benches):
+        rng = np.random.default_rng(scenario.seed * 100 + offset)
+        train, _ = calibration.simulate_jig(transduce, dipole, cfg, rng).train_eval_split()
         models[name] = calibration.fit_poly(train)
     return models
 
@@ -429,104 +397,89 @@ class ScenarioResult:
         return cls(scenario=None, columns=header, data=data)
 
 
-def _tick_loop(scenario, net, foot_model, fins, line, swim_from, data, col):
-    """Physics and bus path, swimming from tick swim_from on.  Writes the
-    truth columns of `data`; returns each module's sample ticks and flux."""
-    params, graph, jmap = net
-    kin = RobotKinematics()
-    n_mod = len(SENSOR_NAMES)
+def _ring_samples(n_steps, scenario, line):
+    """Per-module sample ticks and (n_i, 3) sensor noise on the fault-free
+    ring: module i samples at t0 + i * slot + c * round_p in round c, on the
+    first tick at or after that time and at most once a tick (binding only
+    when dt exceeds the round).  The noise is one block drawn in (tick,
+    module) order."""
+    n_mod, dt = len(SENSOR_NAMES), scenario.dt
     slot = line.frame_time + line.inter_frame_gap
     round_p = busring.ring_round_period(n_mod, line)
-    # closed-form fault-free ring schedule (validated against the event
-    # sim in the bus tests): sample time of module i, round k
-    t_sample0 = line.ctrl_time + line.inter_frame_gap
-    cap = min(len(data), int(len(data) * scenario.dt / round_p) + 2)
-    ticks = np.zeros((n_mod, cap), dtype=int)
-    flux = np.zeros((n_mod, cap, 3))
-    count = np.zeros(n_mod, dtype=int)
-    gt_q = col["gt_q_" + jmap.names[0]]         # joints, then foot wrenches
-    gt_fin = col[f"gt_{FIN_NAMES[0]}_force"]    # fin forces, then fin angles
+    c = np.arange(int(n_steps * dt / round_p) + 2)
+    due = (line.ctrl_time + line.inter_frame_gap + np.arange(n_mod)[:, None] * slot
+           + c * round_p)
+    tick = np.ceil(due / dt).astype(np.int64)
+    tick -= (tick - 1) * dt >= due
+    tick += tick * dt < due
+    tick = c + np.maximum.accumulate(tick - c, axis=1)
+    keep = tick < n_steps
+    mod = np.broadcast_to(np.arange(n_mod)[:, None], tick.shape)[keep]
+    noise = np.empty((len(mod), 3))
+    noise[np.lexsort((mod, tick[keep]))] = scenario.noise_sigma_mt * (
+        np.random.default_rng(scenario.seed * 100 + 7).standard_normal(noise.shape))
+    split = np.cumsum(keep.sum(axis=1))[:-1]
+    return np.split(tick[keep], split), np.split(noise, split)
 
-    rng_noise = np.random.default_rng(scenario.seed * 100 + 7)
-    state = cpg.initial_state(
-        params, scenario.drive, rng=np.random.default_rng(scenario.seed * 100 + 3)
-    )
-    swimming = scenario.drive >= cpg.D_SWIM
-    drive = scenario.drive
-    x_body = scenario.x_start
-    q_prev = None
-    prev_mounts = None
 
-    for k in range(len(data)):
-        if k == swim_from:
-            swimming, drive = True, cpg.D_SWIM
-        state.drive = drive
+def _oscillate(net, scenario, drive, phi, r, lo, hi):
+    """Step the network over ticks lo..hi-1 at each tick's drive and return
+    their joint targets.  Row k + 1 of phi, r keeps the state after tick k
+    (row 0 the initial one), which a later span resumes from."""
+    params, graph, jmap = net
+    state = cpg.NetworkState(phi[lo], r[lo], scenario.drive)
+    for k in range(lo, hi):
+        state.drive = drive[k]
         state = cpg.step_network(state, params, graph, scenario.dt)
-        q = cpg.joint_targets(cpg.oscillator_output(state), jmap, scenario.gain)
+        phi[k + 1], r[k + 1] = state.phi, state.r
+    out = cpg.oscillator_output(cpg.NetworkState(phi[lo + 1:hi + 1], r[lo + 1:hi + 1], 0.0))
+    return cpg.joint_targets(out, jmap, scenario.gain)
 
-        fk = kin.forward(q)
-        speed = scenario.swim_speed if swimming else scenario.advance_speed
-        x_body += speed * scenario.dt
 
-        # terrain under each foot and buoyancy from body immersion
-        if scenario.terrain == "floor":
-            on_floor = np.ones(4, dtype=bool)
-            weight_eff = scenario.weight_n
-        elif scenario.terrain == "water":
-            on_floor = np.zeros(4, dtype=bool)
-            weight_eff = 0.0
-        else:
-            foot_x = x_body + fk["feet"][:, 0]
-            on_floor = foot_x < scenario.x_waterline
-            lo = x_body + fk["tail_tip"][0]
-            hi = x_body + fk["snout"][0]
-            frac = np.clip((hi - scenario.x_waterline) / (hi - lo), 0.0, 1.0)
-            weight_eff = scenario.weight_n * (1.0 - frac)
+def _physics(scenario, kin, fins, swimming, x_body, data, col, lo, hi):
+    """Body advance, contact wrenches and fin drag over ticks lo..hi-1 from
+    the joint columns of data; fills x_body and the wrench and fin columns."""
+    # each tick after its predecessor; tick 0 stands in for its own, so it
+    # starts at rest
+    rows = np.r_[max(lo - 1, 0), lo:hi]
+    qq = data[rows, col["gt_q_ax1"]:col["gt_q_ax1"] + cpg.N_JOINTS]
+    fk = kin.forward(qq)
+    swim = swimming[lo:hi]
+    speed = np.where(swim, scenario.swim_speed, scenario.advance_speed)
+    x_prev = x_body[lo - 1] if lo else scenario.x_start
+    x = x_body[lo:hi] = np.cumsum(np.r_[x_prev, speed * scenario.dt])[1:]
 
-        wrenches, _ = contact_forces(q, kin, on_floor, weight_eff,
-                                     q_prev=q_prev, dt=scenario.dt)
-        q_prev = q
+    # terrain under each foot and buoyancy from body immersion
+    on_floor, wet = scenario.terrain == "floor", scenario.terrain == "water"
+    weight = scenario.weight_n if on_floor else 0.0
+    if scenario.terrain == "shoreline":
+        on_floor = x[:, None] + fk["feet"][1:, :, 0] < scenario.x_waterline
+        back, front = x + fk["tail_tip"][1:, 0], x + fk["snout"][1:, 0]
+        frac = np.clip((front - scenario.x_waterline) / (front - back), 0.0, 1.0)
+        weight, wet = scenario.weight_n * (1.0 - frac), swim[:, None]
+    wrenches, _ = contact_forces(qq[1:], kin, on_floor, weight, q_prev=qq[:-1],
+                                 dt=scenario.dt)
+    f0, n_w = col["gt_foot_fl_fx"], 3 * len(FOOT_NAMES)    # f_x, tau_pitch, tau_yaw
+    data[lo:hi, f0:f0 + n_w] = wrenches.reshape(-1, n_w)
 
-        mounts = fk["fin_mounts"]
-        if prev_mounts is None:
-            mount_speed = np.zeros(len(FIN_NAMES))
-        else:
-            mount_speed = np.linalg.norm(mounts - prev_mounts, axis=1) / scenario.dt
-        prev_mounts = mounts
-        stream = scenario.swim_speed if swimming else 0.0
-        in_water = scenario.terrain == "water" or (
-            scenario.terrain == "shoreline" and swimming
-        )
-        fin_force = np.zeros(len(FIN_NAMES))
-        fin_angle = np.zeros(len(FIN_NAMES))
-        if in_water:
-            for fi, fin in enumerate(fins):
-                f = fin_drag_force(q[FIN_ANTERIOR_JOINT[fi]], mount_speed[fi],
-                                   stream, fin)
-                fin_force[fi] = f
-                fin_angle[fi] = fin.angle_for_force(f)
+    stream = np.where(swimming[rows], scenario.swim_speed, 0.0)
+    force, angle = flow_forces(qq, kin, fins, stream, scenario.dt, mounts=fk["fin_mounts"])
+    f0 = col[f"gt_{FIN_NAMES[0]}_force"]    # fin forces, then fin angles
+    data[lo:hi, f0:f0 + 2 * len(fins)] = np.where(wet, np.hstack([force[1:], angle[1:]]), 0.0)
 
-        # ring frames whose sample slot landed inside this tick
-        for i, name in enumerate(SENSOR_NAMES):
-            if t_sample0 + i * slot + count[i] * round_p > k * scenario.dt:
-                continue
-            if name in FOOT_NAMES:
-                p = foot_deflection_p(wrenches[FOOT_NAMES.index(name)], foot_model)
-                clean = magnetics.dipole_flux_radial(p, _FOOT_DIPOLE)
-            else:
-                fi = FIN_NAMES.index(name)
-                fpose = fins[fi].pose_for_angle(fin_angle[fi])
-                clean = magnetics.flow_flux(fpose, fins[fi].dipole_params)
-            noisy = clean + scenario.noise_sigma_mt * rng_noise.standard_normal(3)
-            wire = busring.encode_frame(busring.FluxSample(i, noisy))
-            ticks[i, count[i]] = k
-            flux[i, count[i]] = busring.decode_frame(wire).flux_mt
-            count[i] += 1
 
-        truth = np.hstack([q] + [(w.f_x, w.tau_pitch, w.tau_yaw) for w in wrenches])
-        data[k, gt_q:gt_q + len(truth)] = truth
-        data[k, gt_fin:gt_fin + 2 * len(FIN_NAMES)] = np.concatenate([fin_force, fin_angle])
-    return ticks, flux, count
+def _sense(name, ticks, noise, data, col, foot_model, fins):
+    """Flux the host decodes from one module's samples at the given ticks:
+    rendered from the truth columns, noised, quantized to the int16 wire."""
+    if name in FOOT_NAMES:
+        fx, tp, ty = (data[ticks, col[f"gt_{name}_{c}"]] for c in ("fx", "tp", "ty"))
+        p = foot_deflection_p(calibration.FootWrench(tp, ty, fx), foot_model)
+        clean = magnetics.dipole_flux_radial(p, _FOOT_DIPOLE)
+    else:
+        fin = fins[FIN_NAMES.index(name)]
+        clean = _kernels.flow_flux_batch(
+            fin.magnet_coords(data[ticks, col[f"gt_{name}_angle"]]), fin.d_z0_mm, fin.n_t)
+    return busring.quantize(clean + noise, busring.FLUX_LSB_MT) * busring.FLUX_LSB_MT
 
 
 def _hold(ticks, values, n_steps):
@@ -535,19 +488,21 @@ def _hold(ticks, values, n_steps):
     return np.concatenate([np.zeros((1, values.shape[1])), values])[idx]
 
 
-def _host_side(names, streams, scenario, models, fins, round_p, data, col):
-    """Low-pass, inversion and calibrated model over each named module's whole
+def _foot_estimates(name, filt, model):
+    """Calibrated (f_x, tau_pitch, tau_yaw) rows from a foot's filtered flux."""
+    p = magnetics.invert_foot_flux_batch(filt, _FOOT_DIPOLE)
+    if np.isnan(p).any():
+        raise magnetics.BelowNoiseFloorError(f"{name}: flux below noise floor")
+    return calibration.apply_poly_batch(model, p)[:, [2, 0, 1]]
+
+
+def _host_side(ticks, raw, scenario, models, fins, round_p, data, col):
+    """Low-pass, inversion and calibrated model over each module's whole
     sample stream, into the est_*, raw_*, filt_* and est_foot_sum columns."""
-    ticks, flux, count = streams
-    for name in names:
-        i = SENSOR_NAMES.index(name)
-        tk, raw = ticks[i, :count[i]], flux[i, :count[i]]
-        filt = magnetics.lowpass_trace(raw, round_p)
+    for i, (name, tk) in enumerate(zip(SENSOR_NAMES, ticks)):
+        filt = magnetics.lowpass_trace(raw[i], round_p)
         if name in FOOT_NAMES:
-            p = magnetics.invert_foot_flux_batch(filt, _FOOT_DIPOLE)
-            if np.isnan(p).any():
-                raise magnetics.BelowNoiseFloorError(f"{name}: flux below noise floor")
-            est = calibration.apply_poly_batch(models[name], p)[:, [2, 0, 1]]
+            est = _foot_estimates(name, filt, models[name])
             est_cols = [col[f"est_{name}_{c}"] for c in ("fx", "tp", "ty")]
         else:
             rest = fins[i - len(FOOT_NAMES)].pose_for_force(0.0)
@@ -563,7 +518,7 @@ def _host_side(names, streams, scenario, models, fins, round_p, data, col):
             est_cols = [col[f"est_{name}_force"]]
         data[:, est_cols] = _hold(tk, est, len(data))
         if name in scenario.log_flux:
-            data[:, [col[f"raw_{name}_b{a}"] for a in "xyz"]] = _hold(tk, raw, len(data))
+            data[:, [col[f"raw_{name}_b{a}"] for a in "xyz"]] = _hold(tk, raw[i], len(data))
             data[:, [col[f"filt_{name}_b{a}"] for a in "xyz"]] = _hold(tk, filt, len(data))
     data[:, col["est_foot_sum"]] = sum(data[:, col[f"est_{nm}_fx"]] for nm in FOOT_NAMES)
 
@@ -571,12 +526,14 @@ def _host_side(names, streams, scenario, models, fins, round_p, data, col):
 def run_scenario(scenario: Scenario) -> ScenarioResult:
     """Execute the full pipeline at 1 kHz; returns the wide trace.
 
-    The tick loop runs robot and ring bus; the host side then filters,
-    inverts and calibrates each module's whole sample stream.  The gait
-    switch is one-way and no tick before it depends on it, so the 50 Hz
-    supervisor polls the estimated foot-force sum after a pass; when a poll
-    at tick k leaves walking, the tick loop runs again with swimming physics
-    from tick k + 1.  An open-loop drive_switch_t switches at its own tick.
+    The plant runs stage by stage over the arrays of a span of ticks
+    (oscillators, kinematics and forces, then the ring samples in the
+    span); the host side then filters, inverts and calibrates each
+    module's whole sample stream.  One span covers a run without
+    feedback.  With it, walking spans end at the 50 Hz supervisor's
+    polls of the estimated foot-force sum, and when a poll at tick k
+    leaves walking the last span swims from tick k + 1, so no tick is
+    simulated twice.  An open-loop drive_switch_t switches at its tick.
     """
     net = cpg.build_gait_network()
     foot_model = ElasticFootModel()
@@ -602,25 +559,61 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     data = np.zeros((n_steps, len(columns)))
     t = data[:, 0] = np.arange(n_steps) * scenario.dt
 
+    ticks, noise = _ring_samples(n_steps, scenario, line)
+    raw = [np.zeros((len(tk), 3)) for tk in ticks]
+    state = cpg.initial_state(
+        net[0], scenario.drive, rng=np.random.default_rng(scenario.seed * 100 + 3))
+    phi, r = np.empty((2, n_steps + 1, len(state.phi)))
+    phi[0], r[0] = state.phi, state.r
+    x_body = np.empty(n_steps)
+    kin = RobotKinematics()
+    q0 = col["gt_q_ax1"]
+
+    # the drive each tick steps with; the physics swims wherever it is a
+    # swimming drive
+    drive = np.full(n_steps, float(scenario.drive))
     walking = scenario.drive < cpg.D_SWIM
     switch_k = n_steps
     if walking and scenario.drive_switch_t is not None:
         switch_k = int(np.searchsorted(t, scenario.drive_switch_t))
-    streams = _tick_loop(scenario, net, foot_model, fins, line, switch_k, data, col)
-    if walking and scenario.feedback:
-        _host_side(FOOT_NAMES, streams, scenario, models, fins, round_p, data, col)
-        cmd = cpg.GaitCommand(cpg.GaitMode.WALKING, scenario.drive)
-        # the supervisor holds off until the first bus rounds have delivered
-        # estimates for every foot (the startup default of zero would
-        # otherwise read as an airborne robot)
-        for k in range(0, switch_k, max(1, int(round(0.020 / scenario.dt)))):
-            if t[k] >= 0.05 and cpg.transition_controller(
-                    data[k, col["est_foot_sum"]], cmd).mode is not cmd.mode:
+        drive[switch_k:] = cpg.D_SWIM
+
+    def advance(lo, hi):
+        data[lo:hi, q0:q0 + cpg.N_JOINTS] = _oscillate(net, scenario, drive, phi, r, lo, hi)
+        _physics(scenario, kin, fins, drive >= cpg.D_SWIM, x_body, data, col, lo, hi)
+        for i, name in enumerate(SENSOR_NAMES):
+            a, b = np.searchsorted(ticks[i], [lo, hi])
+            raw[i][a:b] = _sense(name, ticks[i][a:b], noise[i][a:b], data, col,
+                                 foot_model, fins)
+
+    # per foot: samples filtered so far and the last filter output
+    done, filt = [0] * len(FOOT_NAMES), [None] * len(FOOT_NAMES)
+
+    def foot_sum(k):
+        # the feet's latest estimates at tick k, 0 before a first sample
+        total = 0.0
+        for i, name in enumerate(FOOT_NAMES):
+            a, done[i] = done[i], int(np.searchsorted(ticks[i], k, side="right"))
+            if done[i] > a:
+                filt[i] = magnetics.lowpass_trace(raw[i][a:done[i]], round_p, y0=filt[i])[-1]
+            if done[i]:
+                total += _foot_estimates(name, filt[i][None], models[name])[0, 0]
+        return total
+
+    lo = 0
+    cmd = cpg.GaitCommand(cpg.GaitMode.WALKING, scenario.drive)
+    polls = range(0, switch_k, max(1, int(round(0.020 / scenario.dt))))
+    for k in polls if walking and scenario.feedback else ():
+        if t[k] >= cpg.SWITCH_HOLDOFF_S:
+            advance(lo, k + 1)
+            lo = k + 1
+            if cpg.transition_controller(foot_sum(k), cmd).mode is not cmd.mode:
                 switch_k = k
-                streams = _tick_loop(scenario, net, foot_model, fins, line, k + 1,
-                                     data, col)
+                drive[k + 1:] = cpg.D_SWIM
                 break
-    _host_side(SENSOR_NAMES, streams, scenario, models, fins, round_p, data, col)
+    for a in range(lo, n_steps, 256):     # bounded spans keep the temporaries small
+        advance(a, min(a + 256, n_steps))
+    _host_side(ticks, raw, scenario, models, fins, round_p, data, col)
 
     data[:, 1], data[:, 2] = float(not walking), scenario.drive
     data[switch_k:, 1:3] = 1.0, cpg.D_SWIM

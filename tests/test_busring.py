@@ -4,8 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amphisense import busring as bus
+
+# flux within the int16 wire range at the default LSB, and at least one
+# count beyond it
+in_range = st.floats(-32768 * bus.FLUX_LSB_MT, 32767 * bus.FLUX_LSB_MT)
+beyond = st.one_of(st.floats(32768 * bus.FLUX_LSB_MT, 1e6),
+                   st.floats(-1e6, -32769 * bus.FLUX_LSB_MT),
+                   st.just(float("nan")), st.just(float("inf")))
 
 
 class TestCrc8:
@@ -45,6 +54,28 @@ class TestCodec:
             assert back.module_id == s.module_id
             np.testing.assert_allclose(back.flux_mt, s.flux_mt, atol=1e-12)
             assert back.temp_c == pytest.approx(s.temp_c, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(in_range, in_range, in_range), min_size=1, max_size=20))
+    def test_quantize_matches_codec(self, rows):
+        # the vectorized quantizer is the codec's own rounding: the wire
+        # round trip of every row, within half an LSB of the input
+        flux = np.array(rows)
+        got = bus.quantize(flux, bus.FLUX_LSB_MT) * bus.FLUX_LSB_MT
+        want = np.array([bus.decode_frame(bus.encode_frame(bus.FluxSample(0, f))).flux_mt
+                         for f in flux])
+        np.testing.assert_array_equal(got, want)
+        assert np.all(np.abs(got - flux) <= bus.FLUX_LSB_MT / 2 * (1 + 1e-9))
+
+    @settings(max_examples=100, deadline=None)
+    @given(in_range, beyond, st.integers(0, 2))
+    def test_quantize_rejects_outside_int16(self, ok, bad, axis):
+        flux = np.full(3, ok)
+        flux[axis] = bad
+        with pytest.raises(bus.EncodingRangeError):
+            bus.quantize(flux, bus.FLUX_LSB_MT)
+        with pytest.raises(bus.EncodingRangeError):
+            bus.encode_frame(bus.FluxSample(0, flux))
 
     def test_flux_overflow(self):
         with pytest.raises(bus.EncodingRangeError):

@@ -238,6 +238,26 @@ class TestJig:
         with pytest.raises(cal.RankDeficiencyError):
             cal.fit_poly(train)
 
+    def test_foot_jig_below_noise_floor_raises(self):
+        # a magnet 100 mm away gives 1e-4 mT, under the 1e-3 mT floor
+        cfg = cal.JigConfig(noise_sigma=0.0)
+        with pytest.raises(mg.BelowNoiseFloorError):
+            cal.simulate_jig(lambda w: np.array([100.0, 0.0, 0.0]), FOOT_PARAMS,
+                             cfg, np.random.default_rng(0))
+
+    def test_foot_jig_noise_is_drawn_per_point(self):
+        # one noise block equals per-point draws in schedule order, so the
+        # noiseless sweep plus those draws inverts to the same estimates
+        cfg = cal.JigConfig(n_average=3)
+        ds = cal.simulate_jig(foot_transduce, FOOT_PARAMS, cfg, np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        B = np.array([mg.dipole_flux_radial(foot_transduce(cal.FootWrench(*y)), FOOT_PARAMS)
+                      for y in ds.Y])
+        noise = np.array([rng.normal(scale=cfg.noise_sigma, size=(3, 3)).mean(axis=0)
+                          for _ in B])
+        want = np.array([mg.invert_foot_flux(b, FOOT_PARAMS) for b in B + noise])
+        np.testing.assert_allclose(ds.X, want, rtol=1e-13, atol=1e-13)
+
     def test_flow_jig_linear_angle_force(self):
         rng = np.random.default_rng(2)
         cfg = cal.JigConfig(kind="flow", n_average=8)

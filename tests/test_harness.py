@@ -144,19 +144,22 @@ class TestCliRun:
         assert {"gait_freq", "axial_amp", "wave_monotone",
                 "wave_total_lag"} <= names
 
-    # case: (scenario JSON text or None for a name that resolves to
+    # case: (command, config JSON text or None for a name that resolves to
     # nothing, exception run_scenario raises or None, exit code)
     EXIT_CASES = {
-        "passing_run": (json.dumps(SHORT_SHORELINE), None, 0),
-        "malformed_json": ("{ not json,,", None, 2),
-        "unknown_config_name": (None, None, 2),
-        "unknown_key": ('{"dragg": 1}', None, 2),
-        "sensor_model_error": ("{}", magnetics.NoConvergenceError("stalled"), 2),
+        "passing_run": ("run", json.dumps(SHORT_SHORELINE), None, 0),
+        "malformed_json": ("run", "{ not json,,", None, 2),
+        "unknown_config_name": ("run", None, None, 2),
+        "unknown_key": ("run", '{"dragg": 1}', None, 2),
+        "sensor_model_error": ("run", "{}", magnetics.NoConvergenceError("stalled"), 2),
+        "jig_unknown_key": ("calibrate", '{"kind": "foot", "levr": 19.0}', None, 2),
+        "jig_not_an_object": ("calibrate", "[1, 2]", None, 2),
+        "line_unknown_key": ("bus-bench", '{"n_modules": 10, "baudrate": 1}', None, 2),
     }
 
     @pytest.mark.parametrize("case", EXIT_CASES)
     def test_exit_code(self, case, tmp_path, monkeypatch, capsys):
-        text, raises, code = self.EXIT_CASES[case]
+        command, text, raises, code = self.EXIT_CASES[case]
         arg = "no_such_scenario"
         if text is not None:
             arg = tmp_path / "sc.json"
@@ -165,16 +168,23 @@ class TestCliRun:
             def stalled_run(scenario):
                 raise raises
             monkeypatch.setattr(plant, "run_scenario", stalled_run)
-        assert harness.main(["--out", str(tmp_path), "run", str(arg)]) == code
+        assert harness.main(["--out", str(tmp_path), command, str(arg)]) == code
         if code == 2:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
+            if "unknown_key" in case:
+                assert "allowed:" in err
 
     def test_bundled_names_resolve(self):
         for name in ("walk_floor", "swim_pool", "shoreline_transition",
                      "jig_default", "line_default"):
             path = harness._resolve_config(name)
             assert path.endswith(f"{name}.json")
+
+    def test_bundled_jig_and_line_keys_allowed(self):
+        for name, keys in (("jig_default", harness.JIG_KEYS),
+                           ("line_default", harness.LINE_KEYS)):
+            assert set(harness._load_json(harness._resolve_config(name))) <= set(keys)
 
 
 class TestCliAnalyze:
@@ -292,3 +302,15 @@ class TestAnalyzeEdges:
             str(swim_dir / "mini_swim_trace.csv"))
         with pytest.raises(harness.HarnessError):
             harness.render_svg(trace, {"panels": []})
+
+    def test_early_switch_latency_not_negative(self):
+        # the analysis looks for the foot-sum crossing from the supervisor's
+        # own hold-off on; this run switches at the first polls after it
+        sc = plant.Scenario(name="early", terrain="shoreline", duration_s=0.8,
+                            advance_speed=0.08, x_start=0.3, seed=2,
+                            window_start=0.2)
+        result = plant.run_scenario(sc)
+        assert result.switch_time == pytest.approx(0.06)
+        m = {x.name: x for x in harness.analyze_trace(result, sc).metrics}
+        assert m["transition_latency"].value >= 0.0
+        assert m["transition_latency"].verdict == "pass"

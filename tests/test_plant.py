@@ -152,12 +152,19 @@ class TestFinModel:
         assert plant.fin_drag_force(0.4, 0.0, 0.0, plant.FlowFinModel()) == 0.0
 
 
+def contact_forces(*args, **kwargs):
+    # the wrench array's rows (f_x, tau_pitch, tau_yaw) as FootWrench objects
+    w, s = plant.contact_forces(*args, **kwargs)
+    return [calibration.FootWrench(tau_pitch=tp, tau_yaw=ty, f_x=fx)
+            for fx, tp, ty in w], s
+
+
 class TestContactForces:
     KIN = plant.RobotKinematics()
 
     def test_equal_split(self):
         # identical legs share the weight in quarters
-        w, s = plant.contact_forces(np.zeros(16), self.KIN, [True] * 4, 20.0)
+        w, s = contact_forces(np.zeros(16), self.KIN, [True] * 4, 20.0)
         assert [x.f_x for x in w] == pytest.approx([5.0] * 4)
         assert np.allclose(s, s[0])
 
@@ -171,14 +178,14 @@ class TestContactForces:
             if not mask.any():
                 mask[0] = True
             weight = rng.uniform(1.0, 30.0)
-            w, _ = plant.contact_forces(q, self.KIN, mask, weight)
+            w, _ = contact_forces(q, self.KIN, mask, weight)
             assert sum(x.f_x for x in w) == pytest.approx(weight, abs=1e-12)
             for x, m in zip(w, mask):
                 if not m:
                     assert x.f_x == 0.0 and x.tau_yaw == 0.0
 
     def test_floating(self):
-        w, _ = plant.contact_forces(np.zeros(16), self.KIN, [False] * 4, 20.0)
+        w, _ = contact_forces(np.zeros(16), self.KIN, [False] * 4, 20.0)
         assert all(x.f_x == 0.0 for x in w)
 
     def test_stance_weights_smooth_band(self):
@@ -198,16 +205,31 @@ class TestContactForces:
         q1 = np.zeros(16)
         rate = cpg.TWO_PI * 0.47 * cfg.swing_ref  # exactly the peak rate
         q1[8] = rate * 1e-3
-        w, _ = plant.contact_forces(q1, self.KIN, [True] * 4, 20.0,
-                                    cfg, q_prev=q0, dt=1e-3)
+        w, _ = contact_forces(q1, self.KIN, [True] * 4, 20.0,
+                              cfg, q_prev=q0, dt=1e-3)
         assert w[0].tau_yaw == pytest.approx(cfg.mu_yaw * w[0].f_x * cfg.yaw_lever_mm)
         assert w[1].tau_yaw == 0.0
+
+    def test_trace_matches_single_poses(self):
+        # a trace of poses gives, row by row, the wrenches of each pose alone
+        rng = np.random.default_rng(9)
+        q = np.zeros((40, 16))
+        q[:, 8:] = rng.uniform(-0.4, 0.4, (40, 8))
+        mask = rng.random((40, 4)) < 0.7
+        weight = rng.uniform(1.0, 30.0, 40)
+        w, s = plant.contact_forces(q[1:], self.KIN, mask[1:], weight[1:],
+                                    q_prev=q[:-1])
+        for k in range(1, 40):
+            wk, sk = plant.contact_forces(q[k], self.KIN, mask[k], weight[k],
+                                          q_prev=q[k - 1])
+            np.testing.assert_array_equal(w[k - 1], wk)
+            np.testing.assert_array_equal(s[k - 1], sk)
 
     def test_pitch_cop_follows_swing(self):
         cfg = plant.ContactConfig()
         q = np.zeros(16)
         q[8] = cfg.swing_ref / 2.0
-        w, _ = plant.contact_forces(q, self.KIN, [True] * 4, 20.0, cfg)
+        w, _ = contact_forces(q, self.KIN, [True] * 4, 20.0, cfg)
         assert w[0].tau_pitch == pytest.approx(w[0].f_x * cfg.cop_offset_mm * 0.5)
 
 
@@ -292,8 +314,8 @@ class TestScenarioConfig:
 
 class TestRunScenario:
     def test_ring_schedule_matches_event_sim(self):
-        # the scenario loop uses the closed-form fault-free schedule;
-        # it must agree with the event-driven bus simulation exactly
+        # the runner samples each module on the closed-form fault-free
+        # schedule; it must agree with the event-driven bus simulation exactly
         line = busring.LineConfig()
         n = len(plant.SENSOR_NAMES)
         stats = busring.simulate_ring(n, line, 0.02, record_frames=True)
@@ -306,6 +328,33 @@ class TestRunScenario:
                 + per_round[i][-1] * round_p + line.frame_time
             assert t_end == pytest.approx(want, abs=1e-12)
             per_round[i].append(k + 1)
+
+    @pytest.mark.parametrize("dt", [1e-3, 2e-3, 0.7e-3])
+    def test_ring_samples_follow_the_tick_rule(self, dt):
+        # each module's next sample lands on the first tick at or after its
+        # slot time, at most one per tick (binding when dt exceeds the
+        # 1.3 ms round); checked against that rule applied tick by tick
+        line = busring.LineConfig()
+        n_mod, n_steps = len(plant.SENSOR_NAMES), 400
+        slot = line.frame_time + line.inter_frame_gap
+        round_p = busring.ring_round_period(n_mod, line)
+        sc = plant.Scenario(dt=dt, seed=3)
+        ticks, noise = plant._ring_samples(n_steps, sc, line)
+        want = [[] for _ in range(n_mod)]
+        for k in range(n_steps):
+            for i in range(n_mod):
+                due = line.ctrl_time + line.inter_frame_gap + i * slot \
+                    + len(want[i]) * round_p
+                if due <= k * dt:
+                    want[i].append(k)
+        for i in range(n_mod):
+            np.testing.assert_array_equal(ticks[i], want[i])
+            assert noise[i].shape == (len(want[i]), 3)
+        # the noise block is drawn in (tick, module) order
+        order = sorted((k, i, j) for i in range(n_mod) for j, k in enumerate(want[i]))
+        z = np.random.default_rng(sc.seed * 100 + 7).standard_normal((len(order), 3))
+        for row, (_, i, j) in zip(z, order):
+            np.testing.assert_array_equal(noise[i][j], sc.noise_sigma_mt * row)
 
     def test_floor_smoke(self):
         sc = plant.Scenario(name="smk", terrain="floor", duration_s=1.5,
@@ -370,9 +419,27 @@ class TestRunScenario:
             if name.startswith(("est_", "raw_", "filt_")):
                 assert res.data[0, j] == 0.0, name
 
+    def test_switch_steps_each_tick_once(self, monkeypatch):
+        # walking advances poll by poll and the swim span resumes from the
+        # state kept at the switch tick: one network step per tick in all
+        calls = []
+        step = cpg.step_network
+
+        def counting_step(*args):
+            calls.append(1)
+            return step(*args)
+
+        monkeypatch.setattr(cpg, "step_network", counting_step)
+        sc = plant.Scenario(name="shore", terrain="shoreline", duration_s=1.2,
+                            advance_speed=0.08, x_start=0.2, window_start=0.2,
+                            seed=1)
+        res = plant.run_scenario(sc)
+        assert res.switch_time is not None
+        assert len(calls) == len(res.data)
+
     def test_feedback_changes_nothing_before_the_switch(self):
-        # the runner replays the supervisor after a pass and reruns from the
-        # switch; that holds only if no tick before the switch depends on it
+        # the supervisor only reads estimates up to its poll and the switch
+        # only acts after it, so no tick before the switch depends on it
         kw = dict(name="shore", terrain="shoreline", duration_s=1.2,
                   advance_speed=0.08, x_start=0.2, window_start=0.2, seed=1)
         fb = plant.run_scenario(plant.Scenario(feedback=True, **kw))
