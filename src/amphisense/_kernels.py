@@ -1,21 +1,22 @@
 """Numerical kernels, built two ways.
 
 Every kernel here but the low-pass scan has a numba build (explicit loops
-under ``@njit``) and a numpy/scipy fallback.  The build is chosen once at
-import time by ``_accel.USE_NUMBA`` (numba installed and the
-AMPHISENSE_NUMBA env var not set to 0/false/off/no).  Public names keep
-identical signatures and agree to float rounding, so callers never branch
-and tests can cross-check the paths by reimporting with the flag flipped.
+under ``@njit``) and a numpy fallback.  The build is chosen once at import
+time by ``_accel.USE_NUMBA`` (numba installed and the AMPHISENSE_NUMBA env
+var not set to 0/false/off/no).  Public names keep identical signatures and
+agree to float rounding, so callers never branch and tests can cross-check
+the paths by reimporting with the flag flipped.
 
 Sequential recurrences (Newton continuation, oscillator integration) are
 where numba pays; the fallbacks vectorize across elements wherever the
-recurrence allows and loop in Python where it does not.
+recurrence allows and loop in Python where it does not.  Those loops run on
+Python floats and tuples, which cost far less per operation than numpy
+scalars and compile unchanged under numba.
 """
 
 import math
 
 import numpy as np
-from scipy import signal
 
 from ._accel import USE_NUMBA, jit
 
@@ -24,43 +25,53 @@ from ._accel import USE_NUMBA, jit
 # first-order low-pass scan
 # ---------------------------------------------------------------------------
 
-# One build: scipy's lfilter is compiled already, and a numba loop timed
-# no faster.
+# One build: a Python loop per column.  Each output is rounded as
+# fl(fl((1 - alpha) y[n-1]) + fl(alpha x[n])), the order in which scipy's
+# lfilter (direct form II transposed) computes this filter, so both give
+# the same bits.
 
 def _lowpass_scan_numpy(x, alpha, y0=None):
     # y[n] = alpha x[n] + (1 - alpha) y[n-1], with y[-1] = y0 (default x[0])
-    b = np.array([alpha])
-    a = np.array([1.0, alpha - 1.0])
-    zi = (1.0 - alpha) * np.asarray(x[0] if y0 is None else y0, dtype=float)[None, :]
-    y, _ = signal.lfilter(b, a, x, axis=0, zi=zi)
+    c = 1.0 - alpha
+    v = alpha * x
+    y = np.empty_like(v)
+    for j in range(x.shape[1]):
+        p = float(x[0, j] if y0 is None else y0[j])
+        col = []
+        for vn in v[:, j].tolist():
+            p = c * p + vn
+            col.append(p)
+        y[:, j] = col
     return y
 
 
 def lowpass_scan(x: np.ndarray, alpha: float, y0=None) -> np.ndarray:
     """First-order IIR scan down the rows of x, continuing from the output
     y0 (k,) before them; by default the trace starts at x[0]."""
-    return _lowpass_scan_numpy(np.asarray(x, dtype=float), alpha, y0)
+    return _lowpass_scan_numpy(np.asarray(x, dtype=float), float(alpha), y0)
 
 
 # ---------------------------------------------------------------------------
 # fin-magnet flux model and Newton inversion
 # ---------------------------------------------------------------------------
 # Unknowns q = (p_x, p_y, h_y); p_z is fixed, h_x = sqrt(1 - h_y^2), h_z = 0.
-# The same scalar cores back both builds, so results match bit for bit.
+# The same scalar cores back both builds, so results match bit for bit.  They
+# take and return floats and tuples: q, a flux f and a step s are 3-tuples,
+# a Jacobian is a tuple of three rows.
 
-def _flow_flux_core(px, py, hy, pz, n_t, out):
+def _flow_flux_core(px, py, hy, pz, n_t):
     hx = math.sqrt(max(1.0 - hy * hy, 0.0))
     r2 = px * px + py * py + pz * pz
     r = math.sqrt(r2)
     r5 = r2 * r2 * r
     m = hx * px + hy * py
-    out[0] = n_t * (3.0 * m * px - r2 * hx) / r5
-    out[1] = n_t * (3.0 * m * py - r2 * hy) / r5
-    out[2] = n_t * (3.0 * m * pz) / r5
+    return (n_t * (3.0 * m * px - r2 * hx) / r5,
+            n_t * (3.0 * m * py - r2 * hy) / r5,
+            n_t * (3.0 * m * pz) / r5)
 
 
-def _flow_jacobian(px, py, hy, pz, n_t, J):
-    """Analytic Jacobian of the flux model w.r.t. (p_x, p_y, h_y)."""
+def _flow_jacobian(px, py, hy, pz, n_t):
+    """Analytic Jacobian of the flux model w.r.t. (p_x, p_y, h_y), by rows."""
     hx = math.sqrt(max(1.0 - hy * hy, 1e-12))
     r2 = px * px + py * py + pz * pz
     r = math.sqrt(r2)
@@ -71,57 +82,52 @@ def _flow_jacobian(px, py, hy, pz, n_t, J):
     ny = 3.0 * m * py - r2 * hy
     nz = 3.0 * m * pz
     # d/dp_x
-    J[0, 0] = n_t * ((hx * px + 3.0 * m) / r5 - 5.0 * px * nx / r7)
-    J[1, 0] = n_t * ((3.0 * hx * py - 2.0 * px * hy) / r5 - 5.0 * px * ny / r7)
-    J[2, 0] = n_t * (3.0 * hx * pz / r5 - 5.0 * px * nz / r7)
+    j00 = n_t * ((hx * px + 3.0 * m) / r5 - 5.0 * px * nx / r7)
+    j10 = n_t * ((3.0 * hx * py - 2.0 * px * hy) / r5 - 5.0 * px * ny / r7)
+    j20 = n_t * (3.0 * hx * pz / r5 - 5.0 * px * nz / r7)
     # d/dp_y
-    J[0, 1] = n_t * ((3.0 * hy * px - 2.0 * py * hx) / r5 - 5.0 * py * nx / r7)
-    J[1, 1] = n_t * ((hy * py + 3.0 * m) / r5 - 5.0 * py * ny / r7)
-    J[2, 1] = n_t * (3.0 * hy * pz / r5 - 5.0 * py * nz / r7)
+    j01 = n_t * ((3.0 * hy * px - 2.0 * py * hx) / r5 - 5.0 * py * nx / r7)
+    j11 = n_t * ((hy * py + 3.0 * m) / r5 - 5.0 * py * ny / r7)
+    j21 = n_t * (3.0 * hy * pz / r5 - 5.0 * py * nz / r7)
     # d/dh_y, through h_x as well
     dm = -hy / hx * px + py
-    J[0, 2] = n_t * (3.0 * dm * px + r2 * hy / hx) / r5
-    J[1, 2] = n_t * (3.0 * dm * py - r2) / r5
-    J[2, 2] = n_t * (3.0 * dm * pz) / r5
+    j02 = n_t * (3.0 * dm * px + r2 * hy / hx) / r5
+    j12 = n_t * (3.0 * dm * py - r2) / r5
+    j22 = n_t * (3.0 * dm * pz) / r5
+    return (j00, j01, j02), (j10, j11, j12), (j20, j21, j22)
 
 
-def _solve3(J, f, s):
-    """Cramer solve of J s = -f for a 3x3 system; returns False if singular."""
-    a, b, c = J[0, 0], J[0, 1], J[0, 2]
-    d, e, g = J[1, 0], J[1, 1], J[1, 2]
-    h, i, k = J[2, 0], J[2, 1], J[2, 2]
+def _solve3(J, f):
+    """Cramer solve of J s = -f for a 3x3 system; returns (ok, s), with ok
+    False if J is singular."""
+    (a, b, c), (d, e, g), (h, i, k) = J
     det = a * (e * k - g * i) - b * (d * k - g * h) + c * (d * i - e * h)
     if abs(det) < 1e-300:
-        return False
+        return False, (0.0, 0.0, 0.0)
     r0, r1, r2 = -f[0], -f[1], -f[2]
-    s[0] = (r0 * (e * k - g * i) - b * (r1 * k - g * r2) + c * (r1 * i - e * r2)) / det
-    s[1] = (a * (r1 * k - g * r2) - r0 * (d * k - g * h) + c * (d * r2 - r1 * h)) / det
-    s[2] = (a * (e * r2 - r1 * i) - b * (d * r2 - r1 * h) + r0 * (d * i - e * h)) / det
-    return True
+    return True, ((r0 * (e * k - g * i) - b * (r1 * k - g * r2) + c * (r1 * i - e * r2)) / det,
+                  (a * (r1 * k - g * r2) - r0 * (d * k - g * h) + c * (d * r2 - r1 * h)) / det,
+                  (a * (e * r2 - r1 * i) - b * (d * r2 - r1 * h) + r0 * (d * i - e * h)) / det)
 
 
 def _flow_newton_core(bx, by, bz, pz, n_t, q, tol, max_iter):
-    """Damped Newton on the flux residual; q is updated in place.
+    """Damped Newton on the flux residual from q.
 
-    Returns (residual_norm, converged).  Steps are backtracked until the
+    Returns (q, residual_norm, converged).  Steps are backtracked until the
     residual drops; h_y is clamped inside (-1, 1) and the magnet is kept off
     the sensor origin so the model stays finite.
     """
-    f = np.empty(3)
-    fn_v = np.empty(3)
-    J = np.empty((3, 3))
-    s = np.empty(3)
-    _flow_flux_core(q[0], q[1], q[2], pz, n_t, f)
-    f[0] -= bx
-    f[1] -= by
-    f[2] -= bz
-    fn = math.sqrt(f[0] * f[0] + f[1] * f[1] + f[2] * f[2])
+    f0, f1, f2 = _flow_flux_core(q[0], q[1], q[2], pz, n_t)
+    f0 -= bx
+    f1 -= by
+    f2 -= bz
+    fn = math.sqrt(f0 * f0 + f1 * f1 + f2 * f2)
     for _ in range(max_iter):
         if fn <= tol:
-            return fn, True
-        _flow_jacobian(q[0], q[1], q[2], pz, n_t, J)
-        if not _solve3(J, f, s):
-            return fn, False
+            return q, fn, True
+        ok, s = _solve3(_flow_jacobian(q[0], q[1], q[2], pz, n_t), (f0, f1, f2))
+        if not ok:
+            return q, fn, False
         step = 1.0
         improved = False
         for _bt in range(30):
@@ -135,32 +141,32 @@ def _flow_newton_core(bx, by, bz, pz, n_t, q, tol, max_iter):
             if q0 * q0 + q1 * q1 + pz * pz < 0.0625:
                 step *= 0.5
                 continue
-            _flow_flux_core(q0, q1, q2, pz, n_t, fn_v)
-            fn_v[0] -= bx
-            fn_v[1] -= by
-            fn_v[2] -= bz
-            fnn = math.sqrt(fn_v[0] * fn_v[0] + fn_v[1] * fn_v[1] + fn_v[2] * fn_v[2])
+            g0, g1, g2 = _flow_flux_core(q0, q1, q2, pz, n_t)
+            g0 -= bx
+            g1 -= by
+            g2 -= bz
+            fnn = math.sqrt(g0 * g0 + g1 * g1 + g2 * g2)
             if fnn < fn:
-                q[0], q[1], q[2] = q0, q1, q2
-                f[0], f[1], f[2] = fn_v[0], fn_v[1], fn_v[2]
+                q = (q0, q1, q2)
+                f0, f1, f2 = g0, g1, g2
                 fn = fnn
                 improved = True
                 break
             step *= 0.5
         if not improved:
-            return fn, False
-    return fn, fn <= tol
+            return q, fn, False
+    return q, fn, fn <= tol
 
 
 def _flow_grid_seed(bx, by, bz, pz, n_t, rho, beta0, alpha0, q):
-    """Best fin rotation of the guess pose on a coarse +-75 deg grid.
+    """Best fin rotation of the guess pose on a coarse +-75 deg grid; q comes
+    back unchanged if no grid point has a finite residual.
 
     The guess pose defines the physical one-parameter family (magnet on a
     circle of radius rho, magnetization co-rotating); seeding from it keeps
     Newton on the physical branch when several exact roots exist.
     """
-    f = np.empty(3)
-    best = np.inf
+    best = math.inf
     n_grid = 151
     half = math.radians(75.0)
     for g in range(n_grid):
@@ -172,73 +178,73 @@ def _flow_grid_seed(bx, by, bz, pz, n_t, rho, beta0, alpha0, q):
             hy = 1.0
         elif hy < -1.0:
             hy = -1.0
-        _flow_flux_core(px, py, hy, pz, n_t, f)
+        f = _flow_flux_core(px, py, hy, pz, n_t)
         resid = math.sqrt((f[0] - bx) ** 2 + (f[1] - by) ** 2 + (f[2] - bz) ** 2)
         if resid < best:
             best = resid
-            q[0], q[1], q[2] = px, py, hy
+            q = (px, py, hy)
+    return q
+
+
+def _flow_family(guess):
+    """Radius, spoke angle and magnetization angle of the guess pose."""
+    return (math.hypot(guess[0], guess[1]), math.atan2(guess[1], guess[0]),
+            math.asin(min(max(guess[2], -1.0), 1.0)))
 
 
 def _flow_invert_one(bx, by, bz, pz, n_t, seed, rho, beta0, alpha0,
-                     max_jump, trust_seed, tol, resid_accept, max_iter, q):
+                     max_jump, trust_seed, tol, resid_accept, max_iter):
     """One flux fix: Newton from seed, falling back to a grid reseed.
 
-    Newton with backtracking descends the residual norm, so a stall is the
-    least-squares projection onto the model image; that point is accepted
-    when its residual is within resid_accept (noisy flux generically lies a
-    little off the image).  A root found from a trusted seed also has to stay
-    within max_jump of it (stream continuity); cold seeds always go through
-    the grid, which pins the result to the physical branch.  Distances weight
-    h_y by rho so all three coordinates are mm-equivalent.
+    Returns (q, residual_norm, ok).  Newton with backtracking descends the
+    residual norm, so a stall is the least-squares projection onto the model
+    image; that point is accepted when its residual is within resid_accept
+    (noisy flux generically lies a little off the image).  A root found from
+    a trusted seed also has to stay within max_jump of it (stream
+    continuity); cold seeds always go through the grid, which pins the
+    result to the physical branch.  Distances weight h_y by rho so all three
+    coordinates are mm-equivalent.
     """
     accept = resid_accept if resid_accept > tol else tol
-    q[0], q[1], q[2] = seed[0], seed[1], seed[2]
-    ra, ok_a = _flow_newton_core(bx, by, bz, pz, n_t, q, tol, max_iter)
+    qa, ra, ok_a = _flow_newton_core(bx, by, bz, pz, n_t, seed, tol, max_iter)
     if trust_seed:
-        d2 = (q[0] - seed[0]) ** 2 + (q[1] - seed[1]) ** 2 + (rho * (q[2] - seed[2])) ** 2
+        d2 = (qa[0] - seed[0]) ** 2 + (qa[1] - seed[1]) ** 2 + (rho * (qa[2] - seed[2])) ** 2
         if d2 <= max_jump * max_jump and ra <= accept:
-            return ra, True
-    qa0, qa1, qa2 = q[0], q[1], q[2]
-    _flow_grid_seed(bx, by, bz, pz, n_t, rho, beta0, alpha0, q)
-    rb, ok_b = _flow_newton_core(bx, by, bz, pz, n_t, q, tol, max_iter)
+            return qa, ra, True
+    q = _flow_grid_seed(bx, by, bz, pz, n_t, rho, beta0, alpha0, qa)
+    qb, rb, ok_b = _flow_newton_core(bx, by, bz, pz, n_t, q, tol, max_iter)
     if ok_b:
-        return rb, True
+        return qb, rb, True
     if ok_a and not trust_seed:
         # exact root from the caller's own seed; grid only stalled
-        q[0], q[1], q[2] = qa0, qa1, qa2
-        return ra, True
-    if rb <= accept:
-        return rb, True
-    return rb, False
+        return qa, ra, True
+    return qb, rb, rb <= accept
 
 
 def _flow_newton_batch_core(B, pz, n_t, guess, max_jump, tol, resid_accept,
                             max_iter, sols, oks):
     """Continuation over a flux stream: each row warm-starts from the last fix."""
-    rho = math.hypot(guess[0], guess[1])
-    beta0 = math.atan2(guess[1], guess[0])
-    alpha0 = math.asin(min(max(guess[2], -1.0), 1.0))
-    warm = guess.copy()
+    rho, beta0, alpha0 = _flow_family(guess)
+    warm = guess
     have_warm = False
-    q = np.empty(3)
     for k in range(B.shape[0]):
-        resid, ok = _flow_invert_one(
-            B[k, 0], B[k, 1], B[k, 2], pz, n_t, warm, rho, beta0, alpha0,
-            max_jump, have_warm, tol, resid_accept, max_iter, q,
+        q, resid, ok = _flow_invert_one(
+            float(B[k, 0]), float(B[k, 1]), float(B[k, 2]), pz, n_t, warm,
+            rho, beta0, alpha0, max_jump, have_warm, tol, resid_accept, max_iter,
         )
-        sols[k, 0], sols[k, 1], sols[k, 2] = q[0], q[1], q[2]
+        sols[k, 0], sols[k, 1], sols[k, 2] = q
         oks[k] = ok
         if ok:
-            warm[0], warm[1], warm[2] = q[0], q[1], q[2]
+            warm = q
             have_warm = True
         else:
-            warm[0], warm[1], warm[2] = guess[0], guess[1], guess[2]
+            warm = guess
             have_warm = False
 
 
 def _flow_flux_batch_loops(Q, pz, n_t, out):
     for k in range(Q.shape[0]):
-        _flow_flux_core(Q[k, 0], Q[k, 1], Q[k, 2], pz, n_t, out[k])
+        out[k, 0], out[k, 1], out[k, 2] = _flow_flux_core(Q[k, 0], Q[k, 1], Q[k, 2], pz, n_t)
 
 
 def _flow_flux_batch_numpy(Q, pz, n_t):
@@ -254,8 +260,13 @@ def _flow_flux_batch_numpy(Q, pz, n_t):
     return out
 
 
+def _floats3(v):
+    v = np.asarray(v, dtype=float)
+    return float(v[0]), float(v[1]), float(v[2])
+
+
 def flow_flux_into(px, py, hy, pz, n_t, out):
-    _flow_flux_core(px, py, hy, pz, n_t, out)
+    out[0], out[1], out[2] = _flow_flux_core(px, py, hy, pz, n_t)
 
 
 def flow_flux_batch(Q: np.ndarray, pz: float, n_t: float) -> np.ndarray:
@@ -269,25 +280,22 @@ def flow_flux_batch(Q: np.ndarray, pz: float, n_t: float) -> np.ndarray:
 
 def flow_newton(b, pz, n_t, guess, tol, max_iter):
     """Raw damped Newton from an explicit seed, no reseeding."""
-    q = np.array(guess, dtype=float)
-    resid, ok = _flow_newton_core(
-        float(b[0]), float(b[1]), float(b[2]), pz, n_t, q, tol, int(max_iter)
-    )
-    return q, resid, bool(ok)
+    bx, by, bz = _floats3(b)
+    q, resid, ok = _flow_newton_core(
+        bx, by, bz, float(pz), float(n_t), _floats3(guess), float(tol), int(max_iter))
+    return np.array(q), resid, bool(ok)
 
 
 def flow_invert_one(b, pz, n_t, guess, max_jump, tol, resid_accept, max_iter):
     """Single inversion with the grid fallback; guess is a cold seed."""
-    guess = np.asarray(guess, dtype=float)
-    rho = math.hypot(guess[0], guess[1])
-    beta0 = math.atan2(guess[1], guess[0])
-    alpha0 = math.asin(min(max(guess[2], -1.0), 1.0))
-    q = np.empty(3)
-    resid, ok = _flow_invert_one(
-        float(b[0]), float(b[1]), float(b[2]), pz, n_t, guess,
-        rho, beta0, alpha0, max_jump, False, tol, resid_accept, int(max_iter), q,
+    bx, by, bz = _floats3(b)
+    guess = _floats3(guess)
+    rho, beta0, alpha0 = _flow_family(guess)
+    q, resid, ok = _flow_invert_one(
+        bx, by, bz, float(pz), float(n_t), guess, rho, beta0, alpha0,
+        float(max_jump), False, float(tol), float(resid_accept), int(max_iter),
     )
-    return q, resid, bool(ok)
+    return np.array(q), resid, bool(ok)
 
 
 def flow_newton_batch(B, pz, n_t, guess, max_jump, tol, resid_accept, max_iter):
@@ -295,8 +303,8 @@ def flow_newton_batch(B, pz, n_t, guess, max_jump, tol, resid_accept, max_iter):
     sols = np.empty_like(B)
     oks = np.zeros(B.shape[0], dtype=np.bool_)
     _flow_newton_batch_core(
-        B, pz, n_t, np.asarray(guess, dtype=float), max_jump, tol, resid_accept,
-        int(max_iter), sols, oks,
+        B, float(pz), float(n_t), _floats3(guess), float(max_jump), float(tol),
+        float(resid_accept), int(max_iter), sols, oks,
     )
     return sols, oks
 
@@ -420,6 +428,7 @@ if USE_NUMBA:
     _solve3 = jit(_solve3)
     _flow_newton_core = jit(_flow_newton_core)
     _flow_grid_seed = jit(_flow_grid_seed)
+    _flow_family = jit(_flow_family)
     _flow_invert_one = jit(_flow_invert_one)
     _flow_newton_batch_core = jit(_flow_newton_batch_core)
     _flow_flux_batch_loops = jit(_flow_flux_batch_loops)

@@ -427,8 +427,10 @@ def _simulate_flow_jig(transduce, params, cfg, rng):
     rest = transduce(0.0)
     s = np.linspace(0.0, 1.0, cfg.samples_per_cycle)
     n_cycles = cfg.n_train + cfg.n_eval
-    forces = np.tile(cfg.flow_force_max * np.sin(2.0 * np.pi * s), n_cycles)
-    b = np.array([magnetics.flow_flux(transduce(f), params) for f in forces])
+    cycle = cfg.flow_force_max * np.sin(2.0 * np.pi * s)
+    forces = np.tile(cycle, n_cycles)
+    # every cycle repeats the same fin poses
+    b = np.tile([magnetics.flow_flux(transduce(f), params) for f in cycle], (n_cycles, 1))
     noise = rng.normal(scale=cfg.noise_sigma, size=(len(forces), cfg.n_average, 3))
     # the sweep is continuous, so each fix warm-starts from the previous one
     est, ok = magnetics.invert_flow_flux_batch(

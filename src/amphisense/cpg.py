@@ -137,9 +137,17 @@ class OscillatorParams:
         return self.a.shape[0]
 
     def intrinsic(self, d: float):
-        """Intrinsic rates and target amplitudes at drive d."""
+        """Intrinsic rates and target amplitudes at drive d, as read-only
+        arrays.  The last drive's pair is kept: the network is stepped
+        every tick, and a run changes its drive at most once."""
+        memo = self.__dict__.get("_intrinsic_memo")
+        if memo is not None and memo[0] == d:
+            return memo[1], memo[2]
         omega = np.array([m.value(d) for m in self.omega_maps])
         R = np.array([m.value(d) for m in self.amp_maps])
+        omega.flags.writeable = False
+        R.flags.writeable = False
+        object.__setattr__(self, "_intrinsic_memo", (d, omega, R))
         return omega, R
 
 

@@ -280,6 +280,28 @@ class TestJig:
         assert 1.0 - ss_res / ss_tot > 0.99
         assert slope == pytest.approx(FLOW_LEVER / FLOW_K, rel=0.05)
 
+    def test_flow_jig_renders_one_cycle(self):
+        # every cycle repeats the same loads: the rest pose, then one cycle
+        calls = []
+
+        def transduce(force):
+            calls.append(force)
+            return flow_transduce(force)
+
+        cfg = cal.JigConfig(kind="flow", n_train=3, n_eval=2)
+        ds = cal.simulate_jig(transduce, FLOW_PARAMS, cfg, np.random.default_rng(5))
+        assert len(ds) == 5 * cfg.samples_per_cycle
+        assert len(calls) == 1 + cfg.samples_per_cycle
+
+    def test_flow_jig_degenerate_pose_raises(self):
+        # near the load peak the magnet sits 0.5 mm from the sensor, under
+        # the 1 mm min_distance
+        def transduce(force):
+            return mg.FlowPose(0.3, 0.0, 0.0, 0.4) if force > 0.25 else flow_transduce(force)
+        with pytest.raises(mg.DegeneratePoseError):
+            cal.simulate_jig(transduce, FLOW_PARAMS, cal.JigConfig(kind="flow"),
+                             np.random.default_rng(0))
+
     def test_flow_jig_fit_and_rmse(self):
         rng = np.random.default_rng(3)
         cfg = cal.JigConfig(kind="flow", n_average=8)

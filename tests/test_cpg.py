@@ -86,6 +86,15 @@ class TestBuildNetwork:
     def test_connected(self):
         assert self.graph.is_connected()
 
+    def test_intrinsic_follows_the_drive(self):
+        # the kept pair must never answer for another drive, and callers
+        # cannot write into it
+        for d in (cpg.D_WALK, cpg.D_SWIM, cpg.D_WALK, cpg.D_WALK, 3.0):
+            omega, R = self.params.intrinsic(d)
+            np.testing.assert_array_equal(omega, [m.value(d) for m in self.params.omega_maps])
+            np.testing.assert_array_equal(R, [m.value(d) for m in self.params.amp_maps])
+            assert not omega.flags.writeable and not R.flags.writeable
+
     def test_pair_edges_have_pi_bias(self):
         for f, e in zip(self.jmap.flexor, self.jmap.extensor):
             found = [b for (i, j, w, b) in self.graph.edges if i == f and j == e]

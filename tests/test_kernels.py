@@ -2,7 +2,9 @@
 
 In-process tests compare the selected build against the reference numpy
 implementations directly; one subprocess test re-imports the package with
-AMPHISENSE_NUMBA=0 and checks numbers across builds.
+AMPHISENSE_NUMBA=0 and checks numbers across builds.  The low-pass scan is
+checked bit for bit against scipy's lfilter, which the package itself does
+not import.
 """
 
 import json
@@ -13,6 +15,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from amphisense import _accel
 from amphisense import _kernels as K
@@ -44,6 +49,28 @@ def test_lowpass_scan_against_reference():
     np.testing.assert_allclose(K._lowpass_scan_numpy(x, alpha), ref, atol=1e-12)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_lowpass_scan_matches_lfilter(data):
+    # the scan rounds as lfilter's direct form II transposed does, so the
+    # two agree exactly, with and without a continued output y0
+    signal = pytest.importorskip("scipy.signal")
+    n, k = data.draw(st.integers(1, 400)), data.draw(st.integers(1, 3))
+    x = data.draw(arrays(np.float64, (n, k), elements=st.floats(-1e3, 1e3)))
+    alpha = data.draw(st.floats(1e-4, 0.999))
+    y0 = data.draw(st.none() | arrays(np.float64, (k,), elements=st.floats(-1e3, 1e3)))
+    zi = (1.0 - alpha) * np.asarray(x[0] if y0 is None else y0)[None, :]
+    ref, _ = signal.lfilter([alpha], [1.0, alpha - 1.0], x, axis=0, zi=zi)
+    np.testing.assert_array_equal(K.lowpass_scan(x, alpha, y0), ref)
+
+
+def test_import_leaves_scipy_out():
+    script = "import sys, amphisense.harness; print('scipy' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+
+
 def test_flow_flux_batch_against_scalar():
     rng = np.random.default_rng(1)
     ths = rng.uniform(-1.0, 1.0, size=64)
@@ -60,8 +87,7 @@ def test_flow_flux_batch_against_scalar():
 
 def test_flow_jacobian_matches_finite_differences():
     q0 = np.array([2.9, 0.4, 0.45])
-    J = np.empty((3, 3))
-    K._flow_jacobian(q0[0], q0[1], q0[2], 4.0, 120.0, J)
+    J = np.array(K._flow_jacobian(q0[0], q0[1], q0[2], 4.0, 120.0))
     eps = 1e-7
     for c in range(3):
         qp, qm = q0.copy(), q0.copy()

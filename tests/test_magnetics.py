@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amphisense import magnetics as mg
 from amphisense import _kernels as K
@@ -210,6 +212,30 @@ class TestFlowInversion:
         )
         th_rec = math.atan2(rec.p_y, rec.p_x)
         assert abs(th_rec - true_th) < 0.05
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(-40.0, 40.0),
+           st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=150),
+           st.floats(0.0, 0.005), st.integers(0, 2**32 - 1))
+    def test_noisy_sweep_stays_on_physical_branch(self, start_deg, steps_deg, eps, seed):
+        # a continuous sweep within +-40 deg, each flux axis off by at most
+        # eps mT; the batch is seeded only from the rest pose
+        th = np.radians(np.clip(start_deg + np.cumsum([0.0] + steps_deg), -40.0, 40.0))
+        Q = np.column_stack(
+            [FLOW_RHO * np.cos(th), FLOW_RHO * np.sin(th), np.sin(FLOW_ALPHA0 + th)]
+        )
+        noise = np.random.default_rng(seed).uniform(-eps, eps, size=Q.shape)
+        B = K.flow_flux_batch(Q, FLOW_DZ0, FLOW_NT) + noise
+        sols, ok = mg.invert_flow_flux_batch(
+            B, FLOW_DZ0, FLOW_PARAMS, FLOW_GUESS, resid_accept=max(5.0 * eps, 1e-9)
+        )
+        assert ok.all()
+        # the hinge angle's gradient over flux has norm 290.6 deg/mT at every
+        # angle of this geometry, so noise of norm <= sqrt(3) eps moves a fix
+        # on the physical branch by at most 2.52 deg to first order; 3 deg
+        # leaves room for the curvature
+        th_hat = np.arctan2(sols[:, 1], sols[:, 0])
+        assert np.max(np.abs(th_hat - th)) < math.radians(3.0)
 
     def test_filtered_noisy_stream(self):
         # the scenario signal path: raw flux + noise -> low-pass -> inversion
