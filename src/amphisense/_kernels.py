@@ -1,37 +1,31 @@
-"""Numerical kernels, built two ways.
+"""Numerical kernels: the low-pass scan, the fin flux model and its Newton
+inversion, and the phase-oscillator RK4 step.
 
-Every kernel here but the low-pass scan has a numba build (explicit loops
-under ``@njit``) and a numpy fallback.  The build is chosen once at import
-time by ``_accel.USE_NUMBA`` (numba installed and the AMPHISENSE_NUMBA env
-var not set to 0/false/off/no).  Public names keep identical signatures and
-agree to float rounding, so callers never branch and tests can cross-check
-the paths by reimporting with the flag flipped.
-
-Sequential recurrences (Newton continuation, oscillator integration) are
-where numba pays; the fallbacks vectorize across elements wherever the
-recurrence allows and loop in Python where it does not.  Those loops run on
-Python floats and tuples, which cost far less per operation than numpy
-scalars and compile unchanged under numba.
+Work that is independent across elements is vectorized with numpy.  The
+sequential recurrences (the low-pass scan, Newton continuation over a flux
+stream) loop in Python on floats and tuples, which cost far less per
+operation than numpy scalars.
 """
 
 import math
 
 import numpy as np
 
-from ._accel import USE_NUMBA, jit
-
 
 # ---------------------------------------------------------------------------
 # first-order low-pass scan
 # ---------------------------------------------------------------------------
 
-# One build: a Python loop per column.  Each output is rounded as
+# A Python loop per column.  Each output is rounded as
 # fl(fl((1 - alpha) y[n-1]) + fl(alpha x[n])), the order in which scipy's
 # lfilter (direct form II transposed) computes this filter, so both give
 # the same bits.
 
-def _lowpass_scan_numpy(x, alpha, y0=None):
+def lowpass_scan(x: np.ndarray, alpha: float, y0=None) -> np.ndarray:
+    """First-order IIR scan down the rows of x, continuing from the output
+    y0 (k,) before them; by default the trace starts at x[0]."""
     # y[n] = alpha x[n] + (1 - alpha) y[n-1], with y[-1] = y0 (default x[0])
+    x, alpha = np.asarray(x, dtype=float), float(alpha)
     c = 1.0 - alpha
     v = alpha * x
     y = np.empty_like(v)
@@ -45,19 +39,12 @@ def _lowpass_scan_numpy(x, alpha, y0=None):
     return y
 
 
-def lowpass_scan(x: np.ndarray, alpha: float, y0=None) -> np.ndarray:
-    """First-order IIR scan down the rows of x, continuing from the output
-    y0 (k,) before them; by default the trace starts at x[0]."""
-    return _lowpass_scan_numpy(np.asarray(x, dtype=float), float(alpha), y0)
-
-
 # ---------------------------------------------------------------------------
 # fin-magnet flux model and Newton inversion
 # ---------------------------------------------------------------------------
 # Unknowns q = (p_x, p_y, h_y); p_z is fixed, h_x = sqrt(1 - h_y^2), h_z = 0.
-# The same scalar cores back both builds, so results match bit for bit.  They
-# take and return floats and tuples: q, a flux f and a step s are 3-tuples,
-# a Jacobian is a tuple of three rows.
+# The scalar cores take and return floats and tuples: q, a flux f and a step
+# s are 3-tuples, a Jacobian is a tuple of three rows.
 
 def _flow_flux_core(px, py, hy, pz, n_t):
     hx = math.sqrt(max(1.0 - hy * hy, 0.0))
@@ -196,58 +183,37 @@ def _flow_invert_one(bx, by, bz, pz, n_t, seed, rho, beta0, alpha0,
                      max_jump, trust_seed, tol, resid_accept, max_iter):
     """One flux fix: Newton from seed, falling back to a grid reseed.
 
-    Returns (q, residual_norm, ok).  Newton with backtracking descends the
-    residual norm, so a stall is the least-squares projection onto the model
-    image; that point is accepted when its residual is within resid_accept
-    (noisy flux generically lies a little off the image).  A root found from
-    a trusted seed also has to stay within max_jump of it (stream
-    continuity); cold seeds always go through the grid, which pins the
-    result to the physical branch.  Distances weight h_y by rho so all three
-    coordinates are mm-equivalent.
+    Returns (q, ok).  Newton with backtracking descends the residual norm,
+    so a stall is the least-squares projection onto the model image; that
+    point is accepted when its residual is within resid_accept (noisy flux
+    generically lies a little off the image).  A root found from a trusted
+    seed also has to stay within max_jump of it (stream continuity); cold
+    seeds always go through the grid, which pins the result to the physical
+    branch.  Distances weight h_y by rho so all three coordinates are
+    mm-equivalent.
     """
     accept = resid_accept if resid_accept > tol else tol
     qa, ra, ok_a = _flow_newton_core(bx, by, bz, pz, n_t, seed, tol, max_iter)
     if trust_seed:
         d2 = (qa[0] - seed[0]) ** 2 + (qa[1] - seed[1]) ** 2 + (rho * (qa[2] - seed[2])) ** 2
         if d2 <= max_jump * max_jump and ra <= accept:
-            return qa, ra, True
+            return qa, True
     q = _flow_grid_seed(bx, by, bz, pz, n_t, rho, beta0, alpha0, qa)
     qb, rb, ok_b = _flow_newton_core(bx, by, bz, pz, n_t, q, tol, max_iter)
     if ok_b:
-        return qb, rb, True
+        return qb, True
     if ok_a and not trust_seed:
         # exact root from the caller's own seed; grid only stalled
-        return qa, ra, True
-    return qb, rb, rb <= accept
+        return qa, True
+    return qb, rb <= accept
 
 
-def _flow_newton_batch_core(B, pz, n_t, guess, max_jump, tol, resid_accept,
-                            max_iter, sols, oks):
-    """Continuation over a flux stream: each row warm-starts from the last fix."""
-    rho, beta0, alpha0 = _flow_family(guess)
-    warm = guess
-    have_warm = False
-    for k in range(B.shape[0]):
-        q, resid, ok = _flow_invert_one(
-            float(B[k, 0]), float(B[k, 1]), float(B[k, 2]), pz, n_t, warm,
-            rho, beta0, alpha0, max_jump, have_warm, tol, resid_accept, max_iter,
-        )
-        sols[k, 0], sols[k, 1], sols[k, 2] = q
-        oks[k] = ok
-        if ok:
-            warm = q
-            have_warm = True
-        else:
-            warm = guess
-            have_warm = False
+def flow_flux_into(px, py, hy, pz, n_t, out):
+    out[0], out[1], out[2] = _flow_flux_core(px, py, hy, pz, n_t)
 
 
-def _flow_flux_batch_loops(Q, pz, n_t, out):
-    for k in range(Q.shape[0]):
-        out[k, 0], out[k, 1], out[k, 2] = _flow_flux_core(Q[k, 0], Q[k, 1], Q[k, 2], pz, n_t)
-
-
-def _flow_flux_batch_numpy(Q, pz, n_t):
+def flow_flux_batch(Q: np.ndarray, pz: float, n_t: float) -> np.ndarray:
+    Q = np.asarray(Q, dtype=float)
     px, py, hy = Q[:, 0], Q[:, 1], Q[:, 2]
     hx = np.sqrt(np.maximum(1.0 - hy * hy, 0.0))
     r2 = px * px + py * py + pz * pz
@@ -260,52 +226,28 @@ def _flow_flux_batch_numpy(Q, pz, n_t):
     return out
 
 
-def _floats3(v):
-    v = np.asarray(v, dtype=float)
-    return float(v[0]), float(v[1]), float(v[2])
-
-
-def flow_flux_into(px, py, hy, pz, n_t, out):
-    out[0], out[1], out[2] = _flow_flux_core(px, py, hy, pz, n_t)
-
-
-def flow_flux_batch(Q: np.ndarray, pz: float, n_t: float) -> np.ndarray:
-    Q = np.ascontiguousarray(Q, dtype=float)
-    if USE_NUMBA:
-        out = np.empty_like(Q)
-        _flow_flux_batch_loops(Q, pz, n_t, out)
-        return out
-    return _flow_flux_batch_numpy(Q, pz, n_t)
-
-
-def flow_newton(b, pz, n_t, guess, tol, max_iter):
-    """Raw damped Newton from an explicit seed, no reseeding."""
-    bx, by, bz = _floats3(b)
-    q, resid, ok = _flow_newton_core(
-        bx, by, bz, float(pz), float(n_t), _floats3(guess), float(tol), int(max_iter))
-    return np.array(q), resid, bool(ok)
-
-
-def flow_invert_one(b, pz, n_t, guess, max_jump, tol, resid_accept, max_iter):
-    """Single inversion with the grid fallback; guess is a cold seed."""
-    bx, by, bz = _floats3(b)
-    guess = _floats3(guess)
-    rho, beta0, alpha0 = _flow_family(guess)
-    q, resid, ok = _flow_invert_one(
-        bx, by, bz, float(pz), float(n_t), guess, rho, beta0, alpha0,
-        float(max_jump), False, float(tol), float(resid_accept), int(max_iter),
-    )
-    return np.array(q), resid, bool(ok)
-
-
 def flow_newton_batch(B, pz, n_t, guess, max_jump, tol, resid_accept, max_iter):
-    B = np.ascontiguousarray(B, dtype=float)
+    """Continuation over a flux stream: each row warm-starts from the last fix.
+
+    Returns the (N, 3) fixes and an (N,) bool convergence mask.
+    """
+    B = np.asarray(B, dtype=float)
+    pz, n_t, max_jump, tol = float(pz), float(n_t), float(max_jump), float(tol)
+    resid_accept, max_iter = float(resid_accept), int(max_iter)
+    guess = tuple(np.asarray(guess, dtype=float).tolist())
+    rho, beta0, alpha0 = _flow_family(guess)
     sols = np.empty_like(B)
     oks = np.zeros(B.shape[0], dtype=np.bool_)
-    _flow_newton_batch_core(
-        B, float(pz), float(n_t), _floats3(guess), float(max_jump), float(tol),
-        float(resid_accept), int(max_iter), sols, oks,
-    )
+    warm = guess
+    have_warm = False
+    for k, (bx, by, bz) in enumerate(B.tolist()):
+        q, ok = _flow_invert_one(
+            bx, by, bz, pz, n_t, warm, rho, beta0, alpha0, max_jump, have_warm,
+            tol, resid_accept, max_iter,
+        )
+        sols[k] = q
+        oks[k] = ok
+        warm, have_warm = (q, True) if ok else (guess, False)
     return sols, oks
 
 
@@ -318,120 +260,30 @@ def flow_newton_batch(B, pz, n_t, guess, max_jump, tol, resid_accept, max_iter):
 # Amplitude-weighted coupling lets a unit pulled to r = 0 release its
 # neighbours entirely.  Integrated with classic RK4.
 
-def _cpg_deriv_loops(phi, r, omega, W, Bias, a, R, dphi, dr):
-    n = phi.shape[0]
-    for i in range(n):
-        acc = 0.0
-        for j in range(n):
-            wij = W[i, j]
-            if wij != 0.0:
-                acc += r[j] * wij * math.sin(phi[j] - phi[i] - Bias[i, j])
-        dphi[i] = omega[i] + acc
-        dr[i] = a[i] * (R[i] - r[i])
-
-
-def _cpg_step_loops(phi, r, omega, W, Bias, a, R, dt, out_phi, out_r):
-    n = phi.shape[0]
-    k1p = np.empty(n)
-    k1r = np.empty(n)
-    k2p = np.empty(n)
-    k2r = np.empty(n)
-    k3p = np.empty(n)
-    k3r = np.empty(n)
-    k4p = np.empty(n)
-    k4r = np.empty(n)
-    tp = np.empty(n)
-    tr = np.empty(n)
-    _cpg_deriv_loops(phi, r, omega, W, Bias, a, R, k1p, k1r)
-    for i in range(n):
-        tp[i] = phi[i] + 0.5 * dt * k1p[i]
-        tr[i] = r[i] + 0.5 * dt * k1r[i]
-    _cpg_deriv_loops(tp, tr, omega, W, Bias, a, R, k2p, k2r)
-    for i in range(n):
-        tp[i] = phi[i] + 0.5 * dt * k2p[i]
-        tr[i] = r[i] + 0.5 * dt * k2r[i]
-    _cpg_deriv_loops(tp, tr, omega, W, Bias, a, R, k3p, k3r)
-    for i in range(n):
-        tp[i] = phi[i] + dt * k3p[i]
-        tr[i] = r[i] + dt * k3r[i]
-    _cpg_deriv_loops(tp, tr, omega, W, Bias, a, R, k4p, k4r)
-    for i in range(n):
-        out_phi[i] = phi[i] + dt / 6.0 * (k1p[i] + 2.0 * k2p[i] + 2.0 * k3p[i] + k4p[i])
-        out_r[i] = r[i] + dt / 6.0 * (k1r[i] + 2.0 * k2r[i] + 2.0 * k3r[i] + k4r[i])
-
-
-def _cpg_rollout_loops(phi0, r0, omega, W, Bias, a, R, dt, n_steps, phis, rs):
-    n = phi0.shape[0]
-    phi = phi0.copy()
-    r = r0.copy()
-    np_ = np.empty(n)
-    nr = np.empty(n)
-    phis[0] = phi
-    rs[0] = r
-    for k in range(n_steps):
-        _cpg_step_loops(phi, r, omega, W, Bias, a, R, dt, np_, nr)
-        phi[:] = np_
-        r[:] = nr
-        phis[k + 1] = phi
-        rs[k + 1] = r
-
-
-def _cpg_deriv_numpy(phi, r, omega, W, Bias, a, R):
+def _cpg_deriv(phi, r, omega, W, Bias, a, R):
     D = phi[None, :] - phi[:, None] - Bias
     return omega + (W * np.sin(D)) @ r, a * (R - r)
 
 
-def _cpg_step_numpy(phi, r, omega, W, Bias, a, R, dt):
-    k1p, k1r = _cpg_deriv_numpy(phi, r, omega, W, Bias, a, R)
-    k2p, k2r = _cpg_deriv_numpy(phi + 0.5 * dt * k1p, r + 0.5 * dt * k1r, omega, W, Bias, a, R)
-    k3p, k3r = _cpg_deriv_numpy(phi + 0.5 * dt * k2p, r + 0.5 * dt * k2r, omega, W, Bias, a, R)
-    k4p, k4r = _cpg_deriv_numpy(phi + dt * k3p, r + dt * k3r, omega, W, Bias, a, R)
+def cpg_step(phi, r, omega, W, Bias, a, R, dt):
+    k1p, k1r = _cpg_deriv(phi, r, omega, W, Bias, a, R)
+    k2p, k2r = _cpg_deriv(phi + 0.5 * dt * k1p, r + 0.5 * dt * k1r, omega, W, Bias, a, R)
+    k3p, k3r = _cpg_deriv(phi + 0.5 * dt * k2p, r + 0.5 * dt * k2r, omega, W, Bias, a, R)
+    k4p, k4r = _cpg_deriv(phi + dt * k3p, r + dt * k3r, omega, W, Bias, a, R)
     phi2 = phi + dt / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
     r2 = r + dt / 6.0 * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
     return phi2, r2
-
-
-def cpg_step(phi, r, omega, W, Bias, a, R, dt):
-    if USE_NUMBA:
-        out_phi = np.empty_like(phi)
-        out_r = np.empty_like(r)
-        _cpg_step_loops(phi, r, omega, W, Bias, a, R, dt, out_phi, out_r)
-        return out_phi, out_r
-    return _cpg_step_numpy(phi, r, omega, W, Bias, a, R, dt)
 
 
 def cpg_rollout(phi0, r0, omega, W, Bias, a, R, dt, n_steps):
     n = phi0.shape[0]
     phis = np.empty((n_steps + 1, n))
     rs = np.empty((n_steps + 1, n))
-    if USE_NUMBA:
-        _cpg_rollout_loops(phi0, r0, omega, W, Bias, a, R, dt, n_steps, phis, rs)
-        return phis, rs
-    phi = phi0.copy()
-    r = r0.copy()
+    phi, r = phi0, r0
     phis[0] = phi
     rs[0] = r
     for k in range(n_steps):
-        phi, r = _cpg_step_numpy(phi, r, omega, W, Bias, a, R, dt)
+        phi, r = cpg_step(phi, r, omega, W, Bias, a, R, dt)
         phis[k + 1] = phi
         rs[k + 1] = r
     return phis, rs
-
-
-# ---------------------------------------------------------------------------
-# numba build
-# ---------------------------------------------------------------------------
-
-if USE_NUMBA:
-    _flow_flux_core = jit(_flow_flux_core)
-    _flow_jacobian = jit(_flow_jacobian)
-    _solve3 = jit(_solve3)
-    _flow_newton_core = jit(_flow_newton_core)
-    _flow_grid_seed = jit(_flow_grid_seed)
-    _flow_family = jit(_flow_family)
-    _flow_invert_one = jit(_flow_invert_one)
-    _flow_newton_batch_core = jit(_flow_newton_batch_core)
-    _flow_flux_batch_loops = jit(_flow_flux_batch_loops)
-    _cpg_deriv_loops = jit(_cpg_deriv_loops)
-    _cpg_step_loops = jit(_cpg_step_loops)
-    _cpg_rollout_loops = jit(_cpg_rollout_loops)

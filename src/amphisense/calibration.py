@@ -394,8 +394,9 @@ def simulate_jig(transduce, params: magnetics.DipoleParams, cfg: JigConfig,
     """Run the simulated calibration bench and return the labeled dataset.
 
     transduce is the opaque ground-truth elastic law: for a foot jig it maps
-    a FootWrench to the magnet position Vec3; for a flow jig it maps a force
-    (N) to a FlowPose.  Each scheduled load point goes load -> pose -> flux
+    a FootWrench whose fields are (n,) arrays to the (n, 3) magnet
+    positions, and is called once per load type; for a flow jig it maps a
+    force (N) to a FlowPose.  Each scheduled load point goes load -> pose -> flux
     -> noise -> inversion, and the estimated location is paired with the
     reference load.
     """
@@ -411,7 +412,7 @@ def _simulate_foot_jig(transduce, params, cfg, rng):
     cycles = [(lt, _foot_cycle_loads(lt, cfg)) for lt in cfg.load_types]
     loads = np.concatenate([np.tile(w, (n_cycles, 1)) for _, w in cycles])
     # every cycle of a load type repeats the same magnet positions
-    P = np.concatenate([np.tile([transduce(FootWrench(*w)) for w in ws], (n_cycles, 1))
+    P = np.concatenate([np.tile(transduce(FootWrench(*ws.T)), (n_cycles, 1))
                         for _, ws in cycles])
     noise = rng.normal(scale=cfg.noise_sigma, size=(len(loads), cfg.n_average, 3))
     p_hat = magnetics.invert_foot_flux_batch(

@@ -642,13 +642,21 @@ def cmd_plot(args) -> int:
     return 0
 
 
+def _seed_arg(text: str) -> int:
+    """A --seed value; numpy's generators take non-negative integers only."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="amphisense",
         description="scenario runner and analysis tools for the sensing stack",
+        exit_on_error=False,
     )
     ap.add_argument("--out", default="out", help="output directory")
-    ap.add_argument("--seed", type=int, default=None,
+    ap.add_argument("--seed", type=_seed_arg, default=None,
                     help="override the config seed")
     ap.add_argument("--verbose", action="store_true")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -676,7 +684,11 @@ def main(argv=None) -> int:
     p.add_argument("plotspec", nargs="?", default=None)
     p.set_defaults(func=cmd_plot)
 
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except argparse.ArgumentError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
@@ -684,7 +696,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (HarnessError, plant.PlantError, calibration.CalibrationError,
-            busring.BusError, magnetics.SensorModelError, FileNotFoundError) as e:
+            busring.BusError, magnetics.SensorModelError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

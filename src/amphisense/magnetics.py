@@ -202,13 +202,12 @@ def invert_flow_flux(
     b = _as_vec3(b)
     if np.linalg.norm(b) <= params.noise_floor:
         raise NoConvergenceError("flux below noise floor; no reachable fin pose")
-    guess = initial_guess.as_array()
-    sol, resid, ok = _kernels.flow_invert_one(
-        b, d_z0, params.n_t, guess, max_jump, tol, resid_accept, max_iter
-    )
-    if not ok:
-        raise NoConvergenceError(f"flow inversion stalled at residual {resid:.3g} mT")
-    return FlowPose(p_x=sol[0], p_y=sol[1], h_y=sol[2], d_z0=d_z0)
+    sols, ok = invert_flow_flux_batch(b[None], d_z0, params, initial_guess, tol=tol,
+                                      max_iter=max_iter, max_jump=max_jump,
+                                      resid_accept=resid_accept)
+    if not ok[0]:
+        raise NoConvergenceError(f"flow inversion stalled on flux {b} mT")
+    return FlowPose(p_x=sols[0, 0], p_y=sols[0, 1], h_y=sols[0, 2], d_z0=d_z0)
 
 
 def invert_flow_flux_batch(

@@ -377,6 +377,8 @@ class ScenarioResult:
     switch_time: float = None
 
     def col(self, name):
+        if name not in self.columns:
+            raise PlantError(f"trace has no column {name!r}")
         return self.data[:, self.columns.index(name)]
 
     def write_csv(self, path):
@@ -390,10 +392,15 @@ class ScenarioResult:
         with open(path) as fh:
             header = fh.readline().strip().split(",")
             body = fh.read()
-        if body.strip():
+        if not body.strip():
+            return cls(scenario=None, columns=header, data=np.zeros((0, len(header))))
+        try:
             data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
-        else:
-            data = np.zeros((0, len(header)))
+        except ValueError as e:
+            raise PlantError(f"{path}: {e}") from None
+        if data.shape[1] != len(header):
+            raise PlantError(f"{path}: {data.shape[1]} values a row, "
+                             f"{len(header)} header columns")
         return cls(scenario=None, columns=header, data=data)
 
 

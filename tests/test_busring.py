@@ -15,6 +15,10 @@ in_range = st.floats(-32768 * bus.FLUX_LSB_MT, 32767 * bus.FLUX_LSB_MT)
 beyond = st.one_of(st.floats(32768 * bus.FLUX_LSB_MT, 1e6),
                    st.floats(-1e6, -32769 * bus.FLUX_LSB_MT),
                    st.just(float("nan")), st.just(float("inf")))
+# a sample the codec accepts: module id, flux and temperature on the wire
+samples = st.builds(bus.FluxSample, st.integers(0, 255),
+                    st.tuples(in_range, in_range, in_range).map(np.array),
+                    st.floats(-32768 * bus.TEMP_LSB_C, 32767 * bus.TEMP_LSB_C))
 
 
 class TestCrc8:
@@ -96,8 +100,9 @@ class TestCodec:
         with pytest.raises(bus.BadSyncError):
             bus.decode_frame(frame)
 
-    def test_every_single_bit_flip_detected(self):
-        s = bus.FluxSample(7, np.array([1.234, -0.567, 8.9]), temp_c=25.0)
+    @settings(max_examples=50, deadline=None)
+    @given(samples)
+    def test_every_single_bit_flip_detected(self, s):
         frame = bus.encode_frame(s)
         for bit in range(8 * bus.FRAME_LEN):
             bad = bytearray(frame)
@@ -105,8 +110,9 @@ class TestCodec:
             with pytest.raises(bus.BusError):
                 bus.decode_frame(bad)
 
-    def test_every_in_byte_burst_detected(self):
-        s = bus.FluxSample(3, np.array([0.5, 0.25, -0.125]))
+    @settings(max_examples=10, deadline=None)
+    @given(samples)
+    def test_every_in_byte_burst_detected(self, s):
         frame = bus.encode_frame(s)
         # all non-trivial error patterns confined to one non-sync byte
         for pos in range(1, bus.FRAME_LEN):

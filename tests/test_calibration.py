@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amphisense import calibration as cal
 from amphisense import magnetics as mg
@@ -15,7 +17,8 @@ P0, C_F, C_P, C_Y = 4.0, 0.0305, 0.003636, 0.003636
 
 
 def foot_transduce(w: cal.FootWrench):
-    return np.array([P0 - C_F * w.f_x, P0 * C_Y * w.tau_yaw, P0 * C_P * w.tau_pitch])
+    return np.stack([P0 - C_F * w.f_x, P0 * C_Y * w.tau_yaw, P0 * C_P * w.tau_pitch],
+                    axis=-1)
 
 
 FOOT_PARAMS = mg.DipoleParams(n_t=50.0)
@@ -81,6 +84,27 @@ class TestFit:
         model = cal.fit_poly(_dataset_from(X, Y))
         se = sigma * np.sqrt(np.diag(np.linalg.inv(F.T @ F)))
         assert np.all(np.abs(model.coef - truth) <= 3.0 * se[None, :])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(["foot", "flow"]), st.integers(0, 2**32 - 1),
+           st.lists(st.floats(-5.0, 5.0), min_size=30, max_size=30))
+    def test_exact_recovery_of_generated_quadratic(self, kind, seed, flat):
+        # noiseless outputs of a quadratic truth, with the basis written out
+        # here: the fit returns it up to rounding; X on [-2, 2] keeps the
+        # feature matrix well conditioned, and 1e-9 is far above its rounding
+        dims, n_out, k = (3, 3, 10) if kind == "foot" else (2, 1, 6)
+        truth = np.array(flat[:n_out * k]).reshape(n_out, k)
+        X = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(60, dims))
+        if kind == "foot":
+            x, y, z = X.T
+            F = np.column_stack([x ** 0, x, y, z, x * x, y * y, z * z, x * y, x * z, y * z])
+        else:
+            x, y = X.T
+            F = np.column_stack([x ** 0, x, y, x * x, y * y, x * y])
+        Y = F @ truth.T
+        model = cal.fit_poly(_dataset_from(X, Y, kind=kind))
+        np.testing.assert_allclose(model.coef, truth, rtol=0, atol=1e-9)
+        assert np.all(model.train_rmse < 1e-9)
 
     def test_insufficient_samples(self):
         X = np.zeros((5, 3))
@@ -242,8 +266,8 @@ class TestJig:
         # a magnet 100 mm away gives 1e-4 mT, under the 1e-3 mT floor
         cfg = cal.JigConfig(noise_sigma=0.0)
         with pytest.raises(mg.BelowNoiseFloorError):
-            cal.simulate_jig(lambda w: np.array([100.0, 0.0, 0.0]), FOOT_PARAMS,
-                             cfg, np.random.default_rng(0))
+            cal.simulate_jig(lambda w: np.tile([100.0, 0.0, 0.0], (len(w.f_x), 1)),
+                             FOOT_PARAMS, cfg, np.random.default_rng(0))
 
     def test_foot_jig_noise_is_drawn_per_point(self):
         # one noise block equals per-point draws in schedule order, so the

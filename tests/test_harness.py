@@ -144,8 +144,10 @@ class TestCliRun:
         assert {"gait_freq", "axial_amp", "wave_monotone",
                 "wave_total_lag"} <= names
 
-    # case: (command, config JSON text or None for a name that resolves to
-    # nothing, exception run_scenario raises or None, exit code)
+    # case: (command line before the input, input file text or None for a
+    # name that resolves to nothing or DIRECTORY for a directory, exception
+    # run_scenario raises or None, exit code)
+    DIRECTORY = "<directory>"
     EXIT_CASES = {
         "passing_run": ("run", json.dumps(SHORT_SHORELINE), None, 0),
         "malformed_json": ("run", "{ not json,,", None, 2),
@@ -155,25 +157,43 @@ class TestCliRun:
         "jig_unknown_key": ("calibrate", '{"kind": "foot", "levr": 19.0}', None, 2),
         "jig_not_an_object": ("calibrate", "[1, 2]", None, 2),
         "line_unknown_key": ("bus-bench", '{"n_modules": 10, "baudrate": 1}', None, 2),
+        "run_negative_seed": ("--seed -1 run", json.dumps(SHORT_SHORELINE), None, 2),
+        "jig_negative_seed": ("--seed -1 calibrate", '{"kind": "foot"}', None, 2),
+        "line_negative_seed": ("--seed -1 bus-bench", "{}", None, 2),
+        "config_is_a_directory": ("run", DIRECTORY, None, 2),
+        "trace_is_a_directory": ("analyze", DIRECTORY, None, 2),
+        "analyze_non_numeric_cell": ("analyze", "t,mode\n0.0,0\n0.001,abc\n", None, 2),
+        "plot_non_numeric_cell": ("plot", "t,gt_q_ax4\n0.0,0\n0.001,abc\n", None, 2),
+        "analyze_missing_column": ("analyze", "t,mode\n0.0,0\n0.001,0\n", None, 2),
+        "plot_row_narrower_than_header": (
+            "plot", "t,gt_q_ax1,gt_q_ax4,gt_q_ax8\n0.0,0\n0.001,0\n", None, 2),
     }
 
     @pytest.mark.parametrize("case", EXIT_CASES)
     def test_exit_code(self, case, tmp_path, monkeypatch, capsys):
         command, text, raises, code = self.EXIT_CASES[case]
         arg = "no_such_scenario"
-        if text is not None:
+        if text == self.DIRECTORY:
+            arg = tmp_path / "a_directory"
+            arg.mkdir()
+        elif text is not None:
             arg = tmp_path / "sc.json"
             arg.write_text(text)
         if raises is not None:
             def stalled_run(scenario):
                 raise raises
             monkeypatch.setattr(plant, "run_scenario", stalled_run)
-        assert harness.main(["--out", str(tmp_path), command, str(arg)]) == code
+        argv = ["--out", str(tmp_path), *command.split(), str(arg)]
+        assert harness.main(argv) == code
         if code == 2:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
             if "unknown_key" in case:
                 assert "allowed:" in err
+            if "non_numeric" in case:
+                assert str(arg) in err
+            if "missing_column" in case:
+                assert "'gt_foot_fl_fx'" in err
 
     def test_bundled_names_resolve(self):
         for name in ("walk_floor", "swim_pool", "shoreline_transition",
