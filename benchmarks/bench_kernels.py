@@ -32,7 +32,7 @@ def run_suite(repeat):
     alpha = 1e-3 / (1.0 / (2.0 * math.pi * 3.6) + 1e-3)
     results["lowpass_scan_200kx3"] = best_of(lambda: _kernels.lowpass_scan(x, alpha), repeat)
 
-    # fin inversion over a 10k-sample stream (warm-start continuation)
+    # fin inversion over a noisy 10k-sample stream
     n_t, pz, rho, alpha0 = 120.0, 4.0, 3.0, math.radians(20.0)
     theta = math.radians(35.0) * np.sin(
         2.0 * np.pi * 0.78 * np.arange(10_000) * 1e-3
@@ -43,10 +43,8 @@ def run_suite(repeat):
     B = _kernels.flow_flux_batch(Q, pz, n_t)
     B += rng.normal(scale=0.01, size=B.shape)
     guess = np.array([rho, 0.0, math.sin(alpha0)])
-    results["flow_newton_batch_10k"] = best_of(
-        lambda: _kernels.flow_newton_batch(B, pz, n_t, guess, 0.75, 1e-10,
-                                           0.05, 50),
-        repeat,
+    results["flow_invert_batch_10k"] = best_of(
+        lambda: _kernels.flow_invert_batch(B, pz, n_t, guess, 0.05), repeat
     )
 
     # oscillator network rollout, 32 units x 10k RK4 steps

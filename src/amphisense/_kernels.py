@@ -1,10 +1,10 @@
 """Numerical kernels: the low-pass scan, the fin flux model and its Newton
 inversion, and the phase-oscillator RK4 step.
 
-Work that is independent across elements is vectorized with numpy.  The
-sequential recurrences (the low-pass scan, Newton continuation over a flux
-stream) loop in Python on floats and tuples, which cost far less per
-operation than numpy scalars.
+Work that is independent across elements is vectorized with numpy; the fin
+inversion runs its Newton iterations over all flux rows at once.  The
+low-pass scan, a sequential recurrence, loops in Python on floats, which
+cost far less per operation than numpy scalars.
 """
 
 import math
@@ -42,174 +42,8 @@ def lowpass_scan(x: np.ndarray, alpha: float, y0=None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # fin-magnet flux model and Newton inversion
 # ---------------------------------------------------------------------------
-# Unknowns q = (p_x, p_y, h_y); p_z is fixed, h_x = sqrt(1 - h_y^2), h_z = 0.
-# The scalar cores take and return floats and tuples: q, a flux f and a step
-# s are 3-tuples, a Jacobian is a tuple of three rows.
-
-def _flow_flux_core(px, py, hy, pz, n_t):
-    hx = math.sqrt(max(1.0 - hy * hy, 0.0))
-    r2 = px * px + py * py + pz * pz
-    r = math.sqrt(r2)
-    r5 = r2 * r2 * r
-    m = hx * px + hy * py
-    return (n_t * (3.0 * m * px - r2 * hx) / r5,
-            n_t * (3.0 * m * py - r2 * hy) / r5,
-            n_t * (3.0 * m * pz) / r5)
-
-
-def _flow_jacobian(px, py, hy, pz, n_t):
-    """Analytic Jacobian of the flux model w.r.t. (p_x, p_y, h_y), by rows."""
-    hx = math.sqrt(max(1.0 - hy * hy, 1e-12))
-    r2 = px * px + py * py + pz * pz
-    r = math.sqrt(r2)
-    r5 = r2 * r2 * r
-    r7 = r5 * r2
-    m = hx * px + hy * py
-    nx = 3.0 * m * px - r2 * hx
-    ny = 3.0 * m * py - r2 * hy
-    nz = 3.0 * m * pz
-    # d/dp_x
-    j00 = n_t * ((hx * px + 3.0 * m) / r5 - 5.0 * px * nx / r7)
-    j10 = n_t * ((3.0 * hx * py - 2.0 * px * hy) / r5 - 5.0 * px * ny / r7)
-    j20 = n_t * (3.0 * hx * pz / r5 - 5.0 * px * nz / r7)
-    # d/dp_y
-    j01 = n_t * ((3.0 * hy * px - 2.0 * py * hx) / r5 - 5.0 * py * nx / r7)
-    j11 = n_t * ((hy * py + 3.0 * m) / r5 - 5.0 * py * ny / r7)
-    j21 = n_t * (3.0 * hy * pz / r5 - 5.0 * py * nz / r7)
-    # d/dh_y, through h_x as well
-    dm = -hy / hx * px + py
-    j02 = n_t * (3.0 * dm * px + r2 * hy / hx) / r5
-    j12 = n_t * (3.0 * dm * py - r2) / r5
-    j22 = n_t * (3.0 * dm * pz) / r5
-    return (j00, j01, j02), (j10, j11, j12), (j20, j21, j22)
-
-
-def _solve3(J, f):
-    """Cramer solve of J s = -f for a 3x3 system; returns (ok, s), with ok
-    False if J is singular."""
-    (a, b, c), (d, e, g), (h, i, k) = J
-    det = a * (e * k - g * i) - b * (d * k - g * h) + c * (d * i - e * h)
-    if abs(det) < 1e-300:
-        return False, (0.0, 0.0, 0.0)
-    r0, r1, r2 = -f[0], -f[1], -f[2]
-    return True, ((r0 * (e * k - g * i) - b * (r1 * k - g * r2) + c * (r1 * i - e * r2)) / det,
-                  (a * (r1 * k - g * r2) - r0 * (d * k - g * h) + c * (d * r2 - r1 * h)) / det,
-                  (a * (e * r2 - r1 * i) - b * (d * r2 - r1 * h) + r0 * (d * i - e * h)) / det)
-
-
-def _flow_newton_core(bx, by, bz, pz, n_t, q, tol, max_iter):
-    """Damped Newton on the flux residual from q.
-
-    Returns (q, residual_norm, converged).  Steps are backtracked until the
-    residual drops; h_y is clamped inside (-1, 1) and the magnet is kept off
-    the sensor origin so the model stays finite.
-    """
-    f0, f1, f2 = _flow_flux_core(q[0], q[1], q[2], pz, n_t)
-    f0 -= bx
-    f1 -= by
-    f2 -= bz
-    fn = math.sqrt(f0 * f0 + f1 * f1 + f2 * f2)
-    for _ in range(max_iter):
-        if fn <= tol:
-            return q, fn, True
-        ok, s = _solve3(_flow_jacobian(q[0], q[1], q[2], pz, n_t), (f0, f1, f2))
-        if not ok:
-            return q, fn, False
-        step = 1.0
-        improved = False
-        for _bt in range(30):
-            q0 = q[0] + step * s[0]
-            q1 = q[1] + step * s[1]
-            q2 = q[2] + step * s[2]
-            if q2 > 0.999999:
-                q2 = 0.999999
-            elif q2 < -0.999999:
-                q2 = -0.999999
-            if q0 * q0 + q1 * q1 + pz * pz < 0.0625:
-                step *= 0.5
-                continue
-            g0, g1, g2 = _flow_flux_core(q0, q1, q2, pz, n_t)
-            g0 -= bx
-            g1 -= by
-            g2 -= bz
-            fnn = math.sqrt(g0 * g0 + g1 * g1 + g2 * g2)
-            if fnn < fn:
-                q = (q0, q1, q2)
-                f0, f1, f2 = g0, g1, g2
-                fn = fnn
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            return q, fn, False
-    return q, fn, fn <= tol
-
-
-def _flow_grid_seed(bx, by, bz, pz, n_t, rho, beta0, alpha0, q):
-    """Best fin rotation of the guess pose on a coarse +-75 deg grid; q comes
-    back unchanged if no grid point has a finite residual.
-
-    The guess pose defines the physical one-parameter family (magnet on a
-    circle of radius rho, magnetization co-rotating); seeding from it keeps
-    Newton on the physical branch when several exact roots exist.
-    """
-    best = math.inf
-    n_grid = 151
-    half = math.radians(75.0)
-    for g in range(n_grid):
-        th = -half + 2.0 * half * g / (n_grid - 1)
-        px = rho * math.cos(beta0 + th)
-        py = rho * math.sin(beta0 + th)
-        hy = math.sin(alpha0 + th)
-        if hy > 1.0:
-            hy = 1.0
-        elif hy < -1.0:
-            hy = -1.0
-        f = _flow_flux_core(px, py, hy, pz, n_t)
-        resid = math.sqrt((f[0] - bx) ** 2 + (f[1] - by) ** 2 + (f[2] - bz) ** 2)
-        if resid < best:
-            best = resid
-            q = (px, py, hy)
-    return q
-
-
-def _flow_family(guess):
-    """Radius, spoke angle and magnetization angle of the guess pose."""
-    return (math.hypot(guess[0], guess[1]), math.atan2(guess[1], guess[0]),
-            math.asin(min(max(guess[2], -1.0), 1.0)))
-
-
-def _flow_invert_one(bx, by, bz, pz, n_t, seed, rho, beta0, alpha0,
-                     max_jump, trust_seed, tol, resid_accept, max_iter):
-    """One flux fix: Newton from seed, falling back to a grid reseed.
-
-    Returns (q, ok).  Newton with backtracking descends the residual norm,
-    so a stall is the least-squares projection onto the model image; that
-    point is accepted when its residual is within resid_accept (noisy flux
-    generically lies a little off the image).  A root found from a trusted
-    seed also has to stay within max_jump of it (stream continuity); cold
-    seeds always go through the grid, which pins the result to the physical
-    branch.  Distances weight h_y by rho so all three coordinates are
-    mm-equivalent.
-    """
-    accept = resid_accept if resid_accept > tol else tol
-    qa, ra, ok_a = _flow_newton_core(bx, by, bz, pz, n_t, seed, tol, max_iter)
-    if trust_seed:
-        d2 = (qa[0] - seed[0]) ** 2 + (qa[1] - seed[1]) ** 2 + (rho * (qa[2] - seed[2])) ** 2
-        if d2 <= max_jump * max_jump and ra <= accept:
-            return qa, True
-    q = _flow_grid_seed(bx, by, bz, pz, n_t, rho, beta0, alpha0, qa)
-    qb, rb, ok_b = _flow_newton_core(bx, by, bz, pz, n_t, q, tol, max_iter)
-    if ok_b:
-        return qb, True
-    if ok_a and not trust_seed:
-        # exact root from the caller's own seed; grid only stalled
-        return qa, True
-    return qb, rb <= accept
-
-
-def flow_flux_into(px, py, hy, pz, n_t, out):
-    out[0], out[1], out[2] = _flow_flux_core(px, py, hy, pz, n_t)
+# Rows q = (p_x, p_y, h_y); p_z is fixed, h_x = sqrt(1 - h_y^2), h_z = 0.
+# Each flux row is inverted on its own, whatever the rows around it.
 
 
 def flow_flux_batch(Q: np.ndarray, pz: float, n_t: float) -> np.ndarray:
@@ -226,29 +60,108 @@ def flow_flux_batch(Q: np.ndarray, pz: float, n_t: float) -> np.ndarray:
     return out
 
 
-def flow_newton_batch(B, pz, n_t, guess, max_jump, tol, resid_accept, max_iter):
-    """Continuation over a flux stream: each row warm-starts from the last fix.
+def _flow_jacobian(Q: np.ndarray, pz: float, n_t: float) -> np.ndarray:
+    """Analytic Jacobian of flow_flux_batch w.r.t. (p_x, p_y, h_y), (n, 3, 3)."""
+    px, py, hy = Q[:, 0], Q[:, 1], Q[:, 2]
+    hx = np.sqrt(np.maximum(1.0 - hy * hy, 1e-12))
+    r2 = px * px + py * py + pz * pz
+    r5 = r2 * r2 * np.sqrt(r2)
+    r7 = r5 * r2
+    m = hx * px + hy * py
+    nx = 3.0 * m * px - r2 * hx
+    ny = 3.0 * m * py - r2 * hy
+    nz = 3.0 * m * pz
+    dm = -hy / hx * px + py     # dm/dh_y, through h_x as well
+    J = np.empty(Q.shape + (3,))
+    J[:, 0, 0] = n_t * ((hx * px + 3.0 * m) / r5 - 5.0 * px * nx / r7)
+    J[:, 1, 0] = n_t * ((3.0 * hx * py - 2.0 * px * hy) / r5 - 5.0 * px * ny / r7)
+    J[:, 2, 0] = n_t * (3.0 * hx * pz / r5 - 5.0 * px * nz / r7)
+    J[:, 0, 1] = n_t * ((3.0 * hy * px - 2.0 * py * hx) / r5 - 5.0 * py * nx / r7)
+    J[:, 1, 1] = n_t * ((hy * py + 3.0 * m) / r5 - 5.0 * py * ny / r7)
+    J[:, 2, 1] = n_t * (3.0 * hy * pz / r5 - 5.0 * py * nz / r7)
+    J[:, 0, 2] = n_t * (3.0 * dm * px + r2 * hy / hx) / r5
+    J[:, 1, 2] = n_t * (3.0 * dm * py - r2) / r5
+    J[:, 2, 2] = n_t * (3.0 * dm * pz) / r5
+    return J
 
-    Returns the (N, 3) fixes and an (N,) bool convergence mask.
+
+def _solve3(J, F):
+    """Cramer solve of J s = -F per row: s (n, 3) and where J is regular."""
+    (a, b, c), (d, e, g), (h, i, k) = J.transpose(1, 2, 0)
+    r0, r1, r2 = -F.T
+    det = a * (e * k - g * i) - b * (d * k - g * h) + c * (d * i - e * h)
+    s = np.column_stack([
+        r0 * (e * k - g * i) - b * (r1 * k - g * r2) + c * (r1 * i - e * r2),
+        a * (r1 * k - g * r2) - r0 * (d * k - g * h) + c * (d * r2 - r1 * h),
+        a * (e * r2 - r1 * i) - b * (d * r2 - r1 * h) + r0 * (d * i - e * h),
+    ]) / det[:, None]
+    return s, ~(np.abs(det) < 1e-300)
+
+
+def _norm(d0, d1, d2):
+    return np.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
+
+
+def _flow_grid_seed(B, pz, n_t, guess):
+    """Best fin rotation of the guess pose on a 151-point +-75 deg grid, per
+    row (the guess if none has a finite residual).  The guess fixes the
+    physical family (magnet on a circle of radius rho, magnetization
+    co-rotating), so Newton starts on the physical branch of the roots."""
+    rho, beta0 = math.hypot(guess[0], guess[1]), math.atan2(guess[1], guess[0])
+    alpha0 = math.asin(min(max(guess[2], -1.0), 1.0))
+    half = math.radians(75.0)
+    ths = [-half + 2.0 * half * g / 150 for g in range(151)]
+    grid = np.array([(rho * math.cos(beta0 + th), rho * math.sin(beta0 + th),
+                      min(max(math.sin(alpha0 + th), -1.0), 1.0)) for th in ths])
+    b0, b1, b2 = (np.ascontiguousarray(c) for c in B.T)
+    best = np.full(len(B), math.inf)
+    pick = np.full(len(B), -1)
+    for g, (f0, f1, f2) in enumerate(flow_flux_batch(grid, pz, n_t).tolist()):
+        resid = _norm(f0 - b0, f1 - b1, f2 - b2)
+        better = resid < best
+        np.copyto(best, resid, where=better)
+        np.copyto(pick, g, where=better)
+    return np.where((pick >= 0)[:, None], grid[pick], guess)
+
+
+def flow_invert_batch(B, pz, n_t, guess, resid_accept):
+    """Fin poses (N, 3) of the flux rows B (N, 3) and their (N,) bool mask.
+
+    Damped Newton from each row's grid seed, backtracking a step up to 30
+    times until the residual drops, with h_y clamped inside (-1, 1) and the
+    magnet kept off the sensor origin.  A stall is the least-squares
+    projection onto the model image; it is accepted within resid_accept (mT).
     """
     B = np.asarray(B, dtype=float)
-    pz, n_t, max_jump, tol = float(pz), float(n_t), float(max_jump), float(tol)
-    resid_accept, max_iter = float(resid_accept), int(max_iter)
-    guess = tuple(np.asarray(guess, dtype=float).tolist())
-    rho, beta0, alpha0 = _flow_family(guess)
-    sols = np.empty_like(B)
-    oks = np.zeros(B.shape[0], dtype=np.bool_)
-    warm = guess
-    have_warm = False
-    for k, (bx, by, bz) in enumerate(B.tolist()):
-        q, ok = _flow_invert_one(
-            bx, by, bz, pz, n_t, warm, rho, beta0, alpha0, max_jump, have_warm,
-            tol, resid_accept, max_iter,
-        )
-        sols[k] = q
-        oks[k] = ok
-        warm, have_warm = (q, True) if ok else (guess, False)
-    return sols, oks
+    Q = _flow_grid_seed(B, pz, n_t, np.asarray(guess, dtype=float).tolist())
+    F = flow_flux_batch(Q, pz, n_t) - B
+    fn = _norm(*F.T)
+    live = np.arange(len(B))                  # rows still iterating
+    with np.errstate(all="ignore"):
+        for _ in range(50):
+            live = live[~(fn[live] <= 1e-10)]
+            if not len(live):
+                break
+            s, solvable = _solve3(_flow_jacobian(Q[live], pz, n_t), F[live])
+            live, s = live[solvable], s[solvable]
+            step = np.ones(len(live))
+            search = np.arange(len(live))     # positions in live still backtracking
+            for _bt in range(30):
+                rows = live[search]
+                T = Q[rows] + step[search, None] * s[search]
+                np.clip(T[:, 2], -0.999999, 0.999999, out=T[:, 2])
+                G = flow_flux_batch(T, pz, n_t) - B[rows]
+                gn = _norm(*G.T)
+                near = T[:, 0] * T[:, 0] + T[:, 1] * T[:, 1] + pz * pz < 0.0625
+                down = (gn < fn[rows]) & ~near
+                took = rows[down]
+                Q[took], F[took], fn[took] = T[down], G[down], gn[down]
+                search = search[~down]
+                step[search] *= 0.5
+                if not len(search):
+                    break
+            live = np.delete(live, search)    # no descent in 30 halvings: a stall
+    return Q, fn <= (resid_accept if resid_accept > 1e-10 else 1e-10)
 
 
 # ---------------------------------------------------------------------------

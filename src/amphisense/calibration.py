@@ -433,7 +433,6 @@ def _simulate_flow_jig(transduce, params, cfg, rng):
     # every cycle repeats the same fin poses
     b = np.tile([magnetics.flow_flux(transduce(f), params) for f in cycle], (n_cycles, 1))
     noise = rng.normal(scale=cfg.noise_sigma, size=(len(forces), cfg.n_average, 3))
-    # the sweep is continuous, so each fix warm-starts from the previous one
     est, ok = magnetics.invert_flow_flux_batch(
         b + noise.mean(axis=1), rest.d_z0, params, rest,
         resid_accept=max(5.0 * cfg.noise_sigma, 1e-9),

@@ -468,6 +468,14 @@ def _load_json(path: str, allowed=None) -> dict:
     return doc
 
 
+def _config_seed(cfg: dict, default: int) -> int:
+    """The config's seed; numpy's generators take non-negative integers only."""
+    seed = cfg.get("seed", default)
+    if not isinstance(seed, int) or seed < 0:
+        raise HarnessError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
+
+
 JIG_KEYS = ("kind", "n_units", "noise_sigma", "n_average", "lever", "seed",
             "torque_band", "force_band", "rmse_max")
 LINE_KEYS = ("n_modules", "duration_s", "baud", "bits_per_byte", "inter_frame_gap",
@@ -501,7 +509,7 @@ def cmd_calibrate(args) -> int:
     cfg = _load_json(_resolve_config(args.jig), JIG_KEYS)
     kind = cfg.get("kind", "foot")
     n_units = int(cfg.get("n_units", 4))
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = args.seed if args.seed is not None else _config_seed(cfg, 0)
     os.makedirs(args.out, exist_ok=True)
     report = MetricsReport(source=f"calibrate[{kind}]")
     foot_model = plant.ElasticFootModel()
@@ -559,7 +567,7 @@ def cmd_bus_bench(args) -> int:
     )
     n = int(cfg.get("n_modules", 10))
     duration = float(cfg.get("duration_s", 2.0))
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 5))
+    seed = args.seed if args.seed is not None else _config_seed(cfg, 5)
     os.makedirs(args.out, exist_ok=True)
     report = MetricsReport(source=f"bus-bench[{n} modules]")
 

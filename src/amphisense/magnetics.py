@@ -13,7 +13,7 @@ numerically.
 import math
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import _kernels
 
@@ -174,9 +174,7 @@ def flow_flux(pose: FlowPose, params: DipoleParams) -> np.ndarray:
     dist = np.linalg.norm(p)
     if dist < params.min_distance:
         raise DegeneratePoseError(f"magnet at {dist:.3g} mm, below {params.min_distance} mm")
-    out = np.empty(3)
-    _kernels.flow_flux_into(pose.p_x, pose.p_y, pose.h_y, pose.d_z0, params.n_t, out)
-    return out
+    return _kernels.flow_flux_batch(pose.as_array()[None], pose.d_z0, params.n_t)[0]
 
 
 def invert_flow_flux(
@@ -184,26 +182,22 @@ def invert_flow_flux(
     d_z0: float,
     params: DipoleParams,
     initial_guess: FlowPose,
-    tol: float = 1e-10,
-    max_iter: int = 50,
-    max_jump: float = 0.75,
     resid_accept: float = 0.0,
 ) -> FlowPose:
     """Solve the three fin flux equations for (p_x, p_y, h_y).
 
     Damped Newton, seeded from the best fin rotation of initial_guess on a
-    coarse +-75 deg grid when the direct attempt stalls or wanders; the grid
-    keeps the solver on the physical branch (the system admits spurious exact
-    roots away from the fin's circle of motion).  Noisy flux generically sits
-    slightly off the model image, where no exact root exists; passing
-    resid_accept > tol accepts the least-squares projection instead of
-    raising.  Raises NoConvergenceError when no attempt gets close enough.
+    coarse +-75 deg grid; the grid keeps the solver on the physical branch
+    (the system admits spurious exact roots away from the fin's circle of
+    motion).  Noisy flux generically sits slightly off the model image,
+    where no exact root exists; a least-squares projection whose residual is
+    within resid_accept (mT) is accepted instead.  Raises NoConvergenceError
+    when the fix does not get close enough.
     """
     b = _as_vec3(b)
     if np.linalg.norm(b) <= params.noise_floor:
         raise NoConvergenceError("flux below noise floor; no reachable fin pose")
-    sols, ok = invert_flow_flux_batch(b[None], d_z0, params, initial_guess, tol=tol,
-                                      max_iter=max_iter, max_jump=max_jump,
+    sols, ok = invert_flow_flux_batch(b[None], d_z0, params, initial_guess,
                                       resid_accept=resid_accept)
     if not ok[0]:
         raise NoConvergenceError(f"flow inversion stalled on flux {b} mT")
@@ -215,64 +209,20 @@ def invert_flow_flux_batch(
     d_z0: float,
     params: DipoleParams,
     initial_guess: FlowPose,
-    tol: float = 1e-10,
-    max_iter: int = 50,
-    max_jump: float = 0.75,
     resid_accept: float = 0.0,
 ):
-    """Batch fin inversion over an (N, 3) flux array.
+    """invert_flow_flux over an (N, 3) flux array, each row on its own.
 
-    Each row warm-starts from the previous fix (streams are continuous) and
-    must land within max_jump mm of it; rows that jump or stall are reseeded
-    from the rotation grid around initial_guess.  resid_accept > tol admits
-    least-squares fixes for flux that sits off the model image (see
-    invert_flow_flux).  Returns an (N, 3) array of (p_x, p_y, h_y) rows and
-    an (N,) bool convergence mask; unconverged rows, and rows at or below the
-    noise floor, come back NaN.
+    Returns an (N, 3) array of (p_x, p_y, h_y) rows and an (N,) bool
+    convergence mask; unconverged rows, and rows at or below the noise
+    floor, come back NaN.
     """
     b = np.asarray(b, dtype=float)
-    guess = initial_guess.as_array()
-    sols, ok = _kernels.flow_newton_batch(
-        b, d_z0, params.n_t, guess, max_jump, tol, resid_accept, max_iter
-    )
+    sols, ok = _kernels.flow_invert_batch(
+        b, d_z0, params.n_t, initial_guess.as_array(), resid_accept)
     ok &= np.linalg.norm(b, axis=1) > params.noise_floor
     sols[~ok] = np.nan
     return sols, ok
-
-
-@dataclass
-class LowPassState:
-    """First-order IIR smoother state for one 3-axis flux stream.
-
-    alpha = dt / (tau + dt) with tau = 1 / (2 pi cutoff_hz); the first sample
-    initializes the output so constant inputs pass through exactly.
-    """
-
-    cutoff_hz: float = 3.6
-    y: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    initialized: bool = False
-
-    def __post_init__(self):
-        if not (self.cutoff_hz > 0):
-            raise ValueError("cutoff_hz must be positive")
-
-    @property
-    def tau(self):
-        return 1.0 / (2.0 * math.pi * self.cutoff_hz)
-
-
-def lowpass_step(state: LowPassState, x, dt: float) -> np.ndarray:
-    """Advance the smoother by one sample and return the filtered value."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    x = np.asarray(x, dtype=float)
-    if not state.initialized:
-        state.y = x.copy()
-        state.initialized = True
-    else:
-        alpha = dt / (state.tau + dt)
-        state.y = state.y + alpha * (x - state.y)
-    return state.y.copy()
 
 
 def lowpass_trace(x: np.ndarray, dt: float, cutoff_hz: float = 3.6, y0=None) -> np.ndarray:

@@ -322,6 +322,8 @@ class Scenario:
             raise PlantError(f"unknown terrain {self.terrain!r}")
         if self.duration_s <= 0 or self.dt <= 0:
             raise PlantError("duration and dt must be positive")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise PlantError(f"seed must be a non-negative integer, got {self.seed!r}")
         self.log_flux = tuple(self.log_flux)
         if not set(self.log_flux) <= set(SENSOR_NAMES):
             raise PlantError(f"log_flux names modules outside {SENSOR_NAMES}")
@@ -384,8 +386,8 @@ class ScenarioResult:
     def write_csv(self, path):
         with open(path, "w") as fh:
             fh.write(",".join(self.columns) + "\n")
-            for row in self.data:
-                fh.write(",".join(f"{v:.10g}" for v in row) + "\n")
+            fmt = ",".join(["%.10g"] * self.data.shape[1]) + "\n"
+            fh.writelines(fmt % tuple(row.tolist()) for row in self.data)
 
     @classmethod
     def read_csv(cls, path):

@@ -160,6 +160,9 @@ class TestCliRun:
         "run_negative_seed": ("--seed -1 run", json.dumps(SHORT_SHORELINE), None, 2),
         "jig_negative_seed": ("--seed -1 calibrate", '{"kind": "foot"}', None, 2),
         "line_negative_seed": ("--seed -1 bus-bench", "{}", None, 2),
+        "run_negative_config_seed": ("run", '{"seed": -1, "duration_s": 0.01}', None, 2),
+        "jig_negative_config_seed": ("calibrate", '{"seed": -1}', None, 2),
+        "line_negative_config_seed": ("bus-bench", '{"seed": -1}', None, 2),
         "config_is_a_directory": ("run", DIRECTORY, None, 2),
         "trace_is_a_directory": ("analyze", DIRECTORY, None, 2),
         "analyze_non_numeric_cell": ("analyze", "t,mode\n0.0,0\n0.001,abc\n", None, 2),

@@ -3,8 +3,9 @@
 Each kernel is checked against a plain reimplementation of what it
 computes: the low-pass scan against the stepwise recurrence and bit for
 bit against scipy's lfilter (which the package itself does not import),
-the batch fin flux against the scalar core, the Jacobian against finite
-differences, and the RK4 step against a loop-by-loop derivative.
+the batch fin flux against the general point dipole, the Jacobian against
+finite differences, the fin inversion against a row-at-a-time Newton on
+Python floats, and the RK4 step against a loop-by-loop derivative.
 """
 
 import math
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from amphisense import _kernels as K
+from amphisense import magnetics as mg
 
 
 def test_lowpass_scan_against_reference():
@@ -61,26 +63,87 @@ def test_flow_flux_batch_against_scalar():
     ths = rng.uniform(-1.0, 1.0, size=64)
     Q = np.column_stack([3.0 * np.cos(ths), 3.0 * np.sin(ths), np.sin(0.35 + ths)])
     got = K.flow_flux_batch(Q, 4.0, 120.0)
-    ref = np.empty_like(Q)
-    for i, q in enumerate(Q):
-        out = np.empty(3)
-        K.flow_flux_into(q[0], q[1], q[2], 4.0, 120.0, out)
-        ref[i] = out
+    params = mg.DipoleParams(n_t=120.0)
+    ref = np.array([
+        mg.dipole_flux(mg.MagnetPose(p=[px, py, 4.0], h=[math.sqrt(1.0 - hy * hy), hy, 0.0]),
+                       params)
+        for px, py, hy in Q
+    ])
     np.testing.assert_allclose(got, ref, rtol=1e-13)
 
 
 def test_flow_jacobian_matches_finite_differences():
     q0 = np.array([2.9, 0.4, 0.45])
-    J = np.array(K._flow_jacobian(q0[0], q0[1], q0[2], 4.0, 120.0))
+    J = K._flow_jacobian(q0[None], 4.0, 120.0)[0]
     eps = 1e-7
     for c in range(3):
         qp, qm = q0.copy(), q0.copy()
         qp[c] += eps
         qm[c] -= eps
-        fp, fm = np.empty(3), np.empty(3)
-        K.flow_flux_into(qp[0], qp[1], qp[2], 4.0, 120.0, fp)
-        K.flow_flux_into(qm[0], qm[1], qm[2], 4.0, 120.0, fm)
+        fp, fm = K.flow_flux_batch(np.array([qp, qm]), 4.0, 120.0)
         np.testing.assert_allclose(J[:, c], (fp - fm) / (2 * eps), rtol=1e-6, atol=1e-8)
+
+
+def _scalar_flow_invert(b, pz, n_t, guess, resid_accept):
+    """One flux row on Python floats: the best point of the 151-point
+    +-75 deg rotation grid, then damped Newton with a Cramer solve."""
+    def resid(q):
+        px, py, hy = q
+        hx = math.sqrt(max(1.0 - hy * hy, 0.0))
+        r2 = px * px + py * py + pz * pz
+        r5 = r2 * r2 * math.sqrt(r2)
+        m = hx * px + hy * py
+        f = (n_t * (3.0 * m * px - r2 * hx) / r5 - b[0],
+             n_t * (3.0 * m * py - r2 * hy) / r5 - b[1], n_t * (3.0 * m * pz) / r5 - b[2])
+        return f, math.sqrt(f[0] * f[0] + f[1] * f[1] + f[2] * f[2])
+
+    rho, beta0 = math.hypot(guess[0], guess[1]), math.atan2(guess[1], guess[0])
+    alpha0 = math.asin(guess[2])
+    q, best, half = guess, math.inf, math.radians(75.0)
+    for g in range(151):
+        th = -half + 2.0 * half * g / 150
+        cand = (rho * math.cos(beta0 + th), rho * math.sin(beta0 + th), math.sin(alpha0 + th))
+        r = resid(cand)[1]
+        if r < best:
+            q, best = cand, r
+    f, fn = resid(q)
+    for _ in range(50):
+        if fn <= 1e-10:
+            break
+        (a, b_, c), (d, e, g), (h, i, k) = K._flow_jacobian(np.array([q]), pz, n_t)[0].tolist()
+        r0, r1, r2 = -f[0], -f[1], -f[2]
+        det = a * (e * k - g * i) - b_ * (d * k - g * h) + c * (d * i - e * h)
+        if abs(det) < 1e-300:
+            break
+        s = ((r0 * (e * k - g * i) - b_ * (r1 * k - g * r2) + c * (r1 * i - e * r2)) / det,
+             (a * (r1 * k - g * r2) - r0 * (d * k - g * h) + c * (d * r2 - r1 * h)) / det,
+             (a * (e * r2 - r1 * i) - b_ * (d * r2 - r1 * h) + r0 * (d * i - e * h)) / det)
+        step = 1.0
+        for _bt in range(30):
+            t = (q[0] + step * s[0], q[1] + step * s[1],
+                 min(max(q[2] + step * s[2], -0.999999), 0.999999))
+            if t[0] * t[0] + t[1] * t[1] + pz * pz >= 0.0625 and resid(t)[1] < fn:
+                q, (f, fn) = t, resid(t)
+                break
+            step *= 0.5
+        else:
+            break
+    return q, fn <= max(resid_accept, 1e-10)
+
+
+def test_flow_invert_batch_against_scalar_newton():
+    # a noisy sweep past the +-40 deg fin range; strict, a few rows stall
+    rng = np.random.default_rng(4)
+    ths = rng.uniform(-1.0, 1.0, size=120)
+    Q = np.column_stack([3.0 * np.cos(ths), 3.0 * np.sin(ths), np.sin(0.35 + ths)])
+    B = K.flow_flux_batch(Q, 4.0, 120.0) + rng.normal(scale=0.05, size=Q.shape)
+    guess = (3.0, 0.0, math.sin(0.35))
+    for accept in (0.0, 0.1):
+        got, ok = K.flow_invert_batch(B, 4.0, 120.0, np.array(guess), accept)
+        ref = [_scalar_flow_invert(b, 4.0, 120.0, guess, accept) for b in B.tolist()]
+        np.testing.assert_array_equal(got, [q for q, _ in ref])
+        assert ok.tolist() == [k for _, k in ref]
+        assert ok.all() == bool(accept)
 
 
 def _tiny_network():
