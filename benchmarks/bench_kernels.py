@@ -47,13 +47,16 @@ def run_suite(repeat):
         lambda: _kernels.flow_invert_batch(B, pz, n_t, guess, 0.05), repeat
     )
 
-    # oscillator network rollout, 32 units x 10k RK4 steps
+    # oscillator network rollout over the 88-edge gait graph, 10k RK4 steps
+    # of one 32-unit state and of a batch of 20 stepped together
     params, graph, _ = cpg.build_gait_network()
-    state = cpg.initial_state(params, 2.0, rng=np.random.default_rng(3))
     omega, R = params.intrinsic(2.0)
-    W, Bias = graph.dense()
-    args = (state.phi, state.r, omega, W, Bias, params.a, R, 1e-3, 10_000)
-    results["cpg_rollout_32x10k"] = best_of(lambda: _kernels.cpg_rollout(*args), repeat)
+    starts = [cpg.initial_state(params, 2.0, rng=np.random.default_rng(s)) for s in range(3, 23)]
+    for name, phi, r in (("cpg_rollout_32x10k", starts[0].phi, starts[0].r),
+                         ("cpg_rollout_20x32x10k", np.stack([s.phi for s in starts]),
+                          np.stack([s.r for s in starts]))):
+        args = (phi, r, omega, graph.arrays, params.a, R, 1e-3, 10_000)
+        results[name] = best_of(lambda: _kernels.cpg_rollout(*args), repeat)
     return results
 
 

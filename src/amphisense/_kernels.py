@@ -2,7 +2,9 @@
 inversion, and the phase-oscillator RK4 step.
 
 Work that is independent across elements is vectorized with numpy; the fin
-inversion runs its Newton iterations over all flux rows at once.  The
+inversion runs its Newton iterations over all flux rows at once, and the
+oscillator step runs over the coupling graph's edge list and over any
+leading axes of the state, so a batch of networks takes one call.  The
 low-pass scan, a sequential recurrence, loops in Python on floats, which
 cost far less per operation than numpy scalars.
 """
@@ -167,36 +169,49 @@ def flow_invert_batch(B, pz, n_t, guess, resid_accept):
 # ---------------------------------------------------------------------------
 # phase-oscillator network integration
 # ---------------------------------------------------------------------------
-# State per oscillator: phase phi and amplitude r.
-#   dphi_i = omega_i + sum_j r_j W_ij sin(phi_j - phi_i - B_ij)
+# State per oscillator: phase phi and amplitude r, over leading axes (..., n).
+#   dphi_i = omega_i + sum over edges (i, j) of w_ij r_j sin(phi_j - phi_i - b_ij)
 #   dr_i   = a_i (R_i - r_i)
 # Amplitude-weighted coupling lets a unit pulled to r = 0 release its
 # neighbours entirely.  Integrated with classic RK4.
+#
+# The coupling is gathered over the edge list (I, J, w, b), not a dense
+# n x n matrix: the gait graph has 88 edges among 32 units.  bincount sums
+# each unit's terms in edge order.  Leading rows are flattened into offset
+# indices, one bincount for all of them, so every row is summed in the same
+# order as a state stepped alone and a batch row equals it bit for bit.
 
-def _cpg_deriv(phi, r, omega, W, Bias, a, R):
-    D = phi[None, :] - phi[:, None] - Bias
-    return omega + (W * np.sin(D)) @ r, a * (R - r)
 
+def cpg_step(phi, r, omega, edges, a, R, dt):
+    """One RK4 step of states phi, r (..., n); edges is (I, J, w, b)."""
+    I, J, w, b = edges
+    if phi.ndim > 1:   # index each leading row's units in the flattened state
+        offset = np.arange(0, phi.size, phi.shape[-1])[:, None]
+        I, J = offset + I, offset + J
+    bins = I.ravel()
 
-def cpg_step(phi, r, omega, W, Bias, a, R, dt):
-    k1p, k1r = _cpg_deriv(phi, r, omega, W, Bias, a, R)
-    k2p, k2r = _cpg_deriv(phi + 0.5 * dt * k1p, r + 0.5 * dt * k1r, omega, W, Bias, a, R)
-    k3p, k3r = _cpg_deriv(phi + 0.5 * dt * k2p, r + 0.5 * dt * k2r, omega, W, Bias, a, R)
-    k4p, k4r = _cpg_deriv(phi + dt * k3p, r + dt * k3r, omega, W, Bias, a, R)
+    def deriv(ph, rr):
+        p, q = ph.ravel(), rr.ravel()
+        c = (w * q[J]) * np.sin(p[J] - p[I] - b)
+        pull = np.bincount(bins, c.ravel(), minlength=phi.size).reshape(phi.shape)
+        return omega + pull, a * (R - rr)
+
+    k1p, k1r = deriv(phi, r)
+    k2p, k2r = deriv(phi + 0.5 * dt * k1p, r + 0.5 * dt * k1r)
+    k3p, k3r = deriv(phi + 0.5 * dt * k2p, r + 0.5 * dt * k2r)
+    k4p, k4r = deriv(phi + dt * k3p, r + dt * k3r)
     phi2 = phi + dt / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
     r2 = r + dt / 6.0 * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
     return phi2, r2
 
 
-def cpg_rollout(phi0, r0, omega, W, Bias, a, R, dt, n_steps):
-    n = phi0.shape[0]
-    phis = np.empty((n_steps + 1, n))
-    rs = np.empty((n_steps + 1, n))
+def cpg_rollout(phi0, r0, omega, edges, a, R, dt, n_steps):
+    """n_steps of cpg_step from phi0, r0 (..., n); (n_steps + 1, ..., n) each."""
+    phis = np.empty((n_steps + 1,) + phi0.shape)
+    rs = np.empty_like(phis)
     phi, r = phi0, r0
-    phis[0] = phi
-    rs[0] = r
+    phis[0], rs[0] = phi, r
     for k in range(n_steps):
-        phi, r = cpg_step(phi, r, omega, W, Bias, a, R, dt)
-        phis[k + 1] = phi
-        rs[k + 1] = r
+        phi, r = cpg_step(phi, r, omega, edges, a, R, dt)
+        phis[k + 1], rs[k + 1] = phi, r
     return phis, rs

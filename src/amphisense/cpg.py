@@ -153,43 +153,52 @@ class OscillatorParams:
 
 @dataclass(frozen=True)
 class CouplingGraph:
-    """Directed weighted edge list (i, j, w_ij, b_ij) over n oscillators."""
+    """Directed weighted edge list (i, j, w_ij, b_ij) over n oscillators.
+
+    `arrays` holds the same edges as read-only arrays (I, J, w, b), the
+    form the RK4 kernel gathers over.
+    """
 
     n: int
     edges: tuple
 
     def __post_init__(self):
-        W = np.zeros((self.n, self.n))
-        B = np.zeros((self.n, self.n))
+        seen = set()
         for i, j, w, b in self.edges:
             if i == j:
                 raise CpgConfigError("self-coupling is not allowed")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise CpgConfigError("edge endpoint out of range")
+            if not (isinstance(i, (int, np.integer)) and isinstance(j, (int, np.integer))
+                    and 0 <= i < self.n and 0 <= j < self.n):
+                raise CpgConfigError("edge endpoints must be integers in [0, n)")
             if not (math.isfinite(w) and w >= 0.0):
                 raise CpgConfigError("edge weight must be finite and >= 0")
-            W[i, j] = w
-            B[i, j] = b
-        W.flags.writeable = False
-        B.flags.writeable = False
-        object.__setattr__(self, "_W", W)
-        object.__setattr__(self, "_B", B)
-
-    def dense(self):
-        return self._W, self._B
+            if (i, j) in seen:
+                raise CpgConfigError(f"duplicate edge ({i}, {j})")
+            seen.add((i, j))
+        arrays = (np.array([e[0] for e in self.edges], dtype=np.intp),
+                  np.array([e[1] for e in self.edges], dtype=np.intp),
+                  np.array([e[2] for e in self.edges], dtype=float),
+                  np.array([e[3] for e in self.edges], dtype=float))
+        for arr in arrays:
+            arr.flags.writeable = False
+        object.__setattr__(self, "arrays", arrays)
 
     def is_connected(self) -> bool:
-        adj = (self._W > 0) | (self._W.T > 0)
-        seen = np.zeros(self.n, dtype=bool)
+        """Whether every oscillator is reached over edges of positive weight,
+        taken in either direction."""
+        adj = [[] for _ in range(self.n)]
+        for i, j, w, _ in self.edges:
+            if w > 0:
+                adj[i].append(j)
+                adj[j].append(i)
+        seen = {0}
         stack = [0]
-        seen[0] = True
         while stack:
-            i = stack.pop()
-            for j in np.nonzero(adj[i])[0]:
-                if not seen[j]:
-                    seen[j] = True
+            for j in adj[stack.pop()]:
+                if j not in seen:
+                    seen.add(j)
                     stack.append(j)
-        return bool(seen.all())
+        return len(seen) == self.n
 
 
 @dataclass(frozen=True)
@@ -331,13 +340,13 @@ def step_network(state: NetworkState, params: OscillatorParams,
     """Advance the network one RK4 step of length dt (s).
 
     Intrinsic rates and amplitude targets are re-evaluated from the
-    state's current drive, so drive changes take effect immediately.
+    state's current drive, so drive changes take effect immediately.  The
+    state may carry leading axes (..., n), as in `rollout`.
     """
     if not 0.0 < dt <= 0.010:
         raise ValueError("dt must be in (0, 10 ms]")
     omega, R = params.intrinsic(state.drive)
-    W, B = graph.dense()
-    phi, r = _kernels.cpg_step(state.phi, state.r, omega, W, B, params.a, R, dt)
+    phi, r = _kernels.cpg_step(state.phi, state.r, omega, graph.arrays, params.a, R, dt)
     return NetworkState(phi=phi, r=np.maximum(r, 0.0), drive=state.drive,
                         t=state.t + dt)
 
@@ -346,13 +355,15 @@ def rollout(state: NetworkState, params: OscillatorParams, graph: CouplingGraph,
             dt: float, n_steps: int):
     """Integrate n_steps at fixed drive; returns (t, phis, rs).
 
-    Output arrays have n_steps + 1 rows including the initial state.
+    The state's phi and r may carry leading axes (..., n), a batch of
+    networks stepped together; each row evolves bit for bit as it would
+    alone.  phis and rs have shape (n_steps + 1, ..., n), the first row
+    the initial state.
     """
     if not 0.0 < dt <= 0.010:
         raise ValueError("dt must be in (0, 10 ms]")
     omega, R = params.intrinsic(state.drive)
-    W, B = graph.dense()
-    phis, rs = _kernels.cpg_rollout(state.phi, state.r, omega, W, B,
+    phis, rs = _kernels.cpg_rollout(state.phi, state.r, omega, graph.arrays,
                                     params.a, R, dt, n_steps)
     t = state.t + dt * np.arange(n_steps + 1)
     return t, phis, np.maximum(rs, 0.0)

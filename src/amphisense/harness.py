@@ -476,6 +476,16 @@ def _config_seed(cfg: dict, default: int) -> int:
     return seed
 
 
+def _config_number(cfg: dict, key: str, default, kind=float):
+    """cfg[key], or default when the key is absent, as kind: a JSON integer
+    for int, any JSON number for float.  Another type is a config error."""
+    value = cfg.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int,) if kind is int else (int, float)):
+        what = "an integer" if kind is int else "a number"
+        raise HarnessError(f"{key} must be {what}, got {value!r}")
+    return kind(value)
+
+
 JIG_KEYS = ("kind", "n_units", "noise_sigma", "n_average", "lever", "seed",
             "torque_band", "force_band", "rmse_max")
 LINE_KEYS = ("n_modules", "duration_s", "baud", "bits_per_byte", "inter_frame_gap",
@@ -508,7 +518,7 @@ def cmd_run(args) -> int:
 def cmd_calibrate(args) -> int:
     cfg = _load_json(_resolve_config(args.jig), JIG_KEYS)
     kind = cfg.get("kind", "foot")
-    n_units = int(cfg.get("n_units", 4))
+    n_units = _config_number(cfg, "n_units", 4, int)
     seed = args.seed if args.seed is not None else _config_seed(cfg, 0)
     os.makedirs(args.out, exist_ok=True)
     report = MetricsReport(source=f"calibrate[{kind}]")
@@ -520,9 +530,9 @@ def cmd_calibrate(args) -> int:
         rng = np.random.default_rng(seed + i)
         jig = calibration.JigConfig(
             kind=kind,
-            lever=float(cfg.get("lever", 19.0)),
-            noise_sigma=float(cfg.get("noise_sigma", 0.01)),
-            n_average=int(cfg.get("n_average", 1)),
+            lever=_config_number(cfg, "lever", 19.0),
+            noise_sigma=_config_number(cfg, "noise_sigma", 0.01),
+            n_average=_config_number(cfg, "n_average", 1, int),
         )
         if kind == "foot":
             transduce = lambda w: plant.foot_deflection_p(w, foot_model)
@@ -561,22 +571,22 @@ def cmd_calibrate(args) -> int:
 def cmd_bus_bench(args) -> int:
     cfg = _load_json(_resolve_config(args.line), LINE_KEYS)
     line = busring.LineConfig(
-        baud=int(cfg.get("baud", 1_000_000)),
-        bits_per_byte=int(cfg.get("bits_per_byte", 10)),
-        inter_frame_gap=float(cfg.get("inter_frame_gap", 20e-6)),
+        baud=_config_number(cfg, "baud", 1_000_000, int),
+        bits_per_byte=_config_number(cfg, "bits_per_byte", 10, int),
+        inter_frame_gap=_config_number(cfg, "inter_frame_gap", 20e-6),
     )
-    n = int(cfg.get("n_modules", 10))
-    duration = float(cfg.get("duration_s", 2.0))
+    n = _config_number(cfg, "n_modules", 10, int)
+    duration = _config_number(cfg, "duration_s", 2.0)
     seed = args.seed if args.seed is not None else _config_seed(cfg, 5)
     os.makedirs(args.out, exist_ok=True)
     report = MetricsReport(source=f"bus-bench[{n} modules]")
 
     clean = busring.simulate_ring(n, line, duration)
     rate = float(clean.frames_ok.min()) / duration
-    report.add("per_module_rate", rate, float(cfg.get("expect_rate_hz", 589.8)),
+    report.add("per_module_rate", rate, _config_number(cfg, "expect_rate_hz", 589.8),
                None, "Hz")
 
-    flip_rate = float(cfg.get("flip_rate", 0.001))
+    flip_rate = _config_number(cfg, "flip_rate", 0.001)
     if flip_rate > 0.0:
         faulted = busring.simulate_ring(
             n, line, duration, faults=busring.FaultPlan(flip_rate=flip_rate),
@@ -587,11 +597,12 @@ def cmd_bus_bench(args) -> int:
         report.add("corruption_detect_frac", detected, 1.0, 1.0, "")
 
     kill_at = cfg.get("kill_at", duration / 2.0)
-    if kill_at is not None:
+    if kill_at is not None:     # null runs no kill ring
+        kill_at = _config_number(cfg, "kill_at", kill_at)
         kill_mod = n // 2
         killed = busring.simulate_ring(
             n, line, duration,
-            faults=busring.FaultPlan(kills=((float(kill_at), kill_mod),)),
+            faults=busring.FaultPlan(kills=((kill_at, kill_mod),)),
             record_frames=True,
         )
         # steady post-kill round period exceeds nominal by exactly one
@@ -601,7 +612,7 @@ def cmd_bus_bench(args) -> int:
         ref = (kill_mod + 3) % n
         t_ref = np.array([e[0] for e in killed.frame_log if e[1] == ref])
         periods = np.diff(t_ref)
-        post = periods[t_ref[1:] > float(kill_at) + 2.0 * (nominal + excess)]
+        post = periods[t_ref[1:] > kill_at + 2.0 * (nominal + excess)]
         if len(post):
             per_round = (float(np.median(post)) - nominal) / excess
         else:
@@ -611,9 +622,9 @@ def cmd_bus_bench(args) -> int:
         report.add("ring_alive_after_kill", alive, 0.5, 1.5, "")
 
     budget = busring.motor_bus_budget(
-        int(cfg.get("n_motors", 16)),
-        float(cfg.get("t_write", 2e-6)),
-        float(cfg.get("t_read", 0.3e-3)),
+        _config_number(cfg, "n_motors", 16, int),
+        _config_number(cfg, "t_write", 2e-6),
+        _config_number(cfg, "t_read", 0.3e-3),
     )
     report.add("motor_loop_budget", budget, 100.0, None, "Hz")
 

@@ -318,6 +318,11 @@ class Scenario:
     log_flux: tuple = ("foot_fl", "fin_link2")
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not (value is None and f.default is None) and (
+                    isinstance(value, bool) or not isinstance(value, (int, float))):
+                raise PlantError(f"{f.name} must be a number, got {value!r}")
         if self.terrain not in ("floor", "water", "shoreline"):
             raise PlantError(f"unknown terrain {self.terrain!r}")
         if self.duration_s <= 0 or self.dt <= 0:

@@ -38,6 +38,14 @@ def wrap(x):
     return np.angle(np.exp(1j * np.asarray(x)))
 
 
+def dense(graph):
+    """The graph's edges as n x n weight and bias matrices W[i, j], B[i, j]."""
+    W, B = np.zeros((graph.n, graph.n)), np.zeros((graph.n, graph.n))
+    for i, j, w, b in graph.edges:
+        W[i, j], B[i, j] = w, b
+    return W, B
+
+
 class TestSaturationMap:
     def test_affine_inside_band(self):
         m = cpg.SaturationMap(c1=2.0, c0=1.0, d_low=1.0, d_high=3.0)
@@ -101,13 +109,13 @@ class TestBuildNetwork:
             assert found and abs(abs(found[0]) - math.pi) < 1e-12
 
     def test_bidirectional_antisymmetric(self):
-        W, B = self.graph.dense()
+        W, B = dense(self.graph)
         assert np.array_equal(W > 0, (W > 0).T)
         mask = W > 0
         assert np.allclose(wrap(B + B.T)[mask], 0.0, atol=1e-12)
 
     def test_uniform_weight(self):
-        W, _ = self.graph.dense()
+        W, _ = dense(self.graph)
         assert set(np.unique(W)) == {0.0, cpg.W_EDGE}
 
     def test_invalid_edges_rejected(self):
@@ -117,6 +125,10 @@ class TestBuildNetwork:
             cpg.CouplingGraph(n=2, edges=((0, 5, 1.0, 0.0),))
         with pytest.raises(cpg.CpgConfigError):
             cpg.CouplingGraph(n=2, edges=((0, 1, -1.0, 0.0),))
+        with pytest.raises(cpg.CpgConfigError):
+            cpg.CouplingGraph(n=2, edges=((0, 1.0, 1.0, 0.0),))
+        with pytest.raises(cpg.CpgConfigError):
+            cpg.CouplingGraph(n=2, edges=((0, 1, 1.0, 0.0), (0, 1, 2.0, 0.5)))
 
 
 class TestStepNetwork:
@@ -302,18 +314,18 @@ class TestSwimming:
 class TestNetworkProperties:
     def test_phase_lock_from_random_initializations(self, network):
         # active (axial) relative phases reach a unique fixed point; limb
-        # phases carry no amplitude at swim drive and are excluded
+        # phases carry no amplitude at swim drive and are excluded.  The 20
+        # seeds step together as one (20, 32) state.
         params, graph, jmap = network
         ax = np.concatenate([jmap.flexor[:8], jmap.extensor[:8]])
-        reference = None
-        for seed in range(20):
-            st = cpg.initial_state(params, cpg.D_SWIM, rng=np.random.default_rng(seed))
-            _, phis, _ = cpg.rollout(st, params, graph, 1e-3, 30000)
-            rel = wrap(phis[-1, ax] - phis[-1, ax[0]])
-            if reference is None:
-                reference = rel
-            else:
-                assert np.abs(wrap(rel - reference)).max() < 1e-3
+        starts = [cpg.initial_state(params, cpg.D_SWIM, rng=np.random.default_rng(seed))
+                  for seed in range(20)]
+        st = cpg.NetworkState(phi=np.stack([s.phi for s in starts]),
+                              r=np.stack([s.r for s in starts]), drive=cpg.D_SWIM)
+        for _ in range(30000):
+            st = cpg.step_network(st, params, graph, 1e-3)
+        rel = wrap(st.phi[:, ax] - st.phi[:, ax[:1]])
+        assert np.abs(wrap(rel[1:] - rel[0])).max() < 1e-3
 
     def test_halving_dt_leaves_lock_unchanged(self, network):
         params, graph, jmap = network
@@ -357,8 +369,8 @@ class TestSerialization:
         assert p2.groups == params.groups
         assert j2.names == jmap.names
         np.testing.assert_array_equal(p2.a, params.a)
-        W1, B1 = graph.dense()
-        W2, B2 = g2.dense()
+        W1, B1 = dense(graph)
+        W2, B2 = dense(g2)
         np.testing.assert_array_equal(W1, W2)
         np.testing.assert_array_equal(B1, B2)
         # identical dynamics from the round-tripped configuration

@@ -161,6 +161,9 @@ class TestCliRun:
         "jig_negative_seed": ("--seed -1 calibrate", '{"kind": "foot"}', None, 2),
         "line_negative_seed": ("--seed -1 bus-bench", "{}", None, 2),
         "run_negative_config_seed": ("run", '{"seed": -1, "duration_s": 0.01}', None, 2),
+        "run_string_duration": ("run", '{"duration_s": "5"}', None, 2),
+        "jig_string_n_units": ("calibrate", '{"n_units": "abc"}', None, 2),
+        "line_string_n_modules": ("bus-bench", '{"n_modules": "x"}', None, 2),
         "jig_negative_config_seed": ("calibrate", '{"seed": -1}', None, 2),
         "line_negative_config_seed": ("bus-bench", '{"seed": -1}', None, 2),
         "config_is_a_directory": ("run", DIRECTORY, None, 2),

@@ -5,7 +5,8 @@ computes: the low-pass scan against the stepwise recurrence and bit for
 bit against scipy's lfilter (which the package itself does not import),
 the batch fin flux against the general point dipole, the Jacobian against
 finite differences, the fin inversion against a row-at-a-time Newton on
-Python floats, and the RK4 step against a loop-by-loop derivative.
+Python floats, and the RK4 step against a loop-by-loop derivative and
+against the dense n x n form of its coupling sum.
 """
 
 import math
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from amphisense import _kernels as K
+from amphisense import cpg
 from amphisense import magnetics as mg
 
 
@@ -146,37 +148,36 @@ def test_flow_invert_batch_against_scalar_newton():
         assert ok.all() == bool(accept)
 
 
+def _dense(n, edges):
+    """Weight and bias matrices W[i, j], B[i, j] of an edge list."""
+    W, B = np.zeros((n, n)), np.zeros((n, n))
+    for i, j, w, b in edges:
+        W[i, j], B[i, j] = w, b
+    return W, B
+
+
 def _tiny_network():
     n = 4
     rng = np.random.default_rng(2)
     phi = rng.uniform(0, 2 * np.pi, n)
     r = rng.uniform(0.1, 0.4, n)
     omega = np.array([2.0, 2.1, 1.9, 2.05]) * 2 * np.pi
-    W = np.array(
-        [
-            [0.0, 10.0, 0.0, 10.0],
-            [10.0, 0.0, 10.0, 0.0],
-            [0.0, 10.0, 0.0, 10.0],
-            [10.0, 0.0, 10.0, 0.0],
-        ]
-    )
-    B = np.array(
-        [
-            [0.0, math.pi, 0.0, 0.5],
-            [-math.pi, 0.0, 0.3, 0.0],
-            [0.0, -0.3, 0.0, math.pi],
-            [-0.5, 0.0, -math.pi, 0.0],
-        ]
-    )
+    graph = cpg.CouplingGraph(n=n, edges=(
+        (0, 1, 10.0, math.pi), (0, 3, 10.0, 0.5),
+        (1, 0, 10.0, -math.pi), (1, 2, 10.0, 0.3),
+        (2, 1, 10.0, -0.3), (2, 3, 10.0, math.pi),
+        (3, 0, 10.0, -0.5), (3, 2, 10.0, -math.pi),
+    ))
     a = np.full(n, 20.0)
     R = np.array([0.2, 0.3, 0.25, 0.2])
-    return phi, r, omega, W, B, a, R
+    return phi, r, omega, graph, a, R
 
 
 def test_cpg_step_against_reference():
-    phi, r, omega, W, B, a, R = _tiny_network()
+    phi, r, omega, graph, a, R = _tiny_network()
+    W, B = _dense(graph.n, graph.edges)
     dt = 1e-3
-    got_phi, got_r = K.cpg_step(phi, r, omega, W, B, a, R, dt)
+    got_phi, got_r = K.cpg_step(phi, r, omega, graph.arrays, a, R, dt)
 
     def deriv(ph, rr):
         dphi = np.empty_like(ph)
@@ -200,12 +201,73 @@ def test_cpg_step_against_reference():
 
 
 def test_cpg_rollout_matches_stepping():
-    phi, r, omega, W, B, a, R = _tiny_network()
+    phi, r, omega, graph, a, R = _tiny_network()
     dt = 1e-3
-    phis, rs = K.cpg_rollout(phi, r, omega, W, B, a, R, dt, 500)
+    phis, rs = K.cpg_rollout(phi, r, omega, graph.arrays, a, R, dt, 500)
     assert phis.shape == (501, 4)
     p, q = phi.copy(), r.copy()
     for _ in range(500):
-        p, q = K.cpg_step(p, q, omega, W, B, a, R, dt)
+        p, q = K.cpg_step(p, q, omega, graph.arrays, a, R, dt)
     np.testing.assert_allclose(phis[-1], p, atol=1e-10)
     np.testing.assert_allclose(rs[-1], q, atol=1e-10)
+
+
+@pytest.fixture(scope="module")
+def gait_network():
+    return cpg.build_gait_network()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_cpg_batch_rows_equal_lone_states(gait_network, data):
+    # a batch over leading axes steps each row exactly as it steps alone,
+    # through cpg_step and through cpg_rollout
+    params, graph, _ = gait_network
+    lead = tuple(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=2)))
+    phi = data.draw(arrays(np.float64, lead + (cpg.N_OSC,), elements=st.floats(0.0, 2 * math.pi)))
+    r = data.draw(arrays(np.float64, lead + (cpg.N_OSC,), elements=st.floats(0.0, 0.5)))
+    omega, R = params.intrinsic(data.draw(st.sampled_from([cpg.D_WALK, 3.0, cpg.D_SWIM])))
+    n_steps = data.draw(st.integers(1, 20))
+    args = (omega, graph.arrays, params.a, R, 1e-3)
+
+    p, q = phi, r
+    for _ in range(n_steps):
+        p, q = K.cpg_step(p, q, *args)
+    phis, rs = K.cpg_rollout(phi, r, *args, n_steps)
+    assert phis.shape == rs.shape == (n_steps + 1,) + phi.shape
+    for idx in np.ndindex(*lead):
+        lone_p, lone_q = phi[idx], r[idx]
+        for _ in range(n_steps):
+            lone_p, lone_q = K.cpg_step(lone_p, lone_q, *args)
+        np.testing.assert_array_equal(p[idx], lone_p)
+        np.testing.assert_array_equal(q[idx], lone_q)
+        np.testing.assert_array_equal(phis[(-1,) + idx], lone_p)
+        np.testing.assert_array_equal(rs[(-1,) + idx], lone_q)
+
+
+@pytest.mark.parametrize("drive", [cpg.D_WALK, cpg.D_SWIM])
+def test_cpg_step_tracks_dense_coupling(gait_network, drive):
+    # the edge-list sum reorders the dense row sum's additions only, so
+    # 5,000 steps of the gait network stay within rounding of the dense form
+    params, graph, _ = gait_network
+    W, B = _dense(graph.n, graph.edges)
+    omega, R = params.intrinsic(drive)
+    a = params.a
+    dt = 1e-3
+
+    def deriv(ph, rr):
+        return omega + (W * np.sin(ph[None, :] - ph[:, None] - B)) @ rr, a * (R - rr)
+
+    st0 = cpg.initial_state(params, drive, rng=np.random.default_rng(7))
+    p = ref_p = st0.phi
+    q = ref_q = st0.r
+    for _ in range(5000):
+        p, q = K.cpg_step(p, q, omega, graph.arrays, a, R, dt)
+        k1p, k1r = deriv(ref_p, ref_q)
+        k2p, k2r = deriv(ref_p + 0.5 * dt * k1p, ref_q + 0.5 * dt * k1r)
+        k3p, k3r = deriv(ref_p + 0.5 * dt * k2p, ref_q + 0.5 * dt * k2r)
+        k4p, k4r = deriv(ref_p + dt * k3p, ref_q + dt * k3r)
+        ref_p = ref_p + dt / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        ref_q = ref_q + dt / 6.0 * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
+    np.testing.assert_allclose(p, ref_p, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(q, ref_q, rtol=0.0, atol=1e-12)
