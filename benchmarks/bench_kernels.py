@@ -22,7 +22,7 @@ def best_of(fn, repeat):
 
 
 def run_suite(repeat):
-    from amphisense import _kernels, cpg
+    from amphisense import _kernels, busring, cpg
 
     rng = np.random.default_rng(0)
     results = {}
@@ -57,6 +57,10 @@ def run_suite(repeat):
                           np.stack([s.r for s in starts]))):
         args = (phi, r, omega, graph.arrays, params.a, R, 1e-3, 10_000)
         results[name] = best_of(lambda: _kernels.cpg_rollout(*args), repeat)
+
+    # the clean 10-module token ring over 4 s of bus time (30.8k frames)
+    line = busring.LineConfig()
+    results["simulate_ring_10x4s"] = best_of(lambda: busring.simulate_ring(10, line, 4.0), repeat)
     return results
 
 

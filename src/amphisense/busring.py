@@ -265,23 +265,26 @@ def simulate_ring(n_modules: int, config: LineConfig, duration: float,
                   rng=None, record_frames: bool = False) -> RingStats:
     """Run the ring for `duration` seconds of bus time.
 
-    Event-driven at frame granularity.  Every frame completion rearms
-    all live modules: the module k hops past the transmitter fires
-    after the gap plus k timeouts unless a newer frame resets it first,
-    which realizes both the normal token handoff (k = 0) and staggered
-    self-healing.  The host start broadcast acts as a virtual frame
-    from module n-1, so module 0 opens every run.
+    Event-driven at frame granularity.  Every frame completion rearms the
+    ring with one `arm` entry that walks downstream from the transmitter:
+    its k-th step fires the module k + 1 hops on after the gap plus k
+    timeouts, unless a newer frame rearms the ring first.  Step 0 is the
+    normal token handoff; a later step skips dead modules at the cost of
+    one timeout each (self-healing).  The host start broadcast acts as a
+    virtual frame from module n-1, so module 0 opens every run.
 
     Returns accumulated RingStats; protocol anomalies are counted, not
     raised.
     """
     if n_modules < 1:
         raise BusError("need at least one module")
+    if not duration > 0:
+        raise BusError("duration must be positive")
     faults = faults or FaultPlan()
     rng = rng or np.random.default_rng(0)
+    gap, timeout, frame_time = config.inter_frame_gap, config.timeout, config.frame_time
 
     alive = np.ones(n_modules, dtype=bool)
-    gen = np.zeros(n_modules, dtype=np.int64)
     kills = sorted(faults.kills)
     delays = sorted([list(d) + [False] for d in faults.delays])
     for _, mid in kills:
@@ -298,14 +301,12 @@ def simulate_ring(n_modules: int, config: LineConfig, duration: float,
     last_end = np.full(n_modules, np.nan)
     periods = []
 
-    # event queue entries: (time, seq, kind, payload)
+    # event queue entries: (time, seq, kind, payload).  The ring generation
+    # is the first sequence number of the latest rearm; an `arm` or delayed
+    # `fire` entry of an older generation is stale.
     events = []
     seq = 0
-
-    def push(t, kind, payload):
-        nonlocal seq
-        heapq.heappush(events, (t, seq, kind, payload))
-        seq += 1
+    gen = -1
 
     line_busy_until = 0.0
     inflight = None   # mutable [module_id, frame bytes, corrupted]
@@ -315,23 +316,23 @@ def simulate_ring(n_modules: int, config: LineConfig, duration: float,
             _, mid = kills.pop(0)
             alive[mid] = False
 
-    def rearm_all(j, t_end):
-        # j: id of the frame (or virtual frame) that just completed; the
-        # module k hops downstream backs off by k extra timeouts
-        for i in range(n_modules):
-            if not alive[i]:
-                continue
-            k = (i - j - 1) % n_modules
-            gen[i] += 1
-            push(t_end + config.inter_frame_gap + k * config.timeout,
-                 "fire", (i, gen[i], k > 0))
+    def rearm(j, t_end):
+        # j: id of the frame (or virtual frame) that just completed.  The
+        # rearm reserves n sequence numbers and module i's step sorts at
+        # gen + i, so ties pop in module order, as n entries would.
+        nonlocal seq, gen
+        gen = seq
+        i = (j + 1) % n_modules
+        heapq.heappush(events, (t_end + gap, gen + i, "arm", (i, 0, t_end, gen)))
+        seq += n_modules
 
     def start_tx(i, now):
-        nonlocal line_busy_until, inflight
+        nonlocal line_busy_until, inflight, seq
         for d in delays:
             if d[1] == i and d[0] <= now and not d[3]:
                 d[3] = True
-                push(now + d[2], "fire", (i, gen[i], False))
+                heapq.heappush(events, (now + d[2], seq, "fire", (i, gen)))
+                seq += 1
                 return
         sample = sample_source(i, now)
         frame = bytearray(encode_frame(sample))
@@ -352,27 +353,35 @@ def simulate_ring(n_modules: int, config: LineConfig, duration: float,
                 stats.corrupt_injected += 1
         record[1] = bytes(frame)
         inflight = record
-        line_busy_until = max(line_busy_until, now + config.frame_time)
-        push(now + config.frame_time, "end", record)
+        line_busy_until = max(line_busy_until, now + frame_time)
+        heapq.heappush(events, (now + frame_time, seq, "end", record))
+        seq += 1
 
     # host opens the round; modules treat it as a frame from id n-1
-    push(config.ctrl_time, "host_start_end", None)
+    rearm(n_modules - 1, config.ctrl_time)
 
     while events:
         t, _, kind, payload = heapq.heappop(events)
         if t > duration:
             break
         apply_kills(t)
-        if kind == "host_start_end":
-            rearm_all(n_modules - 1, t)
-        elif kind == "fire":
-            i, g, is_recovery = payload
-            if g != gen[i] or not alive[i]:
+        if kind == "arm":
+            i, k, t_end, g = payload
+            if g != gen:
                 continue
-            if is_recovery:
-                stats.timeout_recoveries += 1
-            start_tx(i, t)
-        elif kind == "end":
+            if k + 1 < n_modules:
+                nxt = (i + 1) % n_modules
+                heapq.heappush(events, (t_end + gap + (k + 1) * timeout, g + nxt,
+                                        "arm", (nxt, k + 1, t_end, g)))
+            if alive[i]:
+                if k > 0:
+                    stats.timeout_recoveries += 1
+                start_tx(i, t)
+        elif kind == "fire":
+            i, g = payload
+            if g == gen and alive[i]:
+                start_tx(i, t)
+        else:
             i, frame, collided = payload
             stats.frames_sent[i] += 1
             ok = False
@@ -391,7 +400,7 @@ def simulate_ring(n_modules: int, config: LineConfig, duration: float,
             if not math.isnan(last_end[i]):
                 periods.append(t - last_end[i])
             last_end[i] = t
-            rearm_all(i, t)
+            rearm(i, t)
 
     if periods:
         arr = np.array(periods)

@@ -478,12 +478,25 @@ def _config_seed(cfg: dict, default: int) -> int:
 
 def _config_number(cfg: dict, key: str, default, kind=float):
     """cfg[key], or default when the key is absent, as kind: a JSON integer
-    for int, any JSON number for float.  Another type is a config error."""
+    for int, any JSON number for float.  Another type is a config error,
+    except null for a key whose default is None."""
     value = cfg.get(key, default)
+    if value is None and default is None:
+        return None
     if isinstance(value, bool) or not isinstance(value, (int,) if kind is int else (int, float)):
         what = "an integer" if kind is int else "a number"
         raise HarnessError(f"{key} must be {what}, got {value!r}")
     return kind(value)
+
+
+def _config_band(cfg: dict, key: str):
+    """cfg[key] as a (lo, hi) pair of numbers, or (None, None) when absent."""
+    band = cfg.get(key)
+    if band is None:
+        return None, None
+    if not isinstance(band, list) or len(band) != 2:
+        raise HarnessError(f"{key} must be a [lo, hi] pair, got {band!r}")
+    return tuple(_config_number({key: v}, key, None) for v in band)
 
 
 JIG_KEYS = ("kind", "n_units", "noise_sigma", "n_average", "lever", "seed",
@@ -524,7 +537,7 @@ def cmd_calibrate(args) -> int:
     report = MetricsReport(source=f"calibrate[{kind}]")
     foot_model = plant.ElasticFootModel()
     fin_model = plant.FlowFinModel()
-    rmse_max = cfg.get("rmse_max")
+    rmse_max = _config_number(cfg, "rmse_max", None)
     torques, forces = [], []
     for i in range(n_units):
         rng = np.random.default_rng(seed + i)
@@ -557,12 +570,10 @@ def cmd_calibrate(args) -> int:
             report.add(f"unit{i:02d}_force_rmse", ev.rmse["force"],
                        None, rmse_max, "N")
     if kind == "foot" and torques:
-        tb = cfg.get("torque_band")
-        fb = cfg.get("force_band")
         report.add("mean_torque_rmse", float(np.mean(torques)),
-                   *(tb if tb else (None, None)), "N*mm")
+                   *_config_band(cfg, "torque_band"), "N*mm")
         report.add("mean_fx_rmse", float(np.mean(forces)),
-                   *(fb if fb else (None, None)), "N")
+                   *_config_band(cfg, "force_band"), "N")
     report.to_json(os.path.join(args.out, "calibration_report.json"))
     print(report.format_table())
     return 0 if report.all_pass else 1
@@ -618,7 +629,7 @@ def cmd_bus_bench(args) -> int:
         else:
             per_round = float("nan")
         report.add("timeouts_per_round", per_round, 0.999, 1.001, "")
-        alive = float(t_ref.max() > duration - 2.0 * (nominal + excess))
+        alive = float(t_ref.size > 0 and t_ref.max() > duration - 2.0 * (nominal + excess))
         report.add("ring_alive_after_kill", alive, 0.5, 1.5, "")
 
     budget = busring.motor_bus_budget(

@@ -329,9 +329,11 @@ class Scenario:
             raise PlantError("duration and dt must be positive")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise PlantError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not isinstance(self.log_flux, (list, tuple)) or not all(
+                isinstance(name, str) and name in SENSOR_NAMES for name in self.log_flux):
+            raise PlantError(f"log_flux must list modules of {SENSOR_NAMES}, "
+                             f"got {self.log_flux!r}")
         self.log_flux = tuple(self.log_flux)
-        if not set(self.log_flux) <= set(SENSOR_NAMES):
-            raise PlantError(f"log_flux names modules outside {SENSOR_NAMES}")
 
     @property
     def weight_n(self) -> float:

@@ -1,5 +1,6 @@
 """Frame codec, CRC-8, ring timing, self-healing, and the motor budget."""
 
+import heapq
 import math
 
 import numpy as np
@@ -277,6 +278,167 @@ class TestRingSimulation:
         nostats = bus.simulate_ring(2, bus.LineConfig(), duration=0.01)
         with pytest.raises(bus.BusError):
             bus.write_frame_csv(nostats, tmp_path / "x.csv")
+
+
+def reference_ring(n_modules, config, duration, faults, rng):
+    """The per-module scheduler that simulate_ring replaced: every frame end
+    pushes one fire entry for each live module, stamped with that module's
+    generation, and all but the next transmitter's go stale."""
+    alive = np.ones(n_modules, dtype=bool)
+    gen = np.zeros(n_modules, dtype=np.int64)
+    kills = sorted(faults.kills)
+    delays = sorted([list(d) + [False] for d in faults.delays])
+    stats = bus.RingStats(n_modules, duration, np.zeros(n_modules, dtype=np.int64),
+                          np.zeros(n_modules, dtype=np.int64), frame_log=[])
+    last_end = np.full(n_modules, np.nan)
+    periods = []
+    events = []
+    seq = 0
+    line_busy_until = 0.0
+    inflight = None
+
+    def push(t, kind, payload):
+        nonlocal seq
+        heapq.heappush(events, (t, seq, kind, payload))
+        seq += 1
+
+    def rearm_all(j, t_end):
+        for i in range(n_modules):
+            if alive[i]:
+                k = (i - j - 1) % n_modules
+                gen[i] += 1
+                push(t_end + config.inter_frame_gap + k * config.timeout,
+                     "fire", (i, gen[i], k > 0))
+
+    def start_tx(i, now):
+        nonlocal line_busy_until, inflight
+        for d in delays:
+            if d[1] == i and d[0] <= now and not d[3]:
+                d[3] = True
+                push(now + d[2], "fire", (i, gen[i], False))
+                return
+        frame = bytearray(bus.encode_frame(bus.FluxSample(i, np.zeros(3))))
+        record = [i, None, False]
+        if now < line_busy_until:
+            stats.collisions += 1
+            if inflight is not None and not inflight[2]:
+                inflight[2] = True
+                stats.corrupt_injected += 1
+            record[2] = True
+            stats.corrupt_injected += 1
+        if faults.flip_rate > 0.0 and rng.random() < faults.flip_rate:
+            bit = int(rng.integers(0, 8 * (bus.FRAME_LEN - 1)))
+            frame[1 + bit // 8] ^= 1 << (bit % 8)
+            if not record[2]:
+                record[2] = True
+                stats.corrupt_injected += 1
+        record[1] = bytes(frame)
+        inflight = record
+        line_busy_until = max(line_busy_until, now + config.frame_time)
+        push(now + config.frame_time, "end", record)
+
+    push(config.ctrl_time, "host_start_end", None)
+    while events:
+        t, _, kind, payload = heapq.heappop(events)
+        if t > duration:
+            break
+        while kills and kills[0][0] <= t:
+            alive[kills.pop(0)[1]] = False
+        if kind == "host_start_end":
+            rearm_all(n_modules - 1, t)
+        elif kind == "fire":
+            i, g, is_recovery = payload
+            if g != gen[i] or not alive[i]:
+                continue
+            stats.timeout_recoveries += is_recovery
+            start_tx(i, t)
+        else:
+            i, frame, collided = payload
+            stats.frames_sent[i] += 1
+            ok = False
+            if collided:
+                stats.corrupt_detected += 1
+            else:
+                try:
+                    bus.decode_frame(frame)
+                    ok = True
+                except bus.BusError:
+                    stats.corrupt_detected += 1
+            stats.frames_ok[i] += ok
+            stats.frame_log.append((t, i, bytes(frame), ok))
+            if not math.isnan(last_end[i]):
+                periods.append(t - last_end[i])
+            last_end[i] = t
+            rearm_all(i, t)
+    if periods:
+        arr = np.array(periods)
+        stats.round_periods = {"min": float(arr.min()), "mean": float(arr.mean()),
+                               "max": float(arr.max()), "count": int(arr.size)}
+    return stats
+
+
+@st.composite
+def ring_plans(draw):
+    """(n_modules, LineConfig, duration, FaultPlan, seed): timeouts from just
+    past one frame, gaps up to 20 us, up to 2 kills and 3 delays of up to
+    2 ms, and no, rare or heavy bit flips."""
+    n = draw(st.integers(1, 10))
+    config = bus.LineConfig(inter_frame_gap=draw(st.floats(0.0, 20e-6)),
+                            timeout=draw(st.floats(111e-6, 1e-3)))
+    duration = 0.03
+    when = st.floats(0.0, duration)
+    module = st.integers(0, n - 1)
+    plan = bus.FaultPlan(
+        kills=tuple(draw(st.lists(st.tuples(when, module), max_size=2))),
+        delays=tuple(draw(st.lists(st.tuples(when, module, st.floats(0.0, 2e-3)),
+                                   max_size=3))),
+        flip_rate=draw(st.sampled_from([0.0, 1e-3, 0.3])),
+    )
+    return n, config, duration, plan, draw(st.integers(0, 2**32 - 1))
+
+
+class TestReferenceScheduler:
+    """simulate_ring's single walking `arm` entry against one fire entry per
+    live module: frame log, counters and round periods are identical."""
+
+    @staticmethod
+    def both(n, config, duration, plan, seed):
+        ring = bus.simulate_ring(n, config, duration, faults=plan,
+                                 rng=np.random.default_rng(seed), record_frames=True)
+        ref = reference_ring(n, config, duration, plan, np.random.default_rng(seed))
+        assert ring.frame_log == ref.frame_log
+        for name in ("corrupt_injected", "corrupt_detected", "timeout_recoveries",
+                     "collisions"):
+            assert getattr(ring, name) == getattr(ref, name), name
+        assert np.array_equal(ring.frames_sent, ref.frames_sent)
+        assert np.array_equal(ring.frames_ok, ref.frames_ok)
+        assert ring.round_periods == ref.round_periods
+        return ring
+
+    @settings(max_examples=100, deadline=None)
+    @given(ring_plans())
+    def test_matches_per_module_entries(self, case):
+        self.both(*case)
+
+    def test_collision_case(self):
+        # module 2 starts 200 us late and is still on the line when module
+        # 3's first timeout (260 us) fires
+        plan = bus.FaultPlan(delays=((0.005, 2, 200e-6),))
+        ring = self.both(10, bus.LineConfig(), 0.02, plan, 0)
+        assert ring.collisions > 0
+
+    def test_tie_case(self):
+        # module 2 starts exactly one timeout late, at the very time module
+        # 3's first timeout fires: the earlier-queued timeout pops first
+        cfg = bus.LineConfig()
+        plan = bus.FaultPlan(delays=((0.005, 2, cfg.timeout),))
+        ring = self.both(10, cfg, 0.02, plan, 0)
+        assert ring.collisions > 0
+
+    def test_recovery_case(self):
+        plan = bus.FaultPlan(kills=((0.005, 3), (0.01, 4)), flip_rate=0.3)
+        ring = self.both(10, bus.LineConfig(), 0.02, plan, 3)
+        assert ring.timeout_recoveries > 0
 
 
 class TestMotorBudget:

@@ -164,6 +164,12 @@ class TestCliRun:
         "run_string_duration": ("run", '{"duration_s": "5"}', None, 2),
         "jig_string_n_units": ("calibrate", '{"n_units": "abc"}', None, 2),
         "line_string_n_modules": ("bus-bench", '{"n_modules": "x"}', None, 2),
+        "jig_number_torque_band": ("calibrate", '{"torque_band": 5, "n_units": 1}', None, 2),
+        "jig_string_rmse_max": ("calibrate", '{"rmse_max": "x", "n_units": 1}', None, 2),
+        "run_number_log_flux": ("run", '{"log_flux": 5, "duration_s": 0.01}', None, 2),
+        "line_zero_duration": ("bus-bench", '{"duration_s": 0}', None, 2),
+        "line_negative_duration": ("bus-bench", '{"duration_s": -1}', None, 2),
+        "line_too_short_for_kill_ring": ("bus-bench", '{"duration_s": 0.001}', None, 1),
         "jig_negative_config_seed": ("calibrate", '{"seed": -1}', None, 2),
         "line_negative_config_seed": ("bus-bench", '{"seed": -1}', None, 2),
         "config_is_a_directory": ("run", DIRECTORY, None, 2),
