@@ -58,9 +58,18 @@ def run_suite(repeat):
         args = (phi, r, omega, graph.arrays, params.a, R, 1e-3, 10_000)
         results[name] = best_of(lambda: _kernels.cpg_rollout(*args), repeat)
 
-    # the clean 10-module token ring over 4 s of bus time (30.8k frames)
+    # the three rings of the bus bench, 10 modules over 4 s of bus time
+    # (about 30k frames each): clean, with bit flips, and one module killed
+    # at 2 s with the frame log kept
     line = busring.LineConfig()
     results["simulate_ring_10x4s"] = best_of(lambda: busring.simulate_ring(10, line, 4.0), repeat)
+    flips = busring.FaultPlan(flip_rate=1e-3)
+    results["simulate_ring_flip_10x4s"] = best_of(
+        lambda: busring.simulate_ring(10, line, 4.0, faults=flips,
+                                      rng=np.random.default_rng(1)), repeat)
+    kill = busring.FaultPlan(kills=((2.0, 5),))
+    results["simulate_ring_kill_log_10x4s"] = best_of(
+        lambda: busring.simulate_ring(10, line, 4.0, faults=kill, record_frames=True), repeat)
     return results
 
 
@@ -69,9 +78,9 @@ def main():
     ap.add_argument("--repeat", type=int, default=5)
     args = ap.parse_args()
 
-    print(f"{'kernel':<26}{'best':>12}")
+    print(f"{'kernel':<30}{'best':>12}")
     for name, seconds in run_suite(args.repeat).items():
-        print(f"{name:<26}{seconds:>11.4f}s")
+        print(f"{name:<30}{seconds:>11.4f}s")
     return 0
 
 

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import heapq
 import json
-import math
+import numbers
 import struct
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,6 +73,7 @@ def _crc8_table():
 
 
 _CRC8_TABLE = _crc8_table()
+_CRC8_GATHER = np.frombuffer(_CRC8_TABLE, dtype=np.uint8)
 
 
 def crc8(data) -> int:
@@ -104,15 +106,42 @@ def quantize(values, lsb: float) -> np.ndarray:
     return counts.astype(np.int16)
 
 
+def encode_frames(module_ids, flux_mt, temp_c, flux_lsb: float = FLUX_LSB_MT,
+                  temp_lsb: float = TEMP_LSB_C) -> np.ndarray:
+    """Serialize n samples, given as module ids (n,), flux (n, 3) in mT and
+    temperatures (n,) in degC, to an (n, 11) uint8 array of wire frames."""
+    ids = np.asarray(module_ids)
+    if ((ids < 0) | (ids > 0xFF)).any():
+        raise EncodingRangeError("module id must fit one byte")
+    words = quantize(np.column_stack([np.reshape(flux_mt, (-1, 3)), temp_c]),
+                     np.array([flux_lsb, flux_lsb, flux_lsb, temp_lsb]))
+    frames = np.empty((len(words), FRAME_LEN), dtype=np.uint8)
+    frames[:, 0] = SYNC_DATA
+    frames[:, 1] = ids
+    frames[:, 2:10] = words.astype("<i2").view(np.uint8)
+    frames[:, 10] = _crc8_columns(frames[:, 1:10])
+    return frames
+
+
+def _crc8_columns(rows) -> np.ndarray:
+    """crc8 of each row of a 2-D uint8 array: one table gather per column."""
+    crc = np.zeros(len(rows), dtype=np.uint8)
+    for col in rows.T:
+        crc = _CRC8_GATHER[crc ^ col]
+    return crc
+
+
+def check_frames(frames) -> np.ndarray:
+    """The host's check of an (n, 11) frame array: True where a row has the
+    data sync byte and its CRC-8 matches, as decode_frame would accept it."""
+    return (frames[:, 0] == SYNC_DATA) & (_crc8_columns(frames[:, 1:10]) == frames[:, 10])
+
+
 def encode_frame(sample: FluxSample, flux_lsb: float = FLUX_LSB_MT,
                  temp_lsb: float = TEMP_LSB_C) -> bytes:
     """Serialize a sample to the 11-byte wire frame."""
-    if not 0 <= sample.module_id <= 0xFF:
-        raise EncodingRangeError("module id must fit one byte")
-    words = quantize(np.array([*sample.flux_mt, sample.temp_c]),
-                     np.array([flux_lsb, flux_lsb, flux_lsb, temp_lsb]))
-    body = bytes([sample.module_id]) + words.astype("<i2").tobytes()
-    return bytes([SYNC_DATA]) + body + bytes([crc8(body)])
+    return encode_frames([sample.module_id], sample.flux_mt, [sample.temp_c],
+                         flux_lsb, temp_lsb).tobytes()
 
 
 def decode_frame(buf, flux_lsb: float = FLUX_LSB_MT,
@@ -161,6 +190,11 @@ class LineConfig:
     def __post_init__(self):
         if self.baud <= 0:
             raise BusError("baud must be positive")
+        if (isinstance(self.bits_per_byte, bool)
+                or not isinstance(self.bits_per_byte, numbers.Integral)
+                or self.bits_per_byte <= 0):
+            raise BusError(f"bits_per_byte must be a positive integer, got "
+                           f"{self.bits_per_byte!r}")
         if self.inter_frame_gap < 0:
             raise BusError("gap must be non-negative")
         if self.timeout is None:
@@ -256,12 +290,95 @@ class RingStats:
         return doc
 
 
-def _zero_source(module_id: int, t: float) -> FluxSample:
-    return FluxSample(module_id=module_id, flux_mt=np.zeros(3))
+# event kinds of the ring's queue
+_ARM, _FIRE, _END = 0, 1, 2
+
+
+def _schedule_ring(n_modules, config, duration, faults, rng):
+    """The ring's timing alone: which module starts a frame when.
+
+    Returns (start, module, collided, flip, n_ended, timeout_recoveries,
+    collisions): per started frame, in start order, its start time
+    (array 'd'), module id ('i'), whether a collision corrupted it ('b')
+    and the bit flipped in its id/payload/crc region, or -1 ('b').  Every
+    frame ends frame_time after it starts, so the frames that ended within
+    `duration` are the first n_ended.
+    """
+    gap, timeout, frame_time = config.inter_frame_gap, config.timeout, config.frame_time
+    flip_rate = faults.flip_rate
+    draw, integers = rng.random, rng.integers
+    alive = [True] * n_modules
+    kills = sorted(faults.kills)
+    delays = sorted([list(d) + [False] for d in faults.delays])
+    start, module = array("d"), array("i")
+    collided, flip = array("b"), array("b")
+    n_ended = recoveries = collisions = 0
+    busy_until = 0.0
+    push, pop = heapq.heappush, heapq.heappop
+
+    # entries: (time, seq, kind, module, step, t_end, gen).  A rearm by the
+    # frame that ended at t_end reserves n sequence numbers from `gen` and
+    # module i's step sorts at gen + i, so ties pop in module order.  The
+    # ring generation is the latest rearm's `gen`; an `arm` or delayed
+    # `fire` entry of an older generation is stale.  The host start
+    # broadcast acts as a frame from module n-1.
+    events = [(config.ctrl_time + gap, 0, _ARM, 0, 0, config.ctrl_time, 0)]
+    seq = n_modules
+    gen = 0
+    while events:
+        t, _, kind, i, k, t_end, g = pop(events)
+        if t > duration:
+            break
+        while kills and kills[0][0] <= t:
+            alive[kills.pop(0)[1]] = False
+        if kind == _END:
+            n_ended += 1
+            gen = seq
+            i = (i + 1) % n_modules
+            push(events, (t + gap, gen + i, _ARM, i, 0, t, gen))
+            seq += n_modules
+            continue
+        if kind == _ARM:
+            if g != gen:
+                continue
+            if k + 1 < n_modules:
+                nxt = (i + 1) % n_modules
+                push(events, (t_end + gap + (k + 1) * timeout, g + nxt,
+                              _ARM, nxt, k + 1, t_end, g))
+            if not alive[i]:
+                continue
+            recoveries += k > 0
+        elif g != gen or not alive[i]:
+            continue
+        for d in delays:
+            if d[1] == i and d[0] <= t and not d[3]:
+                d[3] = True
+                push(events, (t + d[2], seq, _FIRE, i, 0, 0.0, gen))
+                seq += 1
+                break
+        else:
+            hit = t < busy_until
+            if hit:
+                # half-duplex collision: both frames are lost deterministically
+                collisions += 1
+                collided[-1] = True
+            bit = -1
+            if flip_rate > 0.0 and draw() < flip_rate:
+                bit = int(integers(0, 8 * (FRAME_LEN - 1)))
+            start.append(t)
+            module.append(i)
+            collided.append(hit)
+            flip.append(bit)
+            t_end = t + frame_time
+            if t_end > busy_until:
+                busy_until = t_end
+            push(events, (t_end, seq, _END, i, 0, 0.0, 0))
+            seq += 1
+    return start, module, collided, flip, n_ended, recoveries, collisions
 
 
 def simulate_ring(n_modules: int, config: LineConfig, duration: float,
-                  faults: FaultPlan = None, sample_source=_zero_source,
+                  faults: FaultPlan = None, sample_source=None,
                   rng=None, record_frames: bool = False) -> RingStats:
     """Run the ring for `duration` seconds of bus time.
 
@@ -273,6 +390,11 @@ def simulate_ring(n_modules: int, config: LineConfig, duration: float,
     one timeout each (self-healing).  The host start broadcast acts as a
     virtual frame from module n-1, so module 0 opens every run.
 
+    The event loop keeps timing only.  The frames are encoded, flipped and
+    checked afterwards in one array pass: `sample_source(module_id, t)` is
+    called once per started frame, in start order, for its FluxSample;
+    None sends zero flux at 25 degC.
+
     Returns accumulated RingStats; protocol anomalies are counted, not
     raised.
     """
@@ -281,136 +403,76 @@ def simulate_ring(n_modules: int, config: LineConfig, duration: float,
     if not duration > 0:
         raise BusError("duration must be positive")
     faults = faults or FaultPlan()
-    rng = rng or np.random.default_rng(0)
-    gap, timeout, frame_time = config.inter_frame_gap, config.timeout, config.frame_time
-
-    alive = np.ones(n_modules, dtype=bool)
-    kills = sorted(faults.kills)
-    delays = sorted([list(d) + [False] for d in faults.delays])
-    for _, mid in kills:
+    for _, mid in faults.kills:
         if not 0 <= mid < n_modules:
             raise BusError("fault targets unknown module")
+    stats, log_columns = _receive(
+        n_modules, duration, config.frame_time, sample_source, record_frames,
+        *_schedule_ring(n_modules, config, duration, faults, rng or np.random.default_rng(0)))
+    if record_frames:
+        # made once the per-frame arrays are freed: the log is the peak memory
+        times, ids, blob, oks = log_columns
+        rows = [blob[k:k + FRAME_LEN] for k in range(0, len(blob), FRAME_LEN)]
+        stats.frame_log = list(zip(times, ids, rows, oks))
+    return stats
 
+
+def _receive(n_modules, duration, frame_time, sample_source, record_frames,
+             start, module, collided, flip, n_ended, recoveries, collisions):
+    """The host's side of a scheduled run, in one array pass: encode every
+    started frame, apply the flips, check the ended frames and count them.
+
+    Returns the RingStats without its frame log, and the log's columns
+    (times, module ids, frame bytes, ok flags) as Python objects when
+    record_frames is set, else None.
+    """
+    if sample_source is None:
+        top = max(module, default=-1) + 1
+        frames = encode_frames(np.arange(top), np.zeros((top, 3)), np.full(top, 25.0))
+        frames = frames[np.asarray(module)]
+    else:
+        samples = [sample_source(i, t) for i, t in zip(module, start)]
+        frames = encode_frames([s.module_id for s in samples],
+                               np.array([s.flux_mt for s in samples]),
+                               [s.temp_c for s in samples])
+        del samples
+    flip = np.asarray(flip)
+    rows = np.flatnonzero(flip >= 0)
+    bits = flip[rows].astype(np.intp)
+    frames[rows, 1 + bits // 8] ^= np.left_shift(1, bits % 8).astype(np.uint8)
+    corrupted = np.asarray(collided).astype(bool) | (flip >= 0)
+
+    frames = frames[:n_ended]
+    ended = np.asarray(module)[:n_ended]
+    ok = check_frames(frames) & ~corrupted[:n_ended]
+    t_end = np.asarray(start)[:n_ended] + frame_time
     stats = RingStats(
         n_modules=n_modules,
         duration=duration,
-        frames_sent=np.zeros(n_modules, dtype=np.int64),
-        frames_ok=np.zeros(n_modules, dtype=np.int64),
-        frame_log=[] if record_frames else None,
+        frames_sent=np.bincount(ended, minlength=n_modules),
+        frames_ok=np.bincount(ended[ok], minlength=n_modules),
+        corrupt_injected=int(corrupted.sum()),
+        corrupt_detected=n_ended - int(ok.sum()),
+        timeout_recoveries=recoveries,
+        collisions=collisions,
     )
-    last_end = np.full(n_modules, np.nan)
-    periods = []
 
-    # event queue entries: (time, seq, kind, payload).  The ring generation
-    # is the first sequence number of the latest rearm; an `arm` or delayed
-    # `fire` entry of an older generation is stale.
-    events = []
-    seq = 0
-    gen = -1
-
-    line_busy_until = 0.0
-    inflight = None   # mutable [module_id, frame bytes, corrupted]
-
-    def apply_kills(now):
-        while kills and kills[0][0] <= now:
-            _, mid = kills.pop(0)
-            alive[mid] = False
-
-    def rearm(j, t_end):
-        # j: id of the frame (or virtual frame) that just completed.  The
-        # rearm reserves n sequence numbers and module i's step sorts at
-        # gen + i, so ties pop in module order, as n entries would.
-        nonlocal seq, gen
-        gen = seq
-        i = (j + 1) % n_modules
-        heapq.heappush(events, (t_end + gap, gen + i, "arm", (i, 0, t_end, gen)))
-        seq += n_modules
-
-    def start_tx(i, now):
-        nonlocal line_busy_until, inflight, seq
-        for d in delays:
-            if d[1] == i and d[0] <= now and not d[3]:
-                d[3] = True
-                heapq.heappush(events, (now + d[2], seq, "fire", (i, gen)))
-                seq += 1
-                return
-        sample = sample_source(i, now)
-        frame = bytearray(encode_frame(sample))
-        record = [i, None, False]
-        if now < line_busy_until:
-            # half-duplex collision: both frames are lost deterministically
-            stats.collisions += 1
-            if inflight is not None and not inflight[2]:
-                inflight[2] = True
-                stats.corrupt_injected += 1
-            record[2] = True
-            stats.corrupt_injected += 1
-        if faults.flip_rate > 0.0 and rng.random() < faults.flip_rate:
-            bit = int(rng.integers(0, 8 * (FRAME_LEN - 1)))
-            frame[1 + bit // 8] ^= 1 << (bit % 8)
-            if not record[2]:
-                record[2] = True
-                stats.corrupt_injected += 1
-        record[1] = bytes(frame)
-        inflight = record
-        line_busy_until = max(line_busy_until, now + frame_time)
-        heapq.heappush(events, (now + frame_time, seq, "end", record))
-        seq += 1
-
-    # host opens the round; modules treat it as a frame from id n-1
-    rearm(n_modules - 1, config.ctrl_time)
-
-    while events:
-        t, _, kind, payload = heapq.heappop(events)
-        if t > duration:
-            break
-        apply_kills(t)
-        if kind == "arm":
-            i, k, t_end, g = payload
-            if g != gen:
-                continue
-            if k + 1 < n_modules:
-                nxt = (i + 1) % n_modules
-                heapq.heappush(events, (t_end + gap + (k + 1) * timeout, g + nxt,
-                                        "arm", (nxt, k + 1, t_end, g)))
-            if alive[i]:
-                if k > 0:
-                    stats.timeout_recoveries += 1
-                start_tx(i, t)
-        elif kind == "fire":
-            i, g = payload
-            if g == gen and alive[i]:
-                start_tx(i, t)
-        else:
-            i, frame, collided = payload
-            stats.frames_sent[i] += 1
-            ok = False
-            if collided:
-                stats.corrupt_detected += 1
-            else:
-                try:
-                    decode_frame(frame)
-                    ok = True
-                except BusError:
-                    stats.corrupt_detected += 1
-            if ok:
-                stats.frames_ok[i] += 1
-            if stats.frame_log is not None:
-                stats.frame_log.append((t, i, bytes(frame), ok))
-            if not math.isnan(last_end[i]):
-                periods.append(t - last_end[i])
-            last_end[i] = t
-            rearm(i, t)
-
-    if periods:
-        arr = np.array(periods)
+    # each frame's period since its module's previous frame, in end order
+    periods = np.full(n_ended, np.nan)
+    for m in np.flatnonzero(stats.frames_sent > 1):
+        idx = np.flatnonzero(ended == m)
+        periods[idx[1:]] = np.diff(t_end[idx])
+    periods = periods[~np.isnan(periods)]
+    if periods.size:
         stats.round_periods = {
-            "min": float(arr.min()),
-            "mean": float(arr.mean()),
-            "max": float(arr.max()),
-            "count": int(arr.size),
+            "min": float(periods.min()),
+            "mean": float(periods.mean()),
+            "max": float(periods.max()),
+            "count": int(periods.size),
         }
-    return stats
+    if not record_frames:
+        return stats, None
+    return stats, (t_end.tolist(), ended.tolist(), frames.tobytes(), ok.tolist())
 
 
 def write_frame_csv(stats: RingStats, path):

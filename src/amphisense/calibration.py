@@ -359,6 +359,8 @@ class JigConfig:
     load_types: tuple = None
 
     def __post_init__(self):
+        if not self.noise_sigma >= 0:
+            raise CalibrationError(f"noise_sigma must be non-negative, got {self.noise_sigma!r}")
         if self.load_types is None:
             self.load_types = (
                 ("fx", "pitch", "yaw", "combo") if self.kind == "foot" else ("flow",)

@@ -2,6 +2,7 @@
 
 import heapq
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -111,6 +112,42 @@ class TestCodec:
             with pytest.raises(bus.BusError):
                 bus.decode_frame(bad)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(samples, max_size=20))
+    def test_array_encoder_rows_are_encode_frame(self, batch):
+        # each row of the array encoder is the one-frame codec's frame, and
+        # the wire layout packed field by field with half-to-even rounding
+        frames = bus.encode_frames([s.module_id for s in batch],
+                                   np.array([s.flux_mt for s in batch]),
+                                   [s.temp_c for s in batch])
+        assert frames.shape == (len(batch), bus.FRAME_LEN) and frames.dtype == np.uint8
+        for row, s in zip(frames, batch):
+            words = [round(x / bus.FLUX_LSB_MT) for x in s.flux_mt]
+            body = bytes([s.module_id]) + struct.pack(
+                "<4h", *words, round(s.temp_c / bus.TEMP_LSB_C))
+            want = bytes([bus.SYNC_DATA]) + body + bytes([bus.crc8(body)])
+            assert row.tobytes() == bus.encode_frame(s) == want
+        assert bus.check_frames(frames).all()
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(samples, min_size=1, max_size=5))
+    def test_every_single_bit_flip_fails_array_check(self, batch):
+        frames = bus.encode_frames([s.module_id for s in batch],
+                                   np.array([s.flux_mt for s in batch]),
+                                   [s.temp_c for s in batch])
+        # one copy of the rows per bit of the frame, that bit flipped
+        bits = np.arange(8 * bus.FRAME_LEN)
+        bad = np.repeat(frames[None], len(bits), axis=0)
+        bad[bits, :, bits // 8] ^= (1 << (bits % 8)).astype(np.uint8)[:, None]
+        assert not bus.check_frames(bad.reshape(-1, bus.FRAME_LEN)).any()
+
+    def test_array_encoder_rejects_out_of_range(self):
+        with pytest.raises(bus.EncodingRangeError):
+            bus.encode_frames([0, 256], np.zeros((2, 3)), [25.0, 25.0])
+        with pytest.raises(bus.EncodingRangeError):
+            bus.encode_frames([0, 1], [[0.0, 0.0, 0.0], [0.0, 40.0, 0.0]], [25.0, 25.0])
+        assert bus.encode_frames([], np.zeros((0, 3)), []).shape == (0, bus.FRAME_LEN)
+
     @settings(max_examples=10, deadline=None)
     @given(samples)
     def test_every_in_byte_burst_detected(self, s):
@@ -148,6 +185,9 @@ class TestLineConfig:
             bus.LineConfig(timeout=50e-6)
         with pytest.raises(bus.BusError):
             bus.LineConfig(inter_frame_gap=-1e-6)
+        for bits in (0, -1, 2.5, "10", True):
+            with pytest.raises(bus.BusError):
+                bus.LineConfig(bits_per_byte=bits)
 
     def test_closed_form_rate(self):
         cfg = bus.LineConfig()
@@ -280,10 +320,12 @@ class TestRingSimulation:
             bus.write_frame_csv(nostats, tmp_path / "x.csv")
 
 
-def reference_ring(n_modules, config, duration, faults, rng):
+def reference_ring(n_modules, config, duration, faults, rng, source=None):
     """The per-module scheduler that simulate_ring replaced: every frame end
     pushes one fire entry for each live module, stamped with that module's
-    generation, and all but the next transmitter's go stale."""
+    generation, and all but the next transmitter's go stale.  Each started
+    frame carries source(module_id, t), by default zero flux at 25 degC,
+    encoded and checked one frame at a time."""
     alive = np.ones(n_modules, dtype=bool)
     gen = np.zeros(n_modules, dtype=np.int64)
     kills = sorted(faults.kills)
@@ -317,7 +359,8 @@ def reference_ring(n_modules, config, duration, faults, rng):
                 d[3] = True
                 push(now + d[2], "fire", (i, gen[i], False))
                 return
-        frame = bytearray(bus.encode_frame(bus.FluxSample(i, np.zeros(3))))
+        sample = bus.FluxSample(i, np.zeros(3)) if source is None else source(i, now)
+        frame = bytearray(bus.encode_frame(sample))
         record = [i, None, False]
         if now < line_busy_until:
             stats.collisions += 1
@@ -402,10 +445,11 @@ class TestReferenceScheduler:
     live module: frame log, counters and round periods are identical."""
 
     @staticmethod
-    def both(n, config, duration, plan, seed):
-        ring = bus.simulate_ring(n, config, duration, faults=plan,
+    def both(n, config, duration, plan, seed, source=None):
+        ring = bus.simulate_ring(n, config, duration, faults=plan, sample_source=source,
                                  rng=np.random.default_rng(seed), record_frames=True)
-        ref = reference_ring(n, config, duration, plan, np.random.default_rng(seed))
+        ref = reference_ring(n, config, duration, plan, np.random.default_rng(seed),
+                             source)
         assert ring.frame_log == ref.frame_log
         for name in ("corrupt_injected", "corrupt_detected", "timeout_recoveries",
                      "collisions"):
@@ -439,6 +483,39 @@ class TestReferenceScheduler:
         plan = bus.FaultPlan(kills=((0.005, 3), (0.01, 4)), flip_rate=0.3)
         ring = self.both(10, bus.LineConfig(), 0.02, plan, 3)
         assert ring.timeout_recoveries > 0
+
+
+    def test_sample_source_case(self):
+        # a payload that varies by module and time, through flips and a
+        # kill; the source sees the same (module, t) calls in the same order
+        calls = {"ring": [], "ref": []}
+
+        def source(into):
+            def sample(i, t):
+                calls[into].append((i, t))
+                return bus.FluxSample(i, [0.5 * i - 2.0, 1e3 * t, -0.25], temp_c=20.0 + 100.0 * t)
+            return sample
+
+        plan = bus.FaultPlan(kills=((0.01, 2),), flip_rate=0.05)
+        ring = bus.simulate_ring(6, bus.LineConfig(), 0.02, faults=plan,
+                                 sample_source=source("ring"),
+                                 rng=np.random.default_rng(4), record_frames=True)
+        ref = reference_ring(6, bus.LineConfig(), 0.02, plan, np.random.default_rng(4),
+                             source("ref"))
+        assert ring.frame_log == ref.frame_log
+        assert (ring.corrupt_injected, ring.corrupt_detected) == (
+            ref.corrupt_injected, ref.corrupt_detected)
+        assert np.array_equal(ring.frames_ok, ref.frames_ok)
+        assert calls["ring"] == calls["ref"] and len(calls["ring"]) >= len(ring.frame_log)
+        assert ring.corrupt_injected > 0 and ring.timeout_recoveries > 0
+        assert len({frame[2:10] for _, _, frame, _ in ring.frame_log}) > 100
+
+    def test_out_of_range_sample_raises(self):
+        def source(i, t):
+            return bus.FluxSample(i, [40.0 if t > 0.005 else 0.0, 0.0, 0.0])
+
+        with pytest.raises(bus.EncodingRangeError):
+            bus.simulate_ring(4, bus.LineConfig(), 0.01, sample_source=source)
 
 
 class TestMotorBudget:

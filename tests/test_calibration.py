@@ -236,6 +236,11 @@ class TestJig:
         assert not set(train.cycles) & set(ev.cycles)
         assert len(ds) == 4 * 12 * cfg.samples_per_cycle
 
+    @pytest.mark.parametrize("sigma", [-1.0, -1e-9, float("nan")])
+    def test_noise_sigma_must_be_non_negative(self, sigma):
+        with pytest.raises(cal.CalibrationError):
+            cal.JigConfig(noise_sigma=sigma)
+
     def test_noiseless_refit_is_exact(self):
         rng = np.random.default_rng(5)
         ds = cal.simulate_jig(

@@ -170,6 +170,11 @@ class TestCliRun:
         "line_zero_duration": ("bus-bench", '{"duration_s": 0}', None, 2),
         "line_negative_duration": ("bus-bench", '{"duration_s": -1}', None, 2),
         "line_too_short_for_kill_ring": ("bus-bench", '{"duration_s": 0.001}', None, 1),
+        "line_zero_bits_per_byte": ("bus-bench", '{"bits_per_byte": 0, "duration_s": 0.05}',
+                                    None, 2),
+        "line_negative_bits_per_byte": ("bus-bench",
+                                        '{"bits_per_byte": -1, "duration_s": 0.05}', None, 2),
+        "jig_negative_noise_sigma": ("calibrate", '{"noise_sigma": -1, "n_units": 1}', None, 2),
         "jig_negative_config_seed": ("calibrate", '{"seed": -1}', None, 2),
         "line_negative_config_seed": ("bus-bench", '{"seed": -1}', None, 2),
         "config_is_a_directory": ("run", DIRECTORY, None, 2),
