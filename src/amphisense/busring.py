@@ -25,7 +25,6 @@ import heapq
 import json
 import numbers
 import struct
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,8 +110,8 @@ def encode_frames(module_ids, flux_mt, temp_c, flux_lsb: float = FLUX_LSB_MT,
     """Serialize n samples, given as module ids (n,), flux (n, 3) in mT and
     temperatures (n,) in degC, to an (n, 11) uint8 array of wire frames."""
     ids = np.asarray(module_ids)
-    if ((ids < 0) | (ids > 0xFF)).any():
-        raise EncodingRangeError("module id must fit one byte")
+    if ids.size and (ids.dtype.kind not in "iu" or ids.min() < 0 or ids.max() > 0xFF):
+        raise EncodingRangeError("module id must be an integer that fits one byte")
     words = quantize(np.column_stack([np.reshape(flux_mt, (-1, 3)), temp_c]),
                      np.array([flux_lsb, flux_lsb, flux_lsb, temp_lsb]))
     frames = np.empty((len(words), FRAME_LEN), dtype=np.uint8)
@@ -304,6 +303,10 @@ def _schedule_ring(n_modules, config, duration, faults, rng):
     frame ends frame_time after it starts, so the frames that ended within
     `duration` are the first n_ended.
     """
+    # imported here, so that runs which never simulate the ring do not map
+    # the extension module
+    from array import array
+
     gap, timeout, frame_time = config.inter_frame_gap, config.timeout, config.frame_time
     flip_rate = faults.flip_rate
     draw, integers = rng.random, rng.integers
@@ -406,26 +409,10 @@ def simulate_ring(n_modules: int, config: LineConfig, duration: float,
     for _, mid in faults.kills:
         if not 0 <= mid < n_modules:
             raise BusError("fault targets unknown module")
-    stats, log_columns = _receive(
-        n_modules, duration, config.frame_time, sample_source, record_frames,
-        *_schedule_ring(n_modules, config, duration, faults, rng or np.random.default_rng(0)))
-    if record_frames:
-        # made once the per-frame arrays are freed: the log is the peak memory
-        times, ids, blob, oks = log_columns
-        rows = [blob[k:k + FRAME_LEN] for k in range(0, len(blob), FRAME_LEN)]
-        stats.frame_log = list(zip(times, ids, rows, oks))
-    return stats
+    start, module, collided, flip, n_ended, recoveries, collisions = _schedule_ring(
+        n_modules, config, duration, faults, rng or np.random.default_rng(0))
 
-
-def _receive(n_modules, duration, frame_time, sample_source, record_frames,
-             start, module, collided, flip, n_ended, recoveries, collisions):
-    """The host's side of a scheduled run, in one array pass: encode every
-    started frame, apply the flips, check the ended frames and count them.
-
-    Returns the RingStats without its frame log, and the log's columns
-    (times, module ids, frame bytes, ok flags) as Python objects when
-    record_frames is set, else None.
-    """
+    # one array pass over the frames
     if sample_source is None:
         top = max(module, default=-1) + 1
         frames = encode_frames(np.arange(top), np.zeros((top, 3)), np.full(top, 25.0))
@@ -444,9 +431,10 @@ def _receive(n_modules, duration, frame_time, sample_source, record_frames,
 
     frames = frames[:n_ended]
     ended = np.asarray(module)[:n_ended]
+    # a collided frame is garbled on the line, though its bytes here are not
     ok = check_frames(frames) & ~corrupted[:n_ended]
-    t_end = np.asarray(start)[:n_ended] + frame_time
-    stats = RingStats(
+    t_end = np.asarray(start)[:n_ended] + config.frame_time
+    return RingStats(
         n_modules=n_modules,
         duration=duration,
         frames_sent=np.bincount(ended, minlength=n_modules),
@@ -455,24 +443,40 @@ def _receive(n_modules, duration, frame_time, sample_source, record_frames,
         corrupt_detected=n_ended - int(ok.sum()),
         timeout_recoveries=recoveries,
         collisions=collisions,
+        round_periods=_round_periods(ended, t_end),
+        frame_log=_frame_log(t_end, ended, frames, ok) if record_frames else None,
     )
 
-    # each frame's period since its module's previous frame, in end order
-    periods = np.full(n_ended, np.nan)
-    for m in np.flatnonzero(stats.frames_sent > 1):
-        idx = np.flatnonzero(ended == m)
+
+def _round_periods(module, t_end):
+    """min/mean/max/count of each frame's period since its module's
+    previous frame, taken in end order; {} when no module sent twice."""
+    periods = np.full(len(module), np.nan)
+    for m in np.flatnonzero(np.bincount(module) > 1):
+        idx = np.flatnonzero(module == m)
         periods[idx[1:]] = np.diff(t_end[idx])
     periods = periods[~np.isnan(periods)]
-    if periods.size:
-        stats.round_periods = {
-            "min": float(periods.min()),
-            "mean": float(periods.mean()),
-            "max": float(periods.max()),
-            "count": int(periods.size),
-        }
-    if not record_frames:
-        return stats, None
-    return stats, (t_end.tolist(), ended.tolist(), frames.tobytes(), ok.tolist())
+    if not periods.size:
+        return {}
+    return {
+        "min": float(periods.min()),
+        "mean": float(periods.mean()),
+        "max": float(periods.max()),
+        "count": int(periods.size),
+    }
+
+
+def _frame_log(t_end, module, frames, ok, chunk=4096):
+    """frame_log entries (t, module id, 11 frame bytes, ok) as Python
+    objects, made a chunk at a time: the log is the run's peak memory, and
+    whole-run Python lists next to it would raise that peak."""
+    log = []
+    for lo in range(0, len(frames), chunk):
+        blob = frames[lo:lo + chunk].tobytes()
+        log.extend(zip(t_end[lo:lo + chunk].tolist(), module[lo:lo + chunk].tolist(),
+                       [blob[k:k + FRAME_LEN] for k in range(0, len(blob), FRAME_LEN)],
+                       ok[lo:lo + chunk].tolist()))
+    return log
 
 
 def write_frame_csv(stats: RingStats, path):

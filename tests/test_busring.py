@@ -145,6 +145,8 @@ class TestCodec:
         with pytest.raises(bus.EncodingRangeError):
             bus.encode_frames([0, 256], np.zeros((2, 3)), [25.0, 25.0])
         with pytest.raises(bus.EncodingRangeError):
+            bus.encode_frame(bus.FluxSample(1.5, np.zeros(3)))
+        with pytest.raises(bus.EncodingRangeError):
             bus.encode_frames([0, 1], [[0.0, 0.0, 0.0], [0.0, 40.0, 0.0]], [25.0, 25.0])
         assert bus.encode_frames([], np.zeros((0, 3)), []).shape == (0, bus.FRAME_LEN)
 
