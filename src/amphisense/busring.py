@@ -296,12 +296,14 @@ _ARM, _FIRE, _END = 0, 1, 2
 def _schedule_ring(n_modules, config, duration, faults, rng):
     """The ring's timing alone: which module starts a frame when.
 
-    Returns (start, module, collided, flip, n_ended, timeout_recoveries,
-    collisions): per started frame, in start order, its start time
-    (array 'd'), module id ('i'), whether a collision corrupted it ('b')
-    and the bit flipped in its id/payload/crc region, or -1 ('b').  Every
-    frame ends frame_time after it starts, so the frames that ended within
-    `duration` are the first n_ended.
+    Returns (start, module, collided, flipped, n_ended, timeout_recoveries,
+    collisions).  Frames are numbered in start order; start and module
+    hold each one's start time (array 'd') and module id ('i').  The rare
+    faults are listed by frame number: collided holds the frames a
+    collision corrupted, flipped (frame, bit) pairs, the bit counted over
+    the id/payload/crc region.  Every frame ends frame_time after it
+    starts, so the frames that ended within `duration` are the first
+    n_ended.
     """
     # imported here, so that runs which never simulate the ring do not map
     # the extension module
@@ -314,7 +316,7 @@ def _schedule_ring(n_modules, config, duration, faults, rng):
     kills = sorted(faults.kills)
     delays = sorted([list(d) + [False] for d in faults.delays])
     start, module = array("d"), array("i")
-    collided, flip = array("b"), array("b")
+    collided, flipped = [], []
     n_ended = recoveries = collisions = 0
     busy_until = 0.0
     push, pop = heapq.heappush, heapq.heappop
@@ -364,20 +366,17 @@ def _schedule_ring(n_modules, config, duration, faults, rng):
             if hit:
                 # half-duplex collision: both frames are lost deterministically
                 collisions += 1
-                collided[-1] = True
-            bit = -1
+                collided += (len(start) - 1, len(start))
             if flip_rate > 0.0 and draw() < flip_rate:
-                bit = int(integers(0, 8 * (FRAME_LEN - 1)))
+                flipped.append((len(start), int(integers(0, 8 * (FRAME_LEN - 1)))))
             start.append(t)
             module.append(i)
-            collided.append(hit)
-            flip.append(bit)
             t_end = t + frame_time
             if t_end > busy_until:
                 busy_until = t_end
             push(events, (t_end, seq, _END, i, 0, 0.0, 0))
             seq += 1
-    return start, module, collided, flip, n_ended, recoveries, collisions
+    return start, module, collided, flipped, n_ended, recoveries, collisions
 
 
 def simulate_ring(n_modules: int, config: LineConfig, duration: float,
@@ -409,7 +408,7 @@ def simulate_ring(n_modules: int, config: LineConfig, duration: float,
     for _, mid in faults.kills:
         if not 0 <= mid < n_modules:
             raise BusError("fault targets unknown module")
-    start, module, collided, flip, n_ended, recoveries, collisions = _schedule_ring(
+    start, module, collided, flipped, n_ended, recoveries, collisions = _schedule_ring(
         n_modules, config, duration, faults, rng or np.random.default_rng(0))
 
     # one array pass over the frames
@@ -423,17 +422,19 @@ def simulate_ring(n_modules: int, config: LineConfig, duration: float,
                                np.array([s.flux_mt for s in samples]),
                                [s.temp_c for s in samples])
         del samples
-    flip = np.asarray(flip)
-    rows = np.flatnonzero(flip >= 0)
-    bits = flip[rows].astype(np.intp)
+    rows, bits = np.array(flipped, dtype=np.intp).reshape(-1, 2).T
     frames[rows, 1 + bits // 8] ^= np.left_shift(1, bits % 8).astype(np.uint8)
-    corrupted = np.asarray(collided).astype(bool) | (flip >= 0)
+    corrupted = np.zeros(len(frames), dtype=bool)
+    corrupted[collided] = True
+    corrupted[rows] = True
 
     frames = frames[:n_ended]
     ended = np.asarray(module)[:n_ended]
     # a collided frame is garbled on the line, though its bytes here are not
     ok = check_frames(frames) & ~corrupted[:n_ended]
-    t_end = np.asarray(start)[:n_ended] + config.frame_time
+    # the start times become end times in place: the schedule is spent
+    t_end = np.asarray(start)[:n_ended]
+    t_end += config.frame_time
     return RingStats(
         n_modules=n_modules,
         duration=duration,
@@ -451,11 +452,13 @@ def simulate_ring(n_modules: int, config: LineConfig, duration: float,
 def _round_periods(module, t_end):
     """min/mean/max/count of each frame's period since its module's
     previous frame, taken in end order; {} when no module sent twice."""
-    periods = np.full(len(module), np.nan)
+    periods = np.empty(len(module))
+    has_prev = np.zeros(len(module), dtype=bool)
     for m in np.flatnonzero(np.bincount(module) > 1):
         idx = np.flatnonzero(module == m)
         periods[idx[1:]] = np.diff(t_end[idx])
-    periods = periods[~np.isnan(periods)]
+        has_prev[idx[1:]] = True
+    periods = periods[has_prev]
     if not periods.size:
         return {}
     return {
