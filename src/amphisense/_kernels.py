@@ -108,22 +108,36 @@ def _flow_grid_seed(B, pz, n_t, guess):
     """Best fin rotation of the guess pose on a 151-point +-75 deg grid, per
     row (the guess if none has a finite residual).  The guess fixes the
     physical family (magnet on a circle of radius rho, magnetization
-    co-rotating), so Newton starts on the physical branch of the roots."""
+    co-rotating), so Newton starts on the physical branch of the roots.
+    The scan reuses its row buffers, so it allocates nothing per grid point."""
     rho, beta0 = math.hypot(guess[0], guess[1]), math.atan2(guess[1], guess[0])
     alpha0 = math.asin(min(max(guess[2], -1.0), 1.0))
     half = math.radians(75.0)
     ths = [-half + 2.0 * half * g / 150 for g in range(151)]
     grid = np.array([(rho * math.cos(beta0 + th), rho * math.sin(beta0 + th),
-                      min(max(math.sin(alpha0 + th), -1.0), 1.0)) for th in ths])
-    b0, b1, b2 = (np.ascontiguousarray(c) for c in B.T)
-    best = np.full(len(B), math.inf)
-    pick = np.full(len(B), -1)
-    for g, (f0, f1, f2) in enumerate(flow_flux_batch(grid, pz, n_t).tolist()):
-        resid = _norm(f0 - b0, f1 - b1, f2 - b2)
-        better = resid < best
+                      min(max(math.sin(alpha0 + th), -1.0), 1.0)) for th in ths] + [guess])
+    n = len(B)
+    best, resid, d = np.full(n, math.inf), np.empty(n), np.empty(n)
+    pick = np.full(n, len(ths), np.int16)     # the guess, grid's last row
+    better = np.empty(n, bool)
+    for g, f in enumerate(flow_flux_batch(grid[:-1], pz, n_t).tolist()):
+        # resid = _norm(f0 - b0, f1 - b1, f2 - b2), the same roundings in place
+        np.subtract(f[0], B[:, 0], out=resid)
+        np.multiply(resid, resid, out=resid)
+        for c in (1, 2):
+            np.subtract(f[c], B[:, c], out=d)
+            np.multiply(d, d, out=d)
+            resid += d
+        np.sqrt(resid, out=resid)
+        np.less(resid, best, out=better)
         np.copyto(best, resid, where=better)
         np.copyto(pick, g, where=better)
-    return np.where((pick >= 0)[:, None], grid[pick], guess)
+    return grid[pick]
+
+
+# Rows per Newton block: the iteration's temporaries stay this size however
+# many rows one call inverts.
+_NEWTON_BLOCK = 1024
 
 
 def flow_invert_batch(B, pz, n_t, guess, resid_accept):
@@ -133,9 +147,19 @@ def flow_invert_batch(B, pz, n_t, guess, resid_accept):
     times until the residual drops, with h_y clamped inside (-1, 1) and the
     magnet kept off the sensor origin.  A stall is the least-squares
     projection onto the model image; it is accepted within resid_accept (mT).
+    The rows are seeded together and iterated in blocks of _NEWTON_BLOCK.
     """
     B = np.asarray(B, dtype=float)
     Q = _flow_grid_seed(B, pz, n_t, np.asarray(guess, dtype=float).tolist())
+    fn = np.empty(len(B))
+    for a in range(0, len(B), _NEWTON_BLOCK):
+        rows = slice(a, a + _NEWTON_BLOCK)
+        fn[rows] = _flow_newton(Q[rows], B[rows], pz, n_t)
+    return Q, fn <= (resid_accept if resid_accept > 1e-10 else 1e-10)
+
+
+def _flow_newton(Q, B, pz, n_t):
+    """Damped Newton on the rows of Q in place; their final residuals."""
     F = flow_flux_batch(Q, pz, n_t) - B
     fn = _norm(*F.T)
     live = np.arange(len(B))                  # rows still iterating
@@ -163,7 +187,7 @@ def flow_invert_batch(B, pz, n_t, guess, resid_accept):
                 if not len(search):
                     break
             live = np.delete(live, search)    # no descent in 30 halvings: a stall
-    return Q, fn <= (resid_accept if resid_accept > 1e-10 else 1e-10)
+    return fn
 
 
 # ---------------------------------------------------------------------------

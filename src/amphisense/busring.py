@@ -194,13 +194,13 @@ class LineConfig:
                 or self.bits_per_byte <= 0):
             raise BusError(f"bits_per_byte must be a positive integer, got "
                            f"{self.bits_per_byte!r}")
-        if self.inter_frame_gap < 0:
+        if not self.inter_frame_gap >= 0:      # NaN fails too
             raise BusError("gap must be non-negative")
         if self.timeout is None:
             object.__setattr__(
                 self, "timeout", 2.0 * (self.frame_time + self.inter_frame_gap)
             )
-        if self.timeout <= self.frame_time:
+        if not self.timeout > self.frame_time:
             raise BusError("timeout must exceed one frame duration")
 
     @property
@@ -402,8 +402,8 @@ def simulate_ring(n_modules: int, config: LineConfig, duration: float,
     """
     if n_modules < 1:
         raise BusError("need at least one module")
-    if not duration > 0:
-        raise BusError("duration must be positive")
+    if not 0 < duration < float("inf"):     # NaN fails too
+        raise BusError(f"duration must be positive and finite, got {duration!r}")
     faults = faults or FaultPlan()
     for _, mid in faults.kills:
         if not 0 <= mid < n_modules:

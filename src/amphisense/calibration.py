@@ -400,48 +400,74 @@ def simulate_jig(transduce, params: magnetics.DipoleParams, cfg: JigConfig,
     positions, and is called once per load type; for a flow jig it maps a
     force (N) to a FlowPose.  Each scheduled load point goes load -> pose -> flux
     -> noise -> inversion, and the estimated location is paired with the
-    reference load.
+    reference load.  The one-unit case of simulate_jigs.
     """
-    if cfg.kind == "foot":
-        return _simulate_foot_jig(transduce, params, cfg, rng)
-    if cfg.kind == "flow":
-        return _simulate_flow_jig(transduce, params, cfg, rng)
-    raise CalibrationError(f"unknown jig kind {cfg.kind!r}")
+    return simulate_jigs(transduce, params, cfg, [rng])[0]
 
 
-def _simulate_foot_jig(transduce, params, cfg, rng):
+def simulate_jigs(transduce, params: magnetics.DipoleParams, cfg: JigConfig,
+                  rngs) -> list:
+    """One dataset per generator in rngs, each unit on its own bench.
+
+    Every unit's dataset equals simulate_jig with that generator.  The
+    clean sweep is rendered once, each unit draws its noise from its own
+    generator, and all units' flux rows are inverted in one call.
+    """
+    if cfg.kind not in ("foot", "flow"):
+        raise CalibrationError(f"unknown jig kind {cfg.kind!r}")
+    if not rngs:
+        return []
+    bench = _foot_bench if cfg.kind == "foot" else _flow_bench
+    b, loads, cids, ltypes, invert = bench(transduce, params, cfg)
+    noisy = np.concatenate([
+        b + rng.normal(scale=cfg.noise_sigma, size=(len(b), cfg.n_average, 3)).mean(axis=1)
+        for rng in rngs])
+    X = invert(noisy)
+    return [CalibrationDataset(cfg.kind, X[u * len(b):(u + 1) * len(b)], loads.copy(),
+                               list(cids), list(ltypes)) for u in range(len(rngs))]
+
+
+def _foot_bench(transduce, params, cfg):
+    """A foot bench's clean flux, reference wrenches, cycle ids and load
+    types, and the inversion of its noisy flux rows."""
     n_cycles = cfg.n_train + cfg.n_eval
     cycles = [(lt, _foot_cycle_loads(lt, cfg)) for lt in cfg.load_types]
     loads = np.concatenate([np.tile(w, (n_cycles, 1)) for _, w in cycles])
     # every cycle of a load type repeats the same magnet positions
     P = np.concatenate([np.tile(transduce(FootWrench(*ws.T)), (n_cycles, 1))
                         for _, ws in cycles])
-    noise = rng.normal(scale=cfg.noise_sigma, size=(len(loads), cfg.n_average, 3))
-    p_hat = magnetics.invert_foot_flux_batch(
-        magnetics.dipole_flux_radial(P, params) + noise.mean(axis=1), params)
-    if np.isnan(p_hat).any():
-        raise magnetics.BelowNoiseFloorError("foot jig flux at or below the noise floor")
     cids = [f"{lt}-{c:02d}" for lt, ws in cycles for c in range(n_cycles) for _ in ws]
     ltypes = [lt for lt, ws in cycles for _ in range(n_cycles * len(ws))]
-    return CalibrationDataset("foot", p_hat, loads, cids, ltypes)
+
+    def invert(B):
+        p_hat = magnetics.invert_foot_flux_batch(B, params)
+        if np.isnan(p_hat).any():
+            raise magnetics.BelowNoiseFloorError("foot jig flux at or below the noise floor")
+        return p_hat
+
+    return magnetics.dipole_flux_radial(P, params), loads, cids, ltypes, invert
 
 
-def _simulate_flow_jig(transduce, params, cfg, rng):
+def _flow_bench(transduce, params, cfg):
+    """A flow bench's clean flux, reference forces, cycle ids and load
+    types, and the inversion of its noisy flux rows into (dp_x, dp_y)."""
     rest = transduce(0.0)
     s = np.linspace(0.0, 1.0, cfg.samples_per_cycle)
     n_cycles = cfg.n_train + cfg.n_eval
     cycle = cfg.flow_force_max * np.sin(2.0 * np.pi * s)
-    forces = np.tile(cycle, n_cycles)
+    forces = np.tile(cycle, n_cycles)[:, None]
     # every cycle repeats the same fin poses
     b = np.tile([magnetics.flow_flux(transduce(f), params) for f in cycle], (n_cycles, 1))
-    noise = rng.normal(scale=cfg.noise_sigma, size=(len(forces), cfg.n_average, 3))
-    est, ok = magnetics.invert_flow_flux_batch(
-        b + noise.mean(axis=1), rest.d_z0, params, rest,
-        resid_accept=max(5.0 * cfg.noise_sigma, 1e-9),
-    )
-    if not ok.all():
-        raise magnetics.NoConvergenceError(
-            f"flow jig inversion stalled at sweep point {int(np.argmin(ok))}")
     cids = [f"flow-{c:02d}" for c in range(n_cycles) for _ in s]
-    return CalibrationDataset("flow", est[:, :2] - [rest.p_x, rest.p_y],
-                              forces[:, None], cids, ["flow"] * len(forces))
+
+    def invert(B):
+        # len(b) rows a unit; a stall names its unit and sweep point
+        est, ok = magnetics.invert_flow_flux_batch(
+            B, rest.d_z0, params, rest, resid_accept=max(5.0 * cfg.noise_sigma, 1e-9))
+        if not ok.all():
+            unit, point = divmod(int(np.argmin(ok)), len(b))
+            raise magnetics.NoConvergenceError(
+                f"flow jig inversion stalled at sweep point {point} of unit {unit}")
+        return est[:, :2] - [rest.p_x, rest.p_y]
+
+    return b, forces, cids, ["flow"] * len(forces), invert

@@ -478,13 +478,14 @@ def _config_seed(cfg: dict, default: int) -> int:
 
 def _config_number(cfg: dict, key: str, default, kind=float):
     """cfg[key], or default when the key is absent, as kind: a JSON integer
-    for int, any JSON number for float.  Another type is a config error,
-    except null for a key whose default is None."""
+    for int, any finite JSON number for float.  Another type, NaN or an
+    infinity is a config error, except null for a key whose default is None."""
     value = cfg.get(key, default)
     if value is None and default is None:
         return None
-    if isinstance(value, bool) or not isinstance(value, (int,) if kind is int else (int, float)):
-        what = "an integer" if kind is int else "a number"
+    if (isinstance(value, bool) or not isinstance(value, (int,) if kind is int else (int, float))
+            or isinstance(value, float) and not math.isfinite(value)):
+        what = "an integer" if kind is int else "a finite number"
         raise HarnessError(f"{key} must be {what}, got {value!r}")
     return kind(value)
 
@@ -538,22 +539,22 @@ def cmd_calibrate(args) -> int:
     foot_model = plant.ElasticFootModel()
     fin_model = plant.FlowFinModel()
     rmse_max = _config_number(cfg, "rmse_max", None)
+    jig = calibration.JigConfig(
+        kind=kind,
+        lever=_config_number(cfg, "lever", 19.0),
+        noise_sigma=_config_number(cfg, "noise_sigma", 0.01),
+        n_average=_config_number(cfg, "n_average", 1, int),
+    )
+    if kind == "foot":
+        transduce = lambda w: plant.foot_deflection_p(w, foot_model)
+        params = plant.magnetics.DipoleParams(n_t=50.0)
+    else:
+        transduce = fin_model.pose_for_force
+        params = fin_model.dipole_params
+    datasets = calibration.simulate_jigs(
+        transduce, params, jig, [np.random.default_rng(seed + i) for i in range(n_units)])
     torques, forces = [], []
-    for i in range(n_units):
-        rng = np.random.default_rng(seed + i)
-        jig = calibration.JigConfig(
-            kind=kind,
-            lever=_config_number(cfg, "lever", 19.0),
-            noise_sigma=_config_number(cfg, "noise_sigma", 0.01),
-            n_average=_config_number(cfg, "n_average", 1, int),
-        )
-        if kind == "foot":
-            transduce = lambda w: plant.foot_deflection_p(w, foot_model)
-            params = plant.magnetics.DipoleParams(n_t=50.0)
-        else:
-            transduce = fin_model.pose_for_force
-            params = fin_model.dipole_params
-        ds = calibration.simulate_jig(transduce, params, jig, rng)
+    for i, ds in enumerate(datasets):
         train, heldout = ds.train_eval_split()
         model = calibration.fit_poly(train)
         ev = calibration.evaluate_rmse(model, heldout)

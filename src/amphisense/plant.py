@@ -321,8 +321,9 @@ class Scenario:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "float" and not (value is None and f.default is None) and (
-                    isinstance(value, bool) or not isinstance(value, (int, float))):
-                raise PlantError(f"{f.name} must be a number, got {value!r}")
+                    isinstance(value, bool) or not isinstance(value, (int, float))
+                    or isinstance(value, float) and not math.isfinite(value)):
+                raise PlantError(f"{f.name} must be a finite number, got {value!r}")
         if self.terrain not in ("floor", "water", "shoreline"):
             raise PlantError(f"unknown terrain {self.terrain!r}")
         if self.duration_s <= 0 or self.dt <= 0:
@@ -360,22 +361,23 @@ class Scenario:
         return cls(**source)
 
 
-def _fit_sensor_models(scenario, foot_model, fins):
-    """Per-unit bench calibration, seeded from the scenario."""
+def _fit_sensor_models(scenario, foot_model, fin):
+    """Per-unit bench calibration, seeded from the scenario: one bench pass
+    for the feet and one for the fins."""
     sigma = scenario.noise_sigma_mt
-    # (transduce, dipole, jig, seed offset) of each module's bench
-    benches = [(lambda w: foot_deflection_p(w, foot_model), _FOOT_DIPOLE,
-                calibration.JigConfig(noise_sigma=sigma), 11 + i)
-               for i in range(len(FOOT_NAMES))]
-    benches += [(fin.pose_for_force, fin.dipole_params,
-                 calibration.JigConfig(kind="flow", noise_sigma=sigma, n_average=8), 51 + i)
-                for i, fin in enumerate(fins)]
-    models = {}
-    for name, (transduce, dipole, cfg, offset) in zip(SENSOR_NAMES, benches):
-        rng = np.random.default_rng(scenario.seed * 100 + offset)
-        train, _ = calibration.simulate_jig(transduce, dipole, cfg, rng).train_eval_split()
-        models[name] = calibration.fit_poly(train)
-    return models
+
+    def rngs(offset, n):
+        return [np.random.default_rng(scenario.seed * 100 + offset + i) for i in range(n)]
+
+    feet = calibration.simulate_jigs(
+        lambda w: foot_deflection_p(w, foot_model), _FOOT_DIPOLE,
+        calibration.JigConfig(noise_sigma=sigma), rngs(11, len(FOOT_NAMES)))
+    fins = calibration.simulate_jigs(
+        fin.pose_for_force, fin.dipole_params,
+        calibration.JigConfig(kind="flow", noise_sigma=sigma, n_average=8),
+        rngs(51, len(FIN_NAMES)))
+    return {name: calibration.fit_poly(ds.train_eval_split()[0])
+            for name, ds in zip(SENSOR_NAMES, feet + fins)}
 
 
 @dataclass
@@ -452,7 +454,7 @@ def _oscillate(net, scenario, drive, phi, r, lo, hi):
     return cpg.joint_targets(out, jmap, scenario.gain)
 
 
-def _physics(scenario, kin, fins, swimming, x_body, data, col, lo, hi):
+def _physics(scenario, kin, fin, swimming, x_body, data, col, lo, hi):
     """Body advance, contact wrenches and fin drag over ticks lo..hi-1 from
     the joint columns of data; fills x_body and the wrench and fin columns."""
     # each tick after its predecessor; tick 0 stands in for its own, so it
@@ -479,12 +481,14 @@ def _physics(scenario, kin, fins, swimming, x_body, data, col, lo, hi):
     data[lo:hi, f0:f0 + n_w] = wrenches.reshape(-1, n_w)
 
     stream = np.where(swimming[rows], scenario.swim_speed, 0.0)
-    force, angle = flow_forces(qq, kin, fins, stream, scenario.dt, mounts=fk["fin_mounts"])
+    force, angle = flow_forces(qq, kin, [fin] * len(FIN_NAMES), stream, scenario.dt,
+                               mounts=fk["fin_mounts"])
     f0 = col[f"gt_{FIN_NAMES[0]}_force"]    # fin forces, then fin angles
-    data[lo:hi, f0:f0 + 2 * len(fins)] = np.where(wet, np.hstack([force[1:], angle[1:]]), 0.0)
+    data[lo:hi, f0:f0 + 2 * len(FIN_NAMES)] = np.where(
+        wet, np.hstack([force[1:], angle[1:]]), 0.0)
 
 
-def _sense(name, ticks, noise, data, col, foot_model, fins):
+def _sense(name, ticks, noise, data, col, foot_model, fin):
     """Flux the host decodes from one module's samples at the given ticks:
     rendered from the truth columns, noised, quantized to the int16 wire."""
     if name in FOOT_NAMES:
@@ -492,7 +496,6 @@ def _sense(name, ticks, noise, data, col, foot_model, fins):
         p = foot_deflection_p(calibration.FootWrench(tp, ty, fx), foot_model)
         clean = magnetics.dipole_flux_radial(p, _FOOT_DIPOLE)
     else:
-        fin = fins[FIN_NAMES.index(name)]
         clean = _kernels.flow_flux_batch(
             fin.magnet_coords(data[ticks, col[f"gt_{name}_angle"]]), fin.d_z0_mm, fin.n_t)
     return busring.quantize(clean + noise, busring.FLUX_LSB_MT) * busring.FLUX_LSB_MT
@@ -512,31 +515,41 @@ def _foot_estimates(name, filt, model):
     return calibration.apply_poly_batch(model, p)[:, [2, 0, 1]]
 
 
-def _host_side(ticks, raw, scenario, models, fins, round_p, data, col):
+def _host_side(ticks, raw, scenario, models, fin, round_p, data, col):
     """Low-pass, inversion and calibrated model over each module's whole
-    sample stream, into the est_*, raw_*, filt_* and est_foot_sum columns."""
+    sample stream, into the est_*, raw_*, filt_* and est_foot_sum columns.
+    The fins' filtered streams are inverted together, in one call."""
+    n_foot = len(FOOT_NAMES)
+    fin_at = np.cumsum([0] + [len(tk) for tk in ticks[n_foot:]])   # fin row offsets
+    fin_filt = np.empty((fin_at[-1], 3))
     for i, (name, tk) in enumerate(zip(SENSOR_NAMES, ticks)):
-        filt = magnetics.lowpass_trace(raw[i], round_p)
         if name in FOOT_NAMES:
+            filt = magnetics.lowpass_trace(raw[i], round_p)
             est = _foot_estimates(name, filt, models[name])
-            est_cols = [col[f"est_{name}_{c}"] for c in ("fx", "tp", "ty")]
+            data[:, [col[f"est_{name}_{c}"] for c in ("fx", "tp", "ty")]] = (
+                _hold(tk, est, len(data)))
         else:
-            rest = fins[i - len(FOOT_NAMES)].pose_for_force(0.0)
-            pose, ok = magnetics.invert_flow_flux_batch(
-                filt, rest.d_z0, fins[i - len(FOOT_NAMES)].dipole_params, rest,
-                resid_accept=max(5.0 * scenario.noise_sigma_mt, 1e-9))
-            if not ok.all():
-                t_bad = tk[np.argmin(ok)] * scenario.dt
-                raise magnetics.NoConvergenceError(
-                    f"{name}: fin inversion stalled at t = {t_bad:.3f} s")
-            est = calibration.apply_poly_batch(
-                models[name], pose[:, :2] - [rest.p_x, rest.p_y])
-            est_cols = [col[f"est_{name}_force"]]
-        data[:, est_cols] = _hold(tk, est, len(data))
+            filt = fin_filt[fin_at[i - n_foot]:fin_at[i - n_foot + 1]]
+            filt[:] = magnetics.lowpass_trace(raw[i], round_p)
         if name in scenario.log_flux:
             data[:, [col[f"raw_{name}_b{a}"] for a in "xyz"]] = _hold(tk, raw[i], len(data))
             data[:, [col[f"filt_{name}_b{a}"] for a in "xyz"]] = _hold(tk, filt, len(data))
     data[:, col["est_foot_sum"]] = sum(data[:, col[f"est_{nm}_fx"]] for nm in FOOT_NAMES)
+
+    rest = fin.pose_for_force(0.0)
+    pose, ok = magnetics.invert_flow_flux_batch(
+        fin_filt, rest.d_z0, fin.dipole_params, rest,
+        resid_accept=max(5.0 * scenario.noise_sigma_mt, 1e-9))
+    if not ok.all():
+        k = int(np.argmin(ok))
+        j = int(np.searchsorted(fin_at, k, side="right")) - 1
+        t_bad = ticks[n_foot + j][k - fin_at[j]] * scenario.dt
+        raise magnetics.NoConvergenceError(
+            f"{FIN_NAMES[j]}: fin inversion stalled at t = {t_bad:.3f} s")
+    for j, name in enumerate(FIN_NAMES):
+        dp = pose[fin_at[j]:fin_at[j + 1], :2] - [rest.p_x, rest.p_y]
+        data[:, col[f"est_{name}_force"]] = _hold(
+            ticks[n_foot + j], calibration.apply_poly_batch(models[name], dp), len(data))[:, 0]
 
 
 def run_scenario(scenario: Scenario) -> ScenarioResult:
@@ -553,8 +566,8 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     """
     net = cpg.build_gait_network()
     foot_model = ElasticFootModel()
-    fins = [FlowFinModel() for _ in FIN_NAMES]
-    models = _fit_sensor_models(scenario, foot_model, fins)
+    fin = FlowFinModel()
+    models = _fit_sensor_models(scenario, foot_model, fin)
     line = busring.LineConfig()
     round_p = busring.ring_round_period(len(SENSOR_NAMES), line)
 
@@ -596,11 +609,11 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
 
     def advance(lo, hi):
         data[lo:hi, q0:q0 + cpg.N_JOINTS] = _oscillate(net, scenario, drive, phi, r, lo, hi)
-        _physics(scenario, kin, fins, drive >= cpg.D_SWIM, x_body, data, col, lo, hi)
+        _physics(scenario, kin, fin, drive >= cpg.D_SWIM, x_body, data, col, lo, hi)
         for i, name in enumerate(SENSOR_NAMES):
             a, b = np.searchsorted(ticks[i], [lo, hi])
             raw[i][a:b] = _sense(name, ticks[i][a:b], noise[i][a:b], data, col,
-                                 foot_model, fins)
+                                 foot_model, fin)
 
     # per foot: samples filtered so far and the last filter output
     done, filt = [0] * len(FOOT_NAMES), [None] * len(FOOT_NAMES)
@@ -629,7 +642,8 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
                 break
     for a in range(lo, n_steps, 256):     # bounded spans keep the temporaries small
         advance(a, min(a + 256, n_steps))
-    _host_side(ticks, raw, scenario, models, fins, round_p, data, col)
+    del phi, r, noise     # spent; freed before the host side, where memory peaks
+    _host_side(ticks, raw, scenario, models, fin, round_p, data, col)
 
     data[:, 1], data[:, 2] = float(not walking), scenario.drive
     data[switch_k:, 1:3] = 1.0, cpg.D_SWIM

@@ -185,8 +185,11 @@ class TestLineConfig:
             bus.LineConfig(baud=0)
         with pytest.raises(bus.BusError):
             bus.LineConfig(timeout=50e-6)
+        for gap in (-1e-6, float("nan")):
+            with pytest.raises(bus.BusError):
+                bus.LineConfig(inter_frame_gap=gap)
         with pytest.raises(bus.BusError):
-            bus.LineConfig(inter_frame_gap=-1e-6)
+            bus.LineConfig(timeout=float("nan"))
         for bits in (0, -1, 2.5, "10", True):
             with pytest.raises(bus.BusError):
                 bus.LineConfig(bits_per_byte=bits)
@@ -198,6 +201,12 @@ class TestLineConfig:
 
 
 class TestRingSimulation:
+    @pytest.mark.parametrize("duration", [0.0, -1.0, float("nan"), float("inf")])
+    def test_duration_must_be_positive_and_finite(self, duration):
+        # an infinite or NaN duration would never end the event loop
+        with pytest.raises(bus.BusError):
+            bus.simulate_ring(3, bus.LineConfig(), duration)
+
     def test_fault_free_rate_matches_closed_form(self):
         cfg = bus.LineConfig()
         stats = bus.simulate_ring(10, cfg, duration=2.0)

@@ -339,6 +339,48 @@ class TestJig:
         rep = cal.evaluate_rmse(cal.fit_poly(train), ev)
         assert rep.rmse["force"] < 0.05
 
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(["foot", "flow"]), n_units=st.integers(1, 6),
+           n_average=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_jigs_equal_one_unit_jigs(self, kind, n_units, n_average, seed):
+        # each unit of one bench pass is the lone bench with its generator,
+        # bit for bit; six flow units (2952 rows) span three Newton blocks
+        transduce, params = ((foot_transduce, FOOT_PARAMS) if kind == "foot"
+                             else (flow_transduce, FLOW_PARAMS))
+        cfg = cal.JigConfig(kind=kind, n_average=n_average)
+        many = cal.simulate_jigs(transduce, params, cfg,
+                                 [np.random.default_rng(seed + i) for i in range(n_units)])
+        assert len(many) == n_units
+        for i, ds in enumerate(many):
+            one = cal.simulate_jig(transduce, params, cfg, np.random.default_rng(seed + i))
+            np.testing.assert_array_equal(ds.X, one.X)
+            np.testing.assert_array_equal(ds.Y, one.Y)
+            assert ds.cycle_ids == one.cycle_ids and ds.load_types == one.load_types
+
+    def test_jigs_without_units_render_nothing(self):
+        calls = []
+        assert cal.simulate_jigs(calls.append, FLOW_PARAMS, cal.JigConfig(kind="flow"), []) == []
+        assert calls == []
+
+    def test_flow_jig_stall_names_its_unit_and_sweep_point(self):
+        # a noise draw far off the model image stalls that row alone; the
+        # error counts the sweep point within the unit that drew it
+        class SpikeRng:
+            def __init__(self, point):
+                self.point = point
+
+            def normal(self, scale, size):
+                z = np.zeros(size)
+                z[self.point] = 1e3
+                return z
+
+        cfg = cal.JigConfig(kind="flow", n_average=2)
+        rngs = [np.random.default_rng(0), SpikeRng(17), SpikeRng(5)]
+        with pytest.raises(mg.NoConvergenceError, match=r"sweep point 17 of unit 1$"):
+            cal.simulate_jigs(flow_transduce, FLOW_PARAMS, cfg, rngs)
+        with pytest.raises(mg.NoConvergenceError, match=r"sweep point 5 of unit 0$"):
+            cal.simulate_jig(flow_transduce, FLOW_PARAMS, cfg, SpikeRng(5))
+
 
 class TestSerialization:
     def test_dataset_csv_round_trip(self, tmp_path):

@@ -169,6 +169,10 @@ class TestCliRun:
         "run_number_log_flux": ("run", '{"log_flux": 5, "duration_s": 0.01}', None, 2),
         "line_zero_duration": ("bus-bench", '{"duration_s": 0}', None, 2),
         "line_negative_duration": ("bus-bench", '{"duration_s": -1}', None, 2),
+        "run_nan_duration": ("run", '{"duration_s": NaN}', None, 2),
+        "line_nan_t_read": ("bus-bench", '{"t_read": NaN, "duration_s": 0.01}', None, 2),
+        "line_infinite_duration": ("bus-bench", '{"duration_s": Infinity}', None, 2),
+        "line_nan_inter_frame_gap": ("bus-bench", '{"inter_frame_gap": NaN}', None, 2),
         "line_too_short_for_kill_ring": ("bus-bench", '{"duration_s": 0.001}', None, 1),
         "line_zero_bits_per_byte": ("bus-bench", '{"bits_per_byte": 0, "duration_s": 0.05}',
                                     None, 2),

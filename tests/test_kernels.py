@@ -148,6 +148,32 @@ def test_flow_invert_batch_against_scalar_newton():
         assert ok.all() == bool(accept)
 
 
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_flow_invert_batch_rows_are_independent(data):
+    # a row comes out the same whatever rows share its call: a lone row and
+    # the two halves of any split equal the whole batch, at and around the
+    # Newton block size.  Strict acceptance, so stalled rows are among them.
+    nb = K._NEWTON_BLOCK
+    n = data.draw(st.sampled_from([1, 7, nb - 1, nb, nb + 1, 2 * nb + 3]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    ths = rng.uniform(-1.0, 1.0, size=n)
+    Q = np.column_stack([3.0 * np.cos(ths), 3.0 * np.sin(ths), np.sin(0.35 + ths)])
+    B = K.flow_flux_batch(Q, 4.0, 120.0) + rng.normal(scale=0.05, size=Q.shape)
+    guess = np.array([3.0, 0.0, math.sin(0.35)])
+    accept = data.draw(st.sampled_from([0.0, 0.1]))
+    got, ok = K.flow_invert_batch(B, 4.0, 120.0, guess, accept)
+    cut = data.draw(st.integers(0, n))
+    head, ok_head = K.flow_invert_batch(B[:cut], 4.0, 120.0, guess, accept)
+    tail, ok_tail = K.flow_invert_batch(B[cut:], 4.0, 120.0, guess, accept)
+    np.testing.assert_array_equal(got, np.concatenate([head, tail]))
+    np.testing.assert_array_equal(ok, np.concatenate([ok_head, ok_tail]))
+    for i in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4)):
+        lone, ok_lone = K.flow_invert_batch(B[i:i + 1], 4.0, 120.0, guess, accept)
+        np.testing.assert_array_equal(got[i], lone[0])
+        assert ok[i] == ok_lone[0]
+
+
 def _dense(n, edges):
     """Weight and bias matrices W[i, j], B[i, j] of an edge list."""
     W, B = np.zeros((n, n)), np.zeros((n, n))

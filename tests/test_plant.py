@@ -285,6 +285,12 @@ class TestScenarioConfig:
         with pytest.raises(plant.PlantError):
             plant.Scenario(duration_s=-1.0)
 
+    @pytest.mark.parametrize("field", ["duration_s", "dt", "x_start", "drive_switch_t"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_numbers(self, field, value):
+        with pytest.raises(plant.PlantError, match="finite"):
+            plant.Scenario(**{field: value})
+
     def test_unknown_key_and_module(self):
         with pytest.raises(plant.PlantError, match="dragg"):
             plant.Scenario.from_json({"dragg": 1})
@@ -436,6 +442,31 @@ class TestRunScenario:
         res = plant.run_scenario(sc)
         assert res.switch_time is not None
         assert len(calls) == len(res.data)
+
+    def test_fin_stall_names_the_first_stalled_fin(self, monkeypatch):
+        # the fins' streams are inverted in one call; a stall still names the
+        # first fin, in module order, whose stream stalls, and its first
+        # stalled sample's time.  A 1 T spike lies far off the fin's flux
+        # image, so its filtered sample stalls.
+        sc = plant.Scenario(name="stall", terrain="water", drive=cpg.D_SWIM,
+                            duration_s=0.4, seed=2)
+        ticks, _ = plant._ring_samples(400, sc, busring.LineConfig())
+        spike_at = {"fin_link4": ticks[plant.SENSOR_NAMES.index("fin_link4")][150],
+                    "fin_link6": ticks[plant.SENSOR_NAMES.index("fin_link6")][40]}
+        assert spike_at["fin_link6"] < spike_at["fin_link4"]
+        sense = plant._sense
+
+        def spiked(name, tk, *args):
+            b = sense(name, tk, *args)
+            if name in spike_at:
+                b[tk == spike_at[name]] = 1e3
+            return b
+
+        monkeypatch.setattr(plant, "_sense", spiked)
+        with pytest.raises(magnetics.NoConvergenceError) as err:
+            plant.run_scenario(sc)
+        t = spike_at["fin_link4"] * sc.dt
+        assert str(err.value) == f"fin_link4: fin inversion stalled at t = {t:.3f} s"
 
     def test_feedback_changes_nothing_before_the_switch(self):
         # the supervisor only reads estimates up to its poll and the switch
