@@ -22,7 +22,7 @@ def best_of(fn, repeat):
 
 
 def run_suite(repeat):
-    from amphisense import _kernels, busring, cpg
+    from amphisense import _kernels, busring, cpg, magnetics, plant
 
     rng = np.random.default_rng(0)
     results = {}
@@ -46,6 +46,28 @@ def run_suite(repeat):
     results["flow_invert_batch_10k"] = best_of(
         lambda: _kernels.flow_invert_batch(B, pz, n_t, guess, 0.05), repeat
     )
+
+    # the ten calibration benches of one scenario seed (four foot units, six
+    # fin units), as run_scenario runs them before its first tick
+    foot_model, fin = plant.ElasticFootModel(), plant.FlowFinModel()
+    results["fit_sensor_models"] = best_of(
+        lambda: plant._fit_sensor_models(plant.Scenario(seed=1), foot_model, fin), repeat)
+
+    # the host side's fin inversion on a 1.2 s swim: six filtered fin
+    # streams of 922 samples each, in one call and in six calls
+    rest = fin.pose_for_force(0.0)
+    streams = []
+    for k in range(6):
+        angle = fin.angle_for_force(0.5 * np.sin(2.0 * np.pi * 0.78 * 1.3e-3 * np.arange(922)
+                                                   + k))
+        streams.append(_kernels.flow_flux_batch(fin.magnet_coords(angle), fin.d_z0_mm, fin.n_t)
+                       + rng.normal(scale=0.003, size=(922, 3)))
+    invert = lambda b: magnetics.invert_flow_flux_batch(b, rest.d_z0, fin.dipole_params, rest,
+                                                        resid_accept=0.05)
+    B6 = np.concatenate(streams)
+    results["host_fin_inversion_one_call"] = best_of(lambda: invert(B6), repeat)
+    results["host_fin_inversion_six_calls"] = best_of(
+        lambda: [invert(b) for b in streams], repeat)
 
     # oscillator network rollout over the 88-edge gait graph, 10k RK4 steps
     # of one 32-unit state and of a batch of 20 stepped together

@@ -135,9 +135,11 @@ def _flow_grid_seed(B, pz, n_t, guess):
     return grid[pick]
 
 
-# Rows per Newton block: the iteration's temporaries stay this size however
-# many rows one call inverts.
-_NEWTON_BLOCK = 1024
+# Rows per Newton block.  A block pays the iteration's fixed loop cost once
+# (a few ms when its rows stall at different iterations), and its
+# temporaries, a few hundred bytes a row, stay this size however many rows
+# one call inverts.
+_NEWTON_BLOCK = 2048
 
 
 def flow_invert_batch(B, pz, n_t, guess, resid_accept):
