@@ -135,11 +135,12 @@ def _flow_grid_seed(B, pz, n_t, guess):
     return grid[pick]
 
 
-# Rows per Newton block.  A block pays the iteration's fixed loop cost once
-# (a few ms when its rows stall at different iterations), and its
+# Rows per Newton block.  Each block pays the iteration's per-call numpy
+# overhead once (about 0.6 ms a block on a 2-core x86 box), and its
 # temporaries, a few hundred bytes a row, stay this size however many rows
-# one call inverts.
-_NEWTON_BLOCK = 2048
+# one call inverts.  2048 rows saved some of that overhead but raised a swim
+# run's peak memory above that of inverting each fin on its own.
+_NEWTON_BLOCK = 1024
 
 
 def flow_invert_batch(B, pz, n_t, guess, resid_accept):

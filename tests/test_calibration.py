@@ -344,7 +344,7 @@ class TestJig:
            n_average=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
     def test_jigs_equal_one_unit_jigs(self, kind, n_units, n_average, seed):
         # each unit of one bench pass is the lone bench with its generator,
-        # bit for bit; six flow units (2952 rows) span two Newton blocks
+        # bit for bit; six flow units (2952 rows) span three Newton blocks
         transduce, params = ((foot_transduce, FOOT_PARAMS) if kind == "foot"
                              else (flow_transduce, FLOW_PARAMS))
         cfg = cal.JigConfig(kind=kind, n_average=n_average)
