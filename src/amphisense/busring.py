@@ -11,8 +11,9 @@ arbitration.
 
 Data frames are 11 bytes on the wire: sync 0xAA, module id, three
 little-endian int16 flux words, one int16 temperature word, and a
-CRC-8 (poly 0x07, init 0x00) over id + payload.  The host's control
-frame is sync 0x55, opcode, CRC-8 over the opcode.
+CRC-8 (poly 0x07, init 0x00) over id + payload.  The host's 3-byte
+start broadcast (sync 0x55, opcode, CRC-8 over the opcode) is modelled
+by its line time only.
 
 Timing fidelity is at byte granularity (10-bit UART bytes); listeners
 arm off physical frame boundaries, so corrupted payloads perturb the
@@ -30,12 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 SYNC_DATA = 0xAA
-SYNC_CTRL = 0x55
 FRAME_LEN = 11
 CTRL_LEN = 3
-
-OP_START = 0x01
-OP_RESET = 0x02
 
 FLUX_LSB_MT = 0.001    # mT per count
 TEMP_LSB_C = 0.01      # degC per count
@@ -160,23 +157,6 @@ def decode_frame(buf, flux_lsb: float = FLUX_LSB_MT,
         flux_mt=np.array(words[:3], dtype=float) * flux_lsb,
         temp_c=words[3] * temp_lsb,
     )
-
-
-def encode_control(opcode: int) -> bytes:
-    if opcode not in (OP_START, OP_RESET):
-        raise BusError(f"unknown opcode 0x{opcode:02X}")
-    return bytes([SYNC_CTRL, opcode, crc8(bytes([opcode]))])
-
-
-def decode_control(buf) -> int:
-    buf = bytes(buf)
-    if len(buf) < CTRL_LEN:
-        raise ShortFrameError(f"need {CTRL_LEN} bytes, got {len(buf)}")
-    if buf[0] != SYNC_CTRL:
-        raise BadSyncError(f"bad sync byte 0x{buf[0]:02X}")
-    if crc8(buf[1:2]) != buf[2]:
-        raise BadCrcError("control frame check failed")
-    return buf[1]
 
 
 @dataclass(frozen=True)
@@ -480,22 +460,3 @@ def _frame_log(t_end, module, frames, ok, chunk=4096):
                        [blob[k:k + FRAME_LEN] for k in range(0, len(blob), FRAME_LEN)],
                        ok[lo:lo + chunk].tolist()))
     return log
-
-
-def write_frame_csv(stats: RingStats, path):
-    """Human-readable frame trace (requires record_frames=True)."""
-    if stats.frame_log is None:
-        raise BusError("simulation was run without record_frames")
-    with open(path, "w") as fh:
-        fh.write("t,module_id,ok,frame_hex\n")
-        for t, i, frame, ok in stats.frame_log:
-            fh.write(f"{t:.9f},{i},{int(ok)},{frame.hex()}\n")
-
-
-def write_frame_log(stats: RingStats, path):
-    """Binary frame trace: 8-byte little-endian time + 11 frame bytes."""
-    if stats.frame_log is None:
-        raise BusError("simulation was run without record_frames")
-    with open(path, "wb") as fh:
-        for t, _, frame, _ in stats.frame_log:
-            fh.write(struct.pack("<d", t) + frame)

@@ -9,7 +9,6 @@ basis) to pitch torque / yaw torque / axial force, and fin location changes
 Units follow the sensing stack: mm, mT, N, N*mm, rad.
 """
 
-import csv
 import json
 import math
 
@@ -55,21 +54,6 @@ class FootWrench:
     tau_pitch: float
     tau_yaw: float
     f_x: float
-
-    def as_array(self):
-        return np.array([self.tau_pitch, self.tau_yaw, self.f_x])
-
-
-def quad_features(p) -> np.ndarray:
-    """Full 10-term quadratic basis [1, x, y, z, x^2, y^2, z^2, xy, xz, yz]."""
-    x, y, z = float(p[0]), float(p[1]), float(p[2])
-    return np.array([1.0, x, y, z, x * x, y * y, z * z, x * y, x * z, y * z])
-
-
-def flow_features(dp) -> np.ndarray:
-    """6-term quadratic basis [1, dx, dy, dx^2, dy^2, dx*dy] in the fin plane."""
-    x, y = float(dp[0]), float(dp[1])
-    return np.array([1.0, x, y, x * x, y * y, x * y])
 
 
 def _feature_matrix(kind: str, X: np.ndarray) -> np.ndarray:
@@ -148,35 +132,6 @@ class CalibrationDataset:
             eval_cycles.update(ordered[-n_eval:])
         train_cycles = set(self.cycles) - eval_cycles
         return self.subset(train_cycles), self.subset(eval_cycles)
-
-    def to_csv(self, path):
-        feats, outputs, dims = _kind_meta(self.kind)
-        xcols = ("p_x", "p_y", "p_z") if self.kind == "foot" else ("dp_x", "dp_y")
-        ycols = tuple(f"ref_{o}" for o in outputs)
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(("cycle_id", "load_type") + xcols + ycols)
-            for i in range(len(self)):
-                w.writerow(
-                    [self.cycle_ids[i], self.load_types[i]]
-                    + [f"{v:.17g}" for v in self.X[i]]
-                    + [f"{v:.17g}" for v in self.Y[i]]
-                )
-
-    @classmethod
-    def from_csv(cls, path):
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        header, rows = rows[0], rows[1:]
-        if "p_z" in header:
-            kind, dims = "foot", 3
-        elif "dp_x" in header:
-            kind, dims = "flow", 2
-        else:
-            raise CalibrationError(f"unrecognized dataset header {header}")
-        X = np.array([[float(v) for v in r[2 : 2 + dims]] for r in rows])
-        Y = np.array([[float(v) for v in r[2 + dims :]] for r in rows])
-        return cls(kind, X, Y, [r[0] for r in rows], [r[1] for r in rows])
 
 
 @dataclass
@@ -278,19 +233,6 @@ def fit_poly(data: CalibrationDataset) -> PolyModel:
     )
 
 
-def apply_poly(model: PolyModel, x):
-    """Evaluate the model at one location (foot: Vec3, flow: (dp_x, dp_y))."""
-    x = np.asarray(x, dtype=float)
-    if model.kind == "foot":
-        if x.shape != (3,):
-            raise CalibrationError(f"foot model expects 3 coords, got {x.shape}")
-        out = model.coef @ quad_features(x)
-        return FootWrench(tau_pitch=out[0], tau_yaw=out[1], f_x=out[2])
-    if x.shape != (2,):
-        raise CalibrationError(f"flow model expects 2 coords, got {x.shape}")
-    return float((model.coef @ flow_features(x))[0])
-
-
 def apply_poly_batch(model: PolyModel, X) -> np.ndarray:
     """Evaluate the model over (N, dims) locations; returns (N, outputs)."""
     return _feature_matrix(model.kind, np.asarray(X, dtype=float)) @ model.coef.T
@@ -361,6 +303,8 @@ class JigConfig:
     def __post_init__(self):
         if not self.noise_sigma >= 0:
             raise CalibrationError(f"noise_sigma must be non-negative, got {self.noise_sigma!r}")
+        if not self.n_average >= 1:
+            raise CalibrationError(f"n_average must be at least 1, got {self.n_average!r}")
         if self.load_types is None:
             self.load_types = (
                 ("fx", "pitch", "yaw", "combo") if self.kind == "foot" else ("flow",)

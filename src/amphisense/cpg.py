@@ -22,7 +22,6 @@ summed foot load falls below a threshold.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -49,6 +48,8 @@ A_RATE = 20.0   # amplitude convergence rate, 1/s
 
 FOOT_SUM_THRESHOLD_N = 7.0
 SWITCH_HOLDOFF_S = 0.05    # until every foot has reported; zeros read airborne
+
+MAX_DT_S = 0.010    # the longest RK4 step the network takes
 
 N_AXIAL_JOINTS = 8
 N_JOINTS = 16
@@ -90,11 +91,6 @@ class SaturationMap:
         if self.d_low <= d <= self.d_high:
             return self.c1 * d + self.c0
         return 0.0
-
-
-def drive_to_intrinsic(d: float, smap: SaturationMap) -> float:
-    """Evaluate a saturation map at drive d."""
-    return smap.value(d)
 
 
 def _affine_through(d0, v0, d1, v1, band):
@@ -343,8 +339,8 @@ def step_network(state: NetworkState, params: OscillatorParams,
     state's current drive, so drive changes take effect immediately.  The
     state may carry leading axes (..., n), as in `rollout`.
     """
-    if not 0.0 < dt <= 0.010:
-        raise ValueError("dt must be in (0, 10 ms]")
+    if not 0.0 < dt <= MAX_DT_S:
+        raise ValueError(f"dt must be in (0, {MAX_DT_S:g}] s")
     omega, R = params.intrinsic(state.drive)
     phi, r = _kernels.cpg_step(state.phi, state.r, omega, graph.arrays, params.a, R, dt)
     return NetworkState(phi=phi, r=np.maximum(r, 0.0), drive=state.drive,
@@ -360,8 +356,8 @@ def rollout(state: NetworkState, params: OscillatorParams, graph: CouplingGraph,
     alone.  phis and rs have shape (n_steps + 1, ..., n), the first row
     the initial state.
     """
-    if not 0.0 < dt <= 0.010:
-        raise ValueError("dt must be in (0, 10 ms]")
+    if not 0.0 < dt <= MAX_DT_S:
+        raise ValueError(f"dt must be in (0, {MAX_DT_S:g}] s")
     omega, R = params.intrinsic(state.drive)
     phis, rs = _kernels.cpg_rollout(state.phi, state.r, omega, graph.arrays,
                                     params.a, R, dt, n_steps)
@@ -396,52 +392,3 @@ def transition_controller(foot_sum: float, cmd: GaitCommand,
     if cmd.mode is GaitMode.WALKING and foot_sum < threshold:
         return GaitCommand(mode=GaitMode.SWIMMING, drive=D_SWIM)
     return cmd
-
-
-def network_to_json(params: OscillatorParams, graph: CouplingGraph,
-                    jmap: JointMap, path=None):
-    """Serialize a network configuration; writes to path if given."""
-    doc = {
-        "oscillators": {
-            "a": params.a.tolist(),
-            "groups": list(params.groups),
-            "omega_maps": [vars(m).copy() for m in params.omega_maps],
-            "amp_maps": [vars(m).copy() for m in params.amp_maps],
-        },
-        "edges": [[i, j, w, b] for i, j, w, b in graph.edges],
-        "joints": {
-            "names": list(jmap.names),
-            "flexor": jmap.flexor.tolist(),
-            "extensor": jmap.extensor.tolist(),
-            "groups": list(jmap.groups),
-        },
-    }
-    if path is not None:
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=1)
-    return doc
-
-
-def network_from_json(source):
-    """Inverse of network_to_json; accepts a dict or a file path."""
-    if not isinstance(source, dict):
-        with open(source) as fh:
-            source = json.load(fh)
-    osc = source["oscillators"]
-    params = OscillatorParams(
-        a=np.array(osc["a"]),
-        omega_maps=tuple(SaturationMap(**m) for m in osc["omega_maps"]),
-        amp_maps=tuple(SaturationMap(**m) for m in osc["amp_maps"]),
-        groups=tuple(osc["groups"]),
-    )
-    graph = CouplingGraph(
-        n=params.n, edges=tuple((i, j, w, b) for i, j, w, b in source["edges"])
-    )
-    jn = source["joints"]
-    jmap = JointMap(
-        names=tuple(jn["names"]),
-        flexor=np.array(jn["flexor"], dtype=int),
-        extensor=np.array(jn["extensor"], dtype=int),
-        groups=tuple(jn["groups"]),
-    )
-    return params, graph, jmap

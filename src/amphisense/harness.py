@@ -369,7 +369,7 @@ def render_svg(result: plant.ScenarioResult, spec: dict = None) -> str:
         raise EmptyTraceError("cannot plot an empty trace")
     if spec is None:
         spec = default_plot_spec(result.columns)
-    panels = spec.get("panels", [])
+    panels = plant.from_doc(PlotSpec, spec, HarnessError).panels
     if not panels:
         raise HarnessError("plot spec has no panels")
     t = result.col("t")
@@ -392,7 +392,7 @@ def render_svg(result: plant.ScenarioResult, spec: dict = None) -> str:
     for pi, panel in enumerate(panels):
         top = pi * _PANEL_H
         y0, y1 = top + _MARGIN_T, top + _PANEL_H - _MARGIN_B
-        series = panel["series"]
+        series = panel.series
         data = [result.col(s)[::stride] for s in series]
         v_lo = min(float(d.min()) for d in data)
         v_hi = max(float(d.max()) for d in data)
@@ -407,7 +407,7 @@ def render_svg(result: plant.ScenarioResult, spec: dict = None) -> str:
         out.append(f'<rect x="{x0}" y="{y0}" width="{x1 - x0}" '
                    f'height="{y1 - y0}" fill="none" stroke="#999"/>')
         out.append(f'<text class="title" x="{x0}" y="{top + 18}">'
-                   f'{panel["title"]}</text>')
+                   f'{panel.title}</text>')
         for k in range(5):
             tv = t_lo + k * (t_hi - t_lo) / 4.0
             xp = _fmt(px(tv))
@@ -453,58 +453,85 @@ def _resolve_config(arg: str) -> str:
     raise HarnessError(f"no such config file or bundled name: {arg!r}")
 
 
-def _load_json(path: str, allowed=None) -> dict:
-    """Parse a config file; with `allowed`, an object of those keys only."""
+def _load_json(path: str):
+    """Parse a JSON file."""
     with open(path) as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
+            return json.load(fh)
+        except (ValueError, RecursionError) as e:     # also bad UTF-8, deep nesting
             raise HarnessError(f"{path}: malformed JSON: {e}") from e
-    if allowed is not None and not isinstance(doc, dict):
-        raise HarnessError(f"{path}: expected a JSON object")
-    unknown = sorted(set(doc) - set(allowed)) if allowed is not None else []
-    if unknown:
-        raise HarnessError(f"{path}: unknown keys {unknown}; allowed: {', '.join(allowed)}")
-    return doc
 
 
-def _config_seed(cfg: dict, default: int) -> int:
-    """The config's seed; numpy's generators take non-negative integers only."""
-    seed = cfg.get("seed", default)
-    if not isinstance(seed, int) or seed < 0:
-        raise HarnessError(f"seed must be a non-negative integer, got {seed!r}")
-    return seed
+@dataclass
+class JigFile:
+    """The calibrate command's config: the bench, the units and the bands."""
+
+    kind: str = "foot"                # foot | flow
+    n_units: int = 4
+    noise_sigma: float = 0.01
+    n_average: int = 1
+    lever: float = 19.0
+    seed: int = 0
+    torque_band: tuple[float, float] | None = None    # [lo, hi] of the mean RMSEs
+    force_band: tuple[float, float] | None = None
+    rmse_max: float | None = None     # bound on each unit's RMSEs
+
+    def __post_init__(self):
+        plant.check_fields(self, HarnessError)
+        if self.n_units < 1:
+            raise HarnessError(f"n_units must be at least 1, got {self.n_units}")
 
 
-def _config_number(cfg: dict, key: str, default, kind=float):
-    """cfg[key], or default when the key is absent, as kind: a JSON integer
-    for int, any finite JSON number for float.  Another type, NaN or an
-    infinity is a config error, except null for a key whose default is None."""
-    value = cfg.get(key, default)
-    if value is None and default is None:
-        return None
-    if (isinstance(value, bool) or not isinstance(value, (int,) if kind is int else (int, float))
-            or isinstance(value, float) and not math.isfinite(value)):
-        what = "an integer" if kind is int else "a finite number"
-        raise HarnessError(f"{key} must be {what}, got {value!r}")
-    return kind(value)
+@dataclass
+class LineFile:
+    """The bus-bench command's config: line, fault rings and motor bus."""
+
+    n_modules: int = 10
+    duration_s: float = 2.0
+    baud: int = 1_000_000
+    bits_per_byte: int = 10
+    inter_frame_gap: float = 20e-6
+    flip_rate: float = 0.001          # 0 runs no bit-flip ring
+    kill_at: float | None = ...       # absent: half of duration_s; null: no kill ring
+    expect_rate_hz: float = 589.8
+    n_motors: int = 16
+    t_write: float = 2e-6
+    t_read: float = 0.3e-3
+    seed: int = 5
+
+    def __post_init__(self):
+        plant.check_fields(self, HarnessError)
+        if self.kill_at is ...:
+            self.kill_at = self.duration_s / 2.0
 
 
-def _config_band(cfg: dict, key: str):
-    """cfg[key] as a (lo, hi) pair of numbers, or (None, None) when absent."""
-    band = cfg.get(key)
-    if band is None:
-        return None, None
-    if not isinstance(band, list) or len(band) != 2:
-        raise HarnessError(f"{key} must be a [lo, hi] pair, got {band!r}")
-    return tuple(_config_number({key: v}, key, None) for v in band)
+@dataclass
+class PlotPanel:
+    """One panel of a plot spec: its title and the trace columns it draws."""
+
+    title: str
+    series: tuple[str, ...]
+
+    def __post_init__(self):
+        plant.check_fields(self, HarnessError)
+        if not self.series:
+            raise HarnessError(f"plot panel {self.title!r} has no series")
 
 
-JIG_KEYS = ("kind", "n_units", "noise_sigma", "n_average", "lever", "seed",
-            "torque_band", "force_band", "rmse_max")
-LINE_KEYS = ("n_modules", "duration_s", "baud", "bits_per_byte", "inter_frame_gap",
-             "flip_rate", "kill_at", "expect_rate_hz", "n_motors", "t_write",
-             "t_read", "seed")
+@dataclass
+class PlotSpec:
+    """The plot command's spec: its panels, top to bottom."""
+
+    panels: tuple[dict, ...] = ()     # PlotPanel documents, parsed in place
+
+    def __post_init__(self):
+        plant.check_fields(self, HarnessError)
+        self.panels = tuple(plant.from_doc(PlotPanel, p, HarnessError) for p in self.panels)
+
+
+def _config(cls, arg, error=HarnessError):
+    """A command's config of class cls from a path or bundled name."""
+    return plant.from_doc(cls, _load_json(_resolve_config(arg)), error)
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +539,7 @@ LINE_KEYS = ("n_modules", "duration_s", "baud", "bits_per_byte", "inter_frame_ga
 # ---------------------------------------------------------------------------
 
 def cmd_run(args) -> int:
-    path = _resolve_config(args.scenario)
-    scenario = plant.Scenario.from_json(_load_json(path))
+    scenario = _config(plant.Scenario, args.scenario, plant.PlantError)
     if args.seed is not None:
         scenario.seed = args.seed
     os.makedirs(args.out, exist_ok=True)
@@ -530,91 +556,76 @@ def cmd_run(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    cfg = _load_json(_resolve_config(args.jig), JIG_KEYS)
-    kind = cfg.get("kind", "foot")
-    n_units = _config_number(cfg, "n_units", 4, int)
-    seed = args.seed if args.seed is not None else _config_seed(cfg, 0)
+    cfg = _config(JigFile, args.jig)
+    seed = args.seed if args.seed is not None else cfg.seed
     os.makedirs(args.out, exist_ok=True)
-    report = MetricsReport(source=f"calibrate[{kind}]")
+    report = MetricsReport(source=f"calibrate[{cfg.kind}]")
     foot_model = plant.ElasticFootModel()
     fin_model = plant.FlowFinModel()
-    rmse_max = _config_number(cfg, "rmse_max", None)
-    jig = calibration.JigConfig(
-        kind=kind,
-        lever=_config_number(cfg, "lever", 19.0),
-        noise_sigma=_config_number(cfg, "noise_sigma", 0.01),
-        n_average=_config_number(cfg, "n_average", 1, int),
-    )
-    if kind == "foot":
+    jig = calibration.JigConfig(kind=cfg.kind, lever=cfg.lever, noise_sigma=cfg.noise_sigma,
+                                n_average=cfg.n_average)
+    if cfg.kind == "foot":
         transduce = lambda w: plant.foot_deflection_p(w, foot_model)
         params = plant.magnetics.DipoleParams(n_t=50.0)
     else:
         transduce = fin_model.pose_for_force
         params = fin_model.dipole_params
     datasets = calibration.simulate_jigs(
-        transduce, params, jig, [np.random.default_rng(seed + i) for i in range(n_units)])
+        transduce, params, jig, [np.random.default_rng(seed + i) for i in range(cfg.n_units)])
     torques, forces = [], []
     for i, ds in enumerate(datasets):
         train, heldout = ds.train_eval_split()
         model = calibration.fit_poly(train)
         ev = calibration.evaluate_rmse(model, heldout)
-        model.to_json(os.path.join(args.out, f"{kind}_{i:02d}_model.json"))
-        if kind == "foot":
+        model.to_json(os.path.join(args.out, f"{cfg.kind}_{i:02d}_model.json"))
+        if cfg.kind == "foot":
             torques.append(ev.mean_torque_rmse)
             forces.append(ev.rmse["f_x"])
             report.add(f"unit{i:02d}_torque_rmse", ev.mean_torque_rmse,
-                       None, rmse_max, "N*mm")
+                       None, cfg.rmse_max, "N*mm")
             report.add(f"unit{i:02d}_fx_rmse", ev.rmse["f_x"],
-                       None, rmse_max, "N")
+                       None, cfg.rmse_max, "N")
         else:
             forces.append(ev.rmse["force"])
             report.add(f"unit{i:02d}_force_rmse", ev.rmse["force"],
-                       None, rmse_max, "N")
-    if kind == "foot" and torques:
+                       None, cfg.rmse_max, "N")
+    if cfg.kind == "foot":
         report.add("mean_torque_rmse", float(np.mean(torques)),
-                   *_config_band(cfg, "torque_band"), "N*mm")
+                   *(cfg.torque_band or (None, None)), "N*mm")
         report.add("mean_fx_rmse", float(np.mean(forces)),
-                   *_config_band(cfg, "force_band"), "N")
+                   *(cfg.force_band or (None, None)), "N")
     report.to_json(os.path.join(args.out, "calibration_report.json"))
     print(report.format_table())
     return 0 if report.all_pass else 1
 
 
 def cmd_bus_bench(args) -> int:
-    cfg = _load_json(_resolve_config(args.line), LINE_KEYS)
-    line = busring.LineConfig(
-        baud=_config_number(cfg, "baud", 1_000_000, int),
-        bits_per_byte=_config_number(cfg, "bits_per_byte", 10, int),
-        inter_frame_gap=_config_number(cfg, "inter_frame_gap", 20e-6),
-    )
-    n = _config_number(cfg, "n_modules", 10, int)
-    duration = _config_number(cfg, "duration_s", 2.0)
-    seed = args.seed if args.seed is not None else _config_seed(cfg, 5)
+    cfg = _config(LineFile, args.line)
+    line = busring.LineConfig(baud=cfg.baud, bits_per_byte=cfg.bits_per_byte,
+                              inter_frame_gap=cfg.inter_frame_gap)
+    n, duration = cfg.n_modules, cfg.duration_s
+    seed = args.seed if args.seed is not None else cfg.seed
     os.makedirs(args.out, exist_ok=True)
     report = MetricsReport(source=f"bus-bench[{n} modules]")
 
     clean = busring.simulate_ring(n, line, duration)
     rate = float(clean.frames_ok.min()) / duration
-    report.add("per_module_rate", rate, _config_number(cfg, "expect_rate_hz", 589.8),
-               None, "Hz")
+    report.add("per_module_rate", rate, cfg.expect_rate_hz, None, "Hz")
 
-    flip_rate = _config_number(cfg, "flip_rate", 0.001)
-    if flip_rate > 0.0:
+    if cfg.flip_rate > 0.0:
         faulted = busring.simulate_ring(
-            n, line, duration, faults=busring.FaultPlan(flip_rate=flip_rate),
+            n, line, duration, faults=busring.FaultPlan(flip_rate=cfg.flip_rate),
             rng=np.random.default_rng(seed),
         )
         detected = (faulted.corrupt_detected / faulted.corrupt_injected
                     if faulted.corrupt_injected else 1.0)
         report.add("corruption_detect_frac", detected, 1.0, 1.0, "")
 
-    kill_at = cfg.get("kill_at", duration / 2.0)
-    if kill_at is not None:     # null runs no kill ring
-        kill_at = _config_number(cfg, "kill_at", kill_at)
+    if cfg.kill_at is not None:
         kill_mod = n // 2
         killed = busring.simulate_ring(
             n, line, duration,
-            faults=busring.FaultPlan(kills=((kill_at, kill_mod),)),
+            faults=busring.FaultPlan(kills=((cfg.kill_at, kill_mod),)),
             record_frames=True,
         )
         # steady post-kill round period exceeds nominal by exactly one
@@ -624,7 +635,7 @@ def cmd_bus_bench(args) -> int:
         ref = (kill_mod + 3) % n
         t_ref = np.array([e[0] for e in killed.frame_log if e[1] == ref])
         periods = np.diff(t_ref)
-        post = periods[t_ref[1:] > kill_at + 2.0 * (nominal + excess)]
+        post = periods[t_ref[1:] > cfg.kill_at + 2.0 * (nominal + excess)]
         if len(post):
             per_round = (float(np.median(post)) - nominal) / excess
         else:
@@ -633,11 +644,7 @@ def cmd_bus_bench(args) -> int:
         alive = float(t_ref.size > 0 and t_ref.max() > duration - 2.0 * (nominal + excess))
         report.add("ring_alive_after_kill", alive, 0.5, 1.5, "")
 
-    budget = busring.motor_bus_budget(
-        _config_number(cfg, "n_motors", 16, int),
-        _config_number(cfg, "t_write", 2e-6),
-        _config_number(cfg, "t_read", 0.3e-3),
-    )
+    budget = busring.motor_bus_budget(cfg.n_motors, cfg.t_write, cfg.t_read)
     report.add("motor_loop_budget", budget, 100.0, None, "Hz")
 
     report.to_json(os.path.join(args.out, "bus_bench.json"))
@@ -649,7 +656,7 @@ def cmd_analyze(args) -> int:
     result = plant.ScenarioResult.read_csv(args.trace)
     scenario = None
     if args.scenario is not None:
-        scenario = plant.Scenario.from_json(_load_json(_resolve_config(args.scenario)))
+        scenario = _config(plant.Scenario, args.scenario, plant.PlantError)
     report = analyze_trace(result, scenario)
     os.makedirs(args.out, exist_ok=True)
     stem = os.path.splitext(os.path.basename(args.trace))[0]

@@ -34,14 +34,6 @@ class NoConvergenceError(SensorModelError):
     """Numeric inversion failed to reach the residual tolerance."""
 
 
-def vec3(x, y, z):
-    """Build a finite (3,) float vector; rejects NaN/Inf components."""
-    v = np.array([x, y, z], dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"non-finite vector components: {v}")
-    return v
-
-
 def _as_vec3(v):
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):

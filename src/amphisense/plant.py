@@ -26,7 +26,10 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+import os
+import re
+import sys
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -149,13 +152,6 @@ def foot_deflection_p(wrench: calibration.FootWrench,
         model.p0_mm * model.c_yaw * wrench.tau_yaw,
         model.p0_mm * model.c_pitch * wrench.tau_pitch,
     ], axis=-1)
-
-
-def foot_deflection(wrench: calibration.FootWrench,
-                    model: ElasticFootModel) -> magnetics.MagnetPose:
-    """Magnet pose under a foot wrench (radially magnetized, H = -P/|P|)."""
-    p = foot_deflection_p(wrench, model)
-    return magnetics.MagnetPose(p=p, h=-p / np.linalg.norm(p))
 
 
 @dataclass(frozen=True)
@@ -295,18 +291,76 @@ def flow_forces(q_trace, kin: RobotKinematics, fins, stream_speed,
     return forces, angles
 
 
+_FIELD_TYPES = {    # annotation: (test, conversion, what the error names)
+    # a finite number; the bound compares exactly, so a huge integer fails too
+    "float": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+              and abs(v) <= sys.float_info.max, float, "a finite number"),
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0,
+            int, "a non-negative integer"),
+    "bool": (lambda v: isinstance(v, bool), bool, "true or false"),
+    "str": (lambda v: isinstance(v, str), str, "a string"),
+    "dict": (lambda v: isinstance(v, dict), dict, "an object"),
+}
+
+
+def check_fields(obj, error):
+    """Hold each field of the config dataclass obj to its annotation.
+
+    float takes a finite number (stored as a float), int a non-negative
+    integer (every integer a config holds is a count or a seed), bool,
+    str and dict exactly that type; tuple[T, ...] takes a list of T and
+    tuple[T, T] a list of two (stored as a tuple).  An annotation ending
+    in `| None` admits null, and a field left at its default is not
+    checked.  Range rules stay with each class.  Raises error.
+    """
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        kind, _, optional = f.type.partition(" | ")
+        if value is f.default or value is None and optional == "None":
+            continue
+        seq = kind.startswith("tuple[")
+        items = kind[6:-1].split(", ") if seq else [kind]
+        test, convert, what = _FIELD_TYPES[items[0]]
+        if seq:
+            size = None if items[-1] == "..." else len(items)
+            ok = (isinstance(value, (list, tuple)) and size in (None, len(value))
+                  and all(map(test, value)))
+            what = f"a list of {size or 'items'}, each {what}"
+        else:
+            ok = test(value)
+        if not ok:
+            raise error(f"{f.name} must be {what}, got {value!r}")
+        setattr(obj, f.name, tuple(map(convert, value)) if seq else convert(value))
+
+
+def from_doc(cls, doc, error):
+    """An instance of the config dataclass cls from a parsed JSON document:
+    an object whose keys are the field names, with the required ones
+    present.  The values are checked by cls.__post_init__."""
+    if not isinstance(doc, dict):
+        raise error(f"expected a JSON object, got {type(doc).__name__}")
+    allowed = [f.name for f in fields(cls)]
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise error(f"unknown keys {unknown}; allowed: {', '.join(allowed)}")
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in doc]
+    if missing:
+        raise error(f"missing keys {missing}")
+    return cls(**doc)
+
+
 @dataclass
 class Scenario:
     """Staging for one run; JSON-serializable."""
 
-    name: str = "walk_floor"
+    name: str = "walk_floor"          # a file stem: the trace and metrics file names
     terrain: str = "floor"            # floor | water | shoreline
     x_waterline: float = 0.0
     duration_s: float = 18.0
-    dt: float = 1e-3
+    dt: float = 1e-3                  # at most cpg.MAX_DT_S
     drive: float = cpg.D_WALK
     feedback: bool = True
-    drive_switch_t: float = None      # open-loop drive switch, optional
+    drive_switch_t: float | None = None   # open-loop drive switch, optional
     advance_speed: float = 0.0        # body advance while walking, m/s
     swim_speed: float = 0.2           # stream speed once swimming, m/s
     x_start: float = 0.0
@@ -315,26 +369,22 @@ class Scenario:
     gain: float = 1.0
     seed: int = 0
     window_start: float = 6.0         # metrics ignore the lock-in transient
-    log_flux: tuple = ("foot_fl", "fin_link2")
+    log_flux: tuple[str, ...] = ("foot_fl", "fin_link2")
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "float" and not (value is None and f.default is None) and (
-                    isinstance(value, bool) or not isinstance(value, (int, float))
-                    or isinstance(value, float) and not math.isfinite(value)):
-                raise PlantError(f"{f.name} must be a finite number, got {value!r}")
+        check_fields(self, PlantError)
+        if not re.fullmatch(r"\w[\w.-]*", self.name, re.ASCII):
+            raise PlantError(f"name must be a file stem of letters, digits, '_', '.' "
+                             f"and '-', got {self.name!r}")
         if self.terrain not in ("floor", "water", "shoreline"):
             raise PlantError(f"unknown terrain {self.terrain!r}")
-        if self.duration_s <= 0 or self.dt <= 0:
-            raise PlantError("duration and dt must be positive")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise PlantError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not isinstance(self.log_flux, (list, tuple)) or not all(
-                isinstance(name, str) and name in SENSOR_NAMES for name in self.log_flux):
+        if self.duration_s <= 0:
+            raise PlantError("duration must be positive")
+        if not 0 < self.dt <= cpg.MAX_DT_S:
+            raise PlantError(f"dt must be in (0, {cpg.MAX_DT_S:g}] s, got {self.dt!r}")
+        if not set(self.log_flux) <= set(SENSOR_NAMES):
             raise PlantError(f"log_flux must list modules of {SENSOR_NAMES}, "
                              f"got {self.log_flux!r}")
-        self.log_flux = tuple(self.log_flux)
 
     @property
     def weight_n(self) -> float:
@@ -350,15 +400,11 @@ class Scenario:
 
     @classmethod
     def from_json(cls, source):
-        if not isinstance(source, dict):
+        """A scenario from a parsed JSON document or a file path."""
+        if isinstance(source, (str, os.PathLike)):
             with open(source) as fh:
                 source = json.load(fh)
-        allowed = [f.name for f in fields(cls)]
-        unknown = sorted(set(source) - set(allowed))
-        if unknown:
-            raise PlantError(f"unknown scenario keys {unknown}; "
-                             f"allowed: {', '.join(allowed)}")
-        return cls(**source)
+        return from_doc(cls, source, PlantError)
 
 
 def _fit_sensor_models(scenario, foot_model, fin):

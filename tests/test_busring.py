@@ -162,16 +162,6 @@ class TestCodec:
                 with pytest.raises(bus.BusError):
                     bus.decode_frame(bad)
 
-    def test_control_codec(self):
-        for op in (bus.OP_START, bus.OP_RESET):
-            assert bus.decode_control(bus.encode_control(op)) == op
-        with pytest.raises(bus.BusError):
-            bus.encode_control(0x99)
-        bad = bytearray(bus.encode_control(bus.OP_START))
-        bad[1] ^= 0x01
-        with pytest.raises(bus.BusError):
-            bus.decode_control(bad)
-
 
 class TestLineConfig:
     def test_default_timing(self):
@@ -316,19 +306,6 @@ class TestRingSimulation:
         assert doc["n_modules"] == 3
         assert len(doc["rates_hz"]) == 3
         assert doc["corrupt_detected"] <= doc["corrupt_injected"]
-
-    def test_frame_dumps(self, tmp_path):
-        stats = bus.simulate_ring(2, bus.LineConfig(), duration=0.01,
-                                  record_frames=True)
-        bus.write_frame_csv(stats, tmp_path / "frames.csv")
-        bus.write_frame_log(stats, tmp_path / "frames.bin")
-        lines = (tmp_path / "frames.csv").read_text().strip().split("\n")
-        assert len(lines) == len(stats.frame_log) + 1
-        blob = (tmp_path / "frames.bin").read_bytes()
-        assert len(blob) == len(stats.frame_log) * (8 + bus.FRAME_LEN)
-        nostats = bus.simulate_ring(2, bus.LineConfig(), duration=0.01)
-        with pytest.raises(bus.BusError):
-            bus.write_frame_csv(nostats, tmp_path / "x.csv")
 
 
 def reference_ring(n_modules, config, duration, faults, rng, source=None):

@@ -38,22 +38,29 @@ def flow_transduce(force):
     )
 
 
+def quad_basis(X):
+    """The foot models' 10-term basis at each row of X."""
+    return cal._feature_matrix("foot", X)
+
+
 class TestFeatures:
     def test_origin(self):
         np.testing.assert_array_equal(
-            cal.quad_features([0, 0, 0]), [1, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+            quad_basis([[0, 0, 0]]), [[1, 0, 0, 0, 0, 0, 0, 0, 0, 0]]
         )
 
     def test_ones(self):
-        np.testing.assert_array_equal(cal.quad_features([1, 1, 1]), np.ones(10))
+        np.testing.assert_array_equal(quad_basis([[1, 1, 1]]), np.ones((1, 10)))
 
     def test_direct_expansion(self):
         np.testing.assert_array_equal(
-            cal.quad_features([2, 0, -1]), [1, 2, 0, -1, 4, 0, 1, 0, -2, 0]
+            quad_basis([[2, 0, -1], [0, 0, 0]]),
+            [[1, 2, 0, -1, 4, 0, 1, 0, -2, 0], [1, 0, 0, 0, 0, 0, 0, 0, 0, 0]]
         )
 
     def test_flow_basis(self):
-        np.testing.assert_array_equal(cal.flow_features([2, -3]), [1, 2, -3, 4, 9, -6])
+        np.testing.assert_array_equal(cal._feature_matrix("flow", [[2, -3]]),
+                                      [[1, 2, -3, 4, 9, -6]])
 
 
 def _dataset_from(X, Y, kind="foot", cycle="c0"):
@@ -71,14 +78,14 @@ class TestFit:
         others = np.delete(model.coef[0], 4)
         assert np.max(np.abs(others)) < 1e-9
         # and the fitted model evaluates the pure square correctly
-        w = cal.apply_poly(model, [3.0, 0.0, 0.0])
-        assert w.tau_pitch == pytest.approx(18.0, abs=1e-8)
+        tau_pitch = cal.apply_poly_batch(model, [[3.0, 0.0, 0.0]])[0, 0]
+        assert tau_pitch == pytest.approx(18.0, abs=1e-8)
 
     def test_recovery_within_standard_errors(self):
         rng = np.random.default_rng(42)
         truth = rng.normal(size=(3, 10))
         X = rng.uniform(-1.5, 1.5, size=(500, 3))
-        F = np.column_stack([cal.quad_features(x) for x in X]).T
+        F = quad_basis(X)
         sigma = 0.01
         Y = F @ truth.T + rng.normal(scale=sigma, size=(500, 3))
         model = cal.fit_poly(_dataset_from(X, Y))
@@ -133,7 +140,7 @@ class TestFit:
         Y = rng.normal(size=(80, 3))
         ds = _dataset_from(X, Y)
         model = cal.fit_poly(ds)
-        F = np.column_stack([cal.quad_features(x) for x in X]).T
+        F = quad_basis(X)
         sse0 = np.sum((Y - F @ model.coef.T) ** 2)
         for idx in [(0, 0), (1, 4), (2, 9)]:
             for eps in (1e-4, -1e-4):
@@ -145,19 +152,14 @@ class TestFit:
 class TestApplyEvaluate:
     def test_zero_model(self):
         model = cal.PolyModel(kind="foot", coef=np.zeros((3, 10)), train_rmse=np.zeros(3))
-        w = cal.apply_poly(model, [1.0, -2.0, 0.5])
-        assert w.tau_pitch == w.tau_yaw == w.f_x == 0.0
-
-    def test_kind_mismatch(self):
-        model = cal.PolyModel(kind="flow", coef=np.zeros((1, 6)), train_rmse=np.zeros(1))
-        with pytest.raises(cal.CalibrationError):
-            cal.apply_poly(model, [1.0, 2.0, 3.0])
+        out = cal.apply_poly_batch(model, [[1.0, -2.0, 0.5], [3.0, 0.0, -1.0]])
+        np.testing.assert_array_equal(out, np.zeros((2, 3)))
 
     def test_rmse_zero_for_exact_model(self):
         rng = np.random.default_rng(2)
         X = rng.uniform(-1, 1, size=(60, 3))
         truth = rng.normal(size=(3, 10))
-        F = np.column_stack([cal.quad_features(x) for x in X]).T
+        F = quad_basis(X)
         Y = F @ truth.T
         model = cal.fit_poly(_dataset_from(X, Y, cycle="train"))
         ev = _dataset_from(X[:20], Y[:20], cycle="eval")
@@ -383,29 +385,6 @@ class TestJig:
 
 
 class TestSerialization:
-    def test_dataset_csv_round_trip(self, tmp_path):
-        rng = np.random.default_rng(4)
-        ds = cal.simulate_jig(
-            foot_transduce, FOOT_PARAMS, cal.JigConfig(n_train=1, n_eval=1), rng
-        )
-        path = tmp_path / "jig.csv"
-        ds.to_csv(path)
-        back = cal.CalibrationDataset.from_csv(path)
-        assert back.kind == "foot"
-        np.testing.assert_array_equal(back.X, ds.X)
-        np.testing.assert_array_equal(back.Y, ds.Y)
-        assert back.cycle_ids == ds.cycle_ids
-
-    def test_flow_dataset_csv_round_trip(self, tmp_path):
-        rng = np.random.default_rng(4)
-        cfg = cal.JigConfig(kind="flow", n_train=1, n_eval=1)
-        ds = cal.simulate_jig(flow_transduce, FLOW_PARAMS, cfg, rng)
-        path = tmp_path / "flow.csv"
-        ds.to_csv(path)
-        back = cal.CalibrationDataset.from_csv(path)
-        assert back.kind == "flow"
-        np.testing.assert_array_equal(back.X, ds.X)
-
     def test_model_json_round_trip(self, tmp_path):
         rng = np.random.default_rng(6)
         X = rng.uniform(-1, 1, size=(50, 3))

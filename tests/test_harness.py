@@ -5,10 +5,14 @@ phase.  CLI tests drive main() on a short swimming scenario shared by
 the module so the plant runs once.
 """
 
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amphisense import harness, magnetics, plant
 
@@ -146,8 +150,10 @@ class TestCliRun:
 
     # case: (command line before the input, input file text or None for a
     # name that resolves to nothing or DIRECTORY for a directory, exception
-    # run_scenario raises or None, exit code)
+    # run_scenario raises or None, exit code); TRACE in the command line
+    # stands for a short valid trace file
     DIRECTORY = "<directory>"
+    TRACE = "<trace>"
     EXIT_CASES = {
         "passing_run": ("run", json.dumps(SHORT_SHORELINE), None, 0),
         "malformed_json": ("run", "{ not json,,", None, 2),
@@ -188,11 +194,48 @@ class TestCliRun:
         "analyze_missing_column": ("analyze", "t,mode\n0.0,0\n0.001,0\n", None, 2),
         "plot_row_narrower_than_header": (
             "plot", "t,gt_q_ax1,gt_q_ax4,gt_q_ax8\n0.0,0\n0.001,0\n", None, 2),
+        "run_dt_beyond_step_bound": ("run", '{"dt": 0.02, "duration_s": 1}', None, 2),
+        "run_not_an_object": ("run", "[1, 2]", None, 2),
+        "analyze_scenario_not_an_object": ("analyze <trace> --scenario", "[1, 2]", None, 2),
+        "run_name_with_parent_dirs": ("run", '{"name": "../../evil", "duration_s": 0.01}',
+                                      None, 2),
+        "run_number_name": ("run", '{"name": 5, "duration_s": 0.01}', None, 2),
+        "run_string_feedback": ("run", '{"feedback": "no", "duration_s": 0.01}', None, 2),
+        "jig_zero_n_units": ("calibrate", '{"kind": "foot", "n_units": 0}', None, 2),
+        "jig_negative_n_units": ("calibrate", '{"kind": "foot", "n_units": -3}', None, 2),
+        "jig_zero_n_average": ("calibrate", '{"n_average": 0, "n_units": 1}', None, 2),
+        "plot_number_panels": ("plot <trace>", '{"panels": 5}', None, 2),
+        "plot_spec_not_an_object": ("plot <trace>", "[1, 2]", None, 2),
+        "plot_panel_without_title": ("plot <trace>", '{"panels": [{"series": ["gt_q_ax4"]}]}',
+                                     None, 2),
+        "plot_panel_without_series": ("plot <trace>", '{"panels": [{"title": "a", "series": []}]}',
+                                      None, 2),
+    }
+
+    # what the error line of a case says, where exit 2 alone would not tell
+    # the config check from a later failure of the run
+    EXIT_MESSAGES = {
+        "run_dt_beyond_step_bound": "dt must be in (0, 0.01] s",
+        "run_not_an_object": "expected a JSON object",
+        "analyze_scenario_not_an_object": "expected a JSON object",
+        "run_name_with_parent_dirs": "name must be a file stem",
+        "run_number_name": "name must be a string",
+        "run_string_feedback": "feedback must be true or false",
+        "jig_zero_n_units": "n_units must be at least 1",
+        "jig_negative_n_units": "n_units must be a non-negative integer",
+        "jig_zero_n_average": "n_average must be at least 1",
+        "plot_number_panels": "panels must be a list",
+        "plot_spec_not_an_object": "expected a JSON object",
+        "plot_panel_without_title": "missing keys ['title']",
+        "plot_panel_without_series": "plot panel 'a' has no series",
     }
 
     @pytest.mark.parametrize("case", EXIT_CASES)
     def test_exit_code(self, case, tmp_path, monkeypatch, capsys):
         command, text, raises, code = self.EXIT_CASES[case]
+        trace = tmp_path / "tr.csv"
+        trace.write_text("t,gt_q_ax4\n0.0,0\n0.001,1\n")
+        command = command.replace(self.TRACE, str(trace))
         arg = "no_such_scenario"
         if text == self.DIRECTORY:
             arg = tmp_path / "a_directory"
@@ -204,8 +247,12 @@ class TestCliRun:
             def stalled_run(scenario):
                 raise raises
             monkeypatch.setattr(plant, "run_scenario", stalled_run)
-        argv = ["--out", str(tmp_path), *command.split(), str(arg)]
+        out = tmp_path / "a" / "b" / "out"
+        argv = ["--out", str(out), *command.split(), str(arg)]
         assert harness.main(argv) == code
+        stray = [p for p in tmp_path.rglob("*")
+                 if p.is_file() and p not in (trace, arg) and out not in p.parents]
+        assert not stray, f"written outside --out: {stray}"
         if code == 2:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
@@ -215,6 +262,7 @@ class TestCliRun:
                 assert str(arg) in err
             if "missing_column" in case:
                 assert "'gt_foot_fl_fx'" in err
+            assert self.EXIT_MESSAGES.get(case, "") in err
 
     def test_bundled_names_resolve(self):
         for name in ("walk_floor", "swim_pool", "shoreline_transition",
@@ -223,9 +271,92 @@ class TestCliRun:
             assert path.endswith(f"{name}.json")
 
     def test_bundled_jig_and_line_keys_allowed(self):
-        for name, keys in (("jig_default", harness.JIG_KEYS),
-                           ("line_default", harness.LINE_KEYS)):
-            assert set(harness._load_json(harness._resolve_config(name))) <= set(keys)
+        # every bundled config parses through its command's schema
+        for name in ("walk_floor", "swim_pool", "shoreline_transition"):
+            assert plant.Scenario.from_json(harness._resolve_config(name)).name == name
+        assert harness._config(harness.JigFile, "jig_default").torque_band == (1.26, 2.5)
+        assert harness._config(harness.LineFile, "line_default").kill_at == 1.0
+
+
+# each command's config class and the error its parser raises
+CONFIG_CLASSES = {
+    "run": (plant.Scenario, plant.PlantError),
+    "calibrate": (harness.JigFile, harness.HarnessError),
+    "bus-bench": (harness.LineFile, harness.HarnessError),
+    "plot": (harness.PlotSpec, harness.HarnessError),
+}
+
+# what a parsed value of each annotation is
+HOLDS = {
+    "float": lambda v: type(v) is float and math.isfinite(v),
+    "int": lambda v: type(v) is int and v >= 0,
+    "bool": lambda v: type(v) is bool,
+    "str": lambda v: type(v) is str,
+    "tuple[float, float]": lambda v: (type(v) is tuple and len(v) == 2
+                                      and all(map(HOLDS["float"], v))),
+    "tuple[str, ...]": lambda v: type(v) is tuple and all(map(HOLDS["str"], v)),
+    "tuple[dict, ...]": lambda v: (type(v) is tuple
+                                   and all(type(p) is harness.PlotPanel for p in v)),
+}
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+    | st.floats(allow_nan=True, allow_infinity=True),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def _documents(cls):
+    """JSON documents for a config class: arbitrary values, and objects of
+    mostly its own keys, each holding its default, a number, string or
+    list, or any JSON value."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)
+                if f.default not in (dataclasses.MISSING, ...)}
+    key = st.sampled_from(names) | st.text(max_size=4)
+    value = (st.integers(-2, 12) | st.floats(-1e3, 1e3) | st.text(max_size=4)
+             | st.lists(st.floats(-5.0, 5.0) | st.sampled_from(plant.SENSOR_NAMES), max_size=3)
+             | JSON_VALUES)
+    own = st.builds(lambda keys, values, drop: {
+        k: defaults[k] if k in defaults and not drop else v for k, v in zip(keys, values)},
+        st.lists(key, max_size=5, unique=True), st.lists(value, min_size=5, max_size=5),
+        st.booleans())
+    return JSON_VALUES | own
+
+
+class TestConfigParsers:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), command=st.sampled_from(sorted(CONFIG_CLASSES)))
+    def test_parses_or_raises_the_config_error(self, command, data):
+        cls, error = CONFIG_CLASSES[command]
+        doc = data.draw(_documents(cls))
+        try:
+            cfg = plant.from_doc(cls, doc, error)
+        except error:
+            return
+        # a parsed config holds its annotated types
+        for f in dataclasses.fields(cls):
+            value = getattr(cfg, f.name)
+            kind = f.type.removesuffix(" | None")
+            assert value is None and kind != f.type or HOLDS[kind](value), (f.name, value)
+
+    def test_typed_fields_of_a_direct_construction(self):
+        sc = plant.Scenario(drive=5, seed=3, log_flux=["fin_tail"])
+        assert type(sc.drive) is float and sc.log_flux == ("fin_tail",)
+        for kw in ({"dt": 0.011}, {"name": "a/b"}, {"name": ".."}, {"feedback": 1},
+                   {"seed": True}, {"gain": 10 ** 400}):
+            with pytest.raises(plant.PlantError):
+                plant.Scenario(**kw)
+        for kw in ({"torque_band": [1.0]}, {"force_band": [1.0, 2.0, 3.0]}, {"n_units": 0}):
+            with pytest.raises(harness.HarnessError):
+                harness.JigFile(**kw)
+
+    def test_kill_at_absent_null_and_given(self):
+        assert harness.LineFile(duration_s=3.0).kill_at == 1.5
+        assert harness.LineFile(kill_at=None).kill_at is None
+        assert harness.LineFile(kill_at=0).kill_at == 0.0
 
 
 class TestCliAnalyze:
