@@ -231,14 +231,3 @@ def cpg_step(phi, r, omega, edges, a, R, dt):
     r2 = r + dt / 6.0 * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
     return phi2, r2
 
-
-def cpg_rollout(phi0, r0, omega, edges, a, R, dt, n_steps):
-    """n_steps of cpg_step from phi0, r0 (..., n); (n_steps + 1, ..., n) each."""
-    phis = np.empty((n_steps + 1,) + phi0.shape)
-    rs = np.empty_like(phis)
-    phi, r = phi0, r0
-    phis[0], rs[0] = phi, r
-    for k in range(n_steps):
-        phi, r = cpg_step(phi, r, omega, edges, a, R, dt)
-        phis[k + 1], rs[k + 1] = phi, r
-    return phis, rs

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,7 +134,7 @@ class OscillatorParams:
 
     def intrinsic(self, d: float):
         """Intrinsic rates and target amplitudes at drive d, as read-only
-        arrays.  The last drive's pair is kept: the network is stepped
+        arrays.  The last drive's pair is kept: step_network asks for it
         every tick, and a run changes its drive at most once."""
         memo = self.__dict__.get("_intrinsic_memo")
         if memo is not None and memo[0] == d:
@@ -207,31 +207,15 @@ class JointMap:
     groups: tuple
 
 
-@dataclass
-class NetworkState:
-    phi: np.ndarray
-    r: np.ndarray
-    drive: float
-    t: float = 0.0
-
-    def __post_init__(self):
-        self.phi = np.asarray(self.phi, dtype=float)
-        self.r = np.asarray(self.r, dtype=float)
-        if np.any(self.r < 0.0):
-            raise CpgConfigError("amplitudes must be non-negative")
-
-    def copy(self) -> "NetworkState":
-        return NetworkState(self.phi.copy(), self.r.copy(), self.drive, self.t)
-
-
-def initial_state(params: OscillatorParams, drive: float, rng=None) -> NetworkState:
-    """State with amplitudes at their drive targets and phases at 0 or random."""
+def initial_state(params: OscillatorParams, drive: float, rng=None):
+    """Phases (n,) at 0 or random and amplitudes at their drive targets,
+    as a pair (phi, r)."""
     omega, R = params.intrinsic(drive)
     if rng is None:
         phi = np.zeros(params.n)
     else:
         phi = rng.uniform(0.0, TWO_PI, size=params.n)
-    return NetworkState(phi=phi, r=R.copy(), drive=drive, t=0.0)
+    return phi, R.copy()
 
 
 def build_gait_network(axial_total_lag: float = TWO_PI):
@@ -331,43 +315,28 @@ def build_gait_network(axial_total_lag: float = TWO_PI):
     return params, graph, jmap
 
 
-def step_network(state: NetworkState, params: OscillatorParams,
-                 graph: CouplingGraph, dt: float) -> NetworkState:
-    """Advance the network one RK4 step of length dt (s).
+def step_network(phi: np.ndarray, r: np.ndarray, drive: float, params: OscillatorParams,
+                 graph: CouplingGraph, dt: float):
+    """Advance phases phi and amplitudes r one RK4 step of length dt (s) at
+    the given drive; returns the new (phi, r), amplitudes clamped at 0.
 
-    Intrinsic rates and amplitude targets are re-evaluated from the
-    state's current drive, so drive changes take effect immediately.  The
-    state may carry leading axes (..., n), as in `rollout`.
+    Intrinsic rates and amplitude targets come from the drive of this call,
+    so a drive change takes effect at the next step.  phi and r may carry
+    leading axes (..., n), a batch of networks stepped together; each row
+    evolves bit for bit as it would alone.
     """
     if not 0.0 < dt <= MAX_DT_S:
         raise ValueError(f"dt must be in (0, {MAX_DT_S:g}] s")
-    omega, R = params.intrinsic(state.drive)
-    phi, r = _kernels.cpg_step(state.phi, state.r, omega, graph.arrays, params.a, R, dt)
-    return NetworkState(phi=phi, r=np.maximum(r, 0.0), drive=state.drive,
-                        t=state.t + dt)
+    if np.any(r < 0.0):
+        raise CpgConfigError("amplitudes must be non-negative")
+    omega, R = params.intrinsic(drive)
+    phi, r = _kernels.cpg_step(phi, r, omega, graph.arrays, params.a, R, dt)
+    return phi, np.maximum(r, 0.0)
 
 
-def rollout(state: NetworkState, params: OscillatorParams, graph: CouplingGraph,
-            dt: float, n_steps: int):
-    """Integrate n_steps at fixed drive; returns (t, phis, rs).
-
-    The state's phi and r may carry leading axes (..., n), a batch of
-    networks stepped together; each row evolves bit for bit as it would
-    alone.  phis and rs have shape (n_steps + 1, ..., n), the first row
-    the initial state.
-    """
-    if not 0.0 < dt <= MAX_DT_S:
-        raise ValueError(f"dt must be in (0, {MAX_DT_S:g}] s")
-    omega, R = params.intrinsic(state.drive)
-    phis, rs = _kernels.cpg_rollout(state.phi, state.r, omega, graph.arrays,
-                                    params.a, R, dt, n_steps)
-    t = state.t + dt * np.arange(n_steps + 1)
-    return t, phis, np.maximum(rs, 0.0)
-
-
-def oscillator_output(state: NetworkState) -> np.ndarray:
+def oscillator_output(phi: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Activity x_i = r_i (1 + cos phi_i)."""
-    return state.r * (1.0 + np.cos(state.phi))
+    return r * (1.0 + np.cos(phi))
 
 
 def joint_targets(x: np.ndarray, jmap: JointMap, gain: float = 1.0) -> np.ndarray:
@@ -386,9 +355,9 @@ class GaitCommand:
     drive: float
 
 
-def transition_controller(foot_sum: float, cmd: GaitCommand,
+def transition_controller(load: float, cmd: GaitCommand,
                           threshold: float = FOOT_SUM_THRESHOLD_N) -> GaitCommand:
     """One-way walk-to-swim supervisor on the summed foot load (N)."""
-    if cmd.mode is GaitMode.WALKING and foot_sum < threshold:
+    if cmd.mode is GaitMode.WALKING and load < threshold:
         return GaitCommand(mode=GaitMode.SWIMMING, drive=D_SWIM)
     return cmd

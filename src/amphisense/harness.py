@@ -375,6 +375,9 @@ def render_svg(result: plant.ScenarioResult, spec: dict = None) -> str:
     t = result.col("t")
     stride = max(1, len(t) // _MAX_POINTS)
     ts = t[::stride]
+    t_lo, t_hi = float(ts[0]), float(ts[-1])
+    if not t_hi > t_lo:
+        raise HarnessError("cannot plot a trace whose time does not advance")
     height = len(panels) * _PANEL_H
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_PLOT_W}" '
@@ -384,7 +387,6 @@ def render_svg(result: plant.ScenarioResult, spec: dict = None) -> str:
         f'<rect width="{_PLOT_W}" height="{height}" fill="white"/>',
     ]
     x0, x1 = _MARGIN_L, _PLOT_W - _MARGIN_R
-    t_lo, t_hi = float(ts[0]), float(ts[-1])
 
     def px(v):
         return x0 + (v - t_lo) / (t_hi - t_lo) * (x1 - x0)

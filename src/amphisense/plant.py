@@ -270,9 +270,10 @@ def fin_drag_force(theta_anterior, mount_speed, stream_speed, fin: FlowFinModel)
     return fin.c_d * v_n * np.abs(v_n)
 
 
-def flow_forces(q_trace, kin: RobotKinematics, fins, stream_speed,
+def flow_forces(q_trace, kin: RobotKinematics, fin: FlowFinModel, stream_speed,
                 dt: float = 1e-3, mounts=None):
-    """Per-fin force traces for a joint-angle trace (n, 16).
+    """Per-fin force traces for a joint-angle trace (n, 16), every fin
+    built as `fin`.
 
     stream_speed is a scalar or one value per row; mounts (n, n_fins, 2)
     reuse the caller's kinematics.  The first row's mounts count as still.
@@ -283,12 +284,9 @@ def flow_forces(q_trace, kin: RobotKinematics, fins, stream_speed,
         mounts = kin.forward(q_trace)["fin_mounts"]
     speed = np.zeros(mounts.shape[:2])
     speed[1:] = np.linalg.norm(np.diff(mounts, axis=0), axis=-1) / dt
-    forces, angles = np.zeros((2, len(q_trace), len(fins)))
-    for fi, fin in enumerate(fins):
-        forces[:, fi] = fin_drag_force(q_trace[:, FIN_ANTERIOR_JOINT[fi]],
-                                       speed[:, fi], stream_speed, fin)
-        angles[:, fi] = fin.angle_for_force(forces[:, fi])
-    return forces, angles
+    forces = fin_drag_force(q_trace[:, FIN_ANTERIOR_JOINT], speed,
+                            np.reshape(stream_speed, (-1, 1)), fin)
+    return forces, fin.angle_for_force(forces)
 
 
 _FIELD_TYPES = {    # annotation: (test, conversion, what the error names)
@@ -446,9 +444,12 @@ class ScenarioResult:
 
     @classmethod
     def read_csv(cls, path):
-        with open(path) as fh:
-            header = fh.readline().strip().split(",")
-            body = fh.read()
+        try:
+            with open(path, encoding="utf-8") as fh:
+                header = fh.readline().strip().split(",")
+                body = fh.read()
+        except UnicodeDecodeError as e:
+            raise PlantError(f"{path}: not UTF-8 text: {e}") from None
         if not body.strip():
             return cls(scenario=None, columns=header, data=np.zeros((0, len(header))))
         try:
@@ -491,12 +492,10 @@ def _oscillate(net, scenario, drive, phi, r, lo, hi):
     their joint targets.  Row k + 1 of phi, r keeps the state after tick k
     (row 0 the initial one), which a later span resumes from."""
     params, graph, jmap = net
-    state = cpg.NetworkState(phi[lo], r[lo], scenario.drive)
     for k in range(lo, hi):
-        state.drive = drive[k]
-        state = cpg.step_network(state, params, graph, scenario.dt)
-        phi[k + 1], r[k + 1] = state.phi, state.r
-    out = cpg.oscillator_output(cpg.NetworkState(phi[lo + 1:hi + 1], r[lo + 1:hi + 1], 0.0))
+        phi[k + 1], r[k + 1] = cpg.step_network(phi[k], r[k], drive[k], params, graph,
+                                                scenario.dt)
+    out = cpg.oscillator_output(phi[lo + 1:hi + 1], r[lo + 1:hi + 1])
     return cpg.joint_targets(out, jmap, scenario.gain)
 
 
@@ -527,8 +526,7 @@ def _physics(scenario, kin, fin, swimming, x_body, data, col, lo, hi):
     data[lo:hi, f0:f0 + n_w] = wrenches.reshape(-1, n_w)
 
     stream = np.where(swimming[rows], scenario.swim_speed, 0.0)
-    force, angle = flow_forces(qq, kin, [fin] * len(FIN_NAMES), stream, scenario.dt,
-                               mounts=fk["fin_mounts"])
+    force, angle = flow_forces(qq, kin, fin, stream, scenario.dt, mounts=fk["fin_mounts"])
     f0 = col[f"gt_{FIN_NAMES[0]}_force"]    # fin forces, then fin angles
     data[lo:hi, f0:f0 + 2 * len(FIN_NAMES)] = np.where(
         wet, np.hstack([force[1:], angle[1:]]), 0.0)
@@ -562,25 +560,17 @@ def _foot_estimates(name, filt, model):
 
 
 def _host_side(ticks, raw, scenario, models, fin, round_p, data, col):
-    """Low-pass, inversion and calibrated model over each module's whole
-    sample stream, into the est_*, raw_*, filt_* and est_foot_sum columns.
-    The fins' filtered streams are inverted together, in one call."""
-    n_foot = len(FOOT_NAMES)
-    fin_at = np.cumsum([0] + [len(tk) for tk in ticks[n_foot:]])   # fin row offsets
+    """The fins' est_* columns and, for logged fins, raw_* and filt_*: each
+    fin's whole sample stream (ticks[j] and raw[j] for FIN_NAMES[j])
+    low-passed, all inverted together in one call, then calibrated."""
+    fin_at = np.cumsum([0] + [len(tk) for tk in ticks])   # row offsets of each fin
     fin_filt = np.empty((fin_at[-1], 3))
-    for i, (name, tk) in enumerate(zip(SENSOR_NAMES, ticks)):
-        if name in FOOT_NAMES:
-            filt = magnetics.lowpass_trace(raw[i], round_p)
-            est = _foot_estimates(name, filt, models[name])
-            data[:, [col[f"est_{name}_{c}"] for c in ("fx", "tp", "ty")]] = (
-                _hold(tk, est, len(data)))
-        else:
-            filt = fin_filt[fin_at[i - n_foot]:fin_at[i - n_foot + 1]]
-            filt[:] = magnetics.lowpass_trace(raw[i], round_p)
+    for j, (name, tk) in enumerate(zip(FIN_NAMES, ticks)):
+        filt = fin_filt[fin_at[j]:fin_at[j + 1]]
+        filt[:] = magnetics.lowpass_trace(raw[j], round_p)
         if name in scenario.log_flux:
-            data[:, [col[f"raw_{name}_b{a}"] for a in "xyz"]] = _hold(tk, raw[i], len(data))
+            data[:, [col[f"raw_{name}_b{a}"] for a in "xyz"]] = _hold(tk, raw[j], len(data))
             data[:, [col[f"filt_{name}_b{a}"] for a in "xyz"]] = _hold(tk, filt, len(data))
-    data[:, col["est_foot_sum"]] = sum(data[:, col[f"est_{nm}_fx"]] for nm in FOOT_NAMES)
 
     rest = fin.pose_for_force(0.0)
     pose, ok = magnetics.invert_flow_flux_batch(
@@ -589,13 +579,13 @@ def _host_side(ticks, raw, scenario, models, fin, round_p, data, col):
     if not ok.all():
         k = int(np.argmin(ok))
         j = int(np.searchsorted(fin_at, k, side="right")) - 1
-        t_bad = ticks[n_foot + j][k - fin_at[j]] * scenario.dt
+        t_bad = ticks[j][k - fin_at[j]] * scenario.dt
         raise magnetics.NoConvergenceError(
             f"{FIN_NAMES[j]}: fin inversion stalled at t = {t_bad:.3f} s")
     for j, name in enumerate(FIN_NAMES):
         dp = pose[fin_at[j]:fin_at[j + 1], :2] - [rest.p_x, rest.p_y]
         data[:, col[f"est_{name}_force"]] = _hold(
-            ticks[n_foot + j], calibration.apply_poly_batch(models[name], dp), len(data))[:, 0]
+            ticks[j], calibration.apply_poly_batch(models[name], dp), len(data))[:, 0]
 
 
 def run_scenario(scenario: Scenario) -> ScenarioResult:
@@ -603,12 +593,15 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
 
     The plant runs stage by stage over the arrays of a span of ticks
     (oscillators, kinematics and forces, then the ring samples in the
-    span); the host side then filters, inverts and calibrates each
-    module's whole sample stream.  One span covers a run without
-    feedback.  With it, walking spans end at the 50 Hz supervisor's
-    polls of the estimated foot-force sum, and when a poll at tick k
-    leaves walking the last span swims from tick k + 1, so no tick is
-    simulated twice.  An open-loop drive_switch_t switches at its tick.
+    span).  Each foot's samples are filtered and inverted once, at the
+    supervisor poll that first reaches them or after the last span, and
+    their estimates held in the trace; the host side then filters,
+    inverts and calibrates the fins' whole sample streams.  One span
+    covers a run without feedback.  With it, walking spans end at the
+    50 Hz supervisor's polls, each of which reads est_foot_sum at its
+    tick, and when a poll at tick k leaves walking the last span swims
+    from tick k + 1, so no tick is simulated twice.  An open-loop
+    drive_switch_t switches at its tick.
     """
     net = cpg.build_gait_network()
     foot_model = ElasticFootModel()
@@ -636,10 +629,9 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
 
     ticks, noise = _ring_samples(n_steps, scenario, line)
     raw = [np.zeros((len(tk), 3)) for tk in ticks]
-    state = cpg.initial_state(
+    phi, r = np.empty((2, n_steps + 1, cpg.N_OSC))
+    phi[0], r[0] = cpg.initial_state(
         net[0], scenario.drive, rng=np.random.default_rng(scenario.seed * 100 + 3))
-    phi, r = np.empty((2, n_steps + 1, len(state.phi)))
-    phi[0], r[0] = state.phi, state.r
     x_body = np.empty(n_steps)
     kin = RobotKinematics()
     q0 = col["gt_q_ax1"]
@@ -661,19 +653,30 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
             raw[i][a:b] = _sense(name, ticks[i][a:b], noise[i][a:b], data, col,
                                  foot_model, fin)
 
-    # per foot: samples filtered so far and the last filter output
-    done, filt = [0] * len(FOOT_NAMES), [None] * len(FOOT_NAMES)
+    # each foot's samples are filtered and inverted once, as a supervisor
+    # poll or the end of the run reaches them, and held in the trace up to
+    # the foot's next sample: the supervisor reads the trace's own estimates
+    n_foot = len(FOOT_NAMES)
+    done, last = [0] * n_foot, [None] * n_foot
+    est_fx = [col[f"est_{nm}_fx"] for nm in FOOT_NAMES]
 
-    def foot_sum(k):
-        # the feet's latest estimates at tick k, 0 before a first sample
-        total = 0.0
+    def estimate_feet(k):
+        # the feet's est_* columns, and raw_* and filt_* if logged, through tick k
         for i, name in enumerate(FOOT_NAMES):
-            a, done[i] = done[i], int(np.searchsorted(ticks[i], k, side="right"))
-            if done[i] > a:
-                filt[i] = magnetics.lowpass_trace(raw[i][a:done[i]], round_p, y0=filt[i])[-1]
-            if done[i]:
-                total += _foot_estimates(name, filt[i][None], models[name])[0, 0]
-        return total
+            tk = ticks[i]
+            a, b = done[i], int(np.searchsorted(tk, k, side="right"))
+            if b > a:
+                filt = magnetics.lowpass_trace(raw[i][a:b], round_p, y0=last[i])
+                done[i], last[i] = b, filt[-1].copy()     # not a view: frees filt
+                # the new samples each held from their tick to the next sample's
+                first, stop = tk[a], tk[b] if b < len(tk) else n_steps
+                held = np.searchsorted(tk[a:b], np.arange(first, stop), side="right") - 1
+                rows = slice(first, stop)
+                est = _foot_estimates(name, filt, models[name])
+                data[rows, [col[f"est_{name}_{c}"] for c in ("fx", "tp", "ty")]] = est[held]
+                if name in scenario.log_flux:
+                    data[rows, [col[f"raw_{name}_b{c}"] for c in "xyz"]] = raw[i][a:b][held]
+                    data[rows, [col[f"filt_{name}_b{c}"] for c in "xyz"]] = filt[held]
 
     lo = 0
     cmd = cpg.GaitCommand(cpg.GaitMode.WALKING, scenario.drive)
@@ -682,14 +685,18 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
         if t[k] >= cpg.SWITCH_HOLDOFF_S:
             advance(lo, k + 1)
             lo = k + 1
-            if cpg.transition_controller(foot_sum(k), cmd).mode is not cmd.mode:
+            estimate_feet(k)
+            load = sum(data[k, est_fx])    # est_foot_sum at tick k, added in its order
+            if cpg.transition_controller(load, cmd).mode is not cmd.mode:
                 switch_k = k
                 drive[k + 1:] = cpg.D_SWIM
                 break
     for a in range(lo, n_steps, 256):     # bounded spans keep the temporaries small
         advance(a, min(a + 256, n_steps))
     del phi, r, noise     # spent; freed before the host side, where memory peaks
-    _host_side(ticks, raw, scenario, models, fin, round_p, data, col)
+    estimate_feet(n_steps)
+    data[:, col["est_foot_sum"]] = sum(data[:, c] for c in est_fx)
+    _host_side(ticks[n_foot:], raw[n_foot:], scenario, models, fin, round_p, data, col)
 
     data[:, 1], data[:, 2] = float(not walking), scenario.drive
     data[switch_k:, 1:3] = 1.0, cpg.D_SWIM

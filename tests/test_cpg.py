@@ -38,6 +38,17 @@ def wrap(x):
     return np.angle(np.exp(1j * np.asarray(x)))
 
 
+def integrate(phi, r, drive, params, graph, dt, n_steps):
+    """n_steps of step_network at a fixed drive; phases and amplitudes
+    (n_steps + 1, ..., n), the first row the start."""
+    phis = np.empty((n_steps + 1,) + np.shape(phi))
+    rs = np.empty_like(phis)
+    phis[0], rs[0] = phi, r
+    for k in range(n_steps):
+        phis[k + 1], rs[k + 1] = cpg.step_network(phis[k], rs[k], drive, params, graph, dt)
+    return phis, rs
+
+
 def dense(graph):
     """The graph's edges as n x n weight and bias matrices W[i, j], B[i, j]."""
     W, B = np.zeros((graph.n, graph.n)), np.zeros((graph.n, graph.n))
@@ -135,66 +146,61 @@ class TestStepNetwork:
     def test_uncoupled_phase_growth(self):
         params = single_osc(TWO_PI, 1.0)
         graph = cpg.CouplingGraph(n=1, edges=())
-        st = cpg.NetworkState(phi=np.zeros(1), r=np.ones(1), drive=1.0)
+        phi, r = np.zeros(1), np.ones(1)
         for _ in range(1000):
-            st = cpg.step_network(st, params, graph, 1e-3)
-        assert st.phi[0] == pytest.approx(TWO_PI, abs=1e-6)
-        assert st.t == pytest.approx(1.0)
+            phi, r = cpg.step_network(phi, r, 1.0, params, graph, 1e-3)
+        assert phi[0] == pytest.approx(TWO_PI, abs=1e-6)
 
     def test_amplitude_exponential_convergence(self):
         a, R, r0 = 20.0, 1.0, 0.5
         params = single_osc(0.0, R, a=a)
         graph = cpg.CouplingGraph(n=1, edges=())
-        st = cpg.NetworkState(phi=np.zeros(1), r=np.array([r0]), drive=1.0)
+        phi, r = np.zeros(1), np.array([r0])
         t_end = 5.0 / a
         n = int(round(t_end / 1e-3))
         for _ in range(n):
-            st = cpg.step_network(st, params, graph, 1e-3)
+            phi, r = cpg.step_network(phi, r, 1.0, params, graph, 1e-3)
         gap0 = abs(R - r0)
-        assert abs(st.r[0] - R) < 0.007 * gap0
+        assert abs(r[0] - R) < 0.007 * gap0
         analytic = R + (r0 - R) * math.exp(-a * t_end)
-        assert st.r[0] == pytest.approx(analytic, abs=1e-9)
+        assert r[0] == pytest.approx(analytic, abs=1e-9)
 
     def test_pair_locks_at_bias(self):
         b = 0.7
         params, graph = osc_pair(TWO_PI * 0.5, 1.0, w=10.0, b=b)
         rng = np.random.default_rng(0)
         for _ in range(10):
-            st = cpg.NetworkState(
-                phi=rng.uniform(0, TWO_PI, 2), r=np.ones(2), drive=1.0
-            )
-            _, phis, _ = cpg.rollout(st, params, graph, 1e-3, 5000)
+            phis, _ = integrate(rng.uniform(0, TWO_PI, 2), np.ones(2), 1.0, params, graph,
+                                1e-3, 5000)
             diff = wrap(phis[-1, 1] - phis[-1, 0])
             assert diff == pytest.approx(b, abs=1e-6)
 
     def test_dt_validation(self):
         params = single_osc(1.0, 1.0)
         graph = cpg.CouplingGraph(n=1, edges=())
-        st = cpg.NetworkState(phi=np.zeros(1), r=np.ones(1), drive=1.0)
         with pytest.raises(ValueError):
-            cpg.step_network(st, params, graph, 0.0)
+            cpg.step_network(np.zeros(1), np.ones(1), 1.0, params, graph, 0.0)
         with pytest.raises(ValueError):
-            cpg.step_network(st, params, graph, 0.02)
+            cpg.step_network(np.zeros(1), np.ones(1), 1.0, params, graph, 0.02)
 
     def test_negative_amplitude_rejected(self):
+        params = single_osc(1.0, 1.0)
+        graph = cpg.CouplingGraph(n=1, edges=())
         with pytest.raises(cpg.CpgConfigError):
-            cpg.NetworkState(phi=np.zeros(1), r=np.array([-0.1]), drive=1.0)
+            cpg.step_network(np.zeros(1), np.array([-0.1]), 1.0, params, graph, 1e-3)
 
 
 class TestOutputs:
     def test_output_extremes(self):
-        st = cpg.NetworkState(phi=np.array([0.0, math.pi]), r=np.ones(2), drive=1.0)
-        x = cpg.oscillator_output(st)
+        x = cpg.oscillator_output(np.array([0.0, math.pi]), np.ones(2))
         assert x[0] == pytest.approx(2.0)
         assert x[1] == pytest.approx(0.0, abs=1e-15)
 
     def test_output_range(self):
         rng = np.random.default_rng(3)
-        st = cpg.NetworkState(
-            phi=rng.uniform(-10, 10, 50), r=rng.uniform(0, 2, 50), drive=1.0
-        )
-        x = cpg.oscillator_output(st)
-        assert np.all(x >= 0) and np.all(x <= 2 * st.r + 1e-15)
+        r = rng.uniform(0, 2, 50)
+        x = cpg.oscillator_output(rng.uniform(-10, 10, 50), r)
+        assert np.all(x >= 0) and np.all(x <= 2 * r + 1e-15)
 
     def test_joint_targets_symmetric_pair(self):
         jmap = cpg.JointMap(
@@ -210,10 +216,7 @@ class TestOutputs:
         )
         r, gain = 0.8, 1.7
         for phi in np.linspace(0, TWO_PI, 17):
-            st = cpg.NetworkState(
-                phi=np.array([phi, phi + math.pi]), r=np.full(2, r), drive=1.0
-            )
-            x = cpg.oscillator_output(st)
+            x = cpg.oscillator_output(np.array([phi, phi + math.pi]), np.full(2, r))
             ang = cpg.joint_targets(x, jmap, gain=gain)[0]
             assert ang == pytest.approx(gain * 2 * r * math.cos(phi), abs=1e-12)
 
@@ -233,20 +236,19 @@ def network():
 @pytest.fixture(scope="module")
 def walk_run(network):
     params, graph, jmap = network
-    st = cpg.initial_state(params, cpg.D_WALK, rng=np.random.default_rng(11))
-    t, phis, rs = cpg.rollout(st, params, graph, 1e-3, 16000)
-    return t, phis, rs, jmap
+    phi, r = cpg.initial_state(params, cpg.D_WALK, rng=np.random.default_rng(11))
+    phis, rs = integrate(phi, r, cpg.D_WALK, params, graph, 1e-3, 16000)
+    return 1e-3 * np.arange(16001), phis, rs, jmap
 
 
 @pytest.fixture(scope="module")
 def swim_run(network):
     # start from the locked walk pattern, then switch drive, as on the robot
     params, graph, jmap = network
-    st = cpg.initial_state(params, cpg.D_WALK, rng=np.random.default_rng(12))
-    _, phis, rs = cpg.rollout(st, params, graph, 1e-3, 8000)
-    st2 = cpg.NetworkState(phi=phis[-1], r=rs[-1], drive=cpg.D_SWIM, t=8.0)
-    t, phis2, rs2 = cpg.rollout(st2, params, graph, 1e-3, 14000)
-    return t, phis2, rs2, jmap
+    phi, r = cpg.initial_state(params, cpg.D_WALK, rng=np.random.default_rng(12))
+    phis, rs = integrate(phi, r, cpg.D_WALK, params, graph, 1e-3, 8000)
+    phis2, rs2 = integrate(phis[-1], rs[-1], cpg.D_SWIM, params, graph, 1e-3, 14000)
+    return 8.0 + 1e-3 * np.arange(14001), phis2, rs2, jmap
 
 
 class TestWalking:
@@ -318,22 +320,22 @@ class TestNetworkProperties:
         # seeds step together as one (20, 32) state.
         params, graph, jmap = network
         ax = np.concatenate([jmap.flexor[:8], jmap.extensor[:8]])
-        starts = [cpg.initial_state(params, cpg.D_SWIM, rng=np.random.default_rng(seed))
-                  for seed in range(20)]
-        st = cpg.NetworkState(phi=np.stack([s.phi for s in starts]),
-                              r=np.stack([s.r for s in starts]), drive=cpg.D_SWIM)
+        phi, r = np.stack([cpg.initial_state(params, cpg.D_SWIM,
+                                             rng=np.random.default_rng(seed))
+                           for seed in range(20)], axis=1)
         for _ in range(30000):
-            st = cpg.step_network(st, params, graph, 1e-3)
-        rel = wrap(st.phi[:, ax] - st.phi[:, ax[:1]])
+            phi, r = cpg.step_network(phi, r, cpg.D_SWIM, params, graph, 1e-3)
+        rel = wrap(phi[:, ax] - phi[:, ax[:1]])
         assert np.abs(wrap(rel[1:] - rel[0])).max() < 1e-3
 
     def test_halving_dt_leaves_lock_unchanged(self, network):
         params, graph, jmap = network
 
         def steady(dt):
-            st = cpg.initial_state(params, cpg.D_WALK)
-            _, phis, _ = cpg.rollout(st, params, graph, dt, int(25.0 / dt))
-            return wrap(phis[-1] - phis[-1][0])
+            phi, r = cpg.initial_state(params, cpg.D_WALK)
+            for _ in range(int(25.0 / dt)):
+                phi, r = cpg.step_network(phi, r, cpg.D_WALK, params, graph, dt)
+            return wrap(phi - phi[0])
 
         d1, d2 = steady(1e-3), steady(5e-4)
         assert np.abs(wrap(d1 - d2)).max() < 1e-4
@@ -363,8 +365,8 @@ class TestTransition:
 class TestSerialization:
     def test_initial_state_reproducible(self, network):
         params, _, _ = network
-        s1 = cpg.initial_state(params, cpg.D_WALK, rng=np.random.default_rng(9))
-        s2 = cpg.initial_state(params, cpg.D_WALK, rng=np.random.default_rng(9))
-        np.testing.assert_array_equal(s1.phi, s2.phi)
+        phi1, r1 = cpg.initial_state(params, cpg.D_WALK, rng=np.random.default_rng(9))
+        phi2, _ = cpg.initial_state(params, cpg.D_WALK, rng=np.random.default_rng(9))
+        np.testing.assert_array_equal(phi1, phi2)
         omega, R = params.intrinsic(cpg.D_WALK)
-        np.testing.assert_array_equal(s1.r, R)
+        np.testing.assert_array_equal(r1, R)

@@ -151,7 +151,8 @@ class TestCliRun:
     # case: (command line before the input, input file text or None for a
     # name that resolves to nothing or DIRECTORY for a directory, exception
     # run_scenario raises or None, exit code); TRACE in the command line
-    # stands for a short valid trace file
+    # stands for a short valid trace file.  Input given as bytes is written
+    # as it stands.
     DIRECTORY = "<directory>"
     TRACE = "<trace>"
     EXIT_CASES = {
@@ -210,6 +211,11 @@ class TestCliRun:
                                      None, 2),
         "plot_panel_without_series": ("plot <trace>", '{"panels": [{"title": "a", "series": []}]}',
                                       None, 2),
+        "analyze_non_utf8_trace": ("analyze", b"t,gt_q_ax4\n\xff\xfe,0\n", None, 2),
+        "plot_non_utf8_trace": ("plot", b"t,gt_q_ax4\n\xff\xfe,0\n", None, 2),
+        "plot_one_row_trace": ("plot", "t,gt_q_ax1,gt_q_ax4,gt_q_ax8\n0,0,0,0\n", None, 2),
+        "plot_constant_time_trace": ("plot", "t,gt_q_ax1,gt_q_ax4,gt_q_ax8\n0,0,0,0\n0,1,1,1\n",
+                                     None, 2),
     }
 
     # what the error line of a case says, where exit 2 alone would not tell
@@ -228,6 +234,10 @@ class TestCliRun:
         "plot_spec_not_an_object": "expected a JSON object",
         "plot_panel_without_title": "missing keys ['title']",
         "plot_panel_without_series": "plot panel 'a' has no series",
+        "analyze_non_utf8_trace": "not UTF-8 text",
+        "plot_non_utf8_trace": "not UTF-8 text",
+        "plot_one_row_trace": "time does not advance",
+        "plot_constant_time_trace": "time does not advance",
     }
 
     @pytest.mark.parametrize("case", EXIT_CASES)
@@ -242,7 +252,7 @@ class TestCliRun:
             arg.mkdir()
         elif text is not None:
             arg = tmp_path / "sc.json"
-            arg.write_text(text)
+            arg.write_bytes(text if isinstance(text, bytes) else text.encode())
         if raises is not None:
             def stalled_run(scenario):
                 raise raises

@@ -226,16 +226,24 @@ def test_cpg_step_against_reference():
     np.testing.assert_allclose(got_r, ref_r, atol=1e-13)
 
 
-def test_cpg_rollout_matches_stepping():
+def test_step_network_matches_cpg_step():
+    # the per-tick call steps as the kernel does at its drive's rates and
+    # targets, here constant maps that give the tiny network's at any drive
     phi, r, omega, graph, a, R = _tiny_network()
     dt = 1e-3
-    phis, rs = K.cpg_rollout(phi, r, omega, graph.arrays, a, R, dt, 500)
+    const = lambda v: cpg.SaturationMap(0.0, float(v), 0.0, 10.0)
+    params = cpg.OscillatorParams(a=a, omega_maps=tuple(map(const, omega)),
+                                  amp_maps=tuple(map(const, R)), groups=("axial",) * 4)
+    trace = [(phi, r)]
+    for _ in range(500):
+        trace.append(cpg.step_network(*trace[-1], 1.0, params, graph, dt))
+    phis, rs = np.array(trace).transpose(1, 0, 2)
     assert phis.shape == (501, 4)
     p, q = phi.copy(), r.copy()
     for _ in range(500):
         p, q = K.cpg_step(p, q, omega, graph.arrays, a, R, dt)
-    np.testing.assert_allclose(phis[-1], p, atol=1e-10)
-    np.testing.assert_allclose(rs[-1], q, atol=1e-10)
+    np.testing.assert_array_equal(phis[-1], p)
+    np.testing.assert_array_equal(rs[-1], q)
 
 
 @pytest.fixture(scope="module")
@@ -247,28 +255,30 @@ def gait_network():
 @given(st.data())
 def test_cpg_batch_rows_equal_lone_states(gait_network, data):
     # a batch over leading axes steps each row exactly as it steps alone,
-    # through cpg_step and through cpg_rollout
+    # through cpg_step and through step_network
     params, graph, _ = gait_network
     lead = tuple(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=2)))
     phi = data.draw(arrays(np.float64, lead + (cpg.N_OSC,), elements=st.floats(0.0, 2 * math.pi)))
     r = data.draw(arrays(np.float64, lead + (cpg.N_OSC,), elements=st.floats(0.0, 0.5)))
-    omega, R = params.intrinsic(data.draw(st.sampled_from([cpg.D_WALK, 3.0, cpg.D_SWIM])))
+    drive = data.draw(st.sampled_from([cpg.D_WALK, 3.0, cpg.D_SWIM]))
+    omega, R = params.intrinsic(drive)
     n_steps = data.draw(st.integers(1, 20))
     args = (omega, graph.arrays, params.a, R, 1e-3)
 
     p, q = phi, r
+    sp, sq = phi, r
     for _ in range(n_steps):
         p, q = K.cpg_step(p, q, *args)
-    phis, rs = K.cpg_rollout(phi, r, *args, n_steps)
-    assert phis.shape == rs.shape == (n_steps + 1,) + phi.shape
+        sp, sq = cpg.step_network(sp, sq, drive, params, graph, 1e-3)
+    assert sp.shape == sq.shape == phi.shape
     for idx in np.ndindex(*lead):
         lone_p, lone_q = phi[idx], r[idx]
         for _ in range(n_steps):
             lone_p, lone_q = K.cpg_step(lone_p, lone_q, *args)
         np.testing.assert_array_equal(p[idx], lone_p)
         np.testing.assert_array_equal(q[idx], lone_q)
-        np.testing.assert_array_equal(phis[(-1,) + idx], lone_p)
-        np.testing.assert_array_equal(rs[(-1,) + idx], lone_q)
+        np.testing.assert_array_equal(sp[idx], lone_p)
+        np.testing.assert_array_equal(sq[idx], lone_q)
 
 
 @pytest.mark.parametrize("drive", [cpg.D_WALK, cpg.D_SWIM])
@@ -284,9 +294,7 @@ def test_cpg_step_tracks_dense_coupling(gait_network, drive):
     def deriv(ph, rr):
         return omega + (W * np.sin(ph[None, :] - ph[:, None] - B)) @ rr, a * (R - rr)
 
-    st0 = cpg.initial_state(params, drive, rng=np.random.default_rng(7))
-    p = ref_p = st0.phi
-    q = ref_q = st0.r
+    p, q = ref_p, ref_q = cpg.initial_state(params, drive, rng=np.random.default_rng(7))
     for _ in range(5000):
         p, q = K.cpg_step(p, q, omega, graph.arrays, a, R, dt)
         k1p, k1r = deriv(ref_p, ref_q)

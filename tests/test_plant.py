@@ -243,21 +243,21 @@ class TestFlowForces:
     def test_stationary_zero(self):
         # straight body, still water
         kin = plant.RobotKinematics()
-        fins = [plant.FlowFinModel() for _ in plant.FIN_NAMES]
+        fin = plant.FlowFinModel()
         q = np.zeros((100, 16))
-        f, a = plant.flow_forces(q, kin, fins, stream_speed=0.0)
+        f, a = plant.flow_forces(q, kin, fin, stream_speed=0.0)
         assert np.all(f == 0.0) and np.all(a == 0.0)
 
     def test_single_joint_periodicity(self):
         # one joint oscillating at f0: the fin force behind it
         # is periodic at f0 (odd drag law keeps the fundamental)
         kin = plant.RobotKinematics()
-        fins = [plant.FlowFinModel() for _ in plant.FIN_NAMES]
+        fin = plant.FlowFinModel()
         dt, f0, n = 1e-3, 1.0, 4000
         t = dt * np.arange(n)
         q = np.zeros((n, 16))
         q[:, 0] = 0.4 * np.sin(2 * np.pi * f0 * t)
-        forces, _ = plant.flow_forces(q, kin, fins, stream_speed=0.2, dt=dt)
+        forces, _ = plant.flow_forces(q, kin, fin, stream_speed=0.2, dt=dt)
         spec = np.abs(np.fft.rfft(forces[:, 0] - forces[:, 0].mean()))
         freqs = np.fft.rfftfreq(n, dt)
         assert freqs[np.argmax(spec)] == pytest.approx(f0, abs=freqs[1])
@@ -266,7 +266,7 @@ class TestFlowForces:
         # design check behind the fin placement: on a swim-like wave the
         # drag force tracks the anterior joint within a tenth of a cycle
         kin = plant.RobotKinematics()
-        fins = [plant.FlowFinModel() for _ in plant.FIN_NAMES]
+        fin = plant.FlowFinModel()
         dt, f0 = 1e-3, 0.78
         n = int(8.0 / dt)
         t = dt * np.arange(n)
@@ -275,7 +275,7 @@ class TestFlowForces:
         q = np.zeros((n, 16))
         for k in range(8):
             q[:, k] = amp * np.sin(2 * np.pi * f0 * t - k * kappa)
-        forces, _ = plant.flow_forces(q, kin, fins, stream_speed=0.2, dt=dt)
+        forces, _ = plant.flow_forces(q, kin, fin, stream_speed=0.2, dt=dt)
         for fi, name in enumerate(plant.FIN_NAMES):
             ax = q[:, plant.FIN_ANTERIOR_JOINT[fi]]
             lag = cc_lag_cycles(ax, forces[:, fi], 1.0 / f0, dt)
@@ -448,6 +448,29 @@ class TestRunScenario:
         res = plant.run_scenario(sc)
         assert res.switch_time is not None
         assert len(calls) == len(res.data)
+
+    @pytest.mark.parametrize("seed", [1, 3, 5])
+    def test_supervisor_reads_est_foot_sum(self, seed, monkeypatch):
+        # every foot sum the supervisor acts on is the trace's est_foot_sum
+        # at its poll tick, bit for bit
+        sums = []
+        decide = cpg.transition_controller
+
+        def recording(load, cmd):
+            sums.append(load)
+            return decide(load, cmd)
+
+        monkeypatch.setattr(cpg, "transition_controller", recording)
+        sc = plant.Scenario(name="shore", terrain="shoreline", duration_s=1.2,
+                            advance_speed=0.08, x_start=0.2, window_start=0.2,
+                            seed=seed)
+        res = plant.run_scenario(sc)
+        polls = [k for k in range(0, len(res.data), 20)
+                 if k * sc.dt >= cpg.SWITCH_HOLDOFF_S][:len(sums)]
+        assert len(polls) == len(sums) > 1
+        assert res.switch_time == res.col("t")[polls[-1]]
+        for k, s in zip(polls, sums):
+            assert s == res.col("est_foot_sum")[k], k
 
     def test_fin_stall_names_the_first_stalled_fin(self, monkeypatch):
         # the fins' streams are inverted in one call; a stall still names the
