@@ -22,7 +22,7 @@ def best_of(fn, repeat):
 
 
 def run_suite(repeat):
-    from amphisense import _kernels, busring, cpg, magnetics, plant
+    from amphisense import _kernels, busring, calibration, cpg, plant
 
     rng = np.random.default_rng(0)
     results = {}
@@ -53,8 +53,8 @@ def run_suite(repeat):
     results["fit_sensor_models"] = best_of(
         lambda: plant._fit_sensor_models(plant.Scenario(seed=1), foot_model, fin), repeat)
 
-    # the host side's fin inversion on a 1.2 s swim: six filtered fin
-    # streams of 922 samples each, in one call and in six calls
+    # the run's fin inversion on a 1.2 s swim: six filtered fin streams of
+    # 922 samples each, in one call and in six calls
     rest = fin.pose_for_force(0.0)
     streams = []
     for k in range(6):
@@ -62,8 +62,7 @@ def run_suite(repeat):
                                                    + k))
         streams.append(_kernels.flow_flux_batch(fin.magnet_coords(angle), fin.d_z0_mm, fin.n_t)
                        + rng.normal(scale=0.003, size=(922, 3)))
-    invert = lambda b: magnetics.invert_flow_flux_batch(b, rest.d_z0, fin.dipole_params, rest,
-                                                        resid_accept=0.05)
+    invert = lambda b: calibration.flux_features("flow", b, fin.dipole_params, rest, 0.01)
     B6 = np.concatenate(streams)
     results["host_fin_inversion_one_call"] = best_of(lambda: invert(B6), repeat)
     results["host_fin_inversion_six_calls"] = best_of(

@@ -238,6 +238,24 @@ def apply_poly_batch(model: PolyModel, X) -> np.ndarray:
     return _feature_matrix(model.kind, np.asarray(X, dtype=float)) @ model.coef.T
 
 
+def flux_features(kind: str, B, params: magnetics.DipoleParams, rest, noise_sigma: float):
+    """A sensor's model features from (N, 3) flux rows, and the (N,) mask
+    of rows that inverted; the other rows come back NaN.
+
+    A foot's features are its magnet position (p_x, p_y, p_z), in closed
+    form (rest and noise_sigma unused); rows at or below the noise floor
+    fail.  A fin's are its magnet's offset (dp_x, dp_y) from rest, its
+    FlowPose under no load, by damped Newton seeded from rest, accepting a
+    least-squares fix within 5 noise_sigma (mT).
+    """
+    if kind == "foot":
+        X = magnetics.invert_foot_flux_batch(B, params)
+        return X, ~np.isnan(X).any(axis=1)
+    pose, ok = magnetics.invert_flow_flux_batch(
+        B, rest.d_z0, params, rest, resid_accept=max(5.0 * noise_sigma, 1e-9))
+    return pose[:, :2] - [rest.p_x, rest.p_y], ok
+
+
 def evaluate_rmse(model: PolyModel, eval_data: CalibrationDataset) -> RmseReport:
     """Per-output RMSE on held-out cycles; refuses overlap with training."""
     if model.kind != eval_data.kind:
@@ -362,18 +380,25 @@ def simulate_jigs(transduce, params: magnetics.DipoleParams, cfg: JigConfig,
     if not rngs:
         return []
     bench = _foot_bench if cfg.kind == "foot" else _flow_bench
-    b, loads, cids, ltypes, invert = bench(transduce, params, cfg)
+    b, loads, cids, ltypes, rest = bench(transduce, params, cfg)
     noisy = np.concatenate([
         b + rng.normal(scale=cfg.noise_sigma, size=(len(b), cfg.n_average, 3)).mean(axis=1)
         for rng in rngs])
-    X = invert(noisy)
+    X, ok = flux_features(cfg.kind, noisy, params, rest, cfg.noise_sigma)
+    if not ok.all():
+        # len(b) rows a unit; a stall names its unit and sweep point
+        unit, point = divmod(int(np.argmin(ok)), len(b))
+        error, what = ((magnetics.BelowNoiseFloorError, "flux at or below the noise floor")
+                       if cfg.kind == "foot" else
+                       (magnetics.NoConvergenceError, "inversion stalled"))
+        raise error(f"{cfg.kind} jig {what} at sweep point {point} of unit {unit}")
     return [CalibrationDataset(cfg.kind, X[u * len(b):(u + 1) * len(b)], loads.copy(),
                                list(cids), list(ltypes)) for u in range(len(rngs))]
 
 
 def _foot_bench(transduce, params, cfg):
     """A foot bench's clean flux, reference wrenches, cycle ids and load
-    types, and the inversion of its noisy flux rows."""
+    types, and its rest pose (none: the feet invert in closed form)."""
     n_cycles = cfg.n_train + cfg.n_eval
     cycles = [(lt, _foot_cycle_loads(lt, cfg)) for lt in cfg.load_types]
     loads = np.concatenate([np.tile(w, (n_cycles, 1)) for _, w in cycles])
@@ -382,19 +407,12 @@ def _foot_bench(transduce, params, cfg):
                         for _, ws in cycles])
     cids = [f"{lt}-{c:02d}" for lt, ws in cycles for c in range(n_cycles) for _ in ws]
     ltypes = [lt for lt, ws in cycles for _ in range(n_cycles * len(ws))]
-
-    def invert(B):
-        p_hat = magnetics.invert_foot_flux_batch(B, params)
-        if np.isnan(p_hat).any():
-            raise magnetics.BelowNoiseFloorError("foot jig flux at or below the noise floor")
-        return p_hat
-
-    return magnetics.dipole_flux_radial(P, params), loads, cids, ltypes, invert
+    return magnetics.dipole_flux_radial(P, params), loads, cids, ltypes, None
 
 
 def _flow_bench(transduce, params, cfg):
     """A flow bench's clean flux, reference forces, cycle ids and load
-    types, and the inversion of its noisy flux rows into (dp_x, dp_y)."""
+    types, and the fin's rest pose."""
     rest = transduce(0.0)
     s = np.linspace(0.0, 1.0, cfg.samples_per_cycle)
     n_cycles = cfg.n_train + cfg.n_eval
@@ -403,15 +421,4 @@ def _flow_bench(transduce, params, cfg):
     # every cycle repeats the same fin poses
     b = np.tile([magnetics.flow_flux(transduce(f), params) for f in cycle], (n_cycles, 1))
     cids = [f"flow-{c:02d}" for c in range(n_cycles) for _ in s]
-
-    def invert(B):
-        # len(b) rows a unit; a stall names its unit and sweep point
-        est, ok = magnetics.invert_flow_flux_batch(
-            B, rest.d_z0, params, rest, resid_accept=max(5.0 * cfg.noise_sigma, 1e-9))
-        if not ok.all():
-            unit, point = divmod(int(np.argmin(ok)), len(b))
-            raise magnetics.NoConvergenceError(
-                f"flow jig inversion stalled at sweep point {point} of unit {unit}")
-        return est[:, :2] - [rest.p_x, rest.p_y]
-
-    return b, forces, cids, ["flow"] * len(forces), invert
+    return b, forces, cids, ["flow"] * len(forces), rest

@@ -562,18 +562,11 @@ def cmd_calibrate(args) -> int:
     seed = args.seed if args.seed is not None else cfg.seed
     os.makedirs(args.out, exist_ok=True)
     report = MetricsReport(source=f"calibrate[{cfg.kind}]")
-    foot_model = plant.ElasticFootModel()
-    fin_model = plant.FlowFinModel()
     jig = calibration.JigConfig(kind=cfg.kind, lever=cfg.lever, noise_sigma=cfg.noise_sigma,
                                 n_average=cfg.n_average)
-    if cfg.kind == "foot":
-        transduce = lambda w: plant.foot_deflection_p(w, foot_model)
-        params = plant.magnetics.DipoleParams(n_t=50.0)
-    else:
-        transduce = fin_model.pose_for_force
-        params = fin_model.dipole_params
     datasets = calibration.simulate_jigs(
-        transduce, params, jig, [np.random.default_rng(seed + i) for i in range(cfg.n_units)])
+        *plant.sensor_bench(cfg.kind), jig,
+        [np.random.default_rng(seed + i) for i in range(cfg.n_units)])
     torques, forces = [], []
     for i, ds in enumerate(datasets):
         train, heldout = ds.train_eval_split()

@@ -5,10 +5,9 @@ chain (8 spine links, 4 two-joint legs) follows the oscillator network's
 joint targets at 1 kHz.  Foot and fin loads are synthesized from the
 pose, pushed through the elastic transduction models into magnet poses,
 rendered to flux with sensor noise at the ring bus's sample ticks,
-quantized as the wire carries it, and filtered/inverted back into
-estimates on the host side --
-the same signal path the robot runs, with ground truth retained at
-every stage.
+quantized as the wire carries it, and filtered, inverted and calibrated
+back into estimates by one estimator for all ten modules -- the same
+signal path the robot runs, with ground truth retained at every stage.
 
 Contact model: a foot's share of supported weight follows a smooth
 stance-depth weighting s = s_min + (1 - s_min) u of its leg elevation
@@ -380,8 +379,9 @@ class Scenario:
             raise PlantError("duration must be positive")
         if not 0 < self.dt <= cpg.MAX_DT_S:
             raise PlantError(f"dt must be in (0, {cpg.MAX_DT_S:g}] s, got {self.dt!r}")
-        if not set(self.log_flux) <= set(SENSOR_NAMES):
-            raise PlantError(f"log_flux must list modules of {SENSOR_NAMES}, "
+        if not set(self.log_flux) <= set(SENSOR_NAMES) or \
+                len(set(self.log_flux)) < len(self.log_flux):
+            raise PlantError(f"log_flux must list distinct modules of {SENSOR_NAMES}, "
                              f"got {self.log_flux!r}")
 
     @property
@@ -405,6 +405,14 @@ class Scenario:
         return from_doc(cls, source, PlantError)
 
 
+def sensor_bench(kind, foot_model=ElasticFootModel(), fin=FlowFinModel()):
+    """The elastic law and the dipole of a calibration bench for one sensor
+    kind, "foot" or "flow", as calibration.simulate_jigs takes them."""
+    if kind == "foot":
+        return (lambda w: foot_deflection_p(w, foot_model)), _FOOT_DIPOLE
+    return fin.pose_for_force, fin.dipole_params
+
+
 def _fit_sensor_models(scenario, foot_model, fin):
     """Per-unit bench calibration, seeded from the scenario: one bench pass
     for the feet and one for the fins."""
@@ -414,10 +422,10 @@ def _fit_sensor_models(scenario, foot_model, fin):
         return [np.random.default_rng(scenario.seed * 100 + offset + i) for i in range(n)]
 
     feet = calibration.simulate_jigs(
-        lambda w: foot_deflection_p(w, foot_model), _FOOT_DIPOLE,
+        *sensor_bench("foot", foot_model, fin),
         calibration.JigConfig(noise_sigma=sigma), rngs(11, len(FOOT_NAMES)))
     fins = calibration.simulate_jigs(
-        fin.pose_for_force, fin.dipole_params,
+        *sensor_bench("flow", foot_model, fin),
         calibration.JigConfig(kind="flow", noise_sigma=sigma, n_average=8),
         rngs(51, len(FIN_NAMES)))
     return {name: calibration.fit_poly(ds.train_eval_split()[0])
@@ -545,61 +553,19 @@ def _sense(name, ticks, noise, data, col, foot_model, fin):
     return busring.quantize(clean + noise, busring.FLUX_LSB_MT) * busring.FLUX_LSB_MT
 
 
-def _hold(ticks, values, n_steps):
-    """Per-tick trace holding each sample from its tick on; 0 before the first."""
-    idx = np.searchsorted(ticks, np.arange(n_steps), side="right")
-    return np.concatenate([np.zeros((1, values.shape[1])), values])[idx]
-
-
-def _foot_estimates(name, filt, model):
-    """Calibrated (f_x, tau_pitch, tau_yaw) rows from a foot's filtered flux."""
-    p = magnetics.invert_foot_flux_batch(filt, _FOOT_DIPOLE)
-    if np.isnan(p).any():
-        raise magnetics.BelowNoiseFloorError(f"{name}: flux below noise floor")
-    return calibration.apply_poly_batch(model, p)[:, [2, 0, 1]]
-
-
-def _host_side(ticks, raw, scenario, models, fin, round_p, data, col):
-    """The fins' est_* columns and, for logged fins, raw_* and filt_*: each
-    fin's whole sample stream (ticks[j] and raw[j] for FIN_NAMES[j])
-    low-passed, all inverted together in one call, then calibrated."""
-    fin_at = np.cumsum([0] + [len(tk) for tk in ticks])   # row offsets of each fin
-    fin_filt = np.empty((fin_at[-1], 3))
-    for j, (name, tk) in enumerate(zip(FIN_NAMES, ticks)):
-        filt = fin_filt[fin_at[j]:fin_at[j + 1]]
-        filt[:] = magnetics.lowpass_trace(raw[j], round_p)
-        if name in scenario.log_flux:
-            data[:, [col[f"raw_{name}_b{a}"] for a in "xyz"]] = _hold(tk, raw[j], len(data))
-            data[:, [col[f"filt_{name}_b{a}"] for a in "xyz"]] = _hold(tk, filt, len(data))
-
-    rest = fin.pose_for_force(0.0)
-    pose, ok = magnetics.invert_flow_flux_batch(
-        fin_filt, rest.d_z0, fin.dipole_params, rest,
-        resid_accept=max(5.0 * scenario.noise_sigma_mt, 1e-9))
-    if not ok.all():
-        k = int(np.argmin(ok))
-        j = int(np.searchsorted(fin_at, k, side="right")) - 1
-        t_bad = ticks[j][k - fin_at[j]] * scenario.dt
-        raise magnetics.NoConvergenceError(
-            f"{FIN_NAMES[j]}: fin inversion stalled at t = {t_bad:.3f} s")
-    for j, name in enumerate(FIN_NAMES):
-        dp = pose[fin_at[j]:fin_at[j + 1], :2] - [rest.p_x, rest.p_y]
-        data[:, col[f"est_{name}_force"]] = _hold(
-            ticks[j], calibration.apply_poly_batch(models[name], dp), len(data))[:, 0]
-
-
 def run_scenario(scenario: Scenario) -> ScenarioResult:
     """Execute the full pipeline at 1 kHz; returns the wide trace.
 
     The plant runs stage by stage over the arrays of a span of ticks
     (oscillators, kinematics and forces, then the ring samples in the
-    span).  Each foot's samples are filtered and inverted once, at the
-    supervisor poll that first reaches them or after the last span, and
-    their estimates held in the trace; the host side then filters,
-    inverts and calibrates the fins' whole sample streams.  One span
-    covers a run without feedback.  With it, walking spans end at the
-    50 Hz supervisor's polls, each of which reads est_foot_sum at its
-    tick, and when a poll at tick k leaves walking the last span swims
+    span).  Each module's samples are filtered, inverted and calibrated
+    once, a sensor kind at a time, and their estimates held in the trace:
+    the feet's at the supervisor poll that first reaches them or after the
+    last span, then the fins' whole streams in one inversion call.  A row
+    that does not invert raises, naming its module and its sample's time.
+    One span covers a run without feedback.  With it, walking spans end
+    at the 50 Hz supervisor's polls, each of which reads est_foot_sum at
+    its tick, and when a poll at tick k leaves walking the last span swims
     from tick k + 1, so no tick is simulated twice.  An open-loop
     drive_switch_t switches at its tick.
     """
@@ -653,30 +619,52 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
             raw[i][a:b] = _sense(name, ticks[i][a:b], noise[i][a:b], data, col,
                                  foot_model, fin)
 
-    # each foot's samples are filtered and inverted once, as a supervisor
-    # poll or the end of the run reaches them, and held in the trace up to
-    # the foot's next sample: the supervisor reads the trace's own estimates
-    n_foot = len(FOOT_NAMES)
-    done, last = [0] * n_foot, [None] * n_foot
+    # each module's samples are filtered (the low-pass continued from its
+    # last output), inverted and calibrated once, as a supervisor poll (the
+    # feet) or the end of the run reaches them, and held in the trace up to
+    # the module's next sample: the supervisor reads the trace's own estimates
+    done, last = [0] * len(SENSOR_NAMES), [None] * len(SENSOR_NAMES)
     est_fx = [col[f"est_{nm}_fx"] for nm in FOOT_NAMES]
+    per_kind = {    # est_* columns in model output order, dipole, rest pose, stall
+        "foot": (("tp", "ty", "fx"), _FOOT_DIPOLE, None,
+                 magnetics.BelowNoiseFloorError, "flux below noise floor"),
+        "flow": (("force",), fin.dipole_params, fin.pose_for_force(0.0),
+                 magnetics.NoConvergenceError, "fin inversion stalled")}
 
-    def estimate_feet(k):
-        # the feet's est_* columns, and raw_* and filt_* if logged, through tick k
-        for i, name in enumerate(FOOT_NAMES):
+    def estimate(names, k):
+        # est_*, and raw_* and filt_* if logged, through tick k for the
+        # modules names, all of one kind: their new rows inverted in one call
+        kind = "foot" if names[0] in FOOT_NAMES else "flow"
+        outs, params, rest, error, stall = per_kind[kind]
+        new, filts = [], []
+        for name in names:
+            i = SENSOR_NAMES.index(name)
             tk = ticks[i]
             a, b = done[i], int(np.searchsorted(tk, k, side="right"))
-            if b > a:
-                filt = magnetics.lowpass_trace(raw[i][a:b], round_p, y0=last[i])
-                done[i], last[i] = b, filt[-1].copy()     # not a view: frees filt
-                # the new samples each held from their tick to the next sample's
-                first, stop = tk[a], tk[b] if b < len(tk) else n_steps
-                held = np.searchsorted(tk[a:b], np.arange(first, stop), side="right") - 1
-                rows = slice(first, stop)
-                est = _foot_estimates(name, filt, models[name])
-                data[rows, [col[f"est_{name}_{c}"] for c in ("fx", "tp", "ty")]] = est[held]
-                if name in scenario.log_flux:
-                    data[rows, [col[f"raw_{name}_b{c}"] for c in "xyz"]] = raw[i][a:b][held]
-                    data[rows, [col[f"filt_{name}_b{c}"] for c in "xyz"]] = filt[held]
+            if b == a:
+                continue
+            filts.append(magnetics.lowpass_trace(raw[i][a:b], round_p, y0=last[i]))
+            done[i], last[i] = b, filts[-1][-1].copy()     # not a view: frees filt
+            # the new samples each held from their tick to the next sample's
+            first, stop = tk[a], tk[b] if b < len(tk) else n_steps
+            held = np.searchsorted(tk[a:b], np.arange(first, stop), side="right") - 1
+            new.append((name, tk[a:b], slice(first, stop), held))
+            if name in scenario.log_flux:
+                data[first:stop, [col[f"raw_{name}_b{c}"] for c in "xyz"]] = raw[i][a:b][held]
+                data[first:stop, [col[f"filt_{name}_b{c}"] for c in "xyz"]] = filts[-1][held]
+        if not new:
+            return
+        X, ok = calibration.flux_features(kind, np.concatenate(filts), params, rest,
+                                          scenario.noise_sigma_mt)
+        at = np.cumsum([0] + [len(tk) for _, tk, _, _ in new])    # row offsets of each module
+        if not ok.all():
+            m = int(np.argmin(ok))
+            j = int(np.searchsorted(at, m, side="right")) - 1
+            t_bad = new[j][1][m - at[j]] * scenario.dt
+            raise error(f"{new[j][0]}: {stall} at t = {t_bad:.3f} s")
+        for j, (name, _, rows, held) in enumerate(new):
+            est = calibration.apply_poly_batch(models[name], X[at[j]:at[j + 1]])
+            data[rows, [col[f"est_{name}_{c}"] for c in outs]] = est[held]
 
     lo = 0
     cmd = cpg.GaitCommand(cpg.GaitMode.WALKING, scenario.drive)
@@ -685,7 +673,7 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
         if t[k] >= cpg.SWITCH_HOLDOFF_S:
             advance(lo, k + 1)
             lo = k + 1
-            estimate_feet(k)
+            estimate(FOOT_NAMES, k)
             load = sum(data[k, est_fx])    # est_foot_sum at tick k, added in its order
             if cpg.transition_controller(load, cmd).mode is not cmd.mode:
                 switch_k = k
@@ -693,10 +681,10 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
                 break
     for a in range(lo, n_steps, 256):     # bounded spans keep the temporaries small
         advance(a, min(a + 256, n_steps))
-    del phi, r, noise     # spent; freed before the host side, where memory peaks
-    estimate_feet(n_steps)
+    del phi, r, noise     # spent; freed before the fins' inversion, where memory peaks
+    estimate(FOOT_NAMES, n_steps)
     data[:, col["est_foot_sum"]] = sum(data[:, c] for c in est_fx)
-    _host_side(ticks[n_foot:], raw[n_foot:], scenario, models, fin, round_p, data, col)
+    estimate(FIN_NAMES, n_steps)
 
     data[:, 1], data[:, 2] = float(not walking), scenario.drive
     data[switch_k:, 1:3] = 1.0, cpg.D_SWIM

@@ -216,6 +216,9 @@ class TestCliRun:
         "plot_one_row_trace": ("plot", "t,gt_q_ax1,gt_q_ax4,gt_q_ax8\n0,0,0,0\n", None, 2),
         "plot_constant_time_trace": ("plot", "t,gt_q_ax1,gt_q_ax4,gt_q_ax8\n0,0,0,0\n0,1,1,1\n",
                                      None, 2),
+        "run_repeated_log_flux": (
+            "run", '{"name": "dup", "duration_s": 0.3, "log_flux": ["foot_fl", "foot_fl"]}',
+            None, 2),
     }
 
     # what the error line of a case says, where exit 2 alone would not tell
@@ -238,6 +241,7 @@ class TestCliRun:
         "plot_non_utf8_trace": "not UTF-8 text",
         "plot_one_row_trace": "time does not advance",
         "plot_constant_time_trace": "time does not advance",
+        "run_repeated_log_flux": "log_flux must list distinct modules",
     }
 
     @pytest.mark.parametrize("case", EXIT_CASES)

@@ -497,11 +497,30 @@ class TestRunScenario:
         t = spike_at["fin_link4"] * sc.dt
         assert str(err.value) == f"fin_link4: fin inversion stalled at t = {t:.3f} s"
 
-    def test_feedback_changes_nothing_before_the_switch(self):
+    def test_foot_stall_names_the_foot_and_its_time(self, monkeypatch):
+        # a foot whose flux reads zero filters to the noise floor at its
+        # first sample; the supervisor's first poll inverts it and names it
+        sc = plant.Scenario(name="stall", duration_s=0.4, seed=2)
+        ticks, _ = plant._ring_samples(400, sc, busring.LineConfig())
+        sense = plant._sense
+
+        def dead_hr(name, tk, *args):
+            b = sense(name, tk, *args)
+            return 0.0 * b if name == "foot_hr" else b
+
+        monkeypatch.setattr(plant, "_sense", dead_hr)
+        with pytest.raises(magnetics.BelowNoiseFloorError) as err:
+            plant.run_scenario(sc)
+        t = ticks[plant.SENSOR_NAMES.index("foot_hr")][0] * sc.dt
+        assert str(err.value) == f"foot_hr: flux below noise floor at t = {t:.3f} s"
+
+    @pytest.mark.parametrize("seed", [1, 3, 5])
+    def test_feedback_changes_nothing_before_the_switch(self, seed):
         # the supervisor only reads estimates up to its poll and the switch
-        # only acts after it, so no tick before the switch depends on it
+        # only acts after it, so no tick before the switch depends on it:
+        # estimates made poll by poll equal those made once at the end
         kw = dict(name="shore", terrain="shoreline", duration_s=1.2,
-                  advance_speed=0.08, x_start=0.2, window_start=0.2, seed=1)
+                  advance_speed=0.08, x_start=0.2, window_start=0.2, seed=seed)
         fb = plant.run_scenario(plant.Scenario(feedback=True, **kw))
         open_loop = plant.run_scenario(plant.Scenario(feedback=False, **kw))
         assert fb.switch_time is not None and open_loop.switch_time is None
