@@ -49,12 +49,12 @@ def run_suite(repeat):
 
     # the ten calibration benches of one scenario seed (four foot units, six
     # fin units), as run_scenario runs them before its first tick
-    foot_model, fin = plant.ElasticFootModel(), plant.FlowFinModel()
     results["fit_sensor_models"] = best_of(
-        lambda: plant._fit_sensor_models(plant.Scenario(seed=1), foot_model, fin), repeat)
+        lambda: plant._fit_sensor_models(plant.Scenario(seed=1)), repeat)
 
     # the run's fin inversion on a 1.2 s swim: six filtered fin streams of
     # 922 samples each, in one call and in six calls
+    fin = plant.FlowFinModel()
     rest = fin.pose_for_force(0.0)
     streams = []
     for k in range(6):

@@ -232,6 +232,9 @@ def analyze_trace(result: plant.ScenarioResult,
         window_start = 0.2 * float(t[-1])
         name = "trace"
     w = t >= window_start
+    if kind != "shoreline" and not w.any():
+        raise TraceTooShortError(f"no rows at or after window_start {window_start:g} s; "
+                                 f"the trace ends at t = {t[-1]:g} s")
     report = MetricsReport(source=name)
 
     if kind == "floor":
@@ -731,6 +734,9 @@ def main(argv=None) -> int:
     except (HarnessError, plant.PlantError, calibration.CalibrationError,
             busring.BusError, magnetics.SensorModelError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:    # a config too large to allocate
+        print("error: out of memory" + (f": {e}" if str(e) else ""), file=sys.stderr)
         return 2
 
 

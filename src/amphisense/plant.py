@@ -3,10 +3,10 @@
 Quasi-static desk-scale stand-in for the hardware.  A planar kinematic
 chain (8 spine links, 4 two-joint legs) follows the oscillator network's
 joint targets at 1 kHz.  Foot and fin loads are synthesized from the
-pose, pushed through the elastic transduction models into magnet poses,
-rendered to flux with sensor noise at the ring bus's sample ticks,
-quantized as the wire carries it, and filtered, inverted and calibrated
-back into estimates by one estimator for all ten modules -- the same
+pose; at each ring bus sample tick one estimator for all ten modules
+pushes them through the elastic transduction models into magnet poses,
+renders flux with sensor noise, quantizes it as the wire carries it, and
+filters, inverts and calibrates it back into estimates -- the same
 signal path the robot runs, with ground truth retained at every stage.
 
 Contact model: a foot's share of supported weight follows a smooth
@@ -42,7 +42,6 @@ FIN_NAMES = ("fin_link1", "fin_link2", "fin_link4", "fin_link6",
 SENSOR_NAMES = FOOT_NAMES + FIN_NAMES
 FIN_MOUNT_LINKS = (0, 1, 3, 5, 7, "tail")   # 0-based spine link per fin
 FIN_ANTERIOR_JOINT = (0, 1, 3, 5, 7, 7)     # 0-based axial joint per fin
-_FOOT_DIPOLE = magnetics.DipoleParams(n_t=50.0)
 
 
 class PlantError(ValueError):
@@ -196,6 +195,12 @@ class FlowFinModel:
     @property
     def dipole_params(self) -> magnetics.DipoleParams:
         return magnetics.DipoleParams(n_t=self.n_t)
+
+
+_KIN = RobotKinematics()
+_FOOT_MODEL = ElasticFootModel()
+_FOOT_DIPOLE = magnetics.DipoleParams(n_t=50.0)
+_FIN = FlowFinModel()
 
 
 @dataclass(frozen=True)
@@ -405,15 +410,15 @@ class Scenario:
         return from_doc(cls, source, PlantError)
 
 
-def sensor_bench(kind, foot_model=ElasticFootModel(), fin=FlowFinModel()):
+def sensor_bench(kind):
     """The elastic law and the dipole of a calibration bench for one sensor
     kind, "foot" or "flow", as calibration.simulate_jigs takes them."""
     if kind == "foot":
-        return (lambda w: foot_deflection_p(w, foot_model)), _FOOT_DIPOLE
-    return fin.pose_for_force, fin.dipole_params
+        return (lambda w: foot_deflection_p(w, _FOOT_MODEL)), _FOOT_DIPOLE
+    return _FIN.pose_for_force, _FIN.dipole_params
 
 
-def _fit_sensor_models(scenario, foot_model, fin):
+def _fit_sensor_models(scenario):
     """Per-unit bench calibration, seeded from the scenario: one bench pass
     for the feet and one for the fins."""
     sigma = scenario.noise_sigma_mt
@@ -422,10 +427,10 @@ def _fit_sensor_models(scenario, foot_model, fin):
         return [np.random.default_rng(scenario.seed * 100 + offset + i) for i in range(n)]
 
     feet = calibration.simulate_jigs(
-        *sensor_bench("foot", foot_model, fin),
+        *sensor_bench("foot"),
         calibration.JigConfig(noise_sigma=sigma), rngs(11, len(FOOT_NAMES)))
     fins = calibration.simulate_jigs(
-        *sensor_bench("flow", foot_model, fin),
+        *sensor_bench("flow"),
         calibration.JigConfig(kind="flow", noise_sigma=sigma, n_average=8),
         rngs(51, len(FIN_NAMES)))
     return {name: calibration.fit_poly(ds.train_eval_split()[0])
@@ -507,14 +512,14 @@ def _oscillate(net, scenario, drive, phi, r, lo, hi):
     return cpg.joint_targets(out, jmap, scenario.gain)
 
 
-def _physics(scenario, kin, fin, swimming, x_body, data, col, lo, hi):
+def _physics(scenario, swimming, x_body, data, col, lo, hi):
     """Body advance, contact wrenches and fin drag over ticks lo..hi-1 from
     the joint columns of data; fills x_body and the wrench and fin columns."""
     # each tick after its predecessor; tick 0 stands in for its own, so it
     # starts at rest
     rows = np.r_[max(lo - 1, 0), lo:hi]
     qq = data[rows, col["gt_q_ax1"]:col["gt_q_ax1"] + cpg.N_JOINTS]
-    fk = kin.forward(qq)
+    fk = _KIN.forward(qq)
     swim = swimming[lo:hi]
     speed = np.where(swim, scenario.swim_speed, scenario.advance_speed)
     x_prev = x_body[lo - 1] if lo else scenario.x_start
@@ -528,41 +533,41 @@ def _physics(scenario, kin, fin, swimming, x_body, data, col, lo, hi):
         back, front = x + fk["tail_tip"][1:, 0], x + fk["snout"][1:, 0]
         frac = np.clip((front - scenario.x_waterline) / (front - back), 0.0, 1.0)
         weight, wet = scenario.weight_n * (1.0 - frac), swim[:, None]
-    wrenches, _ = contact_forces(qq[1:], kin, on_floor, weight, q_prev=qq[:-1],
+    wrenches, _ = contact_forces(qq[1:], _KIN, on_floor, weight, q_prev=qq[:-1],
                                  dt=scenario.dt)
     f0, n_w = col["gt_foot_fl_fx"], 3 * len(FOOT_NAMES)    # f_x, tau_pitch, tau_yaw
     data[lo:hi, f0:f0 + n_w] = wrenches.reshape(-1, n_w)
 
     stream = np.where(swimming[rows], scenario.swim_speed, 0.0)
-    force, angle = flow_forces(qq, kin, fin, stream, scenario.dt, mounts=fk["fin_mounts"])
+    force, angle = flow_forces(qq, _KIN, _FIN, stream, scenario.dt, mounts=fk["fin_mounts"])
     f0 = col[f"gt_{FIN_NAMES[0]}_force"]    # fin forces, then fin angles
     data[lo:hi, f0:f0 + 2 * len(FIN_NAMES)] = np.where(
         wet, np.hstack([force[1:], angle[1:]]), 0.0)
 
 
-def _sense(name, ticks, noise, data, col, foot_model, fin):
+def _sense(name, ticks, noise, data, col):
     """Flux the host decodes from one module's samples at the given ticks:
     rendered from the truth columns, noised, quantized to the int16 wire."""
     if name in FOOT_NAMES:
         fx, tp, ty = (data[ticks, col[f"gt_{name}_{c}"]] for c in ("fx", "tp", "ty"))
-        p = foot_deflection_p(calibration.FootWrench(tp, ty, fx), foot_model)
+        p = foot_deflection_p(calibration.FootWrench(tp, ty, fx), _FOOT_MODEL)
         clean = magnetics.dipole_flux_radial(p, _FOOT_DIPOLE)
     else:
-        clean = _kernels.flow_flux_batch(
-            fin.magnet_coords(data[ticks, col[f"gt_{name}_angle"]]), fin.d_z0_mm, fin.n_t)
+        theta = data[ticks, col[f"gt_{name}_angle"]]
+        clean = _kernels.flow_flux_batch(_FIN.magnet_coords(theta), _FIN.d_z0_mm, _FIN.n_t)
     return busring.quantize(clean + noise, busring.FLUX_LSB_MT) * busring.FLUX_LSB_MT
 
 
 def run_scenario(scenario: Scenario) -> ScenarioResult:
     """Execute the full pipeline at 1 kHz; returns the wide trace.
 
-    The plant runs stage by stage over the arrays of a span of ticks
-    (oscillators, kinematics and forces, then the ring samples in the
-    span).  Each module's samples are filtered, inverted and calibrated
-    once, a sensor kind at a time, and their estimates held in the trace:
-    the feet's at the supervisor poll that first reaches them or after the
-    last span, then the fins' whole streams in one inversion call.  A row
-    that does not invert raises, naming its module and its sample's time.
+    The plant fills the truth columns of a span of ticks stage by stage
+    (oscillators, then kinematics and forces).  Each module's samples are
+    sensed from them, filtered, inverted and calibrated once, a sensor kind
+    at a time, and their estimates held in the trace: the feet's at the
+    supervisor poll that first reaches them or after the last span, then
+    the fins' whole streams in one inversion call.  A row that does not
+    invert raises, naming its module and its sample's time.
     One span covers a run without feedback.  With it, walking spans end
     at the 50 Hz supervisor's polls, each of which reads est_foot_sum at
     its tick, and when a poll at tick k leaves walking the last span swims
@@ -570,9 +575,7 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     drive_switch_t switches at its tick.
     """
     net = cpg.build_gait_network()
-    foot_model = ElasticFootModel()
-    fin = FlowFinModel()
-    models = _fit_sensor_models(scenario, foot_model, fin)
+    models = _fit_sensor_models(scenario)
     line = busring.LineConfig()
     round_p = busring.ring_round_period(len(SENSOR_NAMES), line)
 
@@ -594,12 +597,10 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     t = data[:, 0] = np.arange(n_steps) * scenario.dt
 
     ticks, noise = _ring_samples(n_steps, scenario, line)
-    raw = [np.zeros((len(tk), 3)) for tk in ticks]
     phi, r = np.empty((2, n_steps + 1, cpg.N_OSC))
     phi[0], r[0] = cpg.initial_state(
         net[0], scenario.drive, rng=np.random.default_rng(scenario.seed * 100 + 3))
     x_body = np.empty(n_steps)
-    kin = RobotKinematics()
     q0 = col["gt_q_ax1"]
 
     # the drive each tick steps with; the physics swims wherever it is a
@@ -613,27 +614,23 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
 
     def advance(lo, hi):
         data[lo:hi, q0:q0 + cpg.N_JOINTS] = _oscillate(net, scenario, drive, phi, r, lo, hi)
-        _physics(scenario, kin, fin, drive >= cpg.D_SWIM, x_body, data, col, lo, hi)
-        for i, name in enumerate(SENSOR_NAMES):
-            a, b = np.searchsorted(ticks[i], [lo, hi])
-            raw[i][a:b] = _sense(name, ticks[i][a:b], noise[i][a:b], data, col,
-                                 foot_model, fin)
+        _physics(scenario, drive >= cpg.D_SWIM, x_body, data, col, lo, hi)
 
-    # each module's samples are filtered (the low-pass continued from its
-    # last output), inverted and calibrated once, as a supervisor poll (the
-    # feet) or the end of the run reaches them, and held in the trace up to
-    # the module's next sample: the supervisor reads the trace's own estimates
+    # each module's samples are sensed, filtered (the low-pass continued from
+    # its last output), inverted and calibrated once, as a poll (the feet) or
+    # the end of the run reaches them, and held in the trace up to the
+    # module's next sample: the supervisor reads the trace's own estimates
     done, last = [0] * len(SENSOR_NAMES), [None] * len(SENSOR_NAMES)
     est_fx = [col[f"est_{nm}_fx"] for nm in FOOT_NAMES]
     per_kind = {    # est_* columns in model output order, dipole, rest pose, stall
         "foot": (("tp", "ty", "fx"), _FOOT_DIPOLE, None,
                  magnetics.BelowNoiseFloorError, "flux below noise floor"),
-        "flow": (("force",), fin.dipole_params, fin.pose_for_force(0.0),
+        "flow": (("force",), _FIN.dipole_params, _FIN.pose_for_force(0.0),
                  magnetics.NoConvergenceError, "fin inversion stalled")}
 
     def estimate(names, k):
         # est_*, and raw_* and filt_* if logged, through tick k for the
-        # modules names, all of one kind: their new rows inverted in one call
+        # modules names, all of one kind: new samples sensed, one inversion call
         kind = "foot" if names[0] in FOOT_NAMES else "flow"
         outs, params, rest, error, stall = per_kind[kind]
         new, filts = [], []
@@ -643,14 +640,15 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
             a, b = done[i], int(np.searchsorted(tk, k, side="right"))
             if b == a:
                 continue
-            filts.append(magnetics.lowpass_trace(raw[i][a:b], round_p, y0=last[i]))
+            raw = _sense(name, tk[a:b], noise[i][a:b], data, col)
+            filts.append(magnetics.lowpass_trace(raw, round_p, y0=last[i]))
             done[i], last[i] = b, filts[-1][-1].copy()     # not a view: frees filt
             # the new samples each held from their tick to the next sample's
             first, stop = tk[a], tk[b] if b < len(tk) else n_steps
             held = np.searchsorted(tk[a:b], np.arange(first, stop), side="right") - 1
             new.append((name, tk[a:b], slice(first, stop), held))
             if name in scenario.log_flux:
-                data[first:stop, [col[f"raw_{name}_b{c}"] for c in "xyz"]] = raw[i][a:b][held]
+                data[first:stop, [col[f"raw_{name}_b{c}"] for c in "xyz"]] = raw[held]
                 data[first:stop, [col[f"filt_{name}_b{c}"] for c in "xyz"]] = filts[-1][held]
         if not new:
             return
@@ -681,7 +679,7 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
                 break
     for a in range(lo, n_steps, 256):     # bounded spans keep the temporaries small
         advance(a, min(a + 256, n_steps))
-    del phi, r, noise     # spent; freed before the fins' inversion, where memory peaks
+    del phi, r     # spent; freed before the fins' inversion, where memory peaks
     estimate(FOOT_NAMES, n_steps)
     data[:, col["est_foot_sum"]] = sum(data[:, c] for c in est_fx)
     estimate(FIN_NAMES, n_steps)

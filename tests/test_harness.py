@@ -219,6 +219,11 @@ class TestCliRun:
         "run_repeated_log_flux": (
             "run", '{"name": "dup", "duration_s": 0.3, "log_flux": ["foot_fl", "foot_fl"]}',
             None, 2),
+        "run_shorter_than_window": ("run", '{"name": "tiny", "duration_s": 0.03}', None, 2),
+        # sizes beyond any address space, so the allocation fails at once
+        "run_too_long_to_allocate": ("run", '{"duration_s": 1e13}', None, 2),
+        "line_too_many_modules_to_allocate": (
+            "bus-bench", '{"n_modules": 100000000000000000, "duration_s": 0.01}', None, 2),
     }
 
     # what the error line of a case says, where exit 2 alone would not tell
@@ -242,8 +247,13 @@ class TestCliRun:
         "plot_one_row_trace": "time does not advance",
         "plot_constant_time_trace": "time does not advance",
         "run_repeated_log_flux": "log_flux must list distinct modules",
+        "run_shorter_than_window": "window_start",
+        "run_too_long_to_allocate": "out of memory",
+        "line_too_many_modules_to_allocate": "out of memory",
     }
 
+    # a warning printed beside the error line breaks the one-line contract
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("case", EXIT_CASES)
     def test_exit_code(self, case, tmp_path, monkeypatch, capsys):
         command, text, raises, code = self.EXIT_CASES[case]

@@ -449,6 +449,30 @@ class TestRunScenario:
         assert res.switch_time is not None
         assert len(calls) == len(res.data)
 
+    def test_each_sample_sensed_once(self, monkeypatch):
+        # the estimator senses a module's new samples where it takes them:
+        # the feet at each poll, each fin once at the end of the run
+        calls = []
+        sense = plant._sense
+
+        def recording(name, tk, *args):
+            calls.append((name, tk.copy()))
+            return sense(name, tk, *args)
+
+        monkeypatch.setattr(plant, "_sense", recording)
+        sc = plant.Scenario(name="shore", terrain="shoreline", duration_s=1.2,
+                            advance_speed=0.08, x_start=0.2, window_start=0.2,
+                            seed=1)
+        res = plant.run_scenario(sc)
+        assert res.switch_time is not None
+        names = [name for name, _ in calls]
+        for name in plant.FIN_NAMES:
+            assert names.count(name) == 1, name
+        ticks, _ = plant._ring_samples(len(res.data), sc, busring.LineConfig())
+        for i, name in enumerate(plant.SENSOR_NAMES):
+            sensed = np.concatenate([tk for nm, tk in calls if nm == name])
+            np.testing.assert_array_equal(sensed, ticks[i], err_msg=name)
+
     @pytest.mark.parametrize("seed", [1, 3, 5])
     def test_supervisor_reads_est_foot_sum(self, seed, monkeypatch):
         # every foot sum the supervisor acts on is the trace's est_foot_sum
