@@ -46,6 +46,10 @@ def run_suite(repeat):
     results["flow_invert_batch_10k"] = best_of(
         lambda: _kernels.flow_invert_batch(B, pz, n_t, guess, 0.05), repeat
     )
+    # its grid seed alone, the 10k rows in one call
+    results["flow_grid_seed_10k"] = best_of(
+        lambda: _kernels._flow_grid_seed(B, _kernels._flow_grid(pz, n_t, guess.tolist())),
+        repeat)
 
     # the ten calibration benches of one scenario seed (four foot units, six
     # fin units), as run_scenario runs them before its first tick
@@ -70,19 +74,23 @@ def run_suite(repeat):
 
     # the oscillator network over the 88-edge gait graph, 10k RK4 steps of
     # one 32-unit state and of a batch of 20 stepped together, in a loop
-    # over cpg_step (the names keep those of the former rollout kernel)
+    # over cpg_step (the names keep those of the former rollout kernel).
+    # At the walking drive the amplitudes sit at their targets, so these
+    # steps are phase-only; cpg_relax steps a walking state at the swimming
+    # drive, its amplitudes relaxing toward the new targets every step.
     params, graph, _ = cpg.build_gait_network()
-    omega, R = params.intrinsic(2.0)
-    phis, rs = np.stack([cpg.initial_state(params, 2.0, rng=np.random.default_rng(s))
+    phis, rs = np.stack([cpg.initial_state(params, cpg.D_WALK, rng=np.random.default_rng(s))
                          for s in range(3, 23)], axis=1)
 
-    def steps(phi, r):
+    def steps(phi, r, drive):
+        omega, R = params.intrinsic(drive)
         for _ in range(10_000):
             phi, r = _kernels.cpg_step(phi, r, omega, graph.arrays, params.a, R, 1e-3)
 
-    for name, phi, r in (("cpg_rollout_32x10k", phis[0], rs[0]),
-                         ("cpg_rollout_20x32x10k", phis, rs)):
-        results[name] = best_of(lambda: steps(phi, r), repeat)
+    for name, phi, r, drive in (("cpg_rollout_32x10k", phis[0], rs[0], cpg.D_WALK),
+                                ("cpg_rollout_20x32x10k", phis, rs, cpg.D_WALK),
+                                ("cpg_relax_32x10k", phis[0], rs[0], cpg.D_SWIM)):
+        results[name] = best_of(lambda: steps(phi, r, drive), repeat)
 
     # the three rings of the bus bench, 10 modules over 4 s of bus time
     # (about 30k frames each): clean, with bit flips, and one module killed

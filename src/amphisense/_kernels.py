@@ -2,11 +2,14 @@
 inversion, and the phase-oscillator RK4 step.
 
 Work that is independent across elements is vectorized with numpy; the fin
-inversion runs its Newton iterations over all flux rows at once, and the
-oscillator step runs over the coupling graph's edge list and over any
-leading axes of the state, so a batch of networks takes one call.  The
-low-pass scan, a sequential recurrence, loops in Python on floats, which
-cost far less per operation than numpy scalars.
+inversion seeds each flux row from the few rotation-grid points its own
+rotation angle leaves in contention and runs its Newton iterations over
+blocks of rows at once, and the oscillator step runs over the coupling
+graph's edge list and over any leading axes of the state, so a batch of
+networks takes one call, skipping the amplitude half of RK4 while every
+amplitude sits at its target.  The low-pass scan, a sequential
+recurrence, loops in Python on floats, which cost far less per operation
+than numpy scalars.
 """
 
 import math
@@ -104,35 +107,93 @@ def _norm(d0, d1, d2):
     return np.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
 
 
-def _flow_grid_seed(B, pz, n_t, guess):
-    """Best fin rotation of the guess pose on a 151-point +-75 deg grid, per
-    row (the guess if none has a finite residual).  The guess fixes the
-    physical family (magnet on a circle of radius rho, magnetization
-    co-rotating), so Newton starts on the physical branch of the roots.
-    The scan reuses its row buffers, so it allocates nothing per grid point."""
+# The seed turns the guess pose about the sensor's z axis through a
+# 151-point +-75 deg grid.  Where |alpha0 + theta| <= 90 deg the pose turns
+# whole (magnet on a circle of radius rho at a fixed height, magnetization
+# co-rotating), so its flux turns with it: (B_x, B_y) by theta, B_z and |B|
+# fixed.  On that rigid range a row's residual grows with the angle between
+# its own (B_x, B_y) and the grid point's, so it is smallest at the grid
+# point nearest the row's rotation angle, or at an edge of the range when
+# that angle falls outside it.  Each row scans those points (five around
+# the nearest, inside the range, and both edges) and every non-rigid point,
+# in increasing grid order with the full scan's residual arithmetic and tie
+# rule.  The points it skips lose by at least 2 |B_xy| |F_xy| (cos 0.5 deg -
+# cos 2.5 deg) in the squared residual, over a thousand times its rounding
+# error when |B_xy| |F_xy| > 2 _SHARP (|B|^2 + |F|^2); the other rows,
+# non-finite ones among them, scan all 151 points.
+
+_GRID_HALF = math.radians(75.0)
+_GRID_N = 151
+_SHARP = 1e-9
+
+
+def _flow_grid(pz, n_t, guess):
+    """The seed grid of the guess pose (a list): poses (152, 3) with the
+    guess last, their fluxes as a list of rows and as columns (3, 151), the
+    angle of each and the rigid range's first and last index."""
     rho, beta0 = math.hypot(guess[0], guess[1]), math.atan2(guess[1], guess[0])
     alpha0 = math.asin(min(max(guess[2], -1.0), 1.0))
-    half = math.radians(75.0)
-    ths = [-half + 2.0 * half * g / 150 for g in range(151)]
-    grid = np.array([(rho * math.cos(beta0 + th), rho * math.sin(beta0 + th),
-                      min(max(math.sin(alpha0 + th), -1.0), 1.0)) for th in ths] + [guess])
+    ths = [-_GRID_HALF + 2.0 * _GRID_HALF * g / (_GRID_N - 1) for g in range(_GRID_N)]
+    poses = np.array([(rho * math.cos(beta0 + th), rho * math.sin(beta0 + th),
+                       min(max(math.sin(alpha0 + th), -1.0), 1.0)) for th in ths] + [guess])
+    F = flow_flux_batch(poses[:-1], pz, n_t)
+    rigid = [g for g, th in enumerate(ths) if abs(alpha0 + th) <= 0.5 * math.pi]
+    return poses, F.tolist(), F.T.copy(), ths, rigid[0], rigid[-1]
+
+
+def _grid_scan(B, points):
+    """Grid index of each row's least residual over points, pairs (g, f) of
+    a grid index and its flux (three floats, or three (n,) arrays of each
+    row's own point), in increasing g; _GRID_N where none is finite.
+    The scan reuses its row buffers, so it allocates nothing per point."""
     n = len(B)
+    b = B.T.copy()     # contiguous columns
     best, resid, d = np.full(n, math.inf), np.empty(n), np.empty(n)
-    pick = np.full(n, len(ths), np.int16)     # the guess, grid's last row
+    pick = np.full(n, _GRID_N, np.intp)     # the guess, the grid's last pose
     better = np.empty(n, bool)
-    for g, f in enumerate(flow_flux_batch(grid[:-1], pz, n_t).tolist()):
+    for g, f in points:
         # resid = _norm(f0 - b0, f1 - b1, f2 - b2), the same roundings in place
-        np.subtract(f[0], B[:, 0], out=resid)
+        np.subtract(f[0], b[0], out=resid)
         np.multiply(resid, resid, out=resid)
         for c in (1, 2):
-            np.subtract(f[c], B[:, c], out=d)
+            np.subtract(f[c], b[c], out=d)
             np.multiply(d, d, out=d)
             resid += d
         np.sqrt(resid, out=resid)
         np.less(resid, best, out=better)
         np.copyto(best, resid, where=better)
         np.copyto(pick, g, where=better)
-    return grid[pick]
+    return pick
+
+
+def _flow_grid_seed(B, grid):
+    """Each row's best pose on the seed grid of _flow_grid (the guess if no
+    grid point has a finite residual), as the full 151-point scan picks it.
+    The guess fixes the physical family, so Newton starts on the physical
+    branch of the roots."""
+    poses, Fl, Fc, ths, lo, hi = grid
+    mid = _GRID_N // 2                  # theta = 0
+    mx, my, mz = Fl[mid]
+    bx, by, bz = B.T
+    with np.errstate(invalid="ignore", over="ignore"):
+        b_xy2 = bx * bx + by * by
+        sharp = (np.sqrt(b_xy2) * math.hypot(mx, my)
+                 > 2.0 * _SHARP * (b_xy2 + bz * bz + (mx * mx + my * my + mz * mz)))
+        # each row's rotation from theta = 0, in grid steps
+        turn = np.arctan2(mx * by - my * bx, mx * bx + my * by)
+        near = np.rint(turn / (ths[1] - ths[0])) + mid
+    flat = ~sharp
+    wide = flat.any()
+    if wide:
+        near[flat] = mid
+    near = np.minimum(np.maximum(near, lo + 2), hi - 2).astype(np.intp)
+    window = [(g, (Fc[0].take(g), Fc[1].take(g), Fc[2].take(g)))
+              for g in (near - 2, near - 1, near, near + 1, near + 2)]
+    pick = _grid_scan(B, [(g, Fl[g]) for g in range(lo + 1)] + window
+                      + [(g, Fl[g]) for g in range(hi, _GRID_N)])
+    if wide:
+        pick[flat] = _grid_scan(B[flat], enumerate(Fl))
+    return poses[pick]
 
 
 # Rows per Newton block.  Each block pays the iteration's per-call numpy
@@ -150,13 +211,14 @@ def flow_invert_batch(B, pz, n_t, guess, resid_accept):
     times until the residual drops, with h_y clamped inside (-1, 1) and the
     magnet kept off the sensor origin.  A stall is the least-squares
     projection onto the model image; it is accepted within resid_accept (mT).
-    The rows are seeded together and iterated in blocks of _NEWTON_BLOCK.
+    The rows are seeded and iterated in blocks of _NEWTON_BLOCK.
     """
     B = np.asarray(B, dtype=float)
-    Q = _flow_grid_seed(B, pz, n_t, np.asarray(guess, dtype=float).tolist())
-    fn = np.empty(len(B))
+    grid = _flow_grid(pz, n_t, np.asarray(guess, dtype=float).tolist())
+    Q, fn = np.empty_like(B), np.empty(len(B))
     for a in range(0, len(B), _NEWTON_BLOCK):
         rows = slice(a, a + _NEWTON_BLOCK)
+        Q[rows] = _flow_grid_seed(B[rows], grid)
         fn[rows] = _flow_newton(Q[rows], B[rows], pz, n_t)
     return Q, fn <= (resid_accept if resid_accept > 1e-10 else 1e-10)
 
@@ -207,27 +269,43 @@ def _flow_newton(Q, B, pz, n_t):
 # each unit's terms in edge order.  Leading rows are flattened into offset
 # indices, one bincount for all of them, so every row is summed in the same
 # order as a state stepped alone and a batch row equals it bit for bit.
+#
+# Amplitudes at their targets stay there: when a (R - r) is exactly zero
+# for every unit (each walking tick, a swim from its first tick), every
+# stage adds an exact zero to r, so the step skips the amplitude half and
+# weighs the coupling by r once.  With a > 0 that zero is +0.0 wherever r
+# is -0.0, so r + 0.0 is the general step's r to the sign of its zeros.  A
+# NaN or infinite amplitude leaves a (R - r) non-zero: the general step.
+# After a drive change r relaxes toward the new R (the limbs' decay toward
+# 0 never ends in it), so the general step stays.
 
 
 def cpg_step(phi, r, omega, edges, a, R, dt):
-    """One RK4 step of states phi, r (..., n); edges is (I, J, w, b)."""
+    """One RK4 step of states phi, r (..., n); edges is (I, J, w, b) and the
+    rates a are positive."""
     I, J, w, b = edges
     if phi.ndim > 1:   # index each leading row's units in the flattened state
         offset = np.arange(0, phi.size, phi.shape[-1])[:, None]
         I, J = offset + I, offset + J
     bins = I.ravel()
+    kr = [a * (R - r)]
+    still = not np.count_nonzero(kr[0])
+    w_still = w * r.ravel()[J] if still else None
 
-    def deriv(ph, rr):
-        p, q = ph.ravel(), rr.ravel()
-        c = (w * q[J]) * np.sin(p[J] - p[I] - b)
-        pull = np.bincount(bins, c.ravel(), minlength=phi.size).reshape(phi.shape)
-        return omega + pull, a * (R - rr)
+    def dphi(ph, rr):
+        p = ph.ravel()
+        c = (w_still if still else w * rr.ravel()[J]) * np.sin(p[J] - p[I] - b)
+        return omega + np.bincount(bins, c.ravel(), minlength=phi.size).reshape(phi.shape)
 
-    k1p, k1r = deriv(phi, r)
-    k2p, k2r = deriv(phi + 0.5 * dt * k1p, r + 0.5 * dt * k1r)
-    k3p, k3r = deriv(phi + 0.5 * dt * k2p, r + 0.5 * dt * k2r)
-    k4p, k4r = deriv(phi + dt * k3p, r + dt * k3r)
-    phi2 = phi + dt / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-    r2 = r + dt / 6.0 * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
-    return phi2, r2
+    kp = [dphi(phi, r)]
+    for h in (0.5 * dt, 0.5 * dt, dt):    # stages 2-4, each from the one before
+        rr = r
+        if not still:
+            rr = r + h * kr[-1]
+            kr.append(a * (R - rr))
+        kp.append(dphi(phi + h * kp[-1], rr))
+    phi2 = phi + dt / 6.0 * (kp[0] + 2.0 * kp[1] + 2.0 * kp[2] + kp[3])
+    if still:
+        return phi2, r + 0.0
+    return phi2, r + dt / 6.0 * (kr[0] + 2.0 * kr[1] + 2.0 * kr[2] + kr[3])
 

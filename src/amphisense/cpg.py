@@ -327,7 +327,7 @@ def step_network(phi: np.ndarray, r: np.ndarray, drive: float, params: Oscillato
     """
     if not 0.0 < dt <= MAX_DT_S:
         raise ValueError(f"dt must be in (0, {MAX_DT_S:g}] s")
-    if np.any(r < 0.0):
+    if np.count_nonzero(r < 0.0):
         raise CpgConfigError("amplitudes must be non-negative")
     omega, R = params.intrinsic(drive)
     phi, r = _kernels.cpg_step(phi, r, omega, graph.arrays, params.a, R, dt)

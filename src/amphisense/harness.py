@@ -204,6 +204,11 @@ def _switch_index(mode):
     return None
 
 
+def _too_short(window_start, t_end):
+    return TraceTooShortError(f"no rows at or after window_start {window_start:g} s; "
+                              f"the trace ends at t = {t_end:g} s")
+
+
 def analyze_trace(result: plant.ScenarioResult,
                   scenario: plant.Scenario = None) -> MetricsReport:
     """Compute the scenario-appropriate metric set from a wide trace.
@@ -233,8 +238,7 @@ def analyze_trace(result: plant.ScenarioResult,
         name = "trace"
     w = t >= window_start
     if kind != "shoreline" and not w.any():
-        raise TraceTooShortError(f"no rows at or after window_start {window_start:g} s; "
-                                 f"the trace ends at t = {t[-1]:g} s")
+        raise _too_short(window_start, t[-1])
     report = MetricsReport(source=name)
 
     if kind == "floor":
@@ -547,6 +551,12 @@ def cmd_run(args) -> int:
     scenario = _config(plant.Scenario, args.scenario, plant.PlantError)
     if args.seed is not None:
         scenario.seed = args.seed
+    # a floor or water run that ends before its analysis window fails
+    # before it is simulated, leaving no trace behind
+    n_steps = int(round(scenario.duration_s / scenario.dt))
+    t_end = (n_steps - 1) * scenario.dt    # run_scenario's last tick
+    if scenario.terrain != "shoreline" and n_steps and t_end < scenario.window_start:
+        raise _too_short(scenario.window_start, t_end)
     os.makedirs(args.out, exist_ok=True)
     log.info("running scenario %s (%.1f s at %.0f Hz)", scenario.name,
              scenario.duration_s, 1.0 / scenario.dt)

@@ -277,6 +277,8 @@ class TestCliRun:
         stray = [p for p in tmp_path.rglob("*")
                  if p.is_file() and p not in (trace, arg) and out not in p.parents]
         assert not stray, f"written outside --out: {stray}"
+        if case == "run_shorter_than_window":    # refused before a tick is stepped
+            assert not [p for p in out.rglob("*") if p.is_file()]
         if code == 2:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1

@@ -5,8 +5,10 @@ computes: the low-pass scan against the stepwise recurrence and bit for
 bit against scipy's lfilter (which the package itself does not import),
 the batch fin flux against the general point dipole, the Jacobian against
 finite differences, the fin inversion against a row-at-a-time Newton on
-Python floats, and the RK4 step against a loop-by-loop derivative and
-against the dense n x n form of its coupling sum.
+Python floats, its grid seed against the full 151-point scan, and the RK4
+step against a loop-by-loop derivative, against the dense n x n form of
+its coupling sum and, where the amplitudes sit at their targets, against
+the general step that integrates them.
 """
 
 import math
@@ -174,6 +176,70 @@ def test_flow_invert_batch_rows_are_independent(data):
         assert ok[i] == ok_lone[0]
 
 
+def _full_scan_seed(B, pz, n_t, guess):
+    """The grid seed by scanning every one of the 151 grid points."""
+    rho, beta0 = math.hypot(guess[0], guess[1]), math.atan2(guess[1], guess[0])
+    alpha0 = math.asin(min(max(guess[2], -1.0), 1.0))
+    half = math.radians(75.0)
+    ths = [-half + 2.0 * half * g / 150 for g in range(151)]
+    grid = np.array([(rho * math.cos(beta0 + th), rho * math.sin(beta0 + th),
+                      min(max(math.sin(alpha0 + th), -1.0), 1.0)) for th in ths] + [guess])
+    best, pick = np.full(len(B), math.inf), np.full(len(B), 151)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for g, f in enumerate(K.flow_flux_batch(grid[:-1], pz, n_t).tolist()):
+            resid = K._norm(f[0] - B[:, 0], f[1] - B[:, 1], f[2] - B[:, 2])
+            better = resid < best
+            best[better], pick[better] = resid[better], g
+    return grid[pick]
+
+
+def _fin_rows(rng, n, alpha0, beta0, ths, sigma):
+    """Flux rows of the guess pose (3 mm, beta0, alpha0) turned through ths,
+    with noise sigma (mT)."""
+    Q = np.column_stack([3.0 * np.cos(beta0 + ths), 3.0 * np.sin(beta0 + ths),
+                         np.sin(alpha0 + ths)])
+    return K.flow_flux_batch(Q, 4.0, 120.0) + rng.normal(scale=sigma, size=(n, 3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_grid_seed_matches_full_scan(data):
+    # the seed scans a few grid points a row; it picks what the full scan
+    # picks on the fin family over the whole circle, near and past the
+    # rigid range's edge (alpha0 + theta = 90 deg), on rows of noise alone,
+    # tiny, huge and non-finite rows, and with the guess turned about z
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    alpha0 = math.radians(data.draw(st.sampled_from([20.0, -20.0, 0.0, 45.0, 89.9, 90.0])))
+    beta0 = data.draw(st.sampled_from([0.0, 0.7, -2.5]))
+    guess = [3.0 * math.cos(beta0), 3.0 * math.sin(beta0), math.sin(alpha0)]
+    sigma = data.draw(st.sampled_from([0.0, 0.01, 0.05]))
+    n = 400
+    ths = np.concatenate([rng.uniform(-math.pi, math.pi, n),
+                          math.pi / 2 - alpha0 + rng.normal(scale=0.02, size=n)])
+    B = np.concatenate([
+        _fin_rows(rng, 2 * n, alpha0, beta0, ths, sigma),
+        rng.normal(scale=0.05, size=(n, 3)),                   # noise alone
+        rng.normal(scale=data.draw(st.sampled_from([1e-12, 1e-9, 1e-6, 1e6, 1e200])),
+                   size=(n, 3)),
+    ])
+    B[rng.integers(0, len(B), 20), rng.integers(0, 3, 20)] = rng.choice(
+        [np.nan, np.inf, -np.inf], 20)
+    with np.errstate(over="ignore"):
+        got = K._flow_grid_seed(B, K._flow_grid(4.0, 120.0, guess))
+    np.testing.assert_array_equal(got, _full_scan_seed(B, 4.0, 120.0, guess))
+
+
+def test_grid_seed_matches_full_scan_past_70_deg():
+    # the fin's rows at 59-69 deg under 0.05 mT noise, where the grid's
+    # points past alpha0 + theta = 90 deg (theta > 70 deg) compete
+    rng = np.random.default_rng(11)
+    guess = [3.0, 0.0, math.sin(math.radians(20.0))]
+    ths = rng.uniform(math.radians(59.0), math.radians(69.0), 20_000)
+    B = _fin_rows(rng, len(ths), math.radians(20.0), 0.0, ths, 0.05)
+    got = K._flow_grid_seed(B, K._flow_grid(4.0, 120.0, guess))
+    np.testing.assert_array_equal(got, _full_scan_seed(B, 4.0, 120.0, guess))
+
+
 def _dense(n, edges):
     """Weight and bias matrices W[i, j], B[i, j] of an edge list."""
     W, B = np.zeros((n, n)), np.zeros((n, n))
@@ -279,6 +345,60 @@ def test_cpg_batch_rows_equal_lone_states(gait_network, data):
         np.testing.assert_array_equal(q[idx], lone_q)
         np.testing.assert_array_equal(sp[idx], lone_p)
         np.testing.assert_array_equal(sq[idx], lone_q)
+
+
+def _general_rk4(phi, r, omega, edges, a, R, dt):
+    """The RK4 step that integrates the amplitudes at every stage."""
+    I, J, w, b = edges
+    if phi.ndim > 1:
+        offset = np.arange(0, phi.size, phi.shape[-1])[:, None]
+        I, J = offset + I, offset + J
+
+    def deriv(ph, rr):
+        p, q = ph.ravel(), rr.ravel()
+        c = (w * q[J]) * np.sin(p[J] - p[I] - b)
+        pull = np.bincount(I.ravel(), c.ravel(), minlength=phi.size).reshape(phi.shape)
+        return omega + pull, a * (R - rr)
+
+    k1p, k1r = deriv(phi, r)
+    k2p, k2r = deriv(phi + 0.5 * dt * k1p, r + 0.5 * dt * k1r)
+    k3p, k3r = deriv(phi + 0.5 * dt * k2p, r + 0.5 * dt * k2r)
+    k4p, k4r = deriv(phi + dt * k3p, r + dt * k3r)
+    return (phi + dt / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p),
+            r + dt / 6.0 * (k1r + 2.0 * k2r + 2.0 * k3r + k4r))
+
+
+def _same_bits(x, y):
+    np.testing.assert_array_equal(x, y)
+    np.testing.assert_array_equal(np.signbit(x), np.signbit(y))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_phase_only_step_equals_general_step(gait_network, data):
+    # amplitudes at their targets (the limbs' 0 at the swim drive, some as
+    # -0.0), one row one ulp off them, or NaN and inf amplitudes: the step
+    # gives the general step's bits, signed zeros included
+    params, graph, _ = gait_network
+    lead = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2)))
+    drive = data.draw(st.sampled_from([cpg.D_WALK, cpg.D_SWIM]))
+    omega, R = params.intrinsic(drive)
+    R = np.where(data.draw(arrays(bool, cpg.N_OSC)) & (R == 0.0), -0.0, R)
+    phi = data.draw(arrays(np.float64, lead + (cpg.N_OSC,), elements=st.floats(0.0, 2 * math.pi)))
+    r = np.broadcast_to(R, phi.shape).copy()
+    r[data.draw(arrays(bool, phi.shape)) & (r == 0.0)] *= -1.0
+    case = data.draw(st.sampled_from(["targets", "ulp", "nan", "inf"]))
+    at = tuple(data.draw(st.integers(0, m - 1)) for m in phi.shape)
+    if case == "ulp":
+        r[at] = np.nextafter(r[at], data.draw(st.sampled_from([-np.inf, np.inf])))
+    elif case != "targets":
+        r[at] = {"nan": np.nan, "inf": np.inf}[case]
+    args = (omega, graph.arrays, params.a, R, 1e-3)
+    assert (case == "targets") == (not np.count_nonzero(params.a * (R - r)))
+    with np.errstate(invalid="ignore"):
+        got, ref = K.cpg_step(phi, r, *args), _general_rk4(phi, r, *args)
+    for x, y in zip(got, ref):
+        _same_bits(x, y)
 
 
 @pytest.mark.parametrize("drive", [cpg.D_WALK, cpg.D_SWIM])
