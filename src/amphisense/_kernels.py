@@ -129,8 +129,8 @@ _SHARP = 1e-9
 
 def _flow_grid(pz, n_t, guess):
     """The seed grid of the guess pose (a list): poses (152, 3) with the
-    guess last, their fluxes as a list of rows and as columns (3, 151), the
-    angle of each and the rigid range's first and last index."""
+    guess last, their fluxes as a list of rows and as columns (3, 151), and
+    the rigid range's first and last index."""
     rho, beta0 = math.hypot(guess[0], guess[1]), math.atan2(guess[1], guess[0])
     alpha0 = math.asin(min(max(guess[2], -1.0), 1.0))
     ths = [-_GRID_HALF + 2.0 * _GRID_HALF * g / (_GRID_N - 1) for g in range(_GRID_N)]
@@ -138,7 +138,7 @@ def _flow_grid(pz, n_t, guess):
                        min(max(math.sin(alpha0 + th), -1.0), 1.0)) for th in ths] + [guess])
     F = flow_flux_batch(poses[:-1], pz, n_t)
     rigid = [g for g, th in enumerate(ths) if abs(alpha0 + th) <= 0.5 * math.pi]
-    return poses, F.tolist(), F.T.copy(), ths, rigid[0], rigid[-1]
+    return poses, F.tolist(), F.T.copy(), rigid[0], rigid[-1]
 
 
 def _grid_scan(B, points):
@@ -171,7 +171,7 @@ def _flow_grid_seed(B, grid):
     grid point has a finite residual), as the full 151-point scan picks it.
     The guess fixes the physical family, so Newton starts on the physical
     branch of the roots."""
-    poses, Fl, Fc, ths, lo, hi = grid
+    poses, Fl, Fc, lo, hi = grid
     mid = _GRID_N // 2                  # theta = 0
     mx, my, mz = Fl[mid]
     bx, by, bz = B.T
@@ -181,7 +181,7 @@ def _flow_grid_seed(B, grid):
                  > 2.0 * _SHARP * (b_xy2 + bz * bz + (mx * mx + my * my + mz * mz)))
         # each row's rotation from theta = 0, in grid steps
         turn = np.arctan2(mx * by - my * bx, mx * bx + my * by)
-        near = np.rint(turn / (ths[1] - ths[0])) + mid
+        near = np.rint(turn * ((_GRID_N - 1) / (2.0 * _GRID_HALF))) + mid
     flat = ~sharp
     wide = flat.any()
     if wide:
