@@ -66,7 +66,7 @@ def run_suite(repeat):
                                                    + k))
         streams.append(_kernels.flow_flux_batch(fin.magnet_coords(angle), fin.d_z0_mm, fin.n_t)
                        + rng.normal(scale=0.003, size=(922, 3)))
-    invert = lambda b: calibration.flux_features("flow", b, fin.dipole_params, rest, 0.01)
+    invert = lambda b: calibration.KINDS["flow"].locate(b, fin.dipole_params, rest, 0.01)
     B6 = np.concatenate(streams)
     results["host_fin_inversion_one_call"] = best_of(lambda: invert(B6), repeat)
     results["host_fin_inversion_six_calls"] = best_of(

@@ -9,20 +9,15 @@ basis) to pitch torque / yaw torque / axial force, and fin location changes
 Units follow the sensing stack: mm, mT, N, N*mm, rad.
 """
 
+import itertools
 import json
 import math
+from collections.abc import Callable
 
 import numpy as np
 from dataclasses import dataclass, field
 
 from . import magnetics
-
-
-FOOT_FEATURES = ("1", "p_x", "p_y", "p_z", "p_x^2", "p_y^2", "p_z^2",
-                 "p_x*p_y", "p_x*p_z", "p_y*p_z")
-FLOW_FEATURES = ("1", "dp_x", "dp_y", "dp_x^2", "dp_y^2", "dp_x*dp_y")
-FOOT_OUTPUTS = ("tau_pitch", "tau_yaw", "f_x")
-FLOW_OUTPUTS = ("force",)
 
 
 class CalibrationError(ValueError):
@@ -56,34 +51,43 @@ class FootWrench:
     f_x: float
 
 
+@dataclass(frozen=True)
+class SensorKind:
+    """What makes a sensor kind, from its bench to its calibrate report."""
+
+    coords: tuple       # location coordinates; the quadratic basis in them follows
+    outputs: tuple      # the loads its models return
+    load_types: tuple   # a jig's default schedule
+    bench: Callable     # (transduce, params, cfg) -> flux, loads, cycle ids, load types, rest
+    locate: Callable    # (B, params, rest, noise_sigma) -> locations (N, coords), ok (N,)
+    error: type         # raised for a row that does not invert, saying stall
+    stall: str
+    report: tuple       # calibrate's rows: (name, outputs averaged, unit, band field)
+
+    @property
+    def features(self):
+        c = self.coords
+        return ("1", *c, *(f"{a}^2" for a in c),
+                *(f"{a}*{b}" for a, b in itertools.combinations(c, 2)))
+
+
+class _Kinds(dict):
+    def __missing__(self, kind):
+        raise CalibrationError(f"unknown sensor kind {kind!r}")
+
+
 def _feature_matrix(kind: str, X: np.ndarray) -> np.ndarray:
+    """The quadratic basis of kind's features at each row of X."""
     X = np.asarray(X, dtype=float)
-    if kind == "foot":
-        x, y, z = X[:, 0], X[:, 1], X[:, 2]
-        return np.column_stack(
-            [np.ones(len(X)), x, y, z, x * x, y * y, z * z, x * y, x * z, y * z]
-        )
-    if kind == "flow":
-        x, y = X[:, 0], X[:, 1]
-        return np.column_stack([np.ones(len(X)), x, y, x * x, y * y, x * y])
-    raise CalibrationError(f"unknown sensor kind {kind!r}")
-
-
-def _kind_meta(kind: str):
-    if kind == "foot":
-        return FOOT_FEATURES, FOOT_OUTPUTS, 3
-    if kind == "flow":
-        return FLOW_FEATURES, FLOW_OUTPUTS, 2
-    raise CalibrationError(f"unknown sensor kind {kind!r}")
+    c = [X[:, i] for i in range(len(KINDS[kind].coords))]
+    return np.column_stack([np.ones(len(X)), *c, *(a * a for a in c),
+                            *(a * b for a, b in itertools.combinations(c, 2))])
 
 
 @dataclass
 class CalibrationDataset:
-    """Location estimates paired with reference loads, labeled by jig cycle.
-
-    X holds (p_x, p_y, p_z) rows for foot sensors or (dp_x, dp_y) rows for
-    flow sensors; Y holds (tau_pitch, tau_yaw, f_x) or (force,).
-    """
+    """Location estimates paired with reference loads, labeled by jig cycle:
+    X holds rows of the kind's coords, Y rows of its outputs."""
 
     kind: str
     X: np.ndarray
@@ -92,9 +96,9 @@ class CalibrationDataset:
     load_types: list
 
     def __post_init__(self):
-        _, outputs, dims = _kind_meta(self.kind)
-        self.X = np.asarray(self.X, dtype=float).reshape(-1, dims)
-        self.Y = np.asarray(self.Y, dtype=float).reshape(-1, len(outputs))
+        kind = KINDS[self.kind]
+        self.X = np.asarray(self.X, dtype=float).reshape(-1, len(kind.coords))
+        self.Y = np.asarray(self.Y, dtype=float).reshape(-1, len(kind.outputs))
         if not (len(self.X) == len(self.Y) == len(self.cycle_ids) == len(self.load_types)):
             raise CalibrationError("dataset columns disagree in length")
 
@@ -105,33 +109,28 @@ class CalibrationDataset:
     def cycles(self):
         return sorted(set(self.cycle_ids))
 
-    def subset(self, cycles) -> "CalibrationDataset":
-        cycles = set(cycles)
-        mask = np.array([c in cycles for c in self.cycle_ids])
-        return CalibrationDataset(
-            self.kind,
-            self.X[mask],
-            self.Y[mask],
-            [c for c, m in zip(self.cycle_ids, mask) if m],
-            [t for t, m in zip(self.load_types, mask) if m],
-        )
-
     def train_eval_split(self, n_eval: int = 2):
         """Hold out the last n_eval cycles of every load type for evaluation."""
         per_type = {}
-        for cid, lt in zip(self.cycle_ids, self.load_types):
-            per_type.setdefault(lt, set()).add(cid)
+        for lt, cid in set(zip(self.load_types, self.cycle_ids)):
+            per_type.setdefault(lt, []).append(cid)
         eval_cycles = set()
-        for lt, cids in per_type.items():
-            ordered = sorted(cids)
+        for lt in sorted(per_type):
+            ordered = sorted(per_type[lt])
             if len(ordered) <= n_eval:
                 raise CalibrationError(
                     f"load type {lt!r} has {len(ordered)} cycles, "
                     f"cannot hold out {n_eval}"
                 )
             eval_cycles.update(ordered[-n_eval:])
-        train_cycles = set(self.cycles) - eval_cycles
-        return self.subset(train_cycles), self.subset(eval_cycles)
+        held = np.array([c in eval_cycles for c in self.cycle_ids], dtype=bool)
+
+        def part(mask):
+            keep = mask.tolist()
+            return CalibrationDataset(self.kind, self.X[mask], self.Y[mask],
+                                      list(itertools.compress(self.cycle_ids, keep)),
+                                      list(itertools.compress(self.load_types, keep)))
+        return part(~held), part(held)
 
 
 @dataclass
@@ -145,11 +144,11 @@ class PolyModel:
 
     @property
     def feature_names(self):
-        return _kind_meta(self.kind)[0]
+        return KINDS[self.kind].features
 
     @property
     def output_names(self):
-        return _kind_meta(self.kind)[1]
+        return KINDS[self.kind].outputs
 
     def to_json(self, path=None):
         doc = {
@@ -191,8 +190,6 @@ class RmseReport:
 
     @property
     def mean_torque_rmse(self):
-        if self.kind != "foot":
-            raise CalibrationError("torque RMSE applies to foot models")
         return 0.5 * (self.rmse["tau_pitch"] + self.rmse["tau_yaw"])
 
 
@@ -204,7 +201,7 @@ def fit_poly(data: CalibrationDataset) -> PolyModel:
     each unexcited direction (the usual cause is a jig schedule that never
     varies two axes together).
     """
-    feats, outputs, _ = _kind_meta(data.kind)
+    feats = KINDS[data.kind].features
     k = len(feats)
     if len(data) < k:
         raise InsufficientSamplesError(
@@ -236,24 +233,6 @@ def fit_poly(data: CalibrationDataset) -> PolyModel:
 def apply_poly_batch(model: PolyModel, X) -> np.ndarray:
     """Evaluate the model over (N, dims) locations; returns (N, outputs)."""
     return _feature_matrix(model.kind, np.asarray(X, dtype=float)) @ model.coef.T
-
-
-def flux_features(kind: str, B, params: magnetics.DipoleParams, rest, noise_sigma: float):
-    """A sensor's model features from (N, 3) flux rows, and the (N,) mask
-    of rows that inverted; the other rows come back NaN.
-
-    A foot's features are its magnet position (p_x, p_y, p_z), in closed
-    form (rest and noise_sigma unused); rows at or below the noise floor
-    fail.  A fin's are its magnet's offset (dp_x, dp_y) from rest, its
-    FlowPose under no load, by damped Newton seeded from rest, accepting a
-    least-squares fix within 5 noise_sigma (mT).
-    """
-    if kind == "foot":
-        X = magnetics.invert_foot_flux_batch(B, params)
-        return X, ~np.isnan(X).any(axis=1)
-    pose, ok = magnetics.invert_flow_flux_batch(
-        B, rest.d_z0, params, rest, resid_accept=max(5.0 * noise_sigma, 1e-9))
-    return pose[:, :2] - [rest.p_x, rest.p_y], ok
 
 
 def evaluate_rmse(model: PolyModel, eval_data: CalibrationDataset) -> RmseReport:
@@ -324,9 +303,7 @@ class JigConfig:
         if not self.n_average >= 1:
             raise CalibrationError(f"n_average must be at least 1, got {self.n_average!r}")
         if self.load_types is None:
-            self.load_types = (
-                ("fx", "pitch", "yaw", "combo") if self.kind == "foot" else ("flow",)
-            )
+            self.load_types = KINDS[self.kind].load_types
 
 
 def _foot_cycle_loads(load_type, cfg: JigConfig):
@@ -375,23 +352,18 @@ def simulate_jigs(transduce, params: magnetics.DipoleParams, cfg: JigConfig,
     clean sweep is rendered once, each unit draws its noise from its own
     generator, and all units' flux rows are inverted in one call.
     """
-    if cfg.kind not in ("foot", "flow"):
-        raise CalibrationError(f"unknown jig kind {cfg.kind!r}")
+    kind = KINDS[cfg.kind]
     if not rngs:
         return []
-    bench = _foot_bench if cfg.kind == "foot" else _flow_bench
-    b, loads, cids, ltypes, rest = bench(transduce, params, cfg)
+    b, loads, cids, ltypes, rest = kind.bench(transduce, params, cfg)
     noisy = np.concatenate([
         b + rng.normal(scale=cfg.noise_sigma, size=(len(b), cfg.n_average, 3)).mean(axis=1)
         for rng in rngs])
-    X, ok = flux_features(cfg.kind, noisy, params, rest, cfg.noise_sigma)
+    X, ok = kind.locate(noisy, params, rest, cfg.noise_sigma)
     if not ok.all():
         # len(b) rows a unit; a stall names its unit and sweep point
         unit, point = divmod(int(np.argmin(ok)), len(b))
-        error, what = ((magnetics.BelowNoiseFloorError, "flux at or below the noise floor")
-                       if cfg.kind == "foot" else
-                       (magnetics.NoConvergenceError, "inversion stalled"))
-        raise error(f"{cfg.kind} jig {what} at sweep point {point} of unit {unit}")
+        raise kind.error(f"{cfg.kind} jig: {kind.stall} at sweep point {point} of unit {unit}")
     return [CalibrationDataset(cfg.kind, X[u * len(b):(u + 1) * len(b)], loads.copy(),
                                list(cids), list(ltypes)) for u in range(len(rngs))]
 
@@ -422,3 +394,28 @@ def _flow_bench(transduce, params, cfg):
     b = np.tile([magnetics.flow_flux(transduce(f), params) for f in cycle], (n_cycles, 1))
     cids = [f"flow-{c:02d}" for c in range(n_cycles) for _ in s]
     return b, forces, cids, ["flow"] * len(forces), rest
+
+
+def _foot_locate(B, params, rest, noise_sigma):
+    """A foot magnet's position, in closed form; fails at the noise floor."""
+    X = magnetics.invert_foot_flux_batch(B, params)
+    return X, ~np.isnan(X).any(axis=1)
+
+
+def _flow_locate(B, params, rest, noise_sigma):
+    """A fin magnet's offset from rest, by damped Newton seeded there."""
+    pose, ok = magnetics.invert_flow_flux_batch(
+        B, rest.d_z0, params, rest, resid_accept=max(5.0 * noise_sigma, 1e-9))
+    return pose[:, :2] - [rest.p_x, rest.p_y], ok
+
+
+KINDS = _Kinds(
+    foot=SensorKind(("p_x", "p_y", "p_z"), ("tau_pitch", "tau_yaw", "f_x"),
+                    ("fx", "pitch", "yaw", "combo"), _foot_bench, _foot_locate,
+                    magnetics.BelowNoiseFloorError, "flux below noise floor",
+                    (("torque", ("tau_pitch", "tau_yaw"), "N*mm", "torque_band"),
+                     ("fx", ("f_x",), "N", "force_band"))),
+    flow=SensorKind(("dp_x", "dp_y"), ("force",), ("flow",), _flow_bench, _flow_locate,
+                    magnetics.NoConvergenceError, "fin inversion stalled",
+                    (("force", ("force",), "N", None),)),
+)

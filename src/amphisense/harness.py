@@ -489,6 +489,11 @@ class JigFile:
         plant.check_fields(self, HarnessError)
         if self.n_units < 1:
             raise HarnessError(f"n_units must be at least 1, got {self.n_units}")
+        # an unknown kind raises CalibrationError here, before any output
+        bands = {band for *_, band in calibration.KINDS[self.kind].report}
+        for name in ("torque_band", "force_band"):
+            if getattr(self, name) is not None and name not in bands:
+                raise HarnessError(f"{name} does not apply to {self.kind} sensors")
 
 
 @dataclass
@@ -577,31 +582,23 @@ def cmd_calibrate(args) -> int:
     report = MetricsReport(source=f"calibrate[{cfg.kind}]")
     jig = calibration.JigConfig(kind=cfg.kind, lever=cfg.lever, noise_sigma=cfg.noise_sigma,
                                 n_average=cfg.n_average)
+    mods, rows = plant.KINDS[cfg.kind], calibration.KINDS[cfg.kind].report
     datasets = calibration.simulate_jigs(
-        *plant.sensor_bench(cfg.kind), jig,
+        mods.transduce, mods.dipole, jig,
         [np.random.default_rng(seed + i) for i in range(cfg.n_units)])
-    torques, forces = [], []
+    per_unit = [[] for _ in rows]
     for i, ds in enumerate(datasets):
         train, heldout = ds.train_eval_split()
         model = calibration.fit_poly(train)
         ev = calibration.evaluate_rmse(model, heldout)
         model.to_json(os.path.join(args.out, f"{cfg.kind}_{i:02d}_model.json"))
-        if cfg.kind == "foot":
-            torques.append(ev.mean_torque_rmse)
-            forces.append(ev.rmse["f_x"])
-            report.add(f"unit{i:02d}_torque_rmse", ev.mean_torque_rmse,
-                       None, cfg.rmse_max, "N*mm")
-            report.add(f"unit{i:02d}_fx_rmse", ev.rmse["f_x"],
-                       None, cfg.rmse_max, "N")
-        else:
-            forces.append(ev.rmse["force"])
-            report.add(f"unit{i:02d}_force_rmse", ev.rmse["force"],
-                       None, cfg.rmse_max, "N")
-    if cfg.kind == "foot":
-        report.add("mean_torque_rmse", float(np.mean(torques)),
-                   *(cfg.torque_band or (None, None)), "N*mm")
-        report.add("mean_fx_rmse", float(np.mean(forces)),
-                   *(cfg.force_band or (None, None)), "N")
+        for (name, outputs, unit, _), values in zip(rows, per_unit):
+            values.append(float(np.mean([ev.rmse[o] for o in outputs])))
+            report.add(f"unit{i:02d}_{name}_rmse", values[-1], None, cfg.rmse_max, unit)
+    for (name, _, unit, band), values in zip(rows, per_unit):
+        if band is not None:    # the units' mean, in its band
+            report.add(f"mean_{name}_rmse", float(np.mean(values)),
+                       *(getattr(cfg, band) or (None, None)), unit)
     report.to_json(os.path.join(args.out, "calibration_report.json"))
     print(report.format_table())
     return 0 if report.all_pass else 1

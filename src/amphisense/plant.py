@@ -410,31 +410,40 @@ class Scenario:
         return from_doc(cls, source, PlantError)
 
 
-def sensor_bench(kind):
-    """The elastic law and the dipole of a calibration bench for one sensor
-    kind, "foot" or "flow", as calibration.simulate_jigs takes them."""
-    if kind == "foot":
-        return (lambda w: foot_deflection_p(w, _FOOT_MODEL)), _FOOT_DIPOLE
-    return _FIN.pose_for_force, _FIN.dipole_params
+@dataclass(frozen=True)
+class _PlantKind:
+    """The plant's side of a sensor kind of calibration.KINDS."""
+
+    names: tuple                       # its modules
+    transduce: object                  # their elastic law and dipole, as benches take them
+    dipole: magnetics.DipoleParams
+    rest: magnetics.FlowPose | None    # the pose their inversion starts from
+    est: tuple                         # est_* column suffixes, in model output order
+    n_average: int                     # a run's benches: flux draws a point,
+    seed: int                          # and the generators' seed offset
+
+
+KINDS = {
+    "foot": _PlantKind(FOOT_NAMES, lambda w: foot_deflection_p(w, _FOOT_MODEL), _FOOT_DIPOLE,
+                       None, ("tp", "ty", "fx"), 1, 11),
+    "flow": _PlantKind(FIN_NAMES, lambda f: _FIN.pose_for_force(f), _FIN.dipole_params,
+                       _FIN.pose_for_force(0.0), ("force",), 8, 51),
+}
 
 
 def _fit_sensor_models(scenario):
     """Per-unit bench calibration, seeded from the scenario: one bench pass
-    for the feet and one for the fins."""
-    sigma = scenario.noise_sigma_mt
-
-    def rngs(offset, n):
-        return [np.random.default_rng(scenario.seed * 100 + offset + i) for i in range(n)]
-
-    feet = calibration.simulate_jigs(
-        *sensor_bench("foot"),
-        calibration.JigConfig(noise_sigma=sigma), rngs(11, len(FOOT_NAMES)))
-    fins = calibration.simulate_jigs(
-        *sensor_bench("flow"),
-        calibration.JigConfig(kind="flow", noise_sigma=sigma, n_average=8),
-        rngs(51, len(FIN_NAMES)))
-    return {name: calibration.fit_poly(ds.train_eval_split()[0])
-            for name, ds in zip(SENSOR_NAMES, feet + fins)}
+    per sensor kind."""
+    models = {}
+    for kind, mods in KINDS.items():
+        jig = calibration.JigConfig(kind=kind, noise_sigma=scenario.noise_sigma_mt,
+                                    n_average=mods.n_average)
+        rngs = [np.random.default_rng(scenario.seed * 100 + mods.seed + i)
+                for i in range(len(mods.names))]
+        benches = calibration.simulate_jigs(mods.transduce, mods.dipole, jig, rngs)
+        for name, ds in zip(mods.names, benches):
+            models[name] = calibration.fit_poly(ds.train_eval_split()[0])
+    return models
 
 
 @dataclass
@@ -622,19 +631,13 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     # module's next sample: the supervisor reads the trace's own estimates
     done, last = [0] * len(SENSOR_NAMES), [None] * len(SENSOR_NAMES)
     est_fx = [col[f"est_{nm}_fx"] for nm in FOOT_NAMES]
-    per_kind = {    # est_* columns in model output order, dipole, rest pose, stall
-        "foot": (("tp", "ty", "fx"), _FOOT_DIPOLE, None,
-                 magnetics.BelowNoiseFloorError, "flux below noise floor"),
-        "flow": (("force",), _FIN.dipole_params, _FIN.pose_for_force(0.0),
-                 magnetics.NoConvergenceError, "fin inversion stalled")}
 
-    def estimate(names, k):
+    def estimate(kind, k):
         # est_*, and raw_* and filt_* if logged, through tick k for the
-        # modules names, all of one kind: new samples sensed, one inversion call
-        kind = "foot" if names[0] in FOOT_NAMES else "flow"
-        outs, params, rest, error, stall = per_kind[kind]
+        # modules of one sensor kind: new samples sensed, one inversion call
+        mods, spec = KINDS[kind], calibration.KINDS[kind]
         new, filts = [], []
-        for name in names:
+        for name in mods.names:
             i = SENSOR_NAMES.index(name)
             tk = ticks[i]
             a, b = done[i], int(np.searchsorted(tk, k, side="right"))
@@ -652,17 +655,17 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
                 data[first:stop, [col[f"filt_{name}_b{c}"] for c in "xyz"]] = filts[-1][held]
         if not new:
             return
-        X, ok = calibration.flux_features(kind, np.concatenate(filts), params, rest,
-                                          scenario.noise_sigma_mt)
+        X, ok = spec.locate(np.concatenate(filts), mods.dipole, mods.rest,
+                            scenario.noise_sigma_mt)
         at = np.cumsum([0] + [len(tk) for _, tk, _, _ in new])    # row offsets of each module
         if not ok.all():
             m = int(np.argmin(ok))
             j = int(np.searchsorted(at, m, side="right")) - 1
             t_bad = new[j][1][m - at[j]] * scenario.dt
-            raise error(f"{new[j][0]}: {stall} at t = {t_bad:.3f} s")
+            raise spec.error(f"{new[j][0]}: {spec.stall} at t = {t_bad:.3f} s")
         for j, (name, _, rows, held) in enumerate(new):
             est = calibration.apply_poly_batch(models[name], X[at[j]:at[j + 1]])
-            data[rows, [col[f"est_{name}_{c}"] for c in outs]] = est[held]
+            data[rows, [col[f"est_{name}_{c}"] for c in mods.est]] = est[held]
 
     lo = 0
     cmd = cpg.GaitCommand(cpg.GaitMode.WALKING, scenario.drive)
@@ -671,7 +674,7 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
         if t[k] >= cpg.SWITCH_HOLDOFF_S:
             advance(lo, k + 1)
             lo = k + 1
-            estimate(FOOT_NAMES, k)
+            estimate("foot", k)
             load = sum(data[k, est_fx])    # est_foot_sum at tick k, added in its order
             if cpg.transition_controller(load, cmd).mode is not cmd.mode:
                 switch_k = k
@@ -680,9 +683,9 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     for a in range(lo, n_steps, 256):     # bounded spans keep the temporaries small
         advance(a, min(a + 256, n_steps))
     del phi, r     # spent; freed before the fins' inversion, where memory peaks
-    estimate(FOOT_NAMES, n_steps)
+    estimate("foot", n_steps)
     data[:, col["est_foot_sum"]] = sum(data[:, c] for c in est_fx)
-    estimate(FIN_NAMES, n_steps)
+    estimate("flow", n_steps)
 
     data[:, 1], data[:, 2] = float(not walking), scenario.drive
     data[switch_k:, 1:3] = 1.0, cpg.D_SWIM

@@ -62,6 +62,27 @@ class TestFeatures:
         np.testing.assert_array_equal(cal._feature_matrix("flow", [[2, -3]]),
                                       [[1, 2, -3, 4, 9, -6]])
 
+    # the bases written out, each with its feature names, as the reference
+    # for the basis and names that each kind's coordinates generate
+    WRITTEN_OUT = {
+        "foot": (("1", "p_x", "p_y", "p_z", "p_x^2", "p_y^2", "p_z^2",
+                  "p_x*p_y", "p_x*p_z", "p_y*p_z"),
+                 lambda x, y, z: np.column_stack(
+                     [np.ones(len(x)), x, y, z, x * x, y * y, z * z, x * y, x * z, y * z])),
+        "flow": (("1", "dp_x", "dp_y", "dp_x^2", "dp_y^2", "dp_x*dp_y"),
+                 lambda x, y: np.column_stack([np.ones(len(x)), x, y, x * x, y * y, x * y])),
+    }
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["foot", "flow"]),
+           st.lists(st.lists(st.floats(-1e150, 1e150), min_size=3, max_size=3),
+                    min_size=1, max_size=20))
+    def test_generated_basis_equals_written_out(self, kind, rows):
+        names, basis = self.WRITTEN_OUT[kind]
+        X = np.array(rows)[:, :3 if kind == "foot" else 2]
+        assert cal.KINDS[kind].features == names
+        np.testing.assert_array_equal(cal._feature_matrix(kind, X), basis(*X.T))
+
 
 def _dataset_from(X, Y, kind="foot", cycle="c0"):
     n = len(X)

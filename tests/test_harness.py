@@ -205,6 +205,11 @@ class TestCliRun:
         "jig_zero_n_units": ("calibrate", '{"kind": "foot", "n_units": 0}', None, 2),
         "jig_negative_n_units": ("calibrate", '{"kind": "foot", "n_units": -3}', None, 2),
         "jig_zero_n_average": ("calibrate", '{"n_average": 0, "n_units": 1}', None, 2),
+        "jig_unknown_kind": ("calibrate", '{"kind": "wing", "n_units": 1}', None, 2),
+        "jig_flow_force_band": ("calibrate", '{"kind": "flow", "n_units": 2, "n_average": 8, '
+                                '"force_band": [0, 1e-9]}', None, 2),
+        "jig_flow_torque_band": ("calibrate", '{"kind": "flow", "n_units": 1, '
+                                 '"torque_band": [0, 1e-9]}', None, 2),
         "plot_number_panels": ("plot <trace>", '{"panels": 5}', None, 2),
         "plot_spec_not_an_object": ("plot <trace>", "[1, 2]", None, 2),
         "plot_panel_without_title": ("plot <trace>", '{"panels": [{"series": ["gt_q_ax4"]}]}',
@@ -238,6 +243,9 @@ class TestCliRun:
         "jig_zero_n_units": "n_units must be at least 1",
         "jig_negative_n_units": "n_units must be a non-negative integer",
         "jig_zero_n_average": "n_average must be at least 1",
+        "jig_unknown_kind": "unknown sensor kind 'wing'",
+        "jig_flow_force_band": "force_band does not apply to flow sensors",
+        "jig_flow_torque_band": "torque_band does not apply to flow sensors",
         "plot_number_panels": "panels must be a list",
         "plot_spec_not_an_object": "expected a JSON object",
         "plot_panel_without_title": "missing keys ['title']",
@@ -279,6 +287,8 @@ class TestCliRun:
         assert not stray, f"written outside --out: {stray}"
         if case == "run_shorter_than_window":    # refused before a tick is stepped
             assert not [p for p in out.rglob("*") if p.is_file()]
+        if case == "jig_unknown_kind":    # refused before --out is made
+            assert not out.exists()
         if code == 2:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
