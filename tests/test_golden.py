@@ -17,7 +17,7 @@ import platform
 import numpy as np
 import pytest
 
-from amphisense import cpg, harness, plant
+from amphisense import busring, cpg, harness, plant
 
 PLATFORM = {
     "numpy": "2.4.6",
@@ -56,8 +56,35 @@ def _cli(command, doc, out):
     assert harness.main(["--out", str(out), command, str(path)]) in (0, 1)
 
 
-# case: (what writes the outputs, its config document); the swim and the
-# shoreline have perfbench's shapes at seed 1
+def _bus_bench(doc, out):
+    """bus-bench through the CLI, every ring it simulates recording its frame
+    log; rings.sha256 digests each ring's counts, counters, round periods
+    and frame log, in the order the bench ran them."""
+    rings = []
+    inner = busring.simulate_ring
+
+    def record(*args, **kwargs):
+        rings.append(inner(*args, **dict(kwargs, record_frames=True)))
+        return rings[-1]
+
+    busring.simulate_ring = record
+    try:
+        _cli("bus-bench", doc, out)
+    finally:
+        busring.simulate_ring = inner
+    digest = hashlib.sha256()
+    for ring in rings:
+        digest.update(ring.frames_sent.tobytes() + ring.frames_ok.tobytes())
+        digest.update(repr((ring.corrupt_injected, ring.corrupt_detected,
+                            ring.timeout_recoveries, ring.collisions,
+                            sorted(ring.round_periods.items()))).encode())
+        for t, i, frame, ok in ring.frame_log:
+            digest.update(repr((t, i, ok)).encode() + frame)
+    (out / "rings.sha256").write_text(digest.hexdigest())
+
+
+# case: (what writes the outputs, its config document); the swim, the
+# shoreline and the bus faults have perfbench's shapes at seed 1
 CASES = {
     "swim": (_trace, _bundled("swim_pool", name="bench_swim", drive=cpg.D_SWIM,
                               drive_switch_t=None, duration_s=1.2, seed=1)),
@@ -69,6 +96,8 @@ CASES = {
                               _bundled("jig_default")),
     "calibrate_flow": (lambda doc, out: _cli("calibrate", doc, out),
                        {"kind": "flow", "n_units": 3, "n_average": 8, "seed": 3}),
+    "bus_faults": (_bus_bench, _bundled("line_default", n_modules=10, flip_rate=1e-3,
+                                        duration_s=4.0, kill_at=2.0, seed=1)),
 }
 
 # sha256 of each output file, taken on PLATFORM
@@ -95,6 +124,10 @@ DIGESTS = {
         'flow_00_model.json': 'ad7ae1dd6a0ae88fe64537637f2615fddd94a596c126128e7bfbbbcf7191a3f1',
         'flow_01_model.json': 'dfde22df46aa92803917eabea2a888a0c2658653186c73fce61b684887ec702c',
         'flow_02_model.json': 'd8b6522ae15fa82b6bd3e2fe7b3508e5ac7cc9c8bc13235b90a59bdc1cb1132e',
+    },
+    'bus_faults': {
+        'bus_bench.json': 'e653c7e0745a2e3a36cafa742adad7bce7920b82d761de8054d74107b35fefbe',
+        'rings.sha256': 'd964951803a5ab52c74c86e25e1349a2260c9f0563c5650bd9658826890d9292',
     },
 }
 
