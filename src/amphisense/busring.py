@@ -1,4 +1,4 @@
-"""Masterless token-ring sensor bus: codec, CRC-8, and an event-driven sim.
+"""Masterless token-ring sensor bus: codec, CRC-8, and a ring simulator.
 
 Ten sensing modules share one half-duplex line.  A passive host opens
 the round with a short start broadcast; module 0 transmits first and
@@ -18,6 +18,13 @@ by its line time only.
 Timing fidelity is at byte granularity (10-bit UART bytes); listeners
 arm off physical frame boundaries, so corrupted payloads perturb the
 host's data ledger but never the ring cadence.
+
+The simulator schedules the ring as one running sum between faults: while
+the set of live modules is fixed, every frame starts one gap plus one
+timeout per dead module skipped after the previous frame's end, so a block
+of start times is one np.add.accumulate.  Kills restart the sum without
+the module; only a delayed module can put two frames on the line at once,
+so an event loop runs just around each delay.
 """
 
 from __future__ import annotations
@@ -269,6 +276,8 @@ class RingStats:
         return doc
 
 
+# frames per block of the running sum between faults
+_BLOCK = 2048
 # event kinds of the ring's queue
 _ARM, _FIRE, _END = 0, 1, 2
 
@@ -284,30 +293,127 @@ def _schedule_ring(n_modules, config, duration, faults, rng):
     the id/payload/crc region.  Every frame ends frame_time after it
     starts, so the frames that ended within `duration` are the first
     n_ended.
+
+    Between faults the set of live modules is fixed, so each frame's
+    start is the previous frame's end plus the gap plus one timeout per
+    dead module skipped: a block of frames is one running sum over
+    [end, gap, waits*timeout, frame_time, gap, ...], added in the event
+    loop's order, so bit-equal to it.  A kill takes effect at the first
+    scheduled start of its module at or after its time; every kill due by
+    then is applied, and the sum resumes from the previous frame's end.
+    A delay hands the ring to _event_window from the frame end before the
+    delayed start, and the sum resumes from the window's last frame end.
+    The bit flips are drawn afterwards, frame by frame in start order.
     """
     # imported here, so that runs which never simulate the ring do not map
     # the extension module
     from array import array
 
     gap, timeout, frame_time = config.inter_frame_gap, config.timeout, config.frame_time
-    flip_rate = faults.flip_rate
-    draw, integers = rng.random, rng.integers
     alive = [True] * n_modules
     kills = sorted(faults.kills)
     delays = sorted([list(d) + [False] for d in faults.delays])
     start, module = array("d"), array("i")
-    collided, flipped = [], []
-    n_ended = recoveries = collisions = 0
-    busy_until = 0.0
+    collided = []
+    recoveries = collisions = 0
+    # the host start broadcast acts as a frame from module n-1
+    t_end, last = config.ctrl_time, n_modules - 1
+    while True:
+        while kills and kills[0][0] <= t_end:
+            alive[kills.pop(0)[1]] = False
+        live = np.flatnonzero(alive)
+        if not live.size:
+            break
+        # each module's next fault: its kill or its earliest unused delay
+        kill_at = np.full(n_modules, np.inf)
+        for tk, m in reversed(kills):
+            kill_at[m] = tk
+        due = kill_at.copy()
+        for td, m, _, used in delays:
+            if not used and td < due[m]:
+                due[m] = td
+        fault_free = not np.isfinite(due[live]).any()
+        # the live modules in ring order from the one after `last`, repeated
+        # for a whole number of rounds per block, and the timeouts each
+        # frame waits: one per dead module it skips (n - 1 for a lone
+        # survivor, which rearms itself)
+        order = np.roll(live, -int(np.searchsorted(live, last, side="right")))
+        tx = np.resize(order, len(order) * max(1, _BLOCK // len(order))).astype(np.intc)
+        waits = (np.diff(tx, prepend=last) - 1) % n_modules
+        # the addends [t_end, gap, waits*timeout, frame_time, gap, ...]: the
+        # running sum holds frame k's start at 3k + 2 and its end at 3k + 3
+        vals = np.empty(3 * len(tx) + 1)
+        vals[1::3] = gap
+        vals[2::3] = waits * timeout
+        vals[3::3] = frame_time
+        sums = np.empty_like(vals)
+        starts = sums[2::3]
+        while True:
+            vals[0] = t_end
+            np.add.accumulate(vals, out=sums)
+            n = len(tx)
+            if starts[-1] > duration:
+                n = int(np.searchsorted(starts, duration, side="right"))
+            f = n
+            if not fault_free:
+                hit = np.flatnonzero(starts[:n] >= due[tx[:n]])
+                if hit.size:
+                    f = int(hit[0])
+            start.frombytes(starts[:f].tobytes())
+            module.frombytes(tx[:f].tobytes())
+            recoveries += int(np.count_nonzero(waits[:f]))
+            if f:
+                t_end, last = float(sums[3 * f]), int(tx[f - 1])
+            if f < len(tx):
+                break
+            # the next block starts a round on, from the round's last module
+            waits[0] = (order[0] - order[-1] - 1) % n_modules
+            vals[2] = waits[0] * timeout
+        if f == n:
+            break
+        if kill_at[tx[f]] <= starts[f]:
+            # frame f's module is dead by its start: kill everyone due by
+            # then and resume from frame f - 1's end without them
+            while kills and kills[0][0] <= starts[f]:
+                alive[kills.pop(0)[1]] = False
+            continue
+        t_end, last, n_recovered, n_collided = _event_window(
+            t_end, last, n_modules, config, duration, alive, kills, delays, start,
+            module, collided)
+        recoveries += n_recovered
+        collisions += n_collided
+        if t_end is None:
+            break
+    flipped = _draw_flips(len(start), faults.flip_rate, rng)
+    n_ended = len(start)
+    while n_ended and start[n_ended - 1] + frame_time > duration:
+        n_ended -= 1
+    return start, module, collided, flipped, n_ended, recoveries, collisions
+
+
+def _event_window(t_end, last, n_modules, config, duration, alive, kills, delays,
+                  start, module, collided):
+    """The ring's event loop from the end, at t_end, of a frame from module
+    `last` to the first later frame end with no other frame in flight.
+
+    Appends the frames it starts to start and module, and the collided
+    ones to collided; marks the delays it takes and kills the modules
+    whose kills it passes.  Returns (t_end, module, recoveries, collisions):
+    the time and module of that last frame end, both None when the run
+    ends first, and the counts the window added.
+    """
+    gap, timeout, frame_time = config.inter_frame_gap, config.timeout, config.frame_time
+    recoveries = collisions = in_flight = 0
+    busy_until = t_end
     push, pop = heapq.heappush, heapq.heappop
 
     # entries: (time, seq, kind, module, step, t_end, gen).  A rearm by the
     # frame that ended at t_end reserves n sequence numbers from `gen` and
     # module i's step sorts at gen + i, so ties pop in module order.  The
     # ring generation is the latest rearm's `gen`; an `arm` or delayed
-    # `fire` entry of an older generation is stale.  The host start
-    # broadcast acts as a frame from module n-1.
-    events = [(config.ctrl_time + gap, 0, _ARM, 0, 0, config.ctrl_time, 0)]
+    # `fire` entry of an older generation is stale.
+    first = (last + 1) % n_modules
+    events = [(t_end + gap, first, _ARM, first, 0, t_end, 0)]
     seq = n_modules
     gen = 0
     while events:
@@ -317,7 +423,9 @@ def _schedule_ring(n_modules, config, duration, faults, rng):
         while kills and kills[0][0] <= t:
             alive[kills.pop(0)[1]] = False
         if kind == _END:
-            n_ended += 1
+            in_flight -= 1
+            if not in_flight:
+                return t, i, recoveries, collisions
             gen = seq
             i = (i + 1) % n_modules
             push(events, (t + gap, gen + i, _ARM, i, 0, t, gen))
@@ -342,13 +450,10 @@ def _schedule_ring(n_modules, config, duration, faults, rng):
                 seq += 1
                 break
         else:
-            hit = t < busy_until
-            if hit:
+            if t < busy_until:
                 # half-duplex collision: both frames are lost deterministically
                 collisions += 1
                 collided += (len(start) - 1, len(start))
-            if flip_rate > 0.0 and draw() < flip_rate:
-                flipped.append((len(start), int(integers(0, 8 * (FRAME_LEN - 1)))))
             start.append(t)
             module.append(i)
             t_end = t + frame_time
@@ -356,7 +461,35 @@ def _schedule_ring(n_modules, config, duration, faults, rng):
                 busy_until = t_end
             push(events, (t_end, seq, _END, i, 0, 0.0, 0))
             seq += 1
-    return start, module, collided, flipped, n_ended, recoveries, collisions
+            in_flight += 1
+    return None, None, recoveries, collisions
+
+
+def _draw_flips(n_frames, flip_rate, rng):
+    """(frame, bit) pairs of the bit flips: frame f draws one rng.random(),
+    and a draw below flip_rate takes one rng.integers() for its bit, the
+    same draws as frame-by-frame in start order.  The uniforms are drawn a
+    block at a time; at a hit the generator's state is restored and the
+    block redrawn up to the hit, so the bit's draw follows it."""
+    flipped = []
+    if not flip_rate > 0.0:
+        return flipped
+    # about two hits' worth of frames per block
+    block = int(min(_BLOCK, max(8.0, 2.0 / flip_rate)))
+    bit_generator = rng.bit_generator
+    f = 0
+    while f < n_frames:
+        state = bit_generator.state
+        hits = np.flatnonzero(rng.random(min(block, n_frames - f)) < flip_rate)
+        if not hits.size:
+            f += block
+            continue
+        bit_generator.state = state
+        f += int(hits[0])
+        rng.random(int(hits[0]) + 1)
+        flipped.append((f, int(rng.integers(0, 8 * (FRAME_LEN - 1)))))
+        f += 1
+    return flipped
 
 
 def simulate_ring(n_modules: int, config: LineConfig, duration: float,
@@ -364,18 +497,19 @@ def simulate_ring(n_modules: int, config: LineConfig, duration: float,
                   rng=None, record_frames: bool = False) -> RingStats:
     """Run the ring for `duration` seconds of bus time.
 
-    Event-driven at frame granularity.  Every frame completion rearms the
-    ring with one `arm` entry that walks downstream from the transmitter:
-    its k-th step fires the module k + 1 hops on after the gap plus k
-    timeouts, unless a newer frame rearms the ring first.  Step 0 is the
-    normal token handoff; a later step skips dead modules at the cost of
-    one timeout each (self-healing).  The host start broadcast acts as a
-    virtual frame from module n-1, so module 0 opens every run.
+    At frame granularity.  Every frame completion rearms the ring: the
+    module k + 1 hops downstream of the transmitter fires after the gap
+    plus k timeouts, unless a newer frame rearms the ring first.  Hop 1 is
+    the normal token handoff; a later one skips dead modules at the cost
+    of one timeout each (self-healing).  The host start broadcast acts as
+    a virtual frame from module n-1, so module 0 opens every run.
 
-    The event loop keeps timing only.  The frames are encoded, flipped and
-    checked afterwards in one array pass: `sample_source(module_id, t)` is
-    called once per started frame, in start order, for its FluxSample;
-    None sends zero flux at 25 degC.
+    The schedule is a running sum between faults, restarted at each kill,
+    with an event loop (one queue entry per frame end) only around each
+    delay, where frames can collide; it keeps timing only.  The frames are
+    encoded, flipped and checked afterwards in one array pass:
+    `sample_source(module_id, t)` is called once per started frame, in
+    start order, for its FluxSample; None sends zero flux at 25 degC.
 
     Returns accumulated RingStats; protocol anomalies are counted, not
     raised.

@@ -63,6 +63,7 @@ class SensorKind:
     error: type         # raised for a row that does not invert, saying stall
     stall: str
     report: tuple       # calibrate's rows: (name, outputs averaged, unit, band field)
+    jig_keys: tuple = ()    # calibrate's bench keys that only this kind's bench reads
 
     @property
     def features(self):
@@ -414,7 +415,7 @@ KINDS = _Kinds(
                     ("fx", "pitch", "yaw", "combo"), _foot_bench, _foot_locate,
                     magnetics.BelowNoiseFloorError, "flux below noise floor",
                     (("torque", ("tau_pitch", "tau_yaw"), "N*mm", "torque_band"),
-                     ("fx", ("f_x",), "N", "force_band"))),
+                     ("fx", ("f_x",), "N", "force_band")), ("lever",)),
     flow=SensorKind(("dp_x", "dp_y"), ("force",), ("flow",), _flow_bench, _flow_locate,
                     magnetics.NoConvergenceError, "fin inversion stalled",
                     (("force", ("force",), "N", None),)),

@@ -479,7 +479,7 @@ class JigFile:
     n_units: int = 4
     noise_sigma: float = 0.01
     n_average: int = 1
-    lever: float = 19.0
+    lever: float | None = None        # None: the foot bench's JigConfig.lever
     seed: int = 0
     torque_band: tuple[float, float] | None = None    # [lo, hi] of the mean RMSEs
     force_band: tuple[float, float] | None = None
@@ -490,9 +490,10 @@ class JigFile:
         if self.n_units < 1:
             raise HarnessError(f"n_units must be at least 1, got {self.n_units}")
         # an unknown kind raises CalibrationError here, before any output
-        bands = {band for *_, band in calibration.KINDS[self.kind].report}
-        for name in ("torque_band", "force_band"):
-            if getattr(self, name) is not None and name not in bands:
+        kind = calibration.KINDS[self.kind]
+        own = {band for *_, band in kind.report} | set(kind.jig_keys)
+        for name in ("lever", "torque_band", "force_band"):
+            if getattr(self, name) is not None and name not in own:
                 raise HarnessError(f"{name} does not apply to {self.kind} sensors")
 
 
@@ -580,7 +581,8 @@ def cmd_calibrate(args) -> int:
     seed = args.seed if args.seed is not None else cfg.seed
     os.makedirs(args.out, exist_ok=True)
     report = MetricsReport(source=f"calibrate[{cfg.kind}]")
-    jig = calibration.JigConfig(kind=cfg.kind, lever=cfg.lever, noise_sigma=cfg.noise_sigma,
+    lever = calibration.JigConfig.lever if cfg.lever is None else cfg.lever
+    jig = calibration.JigConfig(kind=cfg.kind, lever=lever, noise_sigma=cfg.noise_sigma,
                                 n_average=cfg.n_average)
     mods, rows = plant.KINDS[cfg.kind], calibration.KINDS[cfg.kind].report
     datasets = calibration.simulate_jigs(

@@ -428,6 +428,26 @@ def ring_plans(draw):
     return n, config, duration, plan, draw(st.integers(0, 2**32 - 1))
 
 
+@st.composite
+def delay_free_plans(draw):
+    """(n_modules, LineConfig, duration, FaultPlan, seed) without delays,
+    over longer runs: 1-12 modules, three baud rates, up to 3 kills and
+    flip rates from none to every frame."""
+    n = draw(st.integers(1, 12))
+    baud = draw(st.sampled_from([500_000, 1_000_000, 2_000_000]))
+    frame_time = bus.FRAME_LEN * 10 / baud
+    config = bus.LineConfig(baud=baud, inter_frame_gap=draw(st.floats(0.0, 20e-6)),
+                            timeout=draw(st.one_of(st.none(),
+                                                   st.floats(1.01 * frame_time, 1e-3))))
+    duration = draw(st.floats(0.001, 0.3))
+    plan = bus.FaultPlan(
+        kills=tuple(draw(st.lists(st.tuples(st.floats(0.0, duration), st.integers(0, n - 1)),
+                                  max_size=3))),
+        flip_rate=draw(st.sampled_from([0.0, 1e-3, 0.05, 1.0])),
+    )
+    return n, config, duration, plan, draw(st.integers(0, 2**32 - 1))
+
+
 class TestReferenceScheduler:
     """simulate_ring's single walking `arm` entry against one fire entry per
     live module: frame log, counters and round periods are identical."""
@@ -472,6 +492,87 @@ class TestReferenceScheduler:
         ring = self.both(10, bus.LineConfig(), 0.02, plan, 3)
         assert ring.timeout_recoveries > 0
 
+
+    @settings(max_examples=25, deadline=None)
+    @given(delay_free_plans())
+    def test_matches_on_delay_free_plans(self, case):
+        self.both(*case)
+
+    def test_lone_survivor_rearms_itself(self):
+        # with modules 1-3 dead, module 0 waits out n - 1 timeouts each round
+        cfg = bus.LineConfig()
+        plan = bus.FaultPlan(kills=((0.002, 1), (0.002, 2), (0.003, 3)))
+        ring = self.both(4, cfg, 0.02, plan, 0)
+        t0 = [t for t, i, _, _ in ring.frame_log if i == 0]
+        assert ring.frames_sent[0] == len(ring.frame_log) - sum(ring.frames_sent[1:])
+        assert np.diff(t0)[-1] == pytest.approx(
+            cfg.frame_time + cfg.inter_frame_gap + 3 * cfg.timeout, abs=1e-12)
+
+    @staticmethod
+    def clean_starts(n, config, duration):
+        """Each module's frame starts on the fault-free ring."""
+        ring = bus.simulate_ring(n, config, duration, record_frames=True)
+        return {m: [te - config.frame_time for te, i, _, _ in ring.frame_log if i == m]
+                for m in range(n)}
+
+    def test_adjacent_kills_at_one_instant(self):
+        # modules 8 and 9 die at 0.1 s, after 8 starts and before 9 does:
+        # the ring resumes from the end of dead module 8's frame, so the
+        # first hop (to 0) is one module shorter than in later rounds (from
+        # 7), and the next block, over 2,048 frames on, takes the rounds' hop
+        cfg = bus.LineConfig()
+        starts = self.clean_starts(10, cfg, 0.11)
+        assert max(t for t in starts[8] if t < 0.1) > max(t for t in starts[9] if t < 0.1)
+        plan = bus.FaultPlan(kills=((0.1, 8), (0.1, 9)), flip_rate=0.05)
+        ring = self.both(10, cfg, 0.6, plan, 1)
+        assert sum(t > 0.1 for t, *_ in ring.frame_log) > bus._BLOCK
+        assert ring.timeout_recoveries > 0
+
+    def test_later_kill_takes_effect_first(self):
+        # module 8 dies at 5.0 ms but next starts at 6.29 ms; module 2 dies
+        # at 5.5 ms and next starts at 5.51 ms
+        cfg = bus.LineConfig()
+        starts = self.clean_starts(10, cfg, 0.01)
+        assert (min(t for t in starts[2] if t >= 0.0055)
+                < min(t for t in starts[8] if t >= 0.005))
+        self.both(10, cfg, 0.02, bus.FaultPlan(kills=((0.005, 8), (0.0055, 2))), 0)
+
+    @pytest.mark.parametrize("when", [0.0, 1e-5])
+    def test_kill_before_first_frame(self, when):
+        # module 0 is dead before the host start ends: module 1 opens the
+        # ring one timeout late
+        ring = self.both(5, bus.LineConfig(), 0.01, bus.FaultPlan(kills=((when, 0),)), 0)
+        assert ring.frame_log[0][1] == 1 and ring.frames_sent[0] == 0
+
+    def test_run_spans_several_blocks(self):
+        # 7,692 frames: a kill, a delay and bit flips across block boundaries
+        plan = bus.FaultPlan(kills=((0.4, 3),), delays=((0.7, 6, 50e-6),), flip_rate=1e-3)
+        ring = self.both(10, bus.LineConfig(), 1.0, plan, 2)
+        assert ring.frames_sent.sum() > 3 * bus._BLOCK
+        assert ring.corrupt_injected > 0 and ring.timeout_recoveries > 0
+
+    @pytest.mark.parametrize("kill", [(0.0051, 5), (0.0053, 4), (0.0049, 5)])
+    def test_delay_window_next_to_a_kill(self, kill):
+        # module 4 starts 200 us late around 5.3 ms, while its successor
+        # dies, or it dies itself during its delay
+        plan = bus.FaultPlan(kills=(kill,), delays=((0.005, 4, 200e-6),))
+        self.both(10, bus.LineConfig(), 0.02, plan, 0)
+
+    def test_event_loop_runs_only_around_delays(self, monkeypatch):
+        windows = []
+        inner = bus._event_window
+
+        def window(*args):
+            windows.append(args[0])
+            return inner(*args)
+
+        monkeypatch.setattr(bus, "_event_window", window)
+        plan = bus.FaultPlan(kills=((0.3, 2), (0.5, 7)), flip_rate=0.01)
+        bus.simulate_ring(10, bus.LineConfig(), 1.0, faults=plan)
+        assert windows == []
+        plan = bus.FaultPlan(kills=((0.3, 2),), delays=((0.005, 4, 50e-6), (0.6, 1, 1e-3)))
+        bus.simulate_ring(10, bus.LineConfig(), 1.0, faults=plan)
+        assert len(windows) == 2 and 0.005 - 1.3e-3 < windows[0] < 0.005 + 1.3e-3
 
     def test_sample_source_case(self):
         # a payload that varies by module and time, through flips and a

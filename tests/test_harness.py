@@ -210,6 +210,8 @@ class TestCliRun:
                                 '"force_band": [0, 1e-9]}', None, 2),
         "jig_flow_torque_band": ("calibrate", '{"kind": "flow", "n_units": 1, '
                                  '"torque_band": [0, 1e-9]}', None, 2),
+        "jig_flow_lever": ("calibrate", '{"kind": "flow", "n_units": 1, "n_average": 8, '
+                           '"lever": 5}', None, 2),
         "plot_number_panels": ("plot <trace>", '{"panels": 5}', None, 2),
         "plot_spec_not_an_object": ("plot <trace>", "[1, 2]", None, 2),
         "plot_panel_without_title": ("plot <trace>", '{"panels": [{"series": ["gt_q_ax4"]}]}',
@@ -246,6 +248,7 @@ class TestCliRun:
         "jig_unknown_kind": "unknown sensor kind 'wing'",
         "jig_flow_force_band": "force_band does not apply to flow sensors",
         "jig_flow_torque_band": "torque_band does not apply to flow sensors",
+        "jig_flow_lever": "lever does not apply to flow sensors",
         "plot_number_panels": "panels must be a list",
         "plot_spec_not_an_object": "expected a JSON object",
         "plot_panel_without_title": "missing keys ['title']",
