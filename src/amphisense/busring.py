@@ -332,7 +332,6 @@ def _schedule_ring(n_modules, config, duration, faults, rng):
         for td, m, _, used in delays:
             if not used and td < due[m]:
                 due[m] = td
-        fault_free = not np.isfinite(due[live]).any()
         # the live modules in ring order from the one after `last`, repeated
         # for a whole number of rounds per block, and the timeouts each
         # frame waits: one per dead module it skips (n - 1 for a lone
@@ -354,11 +353,8 @@ def _schedule_ring(n_modules, config, duration, faults, rng):
             n = len(tx)
             if starts[-1] > duration:
                 n = int(np.searchsorted(starts, duration, side="right"))
-            f = n
-            if not fault_free:
-                hit = np.flatnonzero(starts[:n] >= due[tx[:n]])
-                if hit.size:
-                    f = int(hit[0])
+            hit = np.flatnonzero(starts[:n] >= due[tx[:n]])
+            f = int(hit[0]) if hit.size else n
             start.frombytes(starts[:f].tobytes())
             module.frombytes(tx[:f].tobytes())
             recoveries += int(np.count_nonzero(waits[:f]))
@@ -467,15 +463,22 @@ def _event_window(t_end, last, n_modules, config, duration, alive, kills, delays
 
 def _draw_flips(n_frames, flip_rate, rng):
     """(frame, bit) pairs of the bit flips: frame f draws one rng.random(),
-    and a draw below flip_rate takes one rng.integers() for its bit, the
-    same draws as frame-by-frame in start order.  The uniforms are drawn a
-    block at a time; at a hit the generator's state is restored and the
-    block redrawn up to the hit, so the bit's draw follows it."""
+    and a draw below flip_rate takes one rng.integers() for its bit, in
+    start order.  Sparse flips draw the uniforms a block at a time; at a
+    hit the generator's state is restored and the block redrawn up to the
+    hit, so the bit's draw follows it, as frame-by-frame draws would."""
     flipped = []
+    bit = 8 * (FRAME_LEN - 1)
+    if flip_rate > 0.05:
+        # dense flips: a state restore per hit costs more than a draw per frame
+        for f in range(n_frames):
+            if rng.random() < flip_rate:
+                flipped.append((f, int(rng.integers(0, bit))))
+        return flipped
     if not flip_rate > 0.0:
         return flipped
     # about two hits' worth of frames per block
-    block = int(min(_BLOCK, max(8.0, 2.0 / flip_rate)))
+    block = int(min(_BLOCK, 2.0 / flip_rate))
     bit_generator = rng.bit_generator
     f = 0
     while f < n_frames:
@@ -485,9 +488,9 @@ def _draw_flips(n_frames, flip_rate, rng):
             f += block
             continue
         bit_generator.state = state
-        f += int(hits[0])
         rng.random(int(hits[0]) + 1)
-        flipped.append((f, int(rng.integers(0, 8 * (FRAME_LEN - 1)))))
+        f += int(hits[0])
+        flipped.append((f, int(rng.integers(0, bit))))
         f += 1
     return flipped
 

@@ -63,7 +63,7 @@ class SensorKind:
     error: type         # raised for a row that does not invert, saying stall
     stall: str
     report: tuple       # calibrate's rows: (name, outputs averaged, unit, band field)
-    jig_keys: tuple = ()    # calibrate's bench keys that only this kind's bench reads
+    jig_keys: tuple = ()    # calibrate config keys that only this kind's bench reads
 
     @property
     def features(self):
