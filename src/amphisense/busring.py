@@ -238,6 +238,11 @@ class FaultPlan:
     def __post_init__(self):
         if not 0.0 <= self.flip_rate <= 1.0:
             raise BusError("flip_rate must be in [0, 1]")
+        # NaN fails both; a negative delay would start a frame before it is due
+        if not all(abs(t) < float("inf") for t, *_ in (*self.kills, *self.delays)):
+            raise BusError("kill and delay times must be finite")
+        if not all(0.0 <= extra < float("inf") for *_, extra in self.delays):
+            raise BusError("delays must be non-negative and finite")
 
 
 @dataclass
@@ -522,7 +527,7 @@ def simulate_ring(n_modules: int, config: LineConfig, duration: float,
     if not 0 < duration < float("inf"):     # NaN fails too
         raise BusError(f"duration must be positive and finite, got {duration!r}")
     faults = faults or FaultPlan()
-    for _, mid in faults.kills:
+    for _, mid, *_ in (*faults.kills, *faults.delays):
         if not 0 <= mid < n_modules:
             raise BusError("fault targets unknown module")
     start, module, collided, flipped, n_ended, recoveries, collisions = _schedule_ring(

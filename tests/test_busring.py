@@ -300,6 +300,26 @@ class TestRingSimulation:
             bus.simulate_ring(4, bus.LineConfig(), 1.0,
                               faults=bus.FaultPlan(kills=((0.1, 9),)))
 
+    @pytest.mark.parametrize("plan", [
+        {"kills": ((float("nan"), 2), (0.001, 3))},
+        {"kills": ((float("inf"), 2),)},
+        {"delays": ((float("nan"), 2, 1e-4),)},
+        {"delays": ((0.005, 2, -3e-4),)},
+        {"delays": ((0.005, 2, float("inf")),)},
+    ])
+    def test_fault_times_must_be_finite(self, plan):
+        # a NaN kill at the head of the kills never took effect and held
+        # back every later one; a negative delay started a frame before
+        # the previous one ended
+        with pytest.raises(bus.BusError):
+            bus.FaultPlan(**plan)
+
+    @pytest.mark.parametrize("mid", [-1, 4, 99])
+    def test_delay_targets_known_module(self, mid):
+        with pytest.raises(bus.BusError):
+            bus.simulate_ring(4, bus.LineConfig(), 0.01,
+                              faults=bus.FaultPlan(delays=((0.005, mid, 1e-4),)))
+
     def test_stats_json(self, tmp_path):
         stats = bus.simulate_ring(3, bus.LineConfig(), duration=0.1)
         doc = stats.to_json(tmp_path / "ring.json")
