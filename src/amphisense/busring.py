@@ -469,17 +469,11 @@ def _event_window(t_end, last, n_modules, config, duration, alive, kills, delays
 def _draw_flips(n_frames, flip_rate, rng):
     """(frame, bit) pairs of the bit flips: frame f draws one rng.random(),
     and a draw below flip_rate takes one rng.integers() for its bit, in
-    start order.  Sparse flips draw the uniforms a block at a time; at a
-    hit the generator's state is restored and the block redrawn up to the
-    hit, so the bit's draw follows it, as frame-by-frame draws would."""
+    start order.  The uniforms are drawn a block at a time; at a hit the
+    generator's state is restored and the block redrawn up to the hit, so
+    the bit's draw follows it, as frame-by-frame draws would."""
     flipped = []
     bit = 8 * (FRAME_LEN - 1)
-    if flip_rate > 0.05:
-        # dense flips: a state restore per hit costs more than a draw per frame
-        for f in range(n_frames):
-            if rng.random() < flip_rate:
-                flipped.append((f, int(rng.integers(0, bit))))
-        return flipped
     if not flip_rate > 0.0:
         return flipped
     # about two hits' worth of frames per block

@@ -66,6 +66,11 @@ class SensorKind:
     jig_keys: tuple = ()    # calibrate config keys that only this kind's bench reads
 
     @property
+    def config_keys(self):
+        """The calibrate config keys this kind's bench or report reads."""
+        return {band for *_, band in self.report if band} | set(self.jig_keys)
+
+    @property
     def features(self):
         c = self.coords
         return ("1", *c, *(f"{a}^2" for a in c),

@@ -490,10 +490,10 @@ class JigFile:
         if self.n_units < 1:
             raise HarnessError(f"n_units must be at least 1, got {self.n_units}")
         # an unknown kind raises CalibrationError here, before any output
-        kind = calibration.KINDS[self.kind]
-        own = {band for *_, band in kind.report} | set(kind.jig_keys)
-        for name in ("lever", "torque_band", "force_band"):
-            if getattr(self, name) is not None and name not in own:
+        own = calibration.KINDS[self.kind].config_keys
+        keys = set().union(*(k.config_keys for k in calibration.KINDS.values()))
+        for name in sorted(keys - own):
+            if getattr(self, name) is not None:
                 raise HarnessError(f"{name} does not apply to {self.kind} sensors")
 
 

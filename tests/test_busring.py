@@ -524,7 +524,8 @@ class TestReferenceScheduler:
         plan = bus.FaultPlan(kills=((0.002, 1), (0.002, 2), (0.003, 3)))
         ring = self.both(4, cfg, 0.02, plan, 0)
         t0 = [t for t, i, _, _ in ring.frame_log if i == 0]
-        assert ring.frames_sent[0] == len(ring.frame_log) - sum(ring.frames_sent[1:])
+        late = [i for t, i, _, _ in ring.frame_log if t > 0.004]
+        assert len(late) > 10 and set(late) == {0}
         assert np.diff(t0)[-1] == pytest.approx(
             cfg.frame_time + cfg.inter_frame_gap + 3 * cfg.timeout, abs=1e-12)
 
