@@ -1,7 +1,8 @@
 """Kernel timings: the best of N runs of each hot kernel on fixed inputs.
 
-Usage:
-    python3 benchmarks/bench_kernels.py [--repeat N]
+Run this script with python3 from the root of a checkout, the package
+installed or `src` on PYTHONPATH; `--repeat N` sets the runs per timing
+(default 5).
 """
 
 import argparse
@@ -22,15 +23,14 @@ def best_of(fn, repeat):
 
 
 def run_suite(repeat):
-    from amphisense import _kernels, busring, calibration, cpg, plant
+    from amphisense import busring, calibration, cpg, magnetics, plant
 
     rng = np.random.default_rng(0)
     results = {}
 
     # streaming low-pass over a long 3-axis flux record
     x = rng.normal(size=(200_000, 3))
-    alpha = 1e-3 / (1.0 / (2.0 * math.pi * 3.6) + 1e-3)
-    results["lowpass_scan_200kx3"] = best_of(lambda: _kernels.lowpass_scan(x, alpha), repeat)
+    results["lowpass_scan_200kx3"] = best_of(lambda: magnetics.lowpass_trace(x, 1e-3), repeat)
 
     # fin inversion over a noisy 10k-sample stream
     n_t, pz, rho, alpha0 = 120.0, 4.0, 3.0, math.radians(20.0)
@@ -40,15 +40,15 @@ def run_suite(repeat):
     Q = np.column_stack(
         [rho * np.cos(theta), rho * np.sin(theta), np.sin(alpha0 + theta)]
     )
-    B = _kernels.flow_flux_batch(Q, pz, n_t)
+    B = magnetics.flow_flux_batch(Q, pz, n_t)
     B += rng.normal(scale=0.01, size=B.shape)
     guess = np.array([rho, 0.0, math.sin(alpha0)])
     results["flow_invert_batch_10k"] = best_of(
-        lambda: _kernels.flow_invert_batch(B, pz, n_t, guess, 0.05), repeat
+        lambda: magnetics._flow_invert(B, pz, n_t, guess, 0.05), repeat
     )
     # its grid seed alone, the 10k rows in one call
     results["flow_grid_seed_10k"] = best_of(
-        lambda: _kernels._flow_grid_seed(B, _kernels._flow_grid(pz, n_t, guess.tolist())),
+        lambda: magnetics._flow_grid_seed(B, magnetics._flow_grid(pz, n_t, guess.tolist())),
         repeat)
 
     # the ten calibration benches of one scenario seed (four foot units, six
@@ -64,7 +64,7 @@ def run_suite(repeat):
     for k in range(6):
         angle = fin.angle_for_force(0.5 * np.sin(2.0 * np.pi * 0.78 * 1.3e-3 * np.arange(922)
                                                    + k))
-        streams.append(_kernels.flow_flux_batch(fin.magnet_coords(angle), fin.d_z0_mm, fin.n_t)
+        streams.append(magnetics.flow_flux_batch(fin.magnet_coords(angle), fin.d_z0_mm, fin.n_t)
                        + rng.normal(scale=0.003, size=(922, 3)))
     invert = lambda b: calibration.KINDS["flow"].locate(b, fin.dipole_params, rest, 0.01)
     B6 = np.concatenate(streams)
@@ -74,7 +74,7 @@ def run_suite(repeat):
 
     # the oscillator network over the 88-edge gait graph, 10k RK4 steps of
     # one 32-unit state and of a batch of 20 stepped together, in a loop
-    # over cpg_step (the names keep those of the former rollout kernel).
+    # over the RK4 step (the names keep those of the former rollout kernel).
     # At the walking drive the amplitudes sit at their targets, so these
     # steps are phase-only; cpg_relax steps a walking state at the swimming
     # drive, its amplitudes relaxing toward the new targets every step.
@@ -85,7 +85,7 @@ def run_suite(repeat):
     def steps(phi, r, drive):
         omega, R = params.intrinsic(drive)
         for _ in range(10_000):
-            phi, r = _kernels.cpg_step(phi, r, omega, graph.arrays, params.a, R, 1e-3)
+            phi, r = cpg._rk4_step(phi, r, omega, graph.arrays, params.a, R, 1e-3)
 
     for name, phi, r, drive in (("cpg_rollout_32x10k", phis[0], rs[0], cpg.D_WALK),
                                 ("cpg_rollout_20x32x10k", phis, rs, cpg.D_WALK),

@@ -27,8 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-
 TWO_PI = 2.0 * math.pi
 
 # drive operating points and the gait frequencies they must produce
@@ -152,7 +150,7 @@ class CouplingGraph:
     """Directed weighted edge list (i, j, w_ij, b_ij) over n oscillators.
 
     `arrays` holds the same edges as read-only arrays (I, J, w, b), the
-    form the RK4 kernel gathers over.
+    form the RK4 step gathers over.
     """
 
     n: int
@@ -315,6 +313,54 @@ def build_gait_network(axial_total_lag: float = TWO_PI):
     return params, graph, jmap
 
 
+# The network equations (module docstring) integrated with classic RK4 over
+# states phi, r with leading axes (..., n).
+#
+# The coupling is gathered over the edge list (I, J, w, b), not a dense
+# n x n matrix: the gait graph has 88 edges among 32 units.  bincount sums
+# each unit's terms in edge order.  Leading rows are flattened into offset
+# indices, one bincount for all of them, so every row is summed in the same
+# order as a state stepped alone and a batch row equals it bit for bit.
+#
+# Amplitudes at their targets stay there: when a (R - r) is exactly zero
+# for every unit (each walking tick, a swim from its first tick), every
+# stage adds an exact zero to r, so the step skips the amplitude half and
+# weighs the coupling by r once.  With a > 0 that zero is +0.0 wherever r
+# is -0.0, so r + 0.0 is the general step's r to the sign of its zeros.  A
+# NaN or infinite amplitude leaves a (R - r) non-zero: the general step.
+# After a drive change r relaxes toward the new R (the limbs' decay toward
+# 0 never ends in it), so the general step stays.
+
+def _rk4_step(phi, r, omega, edges, a, R, dt):
+    """One RK4 step of states phi, r (..., n); edges is (I, J, w, b) and the
+    rates a are positive."""
+    I, J, w, b = edges
+    if phi.ndim > 1:   # index each leading row's units in the flattened state
+        offset = np.arange(0, phi.size, phi.shape[-1])[:, None]
+        I, J = offset + I, offset + J
+    bins = I.ravel()
+    kr = [a * (R - r)]
+    still = not np.count_nonzero(kr[0])
+    w_still = w * r.ravel()[J] if still else None
+
+    def dphi(ph, rr):
+        p = ph.ravel()
+        c = (w_still if still else w * rr.ravel()[J]) * np.sin(p[J] - p[I] - b)
+        return omega + np.bincount(bins, c.ravel(), minlength=phi.size).reshape(phi.shape)
+
+    kp = [dphi(phi, r)]
+    for h in (0.5 * dt, 0.5 * dt, dt):    # stages 2-4, each from the one before
+        rr = r
+        if not still:
+            rr = r + h * kr[-1]
+            kr.append(a * (R - rr))
+        kp.append(dphi(phi + h * kp[-1], rr))
+    phi2 = phi + dt / 6.0 * (kp[0] + 2.0 * kp[1] + 2.0 * kp[2] + kp[3])
+    if still:
+        return phi2, r + 0.0
+    return phi2, r + dt / 6.0 * (kr[0] + 2.0 * kr[1] + 2.0 * kr[2] + kr[3])
+
+
 def step_network(phi: np.ndarray, r: np.ndarray, drive: float, params: OscillatorParams,
                  graph: CouplingGraph, dt: float):
     """Advance phases phi and amplitudes r one RK4 step of length dt (s) at
@@ -330,7 +376,7 @@ def step_network(phi: np.ndarray, r: np.ndarray, drive: float, params: Oscillato
     if np.count_nonzero(r < 0.0):
         raise CpgConfigError("amplitudes must be non-negative")
     omega, R = params.intrinsic(drive)
-    phi, r = _kernels.cpg_step(phi, r, omega, graph.arrays, params.a, R, dt)
+    phi, r = _rk4_step(phi, r, omega, graph.arrays, params.a, R, dt)
     return phi, np.maximum(r, 0.0)
 
 

@@ -640,6 +640,8 @@ def cmd_bus_bench(args) -> int:
         nominal = busring.ring_round_period(n, line)
         excess = line.timeout - line.frame_time - line.inter_frame_gap
         ref = (kill_mod + 3) % n
+        if ref == kill_mod:     # a 3-module ring: three hops return to the dead module
+            ref = (ref + 1) % n
         t_ref = np.array([e[0] for e in killed.frame_log if e[1] == ref])
         periods = np.diff(t_ref)
         post = periods[t_ref[1:] > cfg.kill_at + 2.0 * (nominal + excess)]

@@ -32,7 +32,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
-from . import _kernels, busring, calibration, cpg, magnetics
+from . import busring, calibration, cpg, magnetics
 
 G_ACCEL = 9.81
 
@@ -226,9 +226,8 @@ def stance_weights(q, cfg: ContactConfig):
     return np.where(in_contact, cfg.s_min + (1.0 - cfg.s_min) * u, 0.0)
 
 
-def contact_forces(q, kin: RobotKinematics, on_floor, weight_n,
-                   cfg: ContactConfig = ContactConfig(), q_prev=None,
-                   dt: float = 1e-3):
+def contact_forces(q, on_floor, weight_n, cfg: ContactConfig = ContactConfig(),
+                   q_prev=None, dt: float = 1e-3):
     """Per-foot wrenches supporting `weight_n` on the stance feet.
 
     q is a pose (16,) or a trace (n, 16), q_prev the poses a tick earlier
@@ -542,8 +541,7 @@ def _physics(scenario, swimming, x_body, data, col, lo, hi):
         back, front = x + fk["tail_tip"][1:, 0], x + fk["snout"][1:, 0]
         frac = np.clip((front - scenario.x_waterline) / (front - back), 0.0, 1.0)
         weight, wet = scenario.weight_n * (1.0 - frac), swim[:, None]
-    wrenches, _ = contact_forces(qq[1:], _KIN, on_floor, weight, q_prev=qq[:-1],
-                                 dt=scenario.dt)
+    wrenches, _ = contact_forces(qq[1:], on_floor, weight, q_prev=qq[:-1], dt=scenario.dt)
     f0, n_w = col["gt_foot_fl_fx"], 3 * len(FOOT_NAMES)    # f_x, tau_pitch, tau_yaw
     data[lo:hi, f0:f0 + n_w] = wrenches.reshape(-1, n_w)
 
@@ -563,8 +561,13 @@ def _sense(name, ticks, noise, data, col):
         clean = magnetics.dipole_flux_radial(p, _FOOT_DIPOLE)
     else:
         theta = data[ticks, col[f"gt_{name}_angle"]]
-        clean = _kernels.flow_flux_batch(_FIN.magnet_coords(theta), _FIN.d_z0_mm, _FIN.n_t)
+        clean = magnetics.flow_flux_batch(_FIN.magnet_coords(theta), _FIN.d_z0_mm, _FIN.n_t)
     return busring.quantize(clean + noise, busring.FLUX_LSB_MT) * busring.FLUX_LSB_MT
+
+
+# Ticks per span where no poll ends one.  Bounded spans keep the temporaries
+# small; the span length leaves every trace unchanged.
+_SPAN = 256
 
 
 def run_scenario(scenario: Scenario) -> ScenarioResult:
@@ -577,11 +580,11 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     supervisor poll that first reaches them or after the last span, then
     the fins' whole streams in one inversion call.  A row that does not
     invert raises, naming its module and its sample's time.
-    One span covers a run without feedback.  With it, walking spans end
-    at the 50 Hz supervisor's polls, each of which reads est_foot_sum at
-    its tick, and when a poll at tick k leaves walking the last span swims
-    from tick k + 1, so no tick is simulated twice.  An open-loop
-    drive_switch_t switches at its tick.
+    Without feedback the run is stepped in spans of _SPAN ticks.  With it,
+    walking spans end at the 50 Hz supervisor's polls, each of which reads
+    est_foot_sum at its tick, and when a poll at tick k leaves walking the
+    run swims on from tick k + 1 in spans of _SPAN ticks, so no tick is
+    simulated twice.  An open-loop drive_switch_t switches at its tick.
     """
     net = cpg.build_gait_network()
     models = _fit_sensor_models(scenario)
@@ -680,8 +683,8 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
                 switch_k = k
                 drive[k + 1:] = cpg.D_SWIM
                 break
-    for a in range(lo, n_steps, 256):     # bounded spans keep the temporaries small
-        advance(a, min(a + 256, n_steps))
+    for a in range(lo, n_steps, _SPAN):
+        advance(a, min(a + _SPAN, n_steps))
     del phi, r     # spent; freed before the fins' inversion, where memory peaks
     estimate("foot", n_steps)
     data[:, col["est_foot_sum"]] = sum(data[:, c] for c in est_fx)

@@ -181,6 +181,7 @@ class TestCliRun:
         "line_infinite_duration": ("bus-bench", '{"duration_s": Infinity}', None, 2),
         "line_nan_inter_frame_gap": ("bus-bench", '{"inter_frame_gap": NaN}', None, 2),
         "line_too_short_for_kill_ring": ("bus-bench", '{"duration_s": 0.001}', None, 1),
+        "bus_three_modules": ("bus-bench", '{"n_modules": 3, "duration_s": 0.5}', None, 0),
         "line_zero_bits_per_byte": ("bus-bench", '{"bits_per_byte": 0, "duration_s": 0.05}',
                                     None, 2),
         "line_negative_bits_per_byte": ("bus-bench",

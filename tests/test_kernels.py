@@ -1,9 +1,9 @@
-"""Kernels against independent references.
+"""The numeric cores of magnetics and cpg against independent references.
 
-Each kernel is checked against a plain reimplementation of what it
-computes: the low-pass scan against the stepwise recurrence and bit for
-bit against scipy's lfilter (which the package itself does not import),
-the batch fin flux against the general point dipole, the Jacobian against
+Each is checked against a plain reimplementation of what it computes:
+the low-pass filter against the stepwise recurrence and bit for bit
+against scipy's lfilter (which the package itself does not import), the
+batch fin flux against the general point dipole, the Jacobian against
 finite differences, the fin inversion against a row-at-a-time Newton on
 Python floats, its grid seed against the full 151-point scan, and the RK4
 step against a loop-by-loop derivative, against the dense n x n form of
@@ -21,16 +21,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from amphisense import _kernels as K
 from amphisense import cpg
 from amphisense import magnetics as mg
+
+
+def _alpha(dt, cutoff_hz=3.6):
+    """The coefficient lowpass_trace takes from its sample step dt."""
+    tau = 1.0 / (2.0 * math.pi * cutoff_hz)
+    return dt / (tau + dt)
 
 
 def test_lowpass_scan_against_reference():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(400, 3))
-    alpha = 0.0221
-    got = K.lowpass_scan(x, alpha)
+    dt = 1e-3
+    alpha = _alpha(dt)
+    got = mg.lowpass_trace(x, dt)
     ref = np.empty_like(x)
     y = x[0].copy()
     ref[0] = y
@@ -48,11 +54,14 @@ def test_lowpass_scan_matches_lfilter(data):
     signal = pytest.importorskip("scipy.signal")
     n, k = data.draw(st.integers(1, 400)), data.draw(st.integers(1, 3))
     x = data.draw(arrays(np.float64, (n, k), elements=st.floats(-1e3, 1e3)))
-    alpha = data.draw(st.floats(1e-4, 0.999))
+    # dt for a coefficient in (1e-4, 0.999), which lowpass_trace recomputes
+    target = data.draw(st.floats(1e-4, 0.999))
+    dt = target / (1.0 - target) / (2.0 * math.pi * 3.6)
+    alpha = _alpha(dt)
     y0 = data.draw(st.none() | arrays(np.float64, (k,), elements=st.floats(-1e3, 1e3)))
     zi = (1.0 - alpha) * np.asarray(x[0] if y0 is None else y0)[None, :]
     ref, _ = signal.lfilter([alpha], [1.0, alpha - 1.0], x, axis=0, zi=zi)
-    np.testing.assert_array_equal(K.lowpass_scan(x, alpha, y0), ref)
+    np.testing.assert_array_equal(mg.lowpass_trace(x, dt, y0=y0), ref)
 
 
 def test_import_leaves_scipy_out():
@@ -66,7 +75,7 @@ def test_flow_flux_batch_against_scalar():
     rng = np.random.default_rng(1)
     ths = rng.uniform(-1.0, 1.0, size=64)
     Q = np.column_stack([3.0 * np.cos(ths), 3.0 * np.sin(ths), np.sin(0.35 + ths)])
-    got = K.flow_flux_batch(Q, 4.0, 120.0)
+    got = mg.flow_flux_batch(Q, 4.0, 120.0)
     params = mg.DipoleParams(n_t=120.0)
     ref = np.array([
         mg.dipole_flux(mg.MagnetPose(p=[px, py, 4.0], h=[math.sqrt(1.0 - hy * hy), hy, 0.0]),
@@ -78,13 +87,13 @@ def test_flow_flux_batch_against_scalar():
 
 def test_flow_jacobian_matches_finite_differences():
     q0 = np.array([2.9, 0.4, 0.45])
-    J = K._flow_jacobian(q0[None], 4.0, 120.0)[0]
+    J = mg._flow_jacobian(q0[None], 4.0, 120.0)[0]
     eps = 1e-7
     for c in range(3):
         qp, qm = q0.copy(), q0.copy()
         qp[c] += eps
         qm[c] -= eps
-        fp, fm = K.flow_flux_batch(np.array([qp, qm]), 4.0, 120.0)
+        fp, fm = mg.flow_flux_batch(np.array([qp, qm]), 4.0, 120.0)
         np.testing.assert_allclose(J[:, c], (fp - fm) / (2 * eps), rtol=1e-6, atol=1e-8)
 
 
@@ -114,7 +123,7 @@ def _scalar_flow_invert(b, pz, n_t, guess, resid_accept):
     for _ in range(50):
         if fn <= 1e-10:
             break
-        (a, b_, c), (d, e, g), (h, i, k) = K._flow_jacobian(np.array([q]), pz, n_t)[0].tolist()
+        (a, b_, c), (d, e, g), (h, i, k) = mg._flow_jacobian(np.array([q]), pz, n_t)[0].tolist()
         r0, r1, r2 = -f[0], -f[1], -f[2]
         det = a * (e * k - g * i) - b_ * (d * k - g * h) + c * (d * i - e * h)
         if abs(det) < 1e-300:
@@ -140,10 +149,10 @@ def test_flow_invert_batch_against_scalar_newton():
     rng = np.random.default_rng(4)
     ths = rng.uniform(-1.0, 1.0, size=120)
     Q = np.column_stack([3.0 * np.cos(ths), 3.0 * np.sin(ths), np.sin(0.35 + ths)])
-    B = K.flow_flux_batch(Q, 4.0, 120.0) + rng.normal(scale=0.05, size=Q.shape)
+    B = mg.flow_flux_batch(Q, 4.0, 120.0) + rng.normal(scale=0.05, size=Q.shape)
     guess = (3.0, 0.0, math.sin(0.35))
     for accept in (0.0, 0.1):
-        got, ok = K.flow_invert_batch(B, 4.0, 120.0, np.array(guess), accept)
+        got, ok = mg._flow_invert(B, 4.0, 120.0, np.array(guess), accept)
         ref = [_scalar_flow_invert(b, 4.0, 120.0, guess, accept) for b in B.tolist()]
         np.testing.assert_array_equal(got, [q for q, _ in ref])
         assert ok.tolist() == [k for _, k in ref]
@@ -156,22 +165,22 @@ def test_flow_invert_batch_rows_are_independent(data):
     # a row comes out the same whatever rows share its call: a lone row and
     # the two halves of any split equal the whole batch, at and around the
     # Newton block size.  Strict acceptance, so stalled rows are among them.
-    nb = K._NEWTON_BLOCK
+    nb = mg._NEWTON_BLOCK
     n = data.draw(st.sampled_from([1, 7, nb - 1, nb, nb + 1, 2 * nb + 3]))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     ths = rng.uniform(-1.0, 1.0, size=n)
     Q = np.column_stack([3.0 * np.cos(ths), 3.0 * np.sin(ths), np.sin(0.35 + ths)])
-    B = K.flow_flux_batch(Q, 4.0, 120.0) + rng.normal(scale=0.05, size=Q.shape)
+    B = mg.flow_flux_batch(Q, 4.0, 120.0) + rng.normal(scale=0.05, size=Q.shape)
     guess = np.array([3.0, 0.0, math.sin(0.35)])
     accept = data.draw(st.sampled_from([0.0, 0.1]))
-    got, ok = K.flow_invert_batch(B, 4.0, 120.0, guess, accept)
+    got, ok = mg._flow_invert(B, 4.0, 120.0, guess, accept)
     cut = data.draw(st.integers(0, n))
-    head, ok_head = K.flow_invert_batch(B[:cut], 4.0, 120.0, guess, accept)
-    tail, ok_tail = K.flow_invert_batch(B[cut:], 4.0, 120.0, guess, accept)
+    head, ok_head = mg._flow_invert(B[:cut], 4.0, 120.0, guess, accept)
+    tail, ok_tail = mg._flow_invert(B[cut:], 4.0, 120.0, guess, accept)
     np.testing.assert_array_equal(got, np.concatenate([head, tail]))
     np.testing.assert_array_equal(ok, np.concatenate([ok_head, ok_tail]))
     for i in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4)):
-        lone, ok_lone = K.flow_invert_batch(B[i:i + 1], 4.0, 120.0, guess, accept)
+        lone, ok_lone = mg._flow_invert(B[i:i + 1], 4.0, 120.0, guess, accept)
         np.testing.assert_array_equal(got[i], lone[0])
         assert ok[i] == ok_lone[0]
 
@@ -186,8 +195,8 @@ def _full_scan_seed(B, pz, n_t, guess):
                       min(max(math.sin(alpha0 + th), -1.0), 1.0)) for th in ths] + [guess])
     best, pick = np.full(len(B), math.inf), np.full(len(B), 151)
     with np.errstate(over="ignore", invalid="ignore"):
-        for g, f in enumerate(K.flow_flux_batch(grid[:-1], pz, n_t).tolist()):
-            resid = K._norm(f[0] - B[:, 0], f[1] - B[:, 1], f[2] - B[:, 2])
+        for g, f in enumerate(mg.flow_flux_batch(grid[:-1], pz, n_t).tolist()):
+            resid = mg._norm(f[0] - B[:, 0], f[1] - B[:, 1], f[2] - B[:, 2])
             better = resid < best
             best[better], pick[better] = resid[better], g
     return grid[pick]
@@ -198,7 +207,7 @@ def _fin_rows(rng, n, alpha0, beta0, ths, sigma):
     with noise sigma (mT)."""
     Q = np.column_stack([3.0 * np.cos(beta0 + ths), 3.0 * np.sin(beta0 + ths),
                          np.sin(alpha0 + ths)])
-    return K.flow_flux_batch(Q, 4.0, 120.0) + rng.normal(scale=sigma, size=(n, 3))
+    return mg.flow_flux_batch(Q, 4.0, 120.0) + rng.normal(scale=sigma, size=(n, 3))
 
 
 @settings(max_examples=30, deadline=None)
@@ -225,7 +234,7 @@ def test_grid_seed_matches_full_scan(data):
     B[rng.integers(0, len(B), 20), rng.integers(0, 3, 20)] = rng.choice(
         [np.nan, np.inf, -np.inf], 20)
     with np.errstate(over="ignore"):
-        got = K._flow_grid_seed(B, K._flow_grid(4.0, 120.0, guess))
+        got = mg._flow_grid_seed(B, mg._flow_grid(4.0, 120.0, guess))
     np.testing.assert_array_equal(got, _full_scan_seed(B, 4.0, 120.0, guess))
 
 
@@ -236,7 +245,7 @@ def test_grid_seed_matches_full_scan_past_70_deg():
     guess = [3.0, 0.0, math.sin(math.radians(20.0))]
     ths = rng.uniform(math.radians(59.0), math.radians(69.0), 20_000)
     B = _fin_rows(rng, len(ths), math.radians(20.0), 0.0, ths, 0.05)
-    got = K._flow_grid_seed(B, K._flow_grid(4.0, 120.0, guess))
+    got = mg._flow_grid_seed(B, mg._flow_grid(4.0, 120.0, guess))
     np.testing.assert_array_equal(got, _full_scan_seed(B, 4.0, 120.0, guess))
 
 
@@ -269,7 +278,7 @@ def test_cpg_step_against_reference():
     phi, r, omega, graph, a, R = _tiny_network()
     W, B = _dense(graph.n, graph.edges)
     dt = 1e-3
-    got_phi, got_r = K.cpg_step(phi, r, omega, graph.arrays, a, R, dt)
+    got_phi, got_r = cpg._rk4_step(phi, r, omega, graph.arrays, a, R, dt)
 
     def deriv(ph, rr):
         dphi = np.empty_like(ph)
@@ -307,7 +316,7 @@ def test_step_network_matches_cpg_step():
     assert phis.shape == (501, 4)
     p, q = phi.copy(), r.copy()
     for _ in range(500):
-        p, q = K.cpg_step(p, q, omega, graph.arrays, a, R, dt)
+        p, q = cpg._rk4_step(p, q, omega, graph.arrays, a, R, dt)
     np.testing.assert_array_equal(phis[-1], p)
     np.testing.assert_array_equal(rs[-1], q)
 
@@ -334,13 +343,13 @@ def test_cpg_batch_rows_equal_lone_states(gait_network, data):
     p, q = phi, r
     sp, sq = phi, r
     for _ in range(n_steps):
-        p, q = K.cpg_step(p, q, *args)
+        p, q = cpg._rk4_step(p, q, *args)
         sp, sq = cpg.step_network(sp, sq, drive, params, graph, 1e-3)
     assert sp.shape == sq.shape == phi.shape
     for idx in np.ndindex(*lead):
         lone_p, lone_q = phi[idx], r[idx]
         for _ in range(n_steps):
-            lone_p, lone_q = K.cpg_step(lone_p, lone_q, *args)
+            lone_p, lone_q = cpg._rk4_step(lone_p, lone_q, *args)
         np.testing.assert_array_equal(p[idx], lone_p)
         np.testing.assert_array_equal(q[idx], lone_q)
         np.testing.assert_array_equal(sp[idx], lone_p)
@@ -396,7 +405,7 @@ def test_phase_only_step_equals_general_step(gait_network, data):
     args = (omega, graph.arrays, params.a, R, 1e-3)
     assert (case == "targets") == (not np.count_nonzero(params.a * (R - r)))
     with np.errstate(invalid="ignore"):
-        got, ref = K.cpg_step(phi, r, *args), _general_rk4(phi, r, *args)
+        got, ref = cpg._rk4_step(phi, r, *args), _general_rk4(phi, r, *args)
     for x, y in zip(got, ref):
         _same_bits(x, y)
 
@@ -416,7 +425,7 @@ def test_cpg_step_tracks_dense_coupling(gait_network, drive):
 
     p, q = ref_p, ref_q = cpg.initial_state(params, drive, rng=np.random.default_rng(7))
     for _ in range(5000):
-        p, q = K.cpg_step(p, q, omega, graph.arrays, a, R, dt)
+        p, q = cpg._rk4_step(p, q, omega, graph.arrays, a, R, dt)
         k1p, k1r = deriv(ref_p, ref_q)
         k2p, k2r = deriv(ref_p + 0.5 * dt * k1p, ref_q + 0.5 * dt * k1r)
         k3p, k3r = deriv(ref_p + 0.5 * dt * k2p, ref_q + 0.5 * dt * k2r)

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amphisense import magnetics as mg
-from amphisense import _kernels as K
 
 
 PARAMS = mg.DipoleParams()
@@ -202,7 +201,7 @@ class TestFlowInversion:
         Q = np.column_stack(
             [FLOW_RHO * np.cos(ths), FLOW_RHO * np.sin(ths), np.sin(FLOW_ALPHA0 + ths)]
         )
-        B = K.flow_flux_batch(Q, FLOW_DZ0, FLOW_NT)
+        B = mg.flow_flux_batch(Q, FLOW_DZ0, FLOW_NT)
         sols, ok = mg.invert_flow_flux_batch(B, FLOW_DZ0, FLOW_PARAMS, FLOW_GUESS)
         assert ok.all()
         np.testing.assert_allclose(sols, Q, atol=1e-8)
@@ -244,7 +243,7 @@ class TestFlowInversion:
             [FLOW_RHO * np.cos(th), FLOW_RHO * np.sin(th), np.sin(FLOW_ALPHA0 + th)]
         )
         noise = np.random.default_rng(seed).uniform(-eps, eps, size=Q.shape)
-        B = K.flow_flux_batch(Q, FLOW_DZ0, FLOW_NT) + noise
+        B = mg.flow_flux_batch(Q, FLOW_DZ0, FLOW_NT) + noise
         sols, ok = mg.invert_flow_flux_batch(
             B, FLOW_DZ0, FLOW_PARAMS, FLOW_GUESS, resid_accept=max(5.0 * eps, 1e-9)
         )
@@ -269,7 +268,7 @@ class TestFlowInversion:
             [FLOW_RHO * np.cos(th), FLOW_RHO * np.sin(th), np.sin(FLOW_ALPHA0 + th)]
         )
         rng = np.random.default_rng(seed)
-        B = K.flow_flux_batch(Q, FLOW_DZ0, FLOW_NT) + rng.uniform(-eps, eps, size=Q.shape)
+        B = mg.flow_flux_batch(Q, FLOW_DZ0, FLOW_NT) + rng.uniform(-eps, eps, size=Q.shape)
         accept = 5.0 * eps if lsq else 0.0
 
         def invert(b):
@@ -295,7 +294,7 @@ class TestFlowInversion:
         Q = np.column_stack(
             [FLOW_RHO * np.cos(th), FLOW_RHO * np.sin(th), np.sin(FLOW_ALPHA0 + th)]
         )
-        B = K.flow_flux_batch(Q, FLOW_DZ0, FLOW_NT)
+        B = mg.flow_flux_batch(Q, FLOW_DZ0, FLOW_NT)
         B += rng.normal(scale=0.01, size=B.shape)
         Bf = mg.lowpass_trace(B, 1e-3)
         sols, ok = mg.invert_flow_flux_batch(

@@ -6,9 +6,12 @@ or spectral checks against numpy.fft as an independent oracle.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from amphisense import busring, calibration, cpg, magnetics, plant
 
@@ -166,11 +169,9 @@ def contact_forces(*args, **kwargs):
 
 
 class TestContactForces:
-    KIN = plant.RobotKinematics()
-
     def test_equal_split(self):
         # identical legs share the weight in quarters
-        w, s = contact_forces(np.zeros(16), self.KIN, [True] * 4, 20.0)
+        w, s = contact_forces(np.zeros(16), [True] * 4, 20.0)
         assert [x.f_x for x in w] == pytest.approx([5.0] * 4)
         assert np.allclose(s, s[0])
 
@@ -184,14 +185,14 @@ class TestContactForces:
             if not mask.any():
                 mask[0] = True
             weight = rng.uniform(1.0, 30.0)
-            w, _ = contact_forces(q, self.KIN, mask, weight)
+            w, _ = contact_forces(q, mask, weight)
             assert sum(x.f_x for x in w) == pytest.approx(weight, abs=1e-12)
             for x, m in zip(w, mask):
                 if not m:
                     assert x.f_x == 0.0 and x.tau_yaw == 0.0
 
     def test_floating(self):
-        w, _ = contact_forces(np.zeros(16), self.KIN, [False] * 4, 20.0)
+        w, _ = contact_forces(np.zeros(16), [False] * 4, 20.0)
         assert all(x.f_x == 0.0 for x in w)
 
     def test_stance_weights_smooth_band(self):
@@ -211,8 +212,7 @@ class TestContactForces:
         q1 = np.zeros(16)
         rate = cpg.TWO_PI * 0.47 * cfg.swing_ref  # exactly the peak rate
         q1[8] = rate * 1e-3
-        w, _ = contact_forces(q1, self.KIN, [True] * 4, 20.0,
-                              cfg, q_prev=q0, dt=1e-3)
+        w, _ = contact_forces(q1, [True] * 4, 20.0, cfg, q_prev=q0, dt=1e-3)
         assert w[0].tau_yaw == pytest.approx(cfg.mu_yaw * w[0].f_x * cfg.yaw_lever_mm)
         assert w[1].tau_yaw == 0.0
 
@@ -223,11 +223,9 @@ class TestContactForces:
         q[:, 8:] = rng.uniform(-0.4, 0.4, (40, 8))
         mask = rng.random((40, 4)) < 0.7
         weight = rng.uniform(1.0, 30.0, 40)
-        w, s = plant.contact_forces(q[1:], self.KIN, mask[1:], weight[1:],
-                                    q_prev=q[:-1])
+        w, s = plant.contact_forces(q[1:], mask[1:], weight[1:], q_prev=q[:-1])
         for k in range(1, 40):
-            wk, sk = plant.contact_forces(q[k], self.KIN, mask[k], weight[k],
-                                          q_prev=q[k - 1])
+            wk, sk = plant.contact_forces(q[k], mask[k], weight[k], q_prev=q[k - 1])
             np.testing.assert_array_equal(w[k - 1], wk)
             np.testing.assert_array_equal(s[k - 1], sk)
 
@@ -235,7 +233,7 @@ class TestContactForces:
         cfg = plant.ContactConfig()
         q = np.zeros(16)
         q[8] = cfg.swing_ref / 2.0
-        w, _ = contact_forces(q, self.KIN, [True] * 4, 20.0, cfg)
+        w, _ = contact_forces(q, [True] * 4, 20.0, cfg)
         assert w[0].tau_pitch == pytest.approx(w[0].f_x * cfg.cop_offset_mm * 0.5)
 
 
@@ -551,3 +549,25 @@ class TestRunScenario:
         k = int(round(fb.switch_time / 1e-3))
         assert fb.col("mode")[k] == 1.0 and fb.col("mode")[k - 1] == 0.0
         np.testing.assert_array_equal(fb.data[:k], open_loop.data[:k])
+
+    @settings(max_examples=3, deadline=None)
+    @given(terrain=st.sampled_from(["floor", "water", "shoreline"]),
+           seed=st.integers(0, 2**16), x_start=st.floats(-0.2, 0.6),
+           feedback=st.booleans(), switch_t=st.none() | st.floats(0.0, 0.3),
+           duration_s=st.floats(0.1, 0.3))
+    @example(terrain="shoreline", seed=1, x_start=0.3, feedback=True, switch_t=None,
+             duration_s=0.3)     # a feedback switch at 0.06 s
+    def test_span_length_changes_nothing(self, terrain, seed, x_start, feedback, switch_t,
+                                         duration_s):
+        # spans only bound the temporaries: at any length the run gives the
+        # same data and switch time
+        sc = plant.Scenario(name="span", terrain=terrain, seed=seed, x_start=x_start,
+                            feedback=feedback, drive_switch_t=switch_t,
+                            duration_s=duration_s)
+        runs = []
+        for span in (1, 7, 256, 5000):
+            with mock.patch.object(plant, "_SPAN", span):
+                runs.append(plant.run_scenario(sc))
+        for res in runs[1:]:
+            np.testing.assert_array_equal(res.data, runs[0].data)
+            assert res.switch_time == runs[0].switch_time
