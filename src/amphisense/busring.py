@@ -256,7 +256,13 @@ class RingStats:
     timeout_recoveries: int = 0
     collisions: int = 0
     round_periods: dict = field(default_factory=dict)
+    # (t, module id, 11 frame bytes, ok) per ended frame; opt-in, for tests
+    # and golden digests
     frame_log: list = None
+    # the end time (float64) and module id (int32) of each frame that ended,
+    # in end order: the frame log's first two columns
+    frame_ends: np.ndarray = None
+    frame_modules: np.ndarray = None
 
     @property
     def rates_hz(self) -> np.ndarray:
@@ -471,11 +477,14 @@ def _draw_flips(n_frames, flip_rate, rng):
     and a draw below flip_rate takes one rng.integers() for its bit, in
     start order.  The uniforms are drawn a block at a time; at a hit the
     generator's state is restored and the block redrawn up to the hit, so
-    the bit's draw follows it, as frame-by-frame draws would."""
+    the bit's draw follows it, as frame-by-frame draws would.  An rng of
+    None is np.random.default_rng(0), made only when flips are drawn, so
+    a flip-free ring never loads numpy.random."""
     flipped = []
     bit = 8 * (FRAME_LEN - 1)
     if not flip_rate > 0.0:
         return flipped
+    rng = np.random.default_rng(0) if rng is None else rng
     # about two hits' worth of frames per block
     block = int(min(_BLOCK, 2.0 / flip_rate))
     bit_generator = rng.bit_generator
@@ -512,12 +521,17 @@ def simulate_ring(n_modules: int, config: LineConfig, duration: float,
     encoded, flipped and checked afterwards in one array pass:
     `sample_source(module_id, t)` is called once per started frame, in
     start order, for its FluxSample; None sends zero flux at 25 degC.
+    `rng` draws the bit flips (None: np.random.default_rng(0)).
 
     Returns accumulated RingStats; protocol anomalies are counted, not
-    raised.
+    raised.  Its frame_ends and frame_modules hold each ended frame's end
+    time and module in end order; record_frames adds the frame_log of
+    Python tuples with each frame's bytes and check, which costs far more
+    than the ring and is meant for tests and golden digests.
     """
-    if n_modules < 1:
-        raise BusError("need at least one module")
+    if not 1 <= n_modules <= 256:
+        raise BusError(f"n_modules must be 1-256, since a frame carries its module id "
+                       f"in one byte; got {n_modules!r}")
     if not 0 < duration < float("inf"):     # NaN fails too
         raise BusError(f"duration must be positive and finite, got {duration!r}")
     faults = faults or FaultPlan()
@@ -525,7 +539,7 @@ def simulate_ring(n_modules: int, config: LineConfig, duration: float,
         if not 0 <= mid < n_modules:
             raise BusError("fault targets unknown module")
     start, module, collided, flipped, n_ended, recoveries, collisions = _schedule_ring(
-        n_modules, config, duration, faults, rng or np.random.default_rng(0))
+        n_modules, config, duration, faults, rng)
 
     # one array pass over the frames
     if sample_source is None:
@@ -562,6 +576,8 @@ def simulate_ring(n_modules: int, config: LineConfig, duration: float,
         collisions=collisions,
         round_periods=_round_periods(ended, t_end),
         frame_log=_frame_log(t_end, ended, frames, ok) if record_frames else None,
+        frame_ends=t_end,
+        frame_modules=ended,
     )
 
 

@@ -300,6 +300,53 @@ class TestRingSimulation:
             bus.simulate_ring(4, bus.LineConfig(), 1.0,
                               faults=bus.FaultPlan(kills=((0.1, 9),)))
 
+    @pytest.mark.parametrize("n", [0, 257, 300, 10**17])
+    def test_module_count_bound_comes_before_scheduling(self, n, monkeypatch):
+        # a frame carries its module id in one byte; a count past 256 used
+        # to schedule the whole ring before the codec refused the ids
+        def schedule(*args):
+            raise AssertionError("scheduled")
+
+        monkeypatch.setattr(bus, "_schedule_ring", schedule)
+        with pytest.raises(bus.BusError, match="n_modules must be 1-256"):
+            bus.simulate_ring(n, bus.LineConfig(), 0.01)
+
+    def test_256_modules_fit_one_byte(self):
+        stats = bus.simulate_ring(256, bus.LineConfig(), 0.04)
+        assert stats.frames_ok[255] == 1 and stats.corrupt_detected == 0
+
+    def test_flip_free_ring_makes_no_generator(self, monkeypatch):
+        # a flip-free ring needs no draws, so it never loads numpy.random
+        def default_rng(*args):
+            raise AssertionError("generator made")
+
+        monkeypatch.setattr(np.random, "default_rng", default_rng)
+        bus.simulate_ring(10, bus.LineConfig(), 0.05)
+        bus.simulate_ring(10, bus.LineConfig(), 0.05,
+                          faults=bus.FaultPlan(kills=((0.02, 3),), delays=((0.01, 4, 1e-4),)))
+
+    def test_default_generator_draws_as_seed_zero(self):
+        plan = bus.FaultPlan(flip_rate=0.05)
+        a = bus.simulate_ring(10, bus.LineConfig(), 0.1, faults=plan, record_frames=True)
+        b = bus.simulate_ring(10, bus.LineConfig(), 0.1, faults=plan,
+                              rng=np.random.default_rng(0), record_frames=True)
+        assert a.corrupt_injected > 0 and a.frame_log == b.frame_log
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_frame_arrays_are_the_frame_log_columns(self, data):
+        n = data.draw(st.integers(2, 12))
+        duration = data.draw(st.floats(0.001, 0.2))
+        kills = data.draw(st.lists(st.tuples(st.floats(0.0, duration), st.integers(0, n - 1)),
+                                   min_size=1, max_size=2))
+        ring = bus.simulate_ring(n, bus.LineConfig(), duration,
+                                 faults=bus.FaultPlan(kills=tuple(kills)), record_frames=True)
+        t = np.array([e[0] for e in ring.frame_log], dtype=np.float64)
+        i = np.array([e[1] for e in ring.frame_log], dtype=np.intc)
+        assert ring.frame_ends.dtype == t.dtype and ring.frame_modules.dtype == i.dtype
+        assert ring.frame_ends.tobytes() == t.tobytes()
+        assert ring.frame_modules.tobytes() == i.tobytes()
+
     @pytest.mark.parametrize("plan", [
         {"kills": ((float("nan"), 2), (0.001, 3))},
         {"kills": ((float("inf"), 2),)},

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amphisense import harness, magnetics, plant
+from amphisense import busring, harness, magnetics, plant
 
 # a short shoreline crossing whose switch passes every bounded metric
 SHORT_SHORELINE = {
@@ -228,10 +228,12 @@ class TestCliRun:
             "run", '{"name": "dup", "duration_s": 0.3, "log_flux": ["foot_fl", "foot_fl"]}',
             None, 2),
         "run_shorter_than_window": ("run", '{"name": "tiny", "duration_s": 0.03}', None, 2),
-        # sizes beyond any address space, so the allocation fails at once
+        # a size beyond any address space, so the allocation fails at once
         "run_too_long_to_allocate": ("run", '{"duration_s": 1e13}', None, 2),
+        # refused by the ring's module-count bound before anything is allocated
         "line_too_many_modules_to_allocate": (
             "bus-bench", '{"n_modules": 100000000000000000, "duration_s": 0.01}', None, 2),
+        "line_module_ids_past_one_byte": ("bus-bench", '{"n_modules": 257}', None, 2),
     }
 
     # what the error line of a case says, where exit 2 alone would not tell
@@ -261,7 +263,8 @@ class TestCliRun:
         "run_repeated_log_flux": "log_flux must list distinct modules",
         "run_shorter_than_window": "window_start",
         "run_too_long_to_allocate": "out of memory",
-        "line_too_many_modules_to_allocate": "out of memory",
+        "line_too_many_modules_to_allocate": "n_modules must be 1-256",
+        "line_module_ids_past_one_byte": "n_modules must be 1-256",
     }
 
     # a warning printed beside the error line breaks the one-line contract
@@ -492,6 +495,27 @@ class TestCliBusBench:
         assert by_name["per_module_rate"]["value"] >= 589.8
         assert by_name["timeouts_per_round"]["value"] == pytest.approx(1.0)
         assert by_name["motor_loop_budget"]["value"] >= 100.0
+
+    def test_no_ring_records_its_frame_log(self, tmp_path, monkeypatch):
+        # the kill ring's periods come from its frame arrays, not the log
+        asked = []
+        inner = busring.simulate_ring
+
+        def simulate_ring(*args, **kwargs):
+            asked.append(kwargs.get("record_frames", False))
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(busring, "simulate_ring", simulate_ring)
+        rc = harness.main(["--out", str(tmp_path), "bus-bench", "line_default"])
+        assert rc == 0 and asked == [False, False, False]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, 1.0]),
+                    min_size=1, max_size=40))
+    def test_median_is_numpy_median_bit_for_bit(self, values):
+        # odd and even counts, ties and signed zeros among them
+        a = np.array(values)
+        assert np.float64(harness._median(a)).tobytes() == np.median(a).tobytes()
 
 
 # ---------------------------------------------------------------------------
