@@ -105,6 +105,10 @@ def run_suite(repeat):
     kill = busring.FaultPlan(kills=((2.0, 5),))
     results["simulate_ring_kill_10x4s"] = best_of(
         lambda: busring.simulate_ring(10, line, 4.0, faults=kill), repeat)
+    # nine kills, modules 0-8 one every 0.4 s: each costs one event window
+    kills9 = busring.FaultPlan(kills=tuple((0.4 * (k + 1), k) for k in range(9)))
+    results["simulate_ring_kills9_10x4s"] = best_of(
+        lambda: busring.simulate_ring(10, line, 4.0, faults=kills9), repeat)
     results["simulate_ring_kill_log_10x4s"] = best_of(
         lambda: busring.simulate_ring(10, line, 4.0, faults=kill, record_frames=True), repeat)
     return results

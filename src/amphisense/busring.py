@@ -22,9 +22,9 @@ host's data ledger but never the ring cadence.
 The simulator schedules the ring as one running sum between faults: while
 the set of live modules is fixed, every frame starts one gap plus one
 timeout per dead module skipped after the previous frame's end, so a block
-of start times is one np.add.accumulate.  Kills restart the sum without
-the module; only a delayed module can put two frames on the line at once,
-so an event loop runs just around each delay.
+of start times is one np.add.accumulate.  Every kill and delay goes
+through an event loop, which runs just around the fault.  ring_starts is
+the fault-free schedule in closed form, which the plant samples.
 """
 
 from __future__ import annotations
@@ -213,6 +213,16 @@ def ring_rate(n_modules: int, config: LineConfig) -> float:
     return 1.0 / ring_round_period(n_modules, config)
 
 
+def ring_starts(n_modules: int, config: LineConfig, t_stop: float) -> np.ndarray:
+    """(n_modules, rounds) frame starts of the fault-free ring: module i at
+    t0 + i * slot + c * round_p in rounds c = 0 to int(t_stop / round_p) + 1."""
+    slot = config.frame_time + config.inter_frame_gap
+    round_p = ring_round_period(n_modules, config)
+    c = np.arange(int(t_stop / round_p) + 2)
+    return (config.ctrl_time + config.inter_frame_gap + np.arange(n_modules)[:, None] * slot
+            + c * round_p)
+
+
 def motor_bus_budget(n_motors: int, t_write: float, t_read: float) -> float:
     """Max motor-loop rate when every cycle writes and reads each motor."""
     if n_motors <= 0 or t_write <= 0 or t_read <= 0:
@@ -289,6 +299,10 @@ class RingStats:
 
 # frames per block of the running sum between faults
 _BLOCK = 2048
+# the most fault-free frames a ring may hold.  The schedule and the array pass
+# peak at about 45 B a frame, so a ring stays under 400 MB (18 min of bus time
+# on the default line); a frame log or a sample source costs more per frame
+_MAX_FRAMES = 2 ** 23
 # event kinds of the ring's queue
 _ARM, _FIRE, _END = 0, 1, 2
 
@@ -296,25 +310,23 @@ _ARM, _FIRE, _END = 0, 1, 2
 def _schedule_ring(n_modules, config, duration, faults, rng):
     """The ring's timing alone: which module starts a frame when.
 
-    Returns (start, module, collided, flipped, n_ended, timeout_recoveries,
-    collisions).  Frames are numbered in start order; start and module
-    hold each one's start time (array 'd') and module id ('i').  The rare
-    faults are listed by frame number: collided holds the frames a
-    collision corrupted, flipped (frame, bit) pairs, the bit counted over
-    the id/payload/crc region.  Every frame ends frame_time after it
-    starts, so the frames that ended within `duration` are the first
-    n_ended.
+    Returns (start, module, collided, flipped, timeout_recoveries,
+    collisions).  Frames are numbered in start order, which is time order;
+    start and module hold each one's start time (array 'd') and module id
+    ('i').  The rare faults are listed by frame number: collided holds the
+    frames a collision corrupted, flipped (frame, bit) pairs, the bit
+    counted over the id/payload/crc region.
 
     Between faults the set of live modules is fixed, so each frame's
     start is the previous frame's end plus the gap plus one timeout per
     dead module skipped: a block of frames is one running sum over
     [end, gap, waits*timeout, frame_time, gap, ...], added in the event
-    loop's order, so bit-equal to it.  A kill takes effect at the first
-    scheduled start of its module at or after its time; every kill due by
-    then is applied, and the sum resumes from the previous frame's end.
-    A delay hands the ring to _event_window from the frame end before the
-    delayed start, and the sum resumes from the window's last frame end.
-    The bit flips are drawn afterwards, frame by frame in start order.
+    loop's order, so bit-equal to it.  The sum stops at the first frame
+    whose module has a kill or an unused delay due by its start, and hands
+    the ring to _event_window from the frame end before; the window
+    applies every kill and delay, and the sum resumes from its last frame
+    end.  The bit flips are drawn afterwards, frame by frame in start
+    order.
     """
     # imported here, so that runs which never simulate the ring do not map
     # the extension module
@@ -330,16 +342,13 @@ def _schedule_ring(n_modules, config, duration, faults, rng):
     # the host start broadcast acts as a frame from module n-1
     t_end, last = config.ctrl_time, n_modules - 1
     while True:
-        while kills and kills[0][0] <= t_end:
-            alive[kills.pop(0)[1]] = False
         live = np.flatnonzero(alive)
         if not live.size:
             break
-        # each module's next fault: its kill or its earliest unused delay
-        kill_at = np.full(n_modules, np.inf)
+        # each module's next fault: its earliest kill or unused delay
+        due = np.full(n_modules, np.inf)
         for tk, m in reversed(kills):
-            kill_at[m] = tk
-        due = kill_at.copy()
+            due[m] = tk
         for td, m, _, used in delays:
             if not used and td < due[m]:
                 due[m] = td
@@ -378,12 +387,6 @@ def _schedule_ring(n_modules, config, duration, faults, rng):
             vals[2] = waits[0] * timeout
         if f == n:
             break
-        if kill_at[tx[f]] <= starts[f]:
-            # frame f's module is dead by its start: kill everyone due by
-            # then and resume from frame f - 1's end without them
-            while kills and kills[0][0] <= starts[f]:
-                alive[kills.pop(0)[1]] = False
-            continue
         t_end, last, n_recovered, n_collided = _event_window(
             t_end, last, n_modules, config, duration, alive, kills, delays, start,
             module, collided)
@@ -392,10 +395,7 @@ def _schedule_ring(n_modules, config, duration, faults, rng):
         if t_end is None:
             break
     flipped = _draw_flips(len(start), faults.flip_rate, rng)
-    n_ended = len(start)
-    while n_ended and start[n_ended - 1] + frame_time > duration:
-        n_ended -= 1
-    return start, module, collided, flipped, n_ended, recoveries, collisions
+    return start, module, collided, flipped, recoveries, collisions
 
 
 def _event_window(t_end, last, n_modules, config, duration, alive, kills, delays,
@@ -515,12 +515,12 @@ def simulate_ring(n_modules: int, config: LineConfig, duration: float,
     of one timeout each (self-healing).  The host start broadcast acts as
     a virtual frame from module n-1, so module 0 opens every run.
 
-    The schedule is a running sum between faults, restarted at each kill,
-    with an event loop (one queue entry per frame end) only around each
-    delay, where frames can collide; it keeps timing only.  The frames are
-    encoded, flipped and checked afterwards in one array pass:
-    `sample_source(module_id, t)` is called once per started frame, in
-    start order, for its FluxSample; None sends zero flux at 25 degC.
+    The schedule is a running sum between faults, with an event loop (one
+    queue entry per frame end) around every kill and delay; it keeps timing
+    only, and a ring of over _MAX_FRAMES fault-free frames is refused up
+    front.  The frames are encoded, flipped and checked afterwards in one array
+    pass: `sample_source(module_id, t)` is called once per started frame,
+    in start order, for its FluxSample; None sends zero flux at 25 degC.
     `rng` draws the bit flips (None: np.random.default_rng(0)).
 
     Returns accumulated RingStats; protocol anomalies are counted, not
@@ -534,18 +534,19 @@ def simulate_ring(n_modules: int, config: LineConfig, duration: float,
                        f"in one byte; got {n_modules!r}")
     if not 0 < duration < float("inf"):     # NaN fails too
         raise BusError(f"duration must be positive and finite, got {duration!r}")
+    if duration / (config.frame_time + config.inter_frame_gap) > _MAX_FRAMES:
+        raise BusError(f"duration {duration!r} s is over {_MAX_FRAMES} frames on this line")
     faults = faults or FaultPlan()
     for _, mid, *_ in (*faults.kills, *faults.delays):
         if not 0 <= mid < n_modules:
             raise BusError("fault targets unknown module")
-    start, module, collided, flipped, n_ended, recoveries, collisions = _schedule_ring(
+    start, module, collided, flipped, recoveries, collisions = _schedule_ring(
         n_modules, config, duration, faults, rng)
 
     # one array pass over the frames
     if sample_source is None:
-        top = max(module, default=-1) + 1
-        frames = encode_frames(np.arange(top), np.zeros((top, 3)), np.full(top, 25.0))
-        frames = frames[np.asarray(module)]
+        frames = encode_frames(np.arange(n_modules), np.zeros((n_modules, 3)),
+                               np.full(n_modules, 25.0))[np.asarray(module)]
     else:
         samples = [sample_source(i, t) for i, t in zip(module, start)]
         frames = encode_frames([s.module_id for s in samples],
@@ -558,13 +559,13 @@ def simulate_ring(n_modules: int, config: LineConfig, duration: float,
     corrupted[collided] = True
     corrupted[rows] = True
 
-    frames = frames[:n_ended]
-    ended = np.asarray(module)[:n_ended]
+    # the start times become end times in place: the schedule is spent
+    t_end = np.asarray(start)
+    t_end += config.frame_time
+    n_ended = int(np.searchsorted(t_end, duration, side="right"))
+    t_end, frames, ended = t_end[:n_ended], frames[:n_ended], np.asarray(module)[:n_ended]
     # a collided frame is garbled on the line, though its bytes here are not
     ok = check_frames(frames) & ~corrupted[:n_ended]
-    # the start times become end times in place: the schedule is spent
-    t_end = np.asarray(start)[:n_ended]
-    t_end += config.frame_time
     return RingStats(
         n_modules=n_modules,
         duration=duration,

@@ -485,16 +485,13 @@ class ScenarioResult:
 
 def _ring_samples(n_steps, scenario, line):
     """Per-module sample ticks and (n_i, 3) sensor noise on the fault-free
-    ring: module i samples at t0 + i * slot + c * round_p in round c, on the
-    first tick at or after that time and at most once a tick (binding only
+    ring: each module samples at its frame starts (busring.ring_starts), on
+    the first tick at or after each and at most once a tick (binding only
     when dt exceeds the round).  The noise is one block drawn in (tick,
     module) order."""
     n_mod, dt = len(SENSOR_NAMES), scenario.dt
-    slot = line.frame_time + line.inter_frame_gap
-    round_p = busring.ring_round_period(n_mod, line)
-    c = np.arange(int(n_steps * dt / round_p) + 2)
-    due = (line.ctrl_time + line.inter_frame_gap + np.arange(n_mod)[:, None] * slot
-           + c * round_p)
+    due = busring.ring_starts(n_mod, line, n_steps * dt)
+    c = np.arange(due.shape[1])
     tick = np.ceil(due / dt).astype(np.int64)
     tick -= (tick - 1) * dt >= due
     tick += tick * dt < due

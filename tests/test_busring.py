@@ -2,6 +2,7 @@
 
 import heapq
 import math
+import re
 import struct
 
 import numpy as np
@@ -311,6 +312,25 @@ class TestRingSimulation:
         with pytest.raises(bus.BusError, match="n_modules must be 1-256"):
             bus.simulate_ring(n, bus.LineConfig(), 0.01)
 
+    @pytest.mark.parametrize("over", [False, True])
+    def test_frame_count_bound_comes_before_scheduling(self, over, monkeypatch):
+        # a ring past the bound would allocate about 45 B a frame until the
+        # machine runs out, so it is refused before anything is scheduled;
+        # one at the bound reaches the (patched) schedule
+        def schedule(*args):
+            raise AssertionError("scheduled")
+
+        monkeypatch.setattr(bus, "_schedule_ring", schedule)
+        line = bus.LineConfig()
+        duration = bus._MAX_FRAMES * (line.frame_time + line.inter_frame_gap) * (
+            1.001 if over else 0.999)
+        if over:
+            with pytest.raises(bus.BusError, match=re.escape(f"duration {duration!r} s")):
+                bus.simulate_ring(10, line, duration)
+        else:
+            with pytest.raises(AssertionError, match="scheduled"):
+                bus.simulate_ring(10, line, duration)
+
     def test_256_modules_fit_one_byte(self):
         stats = bus.simulate_ring(256, bus.LineConfig(), 0.04)
         assert stats.frames_ok[255] == 1 and stats.corrupt_detected == 0
@@ -612,6 +632,24 @@ class TestReferenceScheduler:
         ring = self.both(5, bus.LineConfig(), 0.01, bus.FaultPlan(kills=((when, 0),)), 0)
         assert ring.frame_log[0][1] == 1 and ring.frames_sent[0] == 0
 
+    def test_every_module_dies(self):
+        # module 3 is dead from t = 0, so it never sends; the others die one
+        # by one, two at one instant, until the ring falls silent
+        plan = bus.FaultPlan(kills=((0.0, 3), (0.002, 0), (0.004, 5), (0.004, 1),
+                                    (0.006, 2), (0.0075, 4)), flip_rate=0.05)
+        ring = self.both(6, bus.LineConfig(), 0.02, plan, 5)
+        assert ring.frames_sent[3] == 0 and ring.frames_sent.min() == 0
+        assert ring.frame_log[-1][0] < 0.0075 + bus.ring_round_period(6, bus.LineConfig())
+        assert ring.timeout_recoveries > 0
+
+    def test_kill_at_its_module_start(self):
+        # module 0 dies at the very instant its first turn comes (the host
+        # start's end plus one gap), so it never sends
+        cfg = bus.LineConfig()
+        plan = bus.FaultPlan(kills=((cfg.ctrl_time + cfg.inter_frame_gap, 0),))
+        ring = self.both(5, cfg, 0.01, plan, 0)
+        assert ring.frames_sent[0] == 0 and ring.frame_log[0][1] == 1
+
     def test_run_spans_several_blocks(self):
         # 7,692 frames: a kill, a delay and bit flips across block boundaries
         plan = bus.FaultPlan(kills=((0.4, 3),), delays=((0.7, 6, 50e-6),), flip_rate=1e-3)
@@ -626,7 +664,7 @@ class TestReferenceScheduler:
         plan = bus.FaultPlan(kills=(kill,), delays=((0.005, 4, 200e-6),))
         self.both(10, bus.LineConfig(), 0.02, plan, 0)
 
-    def test_event_loop_runs_only_around_delays(self, monkeypatch):
+    def test_event_loop_runs_only_around_faults(self, monkeypatch):
         windows = []
         inner = bus._event_window
 
@@ -635,12 +673,27 @@ class TestReferenceScheduler:
             return inner(*args)
 
         monkeypatch.setattr(bus, "_event_window", window)
-        plan = bus.FaultPlan(kills=((0.3, 2), (0.5, 7)), flip_rate=0.01)
-        bus.simulate_ring(10, bus.LineConfig(), 1.0, faults=plan)
+        line = bus.LineConfig()
+        round_p = bus.ring_round_period(10, line)
+        bus.simulate_ring(10, line, 1.0)
+        bus.simulate_ring(10, line, 1.0, faults=bus.FaultPlan(flip_rate=0.01))
         assert windows == []
-        plan = bus.FaultPlan(kills=((0.3, 2),), delays=((0.005, 4, 50e-6), (0.6, 1, 1e-3)))
-        bus.simulate_ring(10, bus.LineConfig(), 1.0, faults=plan)
-        assert len(windows) == 2 and 0.005 - 1.3e-3 < windows[0] < 0.005 + 1.3e-3
+        # each kill is resolved by one window, from a frame end within a
+        # round of the kill
+        kills = ((0.3, 2), (0.5, 7))
+        bus.simulate_ring(10, line, 1.0, faults=bus.FaultPlan(kills=kills, flip_rate=0.01))
+        assert len(windows) == 2
+        for t, (tk, _) in zip(windows, kills):
+            assert tk - round_p < t < tk + round_p
+        # one window per kill and per delay that takes effect: module 2 is
+        # dead by its delay's time
+        windows.clear()
+        plan = bus.FaultPlan(kills=((0.3, 2),), delays=((0.005, 4, 50e-6), (0.6, 1, 1e-3),
+                                                        (0.7, 2, 1e-4)))
+        bus.simulate_ring(10, line, 1.0, faults=plan)
+        assert len(windows) == 3
+        for t, tf in zip(windows, (0.005, 0.3, 0.6)):
+            assert tf - round_p < t < tf + round_p
 
     def test_sample_source_case(self):
         # a payload that varies by module and time, through flips and a

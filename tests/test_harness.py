@@ -509,6 +509,20 @@ class TestCliBusBench:
         rc = harness.main(["--out", str(tmp_path), "bus-bench", "line_default"])
         assert rc == 0 and asked == [False, False, False]
 
+    def test_ring_too_long_to_hold_exits_2_before_scheduling(self, tmp_path, monkeypatch,
+                                                             capsys):
+        # 1e9 s of bus time would allocate until the machine runs out, so
+        # the schedule is patched to fail should the bound ever let it through
+        def schedule(*args):
+            raise AssertionError("scheduled")
+
+        monkeypatch.setattr(busring, "_schedule_ring", schedule)
+        cfg = tmp_path / "line.json"
+        cfg.write_text('{"duration_s": 1e9}')
+        assert harness.main(["--out", str(tmp_path / "out"), "bus-bench", str(cfg)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "duration 1000000000.0" in err[0]
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, 1.0]),
                     min_size=1, max_size=40))

@@ -324,20 +324,17 @@ class TestScenarioConfig:
 
 class TestRunScenario:
     def test_ring_schedule_matches_event_sim(self):
-        # the runner samples each module on the closed-form fault-free
-        # schedule; it must agree with the event-driven bus simulation exactly
+        # the runner samples each module on busring's closed-form fault-free
+        # schedule; it must agree with the simulated ring exactly
         line = busring.LineConfig()
         n = len(plant.SENSOR_NAMES)
-        stats = busring.simulate_ring(n, line, 0.02, record_frames=True)
-        slot = line.frame_time + line.inter_frame_gap
-        round_p = busring.ring_round_period(n, line)
-        per_round = {}
-        for t_end, i, _, _ in stats.frame_log:
-            k = per_round.setdefault(i, [0])[-1]
-            want = line.ctrl_time + line.inter_frame_gap + i * slot \
-                + per_round[i][-1] * round_p + line.frame_time
-            assert t_end == pytest.approx(want, abs=1e-12)
-            per_round[i].append(k + 1)
+        stats = busring.simulate_ring(n, line, 0.02)
+        due = busring.ring_starts(n, line, 0.02)
+        rounds = np.zeros(n, dtype=int)
+        for t_end, i in zip(stats.frame_ends, stats.frame_modules):
+            assert t_end == pytest.approx(due[i, rounds[i]] + line.frame_time, abs=1e-12)
+            rounds[i] += 1
+        assert rounds.min() > 10
 
     @pytest.mark.parametrize("dt", [1e-3, 2e-3, 0.7e-3])
     def test_ring_samples_follow_the_tick_rule(self, dt):
