@@ -299,10 +299,12 @@ class RingStats:
 
 # frames per block of the running sum between faults
 _BLOCK = 2048
-# the most fault-free frames a ring may hold.  The schedule and the array pass
-# peak at about 45 B a frame, so a ring stays under 400 MB (18 min of bus time
-# on the default line); a frame log or a sample source costs more per frame
+# the most fault-free frames a ring may hold: 18 min of bus time on the default
+# line.  The schedule and the array pass peak at 31 B a frame (tracemalloc, 1M
+# frames, clean or with a kill and flips), so under 270 MB; with its frame log
+# a ring peaks at 174 B a frame, and may hold as many as fit that budget
 _MAX_FRAMES = 2 ** 23
+_MAX_LOGGED_FRAMES = _MAX_FRAMES * 31 // 174
 # event kinds of the ring's queue
 _ARM, _FIRE, _END = 0, 1, 2
 
@@ -504,8 +506,8 @@ def _draw_flips(n_frames, flip_rate, rng):
 
 
 def simulate_ring(n_modules: int, config: LineConfig, duration: float,
-                  faults: FaultPlan = None, sample_source=None,
-                  rng=None, record_frames: bool = False) -> RingStats:
+                  faults: FaultPlan = None, rng=None,
+                  record_frames: bool = False) -> RingStats:
     """Run the ring for `duration` seconds of bus time.
 
     At frame granularity.  Every frame completion rearms the ring: the
@@ -517,11 +519,12 @@ def simulate_ring(n_modules: int, config: LineConfig, duration: float,
 
     The schedule is a running sum between faults, with an event loop (one
     queue entry per frame end) around every kill and delay; it keeps timing
-    only, and a ring of over _MAX_FRAMES fault-free frames is refused up
-    front.  The frames are encoded, flipped and checked afterwards in one array
-    pass: `sample_source(module_id, t)` is called once per started frame,
-    in start order, for its FluxSample; None sends zero flux at 25 degC.
-    `rng` draws the bit flips (None: np.random.default_rng(0)).
+    only.  A ring of over _MAX_FRAMES fault-free frames (_MAX_LOGGED_FRAMES
+    with record_frames) is refused up front.  Every module sends zero flux
+    at 25 degC, so the host checks each module's frame once: an ended frame
+    is ok when it did not collide and its module's frame, or its own bytes
+    if flipped, pass sync and CRC-8.  `rng` draws the bit flips (None:
+    np.random.default_rng(0)).
 
     Returns accumulated RingStats; protocol anomalies are counted, not
     raised.  Its frame_ends and frame_modules hold each ended frame's end
@@ -534,8 +537,9 @@ def simulate_ring(n_modules: int, config: LineConfig, duration: float,
                        f"in one byte; got {n_modules!r}")
     if not 0 < duration < float("inf"):     # NaN fails too
         raise BusError(f"duration must be positive and finite, got {duration!r}")
-    if duration / (config.frame_time + config.inter_frame_gap) > _MAX_FRAMES:
-        raise BusError(f"duration {duration!r} s is over {_MAX_FRAMES} frames on this line")
+    limit = _MAX_LOGGED_FRAMES if record_frames else _MAX_FRAMES
+    if duration / (config.frame_time + config.inter_frame_gap) > limit:
+        raise BusError(f"duration {duration!r} s is over {limit} frames on this line")
     faults = faults or FaultPlan()
     for _, mid, *_ in (*faults.kills, *faults.delays):
         if not 0 <= mid < n_modules:
@@ -543,40 +547,33 @@ def simulate_ring(n_modules: int, config: LineConfig, duration: float,
     start, module, collided, flipped, recoveries, collisions = _schedule_ring(
         n_modules, config, duration, faults, rng)
 
-    # one array pass over the frames
-    if sample_source is None:
-        frames = encode_frames(np.arange(n_modules), np.zeros((n_modules, 3)),
-                               np.full(n_modules, 25.0))[np.asarray(module)]
-    else:
-        samples = [sample_source(i, t) for i, t in zip(module, start)]
-        frames = encode_frames([s.module_id for s in samples],
-                               np.array([s.flux_mt for s in samples]),
-                               [s.temp_c for s in samples])
-        del samples
+    zero = encode_frames(np.arange(n_modules), np.zeros((n_modules, 3)),
+                         np.full(n_modules, 25.0))
+    module = np.asarray(module)
     rows, bits = np.array(flipped, dtype=np.intp).reshape(-1, 2).T
-    frames[rows, 1 + bits // 8] ^= np.left_shift(1, bits % 8).astype(np.uint8)
-    corrupted = np.zeros(len(frames), dtype=bool)
-    corrupted[collided] = True
-    corrupted[rows] = True
+    flips = zero[module[rows]]
+    flips[np.arange(len(rows)), 1 + bits // 8] ^= np.left_shift(1, bits % 8).astype(np.uint8)
+    ok = check_frames(zero)[module]
+    ok[rows] = check_frames(flips)
+    # a collided frame is garbled on the line, though its bytes here are not
+    ok[collided] = False
 
     # the start times become end times in place: the schedule is spent
     t_end = np.asarray(start)
     t_end += config.frame_time
     n_ended = int(np.searchsorted(t_end, duration, side="right"))
-    t_end, frames, ended = t_end[:n_ended], frames[:n_ended], np.asarray(module)[:n_ended]
-    # a collided frame is garbled on the line, though its bytes here are not
-    ok = check_frames(frames) & ~corrupted[:n_ended]
+    t_end, ended, ok = t_end[:n_ended], module[:n_ended], ok[:n_ended]
     return RingStats(
         n_modules=n_modules,
         duration=duration,
         frames_sent=np.bincount(ended, minlength=n_modules),
         frames_ok=np.bincount(ended[ok], minlength=n_modules),
-        corrupt_injected=int(corrupted.sum()),
+        corrupt_injected=len(set(collided).union(rows.tolist())),
         corrupt_detected=n_ended - int(ok.sum()),
         timeout_recoveries=recoveries,
         collisions=collisions,
         round_periods=_round_periods(ended, t_end),
-        frame_log=_frame_log(t_end, ended, frames, ok) if record_frames else None,
+        frame_log=_frame_log(t_end, ended, ok, zero, rows, flips) if record_frames else None,
         frame_ends=t_end,
         frame_modules=ended,
     )
@@ -585,13 +582,11 @@ def simulate_ring(n_modules: int, config: LineConfig, duration: float,
 def _round_periods(module, t_end):
     """min/mean/max/count of each frame's period since its module's
     previous frame, taken in end order; {} when no module sent twice."""
-    periods = np.empty(len(module))
-    has_prev = np.zeros(len(module), dtype=bool)
+    periods = np.full(len(module), np.nan)
     for m in np.flatnonzero(np.bincount(module) > 1):
         idx = np.flatnonzero(module == m)
         periods[idx[1:]] = np.diff(t_end[idx])
-        has_prev[idx[1:]] = True
-    periods = periods[has_prev]
+    periods = periods[~np.isnan(periods)]
     if not periods.size:
         return {}
     return {
@@ -602,10 +597,14 @@ def _round_periods(module, t_end):
     }
 
 
-def _frame_log(t_end, module, frames, ok, chunk=4096):
-    """frame_log entries (t, module id, 11 frame bytes, ok) as Python
-    objects, made a chunk at a time: the log is the run's peak memory, and
-    whole-run Python lists next to it would raise that peak."""
+def _frame_log(t_end, module, ok, zero, rows, flips, chunk=4096):
+    """frame_log entries (t, module id, 11 frame bytes, ok) of the ended
+    frames, each its module's zero frame or its row of flips, made a chunk
+    at a time: the log is the run's peak memory, and whole-run Python lists
+    next to it would raise that peak."""
+    frames = zero[module]
+    ended = rows < len(module)
+    frames[rows[ended]] = flips[ended]
     log = []
     for lo in range(0, len(frames), chunk):
         blob = frames[lo:lo + chunk].tobytes()

@@ -280,20 +280,6 @@ class TestRingSimulation:
         assert a.corrupt_injected == b.corrupt_injected
         assert a.round_periods == b.round_periods
 
-    def test_sample_source_payload_reaches_host(self):
-        cfg = bus.LineConfig()
-
-        def source(mid, t):
-            return bus.FluxSample(mid, np.array([mid * 0.1, 0.0, -mid * 0.1]))
-
-        stats = bus.simulate_ring(4, cfg, duration=0.01, faults=None,
-                                  sample_source=source, record_frames=True)
-        for t, i, frame, ok in stats.frame_log:
-            assert ok
-            s = bus.decode_frame(frame)
-            assert s.module_id == i
-            assert s.flux_mt[0] == pytest.approx(i * 0.1, abs=1e-9)
-
     def test_config_errors(self):
         with pytest.raises(bus.BusError):
             bus.simulate_ring(0, bus.LineConfig(), 1.0)
@@ -312,21 +298,23 @@ class TestRingSimulation:
         with pytest.raises(bus.BusError, match="n_modules must be 1-256"):
             bus.simulate_ring(n, bus.LineConfig(), 0.01)
 
-    @pytest.mark.parametrize("over", [False, True])
+    @pytest.mark.parametrize("over", [False, True, "log"])
     def test_frame_count_bound_comes_before_scheduling(self, over, monkeypatch):
-        # a ring past the bound would allocate about 45 B a frame until the
-        # machine runs out, so it is refused before anything is scheduled;
-        # one at the bound reaches the (patched) schedule
+        # a ring past the bound would allocate about 31 B a frame (174 B with
+        # its frame log, whose bound is lower) until the machine runs out, so
+        # it is refused before anything is scheduled; one at the bound
+        # reaches the (patched) schedule
         def schedule(*args):
             raise AssertionError("scheduled")
 
         monkeypatch.setattr(bus, "_schedule_ring", schedule)
         line = bus.LineConfig()
-        duration = bus._MAX_FRAMES * (line.frame_time + line.inter_frame_gap) * (
+        limit = bus._MAX_LOGGED_FRAMES if over == "log" else bus._MAX_FRAMES
+        duration = limit * (line.frame_time + line.inter_frame_gap) * (
             1.001 if over else 0.999)
         if over:
             with pytest.raises(bus.BusError, match=re.escape(f"duration {duration!r} s")):
-                bus.simulate_ring(10, line, duration)
+                bus.simulate_ring(10, line, duration, record_frames=over == "log")
         else:
             with pytest.raises(AssertionError, match="scheduled"):
                 bus.simulate_ring(10, line, duration)
@@ -395,12 +383,12 @@ class TestRingSimulation:
         assert doc["corrupt_detected"] <= doc["corrupt_injected"]
 
 
-def reference_ring(n_modules, config, duration, faults, rng, source=None):
+def reference_ring(n_modules, config, duration, faults, rng):
     """The per-module scheduler that simulate_ring replaced: every frame end
     pushes one fire entry for each live module, stamped with that module's
     generation, and all but the next transmitter's go stale.  Each started
-    frame carries source(module_id, t), by default zero flux at 25 degC,
-    encoded and checked one frame at a time."""
+    frame carries zero flux at 25 degC, encoded and checked one frame at a
+    time."""
     alive = np.ones(n_modules, dtype=bool)
     gen = np.zeros(n_modules, dtype=np.int64)
     kills = sorted(faults.kills)
@@ -434,8 +422,7 @@ def reference_ring(n_modules, config, duration, faults, rng, source=None):
                 d[3] = True
                 push(now + d[2], "fire", (i, gen[i], False))
                 return
-        sample = bus.FluxSample(i, np.zeros(3)) if source is None else source(i, now)
-        frame = bytearray(bus.encode_frame(sample))
+        frame = bytearray(bus.encode_frame(bus.FluxSample(i, np.zeros(3))))
         record = [i, None, False]
         if now < line_busy_until:
             stats.collisions += 1
@@ -540,11 +527,10 @@ class TestReferenceScheduler:
     live module: frame log, counters and round periods are identical."""
 
     @staticmethod
-    def both(n, config, duration, plan, seed, source=None):
-        ring = bus.simulate_ring(n, config, duration, faults=plan, sample_source=source,
+    def both(n, config, duration, plan, seed):
+        ring = bus.simulate_ring(n, config, duration, faults=plan,
                                  rng=np.random.default_rng(seed), record_frames=True)
-        ref = reference_ring(n, config, duration, plan, np.random.default_rng(seed),
-                             source)
+        ref = reference_ring(n, config, duration, plan, np.random.default_rng(seed))
         assert ring.frame_log == ref.frame_log
         for name in ("corrupt_injected", "corrupt_detected", "timeout_recoveries",
                      "collisions"):
@@ -694,38 +680,6 @@ class TestReferenceScheduler:
         assert len(windows) == 3
         for t, tf in zip(windows, (0.005, 0.3, 0.6)):
             assert tf - round_p < t < tf + round_p
-
-    def test_sample_source_case(self):
-        # a payload that varies by module and time, through flips and a
-        # kill; the source sees the same (module, t) calls in the same order
-        calls = {"ring": [], "ref": []}
-
-        def source(into):
-            def sample(i, t):
-                calls[into].append((i, t))
-                return bus.FluxSample(i, [0.5 * i - 2.0, 1e3 * t, -0.25], temp_c=20.0 + 100.0 * t)
-            return sample
-
-        plan = bus.FaultPlan(kills=((0.01, 2),), flip_rate=0.05)
-        ring = bus.simulate_ring(6, bus.LineConfig(), 0.02, faults=plan,
-                                 sample_source=source("ring"),
-                                 rng=np.random.default_rng(4), record_frames=True)
-        ref = reference_ring(6, bus.LineConfig(), 0.02, plan, np.random.default_rng(4),
-                             source("ref"))
-        assert ring.frame_log == ref.frame_log
-        assert (ring.corrupt_injected, ring.corrupt_detected) == (
-            ref.corrupt_injected, ref.corrupt_detected)
-        assert np.array_equal(ring.frames_ok, ref.frames_ok)
-        assert calls["ring"] == calls["ref"] and len(calls["ring"]) >= len(ring.frame_log)
-        assert ring.corrupt_injected > 0 and ring.timeout_recoveries > 0
-        assert len({frame[2:10] for _, _, frame, _ in ring.frame_log}) > 100
-
-    def test_out_of_range_sample_raises(self):
-        def source(i, t):
-            return bus.FluxSample(i, [40.0 if t > 0.005 else 0.0, 0.0, 0.0])
-
-        with pytest.raises(bus.EncodingRangeError):
-            bus.simulate_ring(4, bus.LineConfig(), 0.01, sample_source=source)
 
 
 class TestMotorBudget:

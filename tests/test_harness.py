@@ -509,6 +509,19 @@ class TestCliBusBench:
         rc = harness.main(["--out", str(tmp_path), "bus-bench", "line_default"])
         assert rc == 0 and asked == [False, False, False]
 
+    def test_corruption_detect_frac_measures_crc(self, tmp_path, monkeypatch):
+        # a host check that accepts every frame lets every flip through: the
+        # bench measures what CRC-8 rejects, not which frames were flipped
+        def accept_all(frames):
+            return np.ones(len(frames), dtype=bool)
+
+        monkeypatch.setattr(busring, "check_frames", accept_all)
+        rc = harness.main(["--out", str(tmp_path), "bus-bench", "line_default"])
+        doc = json.loads((tmp_path / "bus_bench.json").read_text())
+        by_name = {m["name"]: m for m in doc["metrics"]}
+        assert rc == 1 and by_name["corruption_detect_frac"]["verdict"] == "FAIL"
+        assert by_name["corruption_detect_frac"]["value"] == 0.0
+
     def test_ring_too_long_to_hold_exits_2_before_scheduling(self, tmp_path, monkeypatch,
                                                              capsys):
         # 1e9 s of bus time would allocate until the machine runs out, so

@@ -491,6 +491,35 @@ class TestRunScenario:
         for k, s in zip(polls, sums):
             assert s == res.col("est_foot_sum")[k], k
 
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**16), x_start=st.floats(0.15, 0.3),
+           advance_speed=st.floats(0.0, 0.3), duration=st.floats(0.3, 0.6))
+    def test_supervisor_reads_est_foot_sum_generated(self, seed, x_start, advance_speed,
+                                                     duration):
+        # the listed-seed test above over generated shoreline runs, about
+        # half of which switch: each poll reads est_foot_sum at its tick, bit
+        # for bit, and a switch falls on the last poll read
+        sums = []
+        decide = cpg.transition_controller
+
+        def recording(load, cmd):
+            sums.append(load)
+            return decide(load, cmd)
+
+        sc = plant.Scenario(name="shore", terrain="shoreline", duration_s=duration,
+                            advance_speed=advance_speed, x_start=x_start,
+                            window_start=0.2, seed=seed)
+        with mock.patch.object(cpg, "transition_controller", recording):
+            res = plant.run_scenario(sc)
+        polls = [k for k in range(0, len(res.data), 20) if k * sc.dt >= cpg.SWITCH_HOLDOFF_S]
+        if res.switch_time is None:
+            assert len(sums) == len(polls)
+        else:
+            polls = polls[:len(sums)]
+            assert res.switch_time == res.col("t")[polls[-1]]
+        for k, s in zip(polls, sums):
+            assert s == res.col("est_foot_sum")[k], k
+
     def test_fin_stall_names_the_first_stalled_fin(self, monkeypatch):
         # the fins' streams are inverted in one call; a stall still names the
         # first fin, in module order, whose stream stalls, and its first

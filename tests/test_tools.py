@@ -4,11 +4,14 @@ perfbench/child.py and the scripts under benchmarks/ import amphisense
 modules and read names off them, some through hooks that take a name as a
 string.  Renaming or moving one of those names breaks the tools, not the
 package, so nothing else in the suite would notice.  These tests read the
-tools' sources and run neither.
+tools' sources and run neither.  The last two tests check how
+tools/bench_pair.py reads one perfbench invocation and sums up pairs,
+without running perfbench.
 """
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -67,3 +70,47 @@ def test_benchmark_script_names_resolve(script):
     assert used
     for name in sorted(used):
         _resolve(name)
+
+
+def _bench_pair():
+    spec = importlib.util.spec_from_file_location("bench_pair", ROOT / "tools" / "bench_pair.py")
+    bench_pair = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pair)
+    return bench_pair
+
+
+def test_bench_pair_counts_a_crashed_invocation_failed(tmp_path):
+    # perfbench/run.py exits 1 with only an error line when a BenchError ends it
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import sys\nprint('error: out of time', file=sys.stderr)\nsys.exit(1)\n")
+    run = _bench_pair().run_bench(str(tmp_path), "bus_faults", 1, 40)
+    assert run["exit"] == 1 and run["failed"] == 1 and not run["correct"]
+    assert run["metrics"] == {} and run["digest"] is None
+
+
+def test_bench_pair_summary_counts_wins_by_direction():
+    def side(rtf, rss, failed=0):
+        return {"metrics": {"rtf": rtf, "peak_rss_mb": rss}, "failed": failed}
+
+    crashed = {"metrics": {}, "failed": 1}
+    pairs = [{"parent": side(1.0, 40.0), "change": side(2.0, 40.0), "digest_equal": True},
+             {"parent": side(3.0, 41.0), "change": side(2.0, 39.0, 1), "digest_equal": False},
+             {"parent": crashed, "change": side(9.0, 30.0), "digest_equal": None}]
+    doc = _bench_pair().summarize(pairs, {"rtf": "higher", "setup_s": "lower",
+                                          "peak_rss_mb": "lower"})
+    # rtf: one higher, one lower; peak RSS: one tie (no win), one lower; the
+    # pair without the parent's metrics enters neither quartiles nor wins
+    assert doc["rtf"]["change_wins"] == 1 and doc["peak_rss_mb"]["change_wins"] == 1
+    assert doc["rtf"]["parent"] == {"median": 2.0, "q1": 1.5, "q3": 2.5}
+    assert doc["rtf"]["change"] == {"median": 2.0, "q1": 2.0, "q3": 2.0}
+    assert "setup_s" not in doc and doc["pairs"] == 3
+    assert doc["failed"] == {"parent": 1, "change": 1}
+    assert doc["no_metrics"] == {"parent": 1, "change": 0}
+    assert doc["digests_equal"] is False
+    # both sides crashed: no digest on either side is no evidence of equal digests
+    both = [{"parent": crashed, "change": crashed, "digest_equal": None}]
+    doc = _bench_pair().summarize(both, {"rtf": "higher"})
+    assert doc["digests_equal"] is False and "rtf" not in doc
+    assert doc["failed"] == {"parent": 1, "change": 1}
+    assert doc["no_metrics"] == {"parent": 1, "change": 1}
