@@ -19,17 +19,16 @@ Timing fidelity is at byte granularity (10-bit UART bytes); listeners
 arm off physical frame boundaries, so corrupted payloads perturb the
 host's data ledger but never the ring cadence.
 
-The simulator schedules the ring as one running sum between faults: while
-the set of live modules is fixed, every frame starts one gap plus one
-timeout per dead module skipped after the previous frame's end, so a block
-of start times is one np.add.accumulate.  Every kill and delay goes
-through an event loop, which runs just around the fault.  ring_starts is
-the fault-free schedule in closed form, which the plant samples.
+The simulator schedules the ring as one running sum: while the set of
+live modules is fixed, every frame starts one gap plus one timeout per
+dead module skipped after the previous frame's end, so a block of start
+times is one np.add.accumulate.  At a kill the sum marks the module dead
+and resumes from the last frame end.  ring_starts is the fault-free
+schedule in closed form, which the plant samples.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 import numbers
 import struct
@@ -43,6 +42,8 @@ CTRL_LEN = 3
 
 FLUX_LSB_MT = 0.001    # mT per count
 TEMP_LSB_C = 0.01      # degC per count
+# the LSB of each int16 word of a frame: three flux axes, then temperature
+_WORD_LSB = np.array([FLUX_LSB_MT, FLUX_LSB_MT, FLUX_LSB_MT, TEMP_LSB_C])
 
 
 class BusError(ValueError):
@@ -109,15 +110,14 @@ def quantize(values, lsb: float) -> np.ndarray:
     return counts.astype(np.int16)
 
 
-def encode_frames(module_ids, flux_mt, temp_c, flux_lsb: float = FLUX_LSB_MT,
-                  temp_lsb: float = TEMP_LSB_C) -> np.ndarray:
+def encode_frames(module_ids, flux_mt, temp_c) -> np.ndarray:
     """Serialize n samples, given as module ids (n,), flux (n, 3) in mT and
     temperatures (n,) in degC, to an (n, 11) uint8 array of wire frames."""
     ids = np.asarray(module_ids)
     if ids.size and (ids.dtype.kind not in "iu" or ids.min() < 0 or ids.max() > 0xFF):
         raise EncodingRangeError("module id must be an integer that fits one byte")
     words = quantize(np.column_stack([np.reshape(flux_mt, (-1, 3)), temp_c]),
-                     np.array([flux_lsb, flux_lsb, flux_lsb, temp_lsb]))
+                     _WORD_LSB)
     frames = np.empty((len(words), FRAME_LEN), dtype=np.uint8)
     frames[:, 0] = SYNC_DATA
     frames[:, 1] = ids
@@ -140,15 +140,12 @@ def check_frames(frames) -> np.ndarray:
     return (frames[:, 0] == SYNC_DATA) & (_crc8_columns(frames[:, 1:10]) == frames[:, 10])
 
 
-def encode_frame(sample: FluxSample, flux_lsb: float = FLUX_LSB_MT,
-                 temp_lsb: float = TEMP_LSB_C) -> bytes:
+def encode_frame(sample: FluxSample) -> bytes:
     """Serialize a sample to the 11-byte wire frame."""
-    return encode_frames([sample.module_id], sample.flux_mt, [sample.temp_c],
-                         flux_lsb, temp_lsb).tobytes()
+    return encode_frames([sample.module_id], sample.flux_mt, [sample.temp_c]).tobytes()
 
 
-def decode_frame(buf, flux_lsb: float = FLUX_LSB_MT,
-                 temp_lsb: float = TEMP_LSB_C) -> FluxSample:
+def decode_frame(buf) -> FluxSample:
     """Parse and validate one wire frame back into a FluxSample."""
     buf = bytes(buf)
     if len(buf) < FRAME_LEN:
@@ -161,8 +158,8 @@ def decode_frame(buf, flux_lsb: float = FLUX_LSB_MT,
     words = struct.unpack("<4h", body[1:])
     return FluxSample(
         module_id=body[0],
-        flux_mt=np.array(words[:3], dtype=float) * flux_lsb,
-        temp_c=words[3] * temp_lsb,
+        flux_mt=np.array(words[:3], dtype=float) * FLUX_LSB_MT,
+        temp_c=words[3] * TEMP_LSB_C,
     )
 
 
@@ -232,31 +229,32 @@ def motor_bus_budget(n_motors: int, t_write: float, t_read: float) -> float:
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """Scheduled failures: permanent kills, one-shot delays, random flips.
+    """Scheduled failures: permanent kills and random flips.
 
-    kills: (time_s, module_id) pairs; the module never transmits again.
-    delays: (time_s, module_id, extra_s) — the module's next transmission
-        after time_s starts late by extra_s.
+    kills: (time_s, module_id) pairs; from time_s on, the module never
+        starts a frame again.
     flip_rate: probability that a transmitted frame has one random bit
         of its id/payload/crc region flipped as seen by the host.
     """
 
     kills: tuple = ()
-    delays: tuple = ()
     flip_rate: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.flip_rate <= 1.0:
             raise BusError("flip_rate must be in [0, 1]")
-        # NaN fails both; a negative delay would start a frame before it is due
-        if not all(abs(t) < float("inf") for t, *_ in (*self.kills, *self.delays)):
-            raise BusError("kill and delay times must be finite")
-        if not all(0.0 <= extra < float("inf") for *_, extra in self.delays):
-            raise BusError("delays must be non-negative and finite")
+        # a NaN kill would never take effect and hold back every later one
+        if not all(abs(t) < float("inf") for t, _ in self.kills):
+            raise BusError("kill times must be finite")
 
 
 @dataclass
 class RingStats:
+    """What the host saw of one ring run: per-module frame counts, fault
+    counters and round periods.  corrupt_injected counts the flipped
+    frames that started.  collisions is always 0, as no two frames share
+    the line; it stays in the stats and their JSON for their readers."""
+
     n_modules: int
     duration: float
     frames_sent: np.ndarray
@@ -297,7 +295,7 @@ class RingStats:
         return doc
 
 
-# frames per block of the running sum between faults
+# frames per block of the running sum between kills
 _BLOCK = 2048
 # the most fault-free frames a ring may hold: 18 min of bus time on the default
 # line.  The schedule and the array pass peak at 31 B a frame (tracemalloc, 1M
@@ -305,29 +303,25 @@ _BLOCK = 2048
 # a ring peaks at 174 B a frame, and may hold as many as fit that budget
 _MAX_FRAMES = 2 ** 23
 _MAX_LOGGED_FRAMES = _MAX_FRAMES * 31 // 174
-# event kinds of the ring's queue
-_ARM, _FIRE, _END = 0, 1, 2
 
 
 def _schedule_ring(n_modules, config, duration, faults, rng):
     """The ring's timing alone: which module starts a frame when.
 
-    Returns (start, module, collided, flipped, timeout_recoveries,
-    collisions).  Frames are numbered in start order, which is time order;
-    start and module hold each one's start time (array 'd') and module id
-    ('i').  The rare faults are listed by frame number: collided holds the
-    frames a collision corrupted, flipped (frame, bit) pairs, the bit
-    counted over the id/payload/crc region.
+    Returns (start, module, flipped, timeout_recoveries).  Frames are
+    numbered in start order, which is time order; start and module hold
+    each one's start time (array 'd') and module id ('i').  flipped lists
+    the (frame, bit) pairs of the bit flips, the bit counted over the
+    id/payload/crc region.
 
-    Between faults the set of live modules is fixed, so each frame's
-    start is the previous frame's end plus the gap plus one timeout per
-    dead module skipped: a block of frames is one running sum over
-    [end, gap, waits*timeout, frame_time, gap, ...], added in the event
-    loop's order, so bit-equal to it.  The sum stops at the first frame
-    whose module has a kill or an unused delay due by its start, and hands
-    the ring to _event_window from the frame end before; the window
-    applies every kill and delay, and the sum resumes from its last frame
-    end.  The bit flips are drawn afterwards, frame by frame in start
+    While the set of live modules is fixed, each frame's start is the
+    previous frame's end plus the gap plus one timeout per dead module
+    skipped: a block of frames is one running sum over [end, gap,
+    waits*timeout, frame_time, gap, ...], which adds the module's rearm
+    time t_end + gap + k*timeout as the watchdogs do.  The sum stops at
+    the first frame whose module has a kill due by its start, marks dead
+    every module whose kill is due by then, and resumes from the frame end
+    before.  The bit flips are drawn afterwards, frame by frame in start
     order.
     """
     # imported here, so that runs which never simulate the ring do not map
@@ -337,23 +331,18 @@ def _schedule_ring(n_modules, config, duration, faults, rng):
     gap, timeout, frame_time = config.inter_frame_gap, config.timeout, config.frame_time
     alive = [True] * n_modules
     kills = sorted(faults.kills)
-    delays = sorted([list(d) + [False] for d in faults.delays])
     start, module = array("d"), array("i")
-    collided = []
-    recoveries = collisions = 0
+    recoveries = 0
     # the host start broadcast acts as a frame from module n-1
     t_end, last = config.ctrl_time, n_modules - 1
     while True:
         live = np.flatnonzero(alive)
         if not live.size:
             break
-        # each module's next fault: its earliest kill or unused delay
+        # each module's earliest kill
         due = np.full(n_modules, np.inf)
         for tk, m in reversed(kills):
             due[m] = tk
-        for td, m, _, used in delays:
-            if not used and td < due[m]:
-                due[m] = td
         # the live modules in ring order from the one after `last`, repeated
         # for a whole number of rounds per block, and the timeouts each
         # frame waits: one per dead module it skips (n - 1 for a lone
@@ -389,89 +378,11 @@ def _schedule_ring(n_modules, config, duration, faults, rng):
             vals[2] = waits[0] * timeout
         if f == n:
             break
-        t_end, last, n_recovered, n_collided = _event_window(
-            t_end, last, n_modules, config, duration, alive, kills, delays, start,
-            module, collided)
-        recoveries += n_recovered
-        collisions += n_collided
-        if t_end is None:
-            break
-    flipped = _draw_flips(len(start), faults.flip_rate, rng)
-    return start, module, collided, flipped, recoveries, collisions
-
-
-def _event_window(t_end, last, n_modules, config, duration, alive, kills, delays,
-                  start, module, collided):
-    """The ring's event loop from the end, at t_end, of a frame from module
-    `last` to the first later frame end with no other frame in flight.
-
-    Appends the frames it starts to start and module, and the collided
-    ones to collided; marks the delays it takes and kills the modules
-    whose kills it passes.  Returns (t_end, module, recoveries, collisions):
-    the time and module of that last frame end, both None when the run
-    ends first, and the counts the window added.
-    """
-    gap, timeout, frame_time = config.inter_frame_gap, config.timeout, config.frame_time
-    recoveries = collisions = in_flight = 0
-    busy_until = t_end
-    push, pop = heapq.heappush, heapq.heappop
-
-    # entries: (time, seq, kind, module, step, t_end, gen).  A rearm by the
-    # frame that ended at t_end reserves n sequence numbers from `gen` and
-    # module i's step sorts at gen + i, so ties pop in module order.  The
-    # ring generation is the latest rearm's `gen`; an `arm` or delayed
-    # `fire` entry of an older generation is stale.
-    first = (last + 1) % n_modules
-    events = [(t_end + gap, first, _ARM, first, 0, t_end, 0)]
-    seq = n_modules
-    gen = 0
-    while events:
-        t, _, kind, i, k, t_end, g = pop(events)
-        if t > duration:
-            break
-        while kills and kills[0][0] <= t:
+        # frame f's module is dead by its turn: so is every module whose
+        # kill is due by then, and the sum resumes from t_end
+        while kills and kills[0][0] <= starts[f]:
             alive[kills.pop(0)[1]] = False
-        if kind == _END:
-            in_flight -= 1
-            if not in_flight:
-                return t, i, recoveries, collisions
-            gen = seq
-            i = (i + 1) % n_modules
-            push(events, (t + gap, gen + i, _ARM, i, 0, t, gen))
-            seq += n_modules
-            continue
-        if kind == _ARM:
-            if g != gen:
-                continue
-            if k + 1 < n_modules:
-                nxt = (i + 1) % n_modules
-                push(events, (t_end + gap + (k + 1) * timeout, g + nxt,
-                              _ARM, nxt, k + 1, t_end, g))
-            if not alive[i]:
-                continue
-            recoveries += k > 0
-        elif g != gen or not alive[i]:
-            continue
-        for d in delays:
-            if d[1] == i and d[0] <= t and not d[3]:
-                d[3] = True
-                push(events, (t + d[2], seq, _FIRE, i, 0, 0.0, gen))
-                seq += 1
-                break
-        else:
-            if t < busy_until:
-                # half-duplex collision: both frames are lost deterministically
-                collisions += 1
-                collided += (len(start) - 1, len(start))
-            start.append(t)
-            module.append(i)
-            t_end = t + frame_time
-            if t_end > busy_until:
-                busy_until = t_end
-            push(events, (t_end, seq, _END, i, 0, 0.0, 0))
-            seq += 1
-            in_flight += 1
-    return None, None, recoveries, collisions
+    return start, module, _draw_flips(len(start), faults.flip_rate, rng), recoveries
 
 
 def _draw_flips(n_frames, flip_rate, rng):
@@ -517,14 +428,14 @@ def simulate_ring(n_modules: int, config: LineConfig, duration: float,
     of one timeout each (self-healing).  The host start broadcast acts as
     a virtual frame from module n-1, so module 0 opens every run.
 
-    The schedule is a running sum between faults, with an event loop (one
-    queue entry per frame end) around every kill and delay; it keeps timing
-    only.  A ring of over _MAX_FRAMES fault-free frames (_MAX_LOGGED_FRAMES
-    with record_frames) is refused up front.  Every module sends zero flux
-    at 25 degC, so the host checks each module's frame once: an ended frame
-    is ok when it did not collide and its module's frame, or its own bytes
-    if flipped, pass sync and CRC-8.  `rng` draws the bit flips (None:
-    np.random.default_rng(0)).
+    The schedule is a running sum that restarts at each kill; it keeps
+    timing only.  One frame is on the line at a time, since a module keys
+    the line only after the frame before it has ended.  A ring of over
+    _MAX_FRAMES fault-free frames (_MAX_LOGGED_FRAMES with record_frames)
+    is refused up front.  Every module sends zero flux at 25 degC, so the
+    host checks each module's frame once: an ended frame is ok when its
+    module's frame, or its own bytes if flipped, pass sync and CRC-8.
+    `rng` draws the bit flips (None: np.random.default_rng(0)).
 
     Returns accumulated RingStats; protocol anomalies are counted, not
     raised.  Its frame_ends and frame_modules hold each ended frame's end
@@ -541,11 +452,11 @@ def simulate_ring(n_modules: int, config: LineConfig, duration: float,
     if duration / (config.frame_time + config.inter_frame_gap) > limit:
         raise BusError(f"duration {duration!r} s is over {limit} frames on this line")
     faults = faults or FaultPlan()
-    for _, mid, *_ in (*faults.kills, *faults.delays):
+    for _, mid in faults.kills:
         if not 0 <= mid < n_modules:
             raise BusError("fault targets unknown module")
-    start, module, collided, flipped, recoveries, collisions = _schedule_ring(
-        n_modules, config, duration, faults, rng)
+    start, module, flipped, recoveries = _schedule_ring(n_modules, config, duration,
+                                                        faults, rng)
 
     zero = encode_frames(np.arange(n_modules), np.zeros((n_modules, 3)),
                          np.full(n_modules, 25.0))
@@ -555,8 +466,6 @@ def simulate_ring(n_modules: int, config: LineConfig, duration: float,
     flips[np.arange(len(rows)), 1 + bits // 8] ^= np.left_shift(1, bits % 8).astype(np.uint8)
     ok = check_frames(zero)[module]
     ok[rows] = check_frames(flips)
-    # a collided frame is garbled on the line, though its bytes here are not
-    ok[collided] = False
 
     # the start times become end times in place: the schedule is spent
     t_end = np.asarray(start)
@@ -568,10 +477,9 @@ def simulate_ring(n_modules: int, config: LineConfig, duration: float,
         duration=duration,
         frames_sent=np.bincount(ended, minlength=n_modules),
         frames_ok=np.bincount(ended[ok], minlength=n_modules),
-        corrupt_injected=len(set(collided).union(rows.tolist())),
+        corrupt_injected=len(rows),
         corrupt_detected=n_ended - int(ok.sum()),
         timeout_recoveries=recoveries,
-        collisions=collisions,
         round_periods=_round_periods(ended, t_end),
         frame_log=_frame_log(t_end, ended, ok, zero, rows, flips) if record_frames else None,
         frame_ends=t_end,
@@ -597,7 +505,11 @@ def _round_periods(module, t_end):
     }
 
 
-def _frame_log(t_end, module, ok, zero, rows, flips, chunk=4096):
+# frames per chunk of the frame log
+_LOG_CHUNK = 4096
+
+
+def _frame_log(t_end, module, ok, zero, rows, flips):
     """frame_log entries (t, module id, 11 frame bytes, ok) of the ended
     frames, each its module's zero frame or its row of flips, made a chunk
     at a time: the log is the run's peak memory, and whole-run Python lists
@@ -606,9 +518,10 @@ def _frame_log(t_end, module, ok, zero, rows, flips, chunk=4096):
     ended = rows < len(module)
     frames[rows[ended]] = flips[ended]
     log = []
-    for lo in range(0, len(frames), chunk):
-        blob = frames[lo:lo + chunk].tobytes()
-        log.extend(zip(t_end[lo:lo + chunk].tolist(), module[lo:lo + chunk].tolist(),
+    for lo in range(0, len(frames), _LOG_CHUNK):
+        hi = lo + _LOG_CHUNK
+        blob = frames[lo:hi].tobytes()
+        log.extend(zip(t_end[lo:hi].tolist(), module[lo:hi].tolist(),
                        [blob[k:k + FRAME_LEN] for k in range(0, len(blob), FRAME_LEN)],
-                       ok[lo:lo + chunk].tolist()))
+                       ok[lo:hi].tolist()))
     return log

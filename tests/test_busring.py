@@ -194,7 +194,7 @@ class TestLineConfig:
 class TestRingSimulation:
     @pytest.mark.parametrize("duration", [0.0, -1.0, float("nan"), float("inf")])
     def test_duration_must_be_positive_and_finite(self, duration):
-        # an infinite or NaN duration would never end the event loop
+        # an infinite or NaN duration would never end the schedule
         with pytest.raises(bus.BusError):
             bus.simulate_ring(3, bus.LineConfig(), duration)
 
@@ -261,14 +261,6 @@ class TestRingSimulation:
         assert stats.corrupt_detected == stats.corrupt_injected
         assert stats.frames_ok.sum() == stats.frames_sent.sum() - stats.corrupt_injected
 
-    def test_delay_fault_absorbed(self):
-        cfg = bus.LineConfig()
-        plan = bus.FaultPlan(delays=((0.5, 2, 50e-6),))
-        stats = bus.simulate_ring(10, cfg, duration=1.0, faults=plan)
-        assert stats.collisions == 0
-        assert stats.timeout_recoveries == 0
-        assert stats.round_periods["max"] <= bus.ring_round_period(10, cfg) + 50e-6 + 1e-12
-
     def test_determinism(self):
         cfg = bus.LineConfig()
         plan = bus.FaultPlan(flip_rate=0.1, kills=((0.7, 5),))
@@ -331,7 +323,7 @@ class TestRingSimulation:
         monkeypatch.setattr(np.random, "default_rng", default_rng)
         bus.simulate_ring(10, bus.LineConfig(), 0.05)
         bus.simulate_ring(10, bus.LineConfig(), 0.05,
-                          faults=bus.FaultPlan(kills=((0.02, 3),), delays=((0.01, 4, 1e-4),)))
+                          faults=bus.FaultPlan(kills=((0.02, 3),)))
 
     def test_default_generator_draws_as_seed_zero(self):
         plan = bus.FaultPlan(flip_rate=0.05)
@@ -358,22 +350,23 @@ class TestRingSimulation:
     @pytest.mark.parametrize("plan", [
         {"kills": ((float("nan"), 2), (0.001, 3))},
         {"kills": ((float("inf"), 2),)},
-        {"delays": ((float("nan"), 2, 1e-4),)},
-        {"delays": ((0.005, 2, -3e-4),)},
-        {"delays": ((0.005, 2, float("inf")),)},
     ])
     def test_fault_times_must_be_finite(self, plan):
         # a NaN kill at the head of the kills never took effect and held
-        # back every later one; a negative delay started a frame before
-        # the previous one ended
+        # back every later one
         with pytest.raises(bus.BusError):
             bus.FaultPlan(**plan)
 
     @pytest.mark.parametrize("mid", [-1, 4, 99])
-    def test_delay_targets_known_module(self, mid):
-        with pytest.raises(bus.BusError):
+    def test_kill_targets_known_module(self, mid, monkeypatch):
+        # refused before anything is scheduled
+        def schedule(*args):
+            raise AssertionError("scheduled")
+
+        monkeypatch.setattr(bus, "_schedule_ring", schedule)
+        with pytest.raises(bus.BusError, match="unknown module"):
             bus.simulate_ring(4, bus.LineConfig(), 0.01,
-                              faults=bus.FaultPlan(delays=((0.005, mid, 1e-4),)))
+                              faults=bus.FaultPlan(kills=((0.005, mid),)))
 
     def test_stats_json(self, tmp_path):
         stats = bus.simulate_ring(3, bus.LineConfig(), duration=0.1)
@@ -392,7 +385,6 @@ def reference_ring(n_modules, config, duration, faults, rng):
     alive = np.ones(n_modules, dtype=bool)
     gen = np.zeros(n_modules, dtype=np.int64)
     kills = sorted(faults.kills)
-    delays = sorted([list(d) + [False] for d in faults.delays])
     stats = bus.RingStats(n_modules, duration, np.zeros(n_modules, dtype=np.int64),
                           np.zeros(n_modules, dtype=np.int64), frame_log=[])
     last_end = np.full(n_modules, np.nan)
@@ -417,11 +409,6 @@ def reference_ring(n_modules, config, duration, faults, rng):
 
     def start_tx(i, now):
         nonlocal line_busy_until, inflight
-        for d in delays:
-            if d[1] == i and d[0] <= now and not d[3]:
-                d[3] = True
-                push(now + d[2], "fire", (i, gen[i], False))
-                return
         frame = bytearray(bus.encode_frame(bus.FluxSample(i, np.zeros(3))))
         record = [i, None, False]
         if now < line_busy_until:
@@ -485,8 +472,8 @@ def reference_ring(n_modules, config, duration, faults, rng):
 @st.composite
 def ring_plans(draw):
     """(n_modules, LineConfig, duration, FaultPlan, seed): timeouts from just
-    past one frame, gaps up to 20 us, up to 2 kills and 3 delays of up to
-    2 ms, and no, rare or heavy bit flips."""
+    past one frame, gaps up to 20 us, up to 2 kills, and no, rare or heavy
+    bit flips."""
     n = draw(st.integers(1, 10))
     config = bus.LineConfig(inter_frame_gap=draw(st.floats(0.0, 20e-6)),
                             timeout=draw(st.floats(111e-6, 1e-3)))
@@ -495,8 +482,6 @@ def ring_plans(draw):
     module = st.integers(0, n - 1)
     plan = bus.FaultPlan(
         kills=tuple(draw(st.lists(st.tuples(when, module), max_size=2))),
-        delays=tuple(draw(st.lists(st.tuples(when, module, st.floats(0.0, 2e-3)),
-                                   max_size=3))),
         flip_rate=draw(st.sampled_from([0.0, 1e-3, 0.3])),
     )
     return n, config, duration, plan, draw(st.integers(0, 2**32 - 1))
@@ -504,8 +489,8 @@ def ring_plans(draw):
 
 @st.composite
 def delay_free_plans(draw):
-    """(n_modules, LineConfig, duration, FaultPlan, seed) without delays,
-    over longer runs: 1-12 modules, three baud rates, up to 3 kills and
+    """(n_modules, LineConfig, duration, FaultPlan, seed) over longer runs
+    than ring_plans: 1-12 modules, three baud rates, up to 3 kills and
     flip rates from none to every frame."""
     n = draw(st.integers(1, 12))
     baud = draw(st.sampled_from([500_000, 1_000_000, 2_000_000]))
@@ -523,8 +508,8 @@ def delay_free_plans(draw):
 
 
 class TestReferenceScheduler:
-    """simulate_ring's single walking `arm` entry against one fire entry per
-    live module: frame log, counters and round periods are identical."""
+    """simulate_ring's running sum against one fire entry per live module:
+    frame log, counters and round periods are identical."""
 
     @staticmethod
     def both(n, config, duration, plan, seed):
@@ -544,21 +529,6 @@ class TestReferenceScheduler:
     @given(ring_plans())
     def test_matches_per_module_entries(self, case):
         self.both(*case)
-
-    def test_collision_case(self):
-        # module 2 starts 200 us late and is still on the line when module
-        # 3's first timeout (260 us) fires
-        plan = bus.FaultPlan(delays=((0.005, 2, 200e-6),))
-        ring = self.both(10, bus.LineConfig(), 0.02, plan, 0)
-        assert ring.collisions > 0
-
-    def test_tie_case(self):
-        # module 2 starts exactly one timeout late, at the very time module
-        # 3's first timeout fires: the earlier-queued timeout pops first
-        cfg = bus.LineConfig()
-        plan = bus.FaultPlan(delays=((0.005, 2, cfg.timeout),))
-        ring = self.both(10, cfg, 0.02, plan, 0)
-        assert ring.collisions > 0
 
     def test_recovery_case(self):
         plan = bus.FaultPlan(kills=((0.005, 3), (0.01, 4)), flip_rate=0.3)
@@ -637,49 +607,11 @@ class TestReferenceScheduler:
         assert ring.frames_sent[0] == 0 and ring.frame_log[0][1] == 1
 
     def test_run_spans_several_blocks(self):
-        # 7,692 frames: a kill, a delay and bit flips across block boundaries
-        plan = bus.FaultPlan(kills=((0.4, 3),), delays=((0.7, 6, 50e-6),), flip_rate=1e-3)
+        # 7,692 frames: a kill and bit flips across block boundaries
+        plan = bus.FaultPlan(kills=((0.4, 3),), flip_rate=1e-3)
         ring = self.both(10, bus.LineConfig(), 1.0, plan, 2)
         assert ring.frames_sent.sum() > 3 * bus._BLOCK
         assert ring.corrupt_injected > 0 and ring.timeout_recoveries > 0
-
-    @pytest.mark.parametrize("kill", [(0.0051, 5), (0.0053, 4), (0.0049, 5)])
-    def test_delay_window_next_to_a_kill(self, kill):
-        # module 4 starts 200 us late around 5.3 ms, while its successor
-        # dies, or it dies itself during its delay
-        plan = bus.FaultPlan(kills=(kill,), delays=((0.005, 4, 200e-6),))
-        self.both(10, bus.LineConfig(), 0.02, plan, 0)
-
-    def test_event_loop_runs_only_around_faults(self, monkeypatch):
-        windows = []
-        inner = bus._event_window
-
-        def window(*args):
-            windows.append(args[0])
-            return inner(*args)
-
-        monkeypatch.setattr(bus, "_event_window", window)
-        line = bus.LineConfig()
-        round_p = bus.ring_round_period(10, line)
-        bus.simulate_ring(10, line, 1.0)
-        bus.simulate_ring(10, line, 1.0, faults=bus.FaultPlan(flip_rate=0.01))
-        assert windows == []
-        # each kill is resolved by one window, from a frame end within a
-        # round of the kill
-        kills = ((0.3, 2), (0.5, 7))
-        bus.simulate_ring(10, line, 1.0, faults=bus.FaultPlan(kills=kills, flip_rate=0.01))
-        assert len(windows) == 2
-        for t, (tk, _) in zip(windows, kills):
-            assert tk - round_p < t < tk + round_p
-        # one window per kill and per delay that takes effect: module 2 is
-        # dead by its delay's time
-        windows.clear()
-        plan = bus.FaultPlan(kills=((0.3, 2),), delays=((0.005, 4, 50e-6), (0.6, 1, 1e-3),
-                                                        (0.7, 2, 1e-4)))
-        bus.simulate_ring(10, line, 1.0, faults=plan)
-        assert len(windows) == 3
-        for t, tf in zip(windows, (0.005, 0.3, 0.6)):
-            assert tf - round_p < t < tf + round_p
 
 
 class TestMotorBudget:

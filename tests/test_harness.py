@@ -5,9 +5,14 @@ phase.  CLI tests drive main() on a short swimming scenario shared by
 the module so the plant runs once.
 """
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
+import pathlib
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -486,6 +491,52 @@ class TestCliCalibrate:
         assert len(list(tmp_path.glob("flow_*_model.json"))) == 2
 
 
+# values a bus-bench config must refuse in any numeric field
+BAD_VALUES = st.sampled_from([None, True, False, "x", "", [], [1.0], {}, float("nan"),
+                              float("inf"), -1, -1.5, 10 ** 400])
+
+# accepted values of each LineFile field: rings of at most 0.05 s on lines
+# of at most 4 Mbaud, so at most 18k frames each
+LINE_FIELDS = {
+    "n_modules": st.integers(1, 12) | st.just(256),
+    "duration_s": st.floats(1e-4, 0.05),
+    "baud": st.integers(1, 4_000_000),
+    "bits_per_byte": st.integers(1, 12),
+    "inter_frame_gap": st.floats(0.0, 1e-4),
+    "flip_rate": st.floats(0.0, 1.0),
+    "kill_at": st.none() | st.floats(-0.01, 0.06),
+    "expect_rate_hz": st.floats(0.0, 1e6),
+    "n_motors": st.integers(1, 32),
+    "t_write": st.floats(1e-7, 1e-3),
+    "t_read": st.floats(1e-7, 1e-3),
+    "seed": st.integers(0, 2 ** 70),
+}
+
+# values out of a field's range, besides BAD_VALUES; a duration of 1e15 s is
+# over 2^23 frames of any line above, so it is refused before scheduling
+OUT_OF_RANGE = {
+    "n_modules": st.sampled_from([0, 257, 10 ** 17]),
+    "duration_s": st.just(0.0) | st.floats(1e15, 1e300),
+    "baud": st.just(0),
+    "bits_per_byte": st.just(0),
+    "flip_rate": st.floats(1.0, 10.0, exclude_min=True),
+    "n_motors": st.just(0),
+    "t_write": st.just(0.0),
+    "t_read": st.just(0.0),
+}
+
+
+@st.composite
+def line_documents(draw):
+    """LineFile documents: duration_s (whose default is 2 s) and some of the
+    other fields accepted, then up to two fields wrong in type or range."""
+    doc = draw(st.fixed_dictionaries({"duration_s": LINE_FIELDS["duration_s"]}, optional={
+        k: v for k, v in LINE_FIELDS.items() if k != "duration_s"}))
+    for name in draw(st.lists(st.sampled_from(sorted(LINE_FIELDS)), max_size=2, unique=True)):
+        doc[name] = draw(OUT_OF_RANGE.get(name, BAD_VALUES) | BAD_VALUES)
+    return doc
+
+
 class TestCliBusBench:
     def test_default_line_passes(self, tmp_path):
         rc = harness.main(["--out", str(tmp_path), "bus-bench", "line_default"])
@@ -535,6 +586,39 @@ class TestCliBusBench:
         assert harness.main(["--out", str(tmp_path / "out"), "bus-bench", str(cfg)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "duration 1000000000.0" in err[0]
+
+    # a warning printed beside the error line breaks the one-line contract
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=100, deadline=None)
+    @given(line_documents())
+    def test_contract_over_generated_documents(self, doc):
+        # exit 0, 1 or 2; exit 2 prints one error line and no traceback, and
+        # nothing lands outside --out.  A duration past 0.05 s is past the
+        # ring's frame bound, so it must be refused before it is scheduled
+        schedule = busring._schedule_ring
+
+        def short_only(n, config, duration, *args):
+            assert duration <= 0.05, "a long ring was scheduled"
+            return schedule(n, config, duration, *args)
+
+        with tempfile.TemporaryDirectory() as root, \
+                mock.patch.object(busring, "_schedule_ring", short_only), \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            cfg = f"{root}/line.json"
+            with open(cfg, "w") as fh:
+                json.dump(doc, fh)
+            out = f"{root}/a/out"
+            code = harness.main(["--out", out, "bus-bench", cfg])
+            written = sorted(str(p) for p in pathlib.Path(root).rglob("*")
+                             if p.is_file())
+        assert code in (0, 1, 2)
+        assert all(p == cfg or p.startswith(out + "/") for p in written), written
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        else:
+            assert f"{out}/bus_bench.json" in written
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, 1.0]),

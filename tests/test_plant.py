@@ -520,6 +520,39 @@ class TestRunScenario:
         for k, s in zip(polls, sums):
             assert s == res.col("est_foot_sum")[k], k
 
+    @settings(max_examples=10, deadline=None)
+    @given(terrain=st.sampled_from(["floor", "water", "shoreline"]),
+           seed=st.integers(0, 2**16), x_start=st.floats(0.0, 0.4),
+           advance_speed=st.floats(0.0, 0.3), feedback=st.booleans(),
+           switch_t=st.none() | st.floats(0.0, 0.5), duration_s=st.floats(0.1, 0.5),
+           log_flux=st.lists(st.sampled_from(plant.SENSOR_NAMES), max_size=3, unique=True))
+    @example(terrain="shoreline", seed=1, x_start=0.3, advance_speed=0.0, feedback=True,
+             switch_t=None, duration_s=0.3, log_flux=[])    # a feedback switch at 0.06 s
+    @example(terrain="shoreline", seed=2, x_start=-0.2, advance_speed=0.0, feedback=False,
+             switch_t=0.15, duration_s=0.3, log_flux=["fin_tail"])   # an open-loop one
+    def test_trace_invariants_generated(self, terrain, seed, x_start, advance_speed,
+                                        feedback, switch_t, duration_s, log_flux):
+        # est_foot_sum is the in-order sum of the feet's est_*_fx columns, the
+        # mode never goes back from swimming, and the fins' truth is zero on
+        # the floor and on the shoreline until the switch
+        sc = plant.Scenario(name="inv", terrain=terrain, seed=seed, x_start=x_start,
+                            advance_speed=advance_speed, feedback=feedback,
+                            drive_switch_t=switch_t, duration_s=duration_s,
+                            log_flux=log_flux)
+        res = plant.run_scenario(sc)
+        fx = [res.col(f"est_{nm}_fx") for nm in plant.FOOT_NAMES]
+        np.testing.assert_array_equal(res.col("est_foot_sum"),
+                                      ((fx[0] + fx[1]) + fx[2]) + fx[3])
+        mode = res.col("mode")
+        assert set(np.unique(mode)) <= {0.0, 1.0} and np.all(np.diff(mode) >= 0.0)
+        if res.switch_time is not None:
+            assert mode[int(round(res.switch_time / sc.dt))] == 1.0
+        if terrain != "water":
+            dry = mode == 0.0 if terrain == "shoreline" else slice(None)
+            for nm in plant.FIN_NAMES:
+                for q in ("force", "angle"):
+                    assert np.all(res.col(f"gt_{nm}_{q}")[dry] == 0.0), (nm, q)
+
     def test_fin_stall_names_the_first_stalled_fin(self, monkeypatch):
         # the fins' streams are inverted in one call; a stall still names the
         # first fin, in module order, whose stream stalls, and its first
