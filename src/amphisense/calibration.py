@@ -266,12 +266,14 @@ def reference_torque(force: float, lever: float) -> float:
     return force * lever
 
 
-def fin_angle(pose: magnetics.FlowPose, rest_pose: magnetics.FlowPose,
-              min_radius: float = 1.0) -> float:
+FIN_MIN_RADIUS_MM = 1.0    # closer to the rotation axis, a spot has no angle
+
+
+def fin_angle(pose: magnetics.FlowPose, rest_pose: magnetics.FlowPose) -> float:
     """Signed fin rotation about z between the rest and current magnet spots."""
     ax, ay = rest_pose.p_x, rest_pose.p_y
     bx, by = pose.p_x, pose.p_y
-    if math.hypot(ax, ay) < min_radius or math.hypot(bx, by) < min_radius:
+    if math.hypot(ax, ay) < FIN_MIN_RADIUS_MM or math.hypot(bx, by) < FIN_MIN_RADIUS_MM:
         raise magnetics.DegeneratePoseError("magnet too close to the rotation axis")
     return math.atan2(ax * by - ay * bx, ax * bx + ay * by)
 
@@ -310,6 +312,12 @@ class JigConfig:
             raise CalibrationError(f"n_average must be at least 1, got {self.n_average!r}")
         if self.load_types is None:
             self.load_types = KINDS[self.kind].load_types
+
+    @property
+    def rows(self) -> int:
+        """A unit's bench rows: samples_per_cycle points a cycle, every load
+        type's cycles."""
+        return (self.n_train + self.n_eval) * self.samples_per_cycle * len(self.load_types)
 
 
 def _foot_cycle_loads(load_type, cfg: JigConfig):

@@ -43,6 +43,9 @@ R_LIMB_WALK = math.radians(20.0) / 2.0
 
 W_EDGE = 10.0   # coupling weight on every edge, 1/s
 A_RATE = 20.0   # amplitude convergence rate, 1/s
+# head-to-tail phase lag of the spine chain while swimming, spread evenly
+# over the 7 inter-joint gaps: one full wavelength
+AXIAL_TOTAL_LAG = TWO_PI
 
 FOOT_SUM_THRESHOLD_N = 7.0
 SWITCH_HOLDOFF_S = 0.05    # until every foot has reported; zeros read airborne
@@ -216,14 +219,8 @@ def initial_state(params: OscillatorParams, drive: float, rng=None):
     return phi, R.copy()
 
 
-def build_gait_network(axial_total_lag: float = TWO_PI):
+def build_gait_network():
     """Construct the 32-oscillator network.
-
-    Parameters
-    ----------
-    axial_total_lag : float
-        Head-to-tail phase lag of the spine chain during swimming, spread
-        evenly over the 7 inter-joint gaps (default one full wavelength).
 
     Returns
     -------
@@ -281,7 +278,7 @@ def build_gait_network(axial_total_lag: float = TWO_PI):
         add_sym(flexor[k], extensor[k], math.pi)
 
     # spine chain, head leads: phi drops by one gap per joint
-    gap = axial_total_lag / (N_AXIAL_JOINTS - 1)
+    gap = AXIAL_TOTAL_LAG / (N_AXIAL_JOINTS - 1)
     for k in range(N_AXIAL_JOINTS - 1):
         add_sym(flexor[k], flexor[k + 1], -gap)
         add_sym(extensor[k], extensor[k + 1], -gap)
@@ -401,9 +398,9 @@ class GaitCommand:
     drive: float
 
 
-def transition_controller(load: float, cmd: GaitCommand,
-                          threshold: float = FOOT_SUM_THRESHOLD_N) -> GaitCommand:
-    """One-way walk-to-swim supervisor on the summed foot load (N)."""
-    if cmd.mode is GaitMode.WALKING and load < threshold:
+def transition_controller(load: float, cmd: GaitCommand) -> GaitCommand:
+    """One-way walk-to-swim supervisor on the summed foot load (N): swims
+    from a load below FOOT_SUM_THRESHOLD_N."""
+    if cmd.mode is GaitMode.WALKING and load < FOOT_SUM_THRESHOLD_N:
         return GaitCommand(mode=GaitMode.SWIMMING, drive=D_SWIM)
     return cmd

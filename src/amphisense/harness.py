@@ -57,7 +57,7 @@ class EmptyTraceError(HarnessError):
 # signal measurements
 # ---------------------------------------------------------------------------
 
-def measure_frequency(t, x, min_cycles: int = MIN_CYCLES) -> float:
+def measure_frequency(t, x) -> float:
     """Fundamental frequency from mean-crossing intervals.
 
     Rising crossings of the de-meaned signal, linearly interpolated
@@ -70,10 +70,10 @@ def measure_frequency(t, x, min_cycles: int = MIN_CYCLES) -> float:
     below = xm[:-1] < 0.0
     above = xm[1:] >= 0.0
     idx = np.nonzero(below & above)[0]
-    if len(idx) < min_cycles + 1:
+    if len(idx) < MIN_CYCLES + 1:
         raise TraceTooShortError(
-            f"{len(idx)} rising crossings; need at least {min_cycles + 1} "
-            f"({min_cycles} full cycles)"
+            f"{len(idx)} rising crossings; need at least {MIN_CYCLES + 1} "
+            f"({MIN_CYCLES} full cycles)"
         )
     frac = -xm[idx] / (xm[idx + 1] - xm[idx])
     crossings = t[idx] + frac * (t[idx + 1] - t[idx])
@@ -576,14 +576,26 @@ def cmd_run(args) -> int:
     return 0 if report.all_pass else 1
 
 
+# Bytes calibrate holds a bench row: for each unit its flux, location, load
+# and labels, kept until the fits (tracemalloc read 84 B foot, 60 B flow),
+# and for each flux draw of the unit being drawn its three values
+_UNIT_ROW_BYTES = 96
+_DRAW_BYTES = 24
+
+
 def cmd_calibrate(args) -> int:
     cfg = _config(JigFile, args.jig)
     seed = args.seed if args.seed is not None else cfg.seed
-    os.makedirs(args.out, exist_ok=True)
-    report = MetricsReport(source=f"calibrate[{cfg.kind}]")
     lever = calibration.JigConfig.lever if cfg.lever is None else cfg.lever
     jig = calibration.JigConfig(kind=cfg.kind, lever=lever, noise_sigma=cfg.noise_sigma,
                                 n_average=cfg.n_average)
+    need = jig.rows * (cfg.n_units * _UNIT_ROW_BYTES + cfg.n_average * _DRAW_BYTES)
+    if need > plant._MAX_BYTES:
+        raise HarnessError(f"n_units {cfg.n_units} and n_average {cfg.n_average} ask for "
+                           f"{need >> 20} MiB of {cfg.kind} bench rows; calibrate holds at "
+                           f"most {plant._MAX_BYTES >> 20} MiB")
+    os.makedirs(args.out, exist_ok=True)
+    report = MetricsReport(source=f"calibrate[{cfg.kind}]")
     mods, rows = plant.KINDS[cfg.kind], calibration.KINDS[cfg.kind].report
     datasets = calibration.simulate_jigs(
         mods.transduce, mods.dipole, jig,

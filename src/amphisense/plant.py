@@ -350,6 +350,23 @@ def from_doc(cls, doc, error):
     return cls(**doc)
 
 
+# The most memory one run, or one calibrate config, may ask for.  A run holds
+# its trace, 8 B a column a tick, and a working set: the ring's sample ticks
+# and noise, at most one sample a module a tick, and its frame starts, which
+# outnumber the ticks at a long dt.  tracemalloc's peak grew by at most 941 B
+# a tick beyond the trace row (swim, dt 1-10 ms; 400 B at 1 ms).
+_MAX_BYTES = 2 ** 30
+_TICK_BYTES = 1024
+
+
+def _row_bytes(log_flux):
+    """A trace row's bytes: t, mode, drive, the joints, the feet's truth and
+    estimates, the fins' truth forces, angles and estimates, est_foot_sum,
+    and raw_* and filt_* of each logged module."""
+    n = 3 + cpg.N_JOINTS + 2 * 3 * len(FOOT_NAMES) + 3 * len(FIN_NAMES) + 1
+    return 8 * (n + 6 * len(log_flux))
+
+
 @dataclass
 class Scenario:
     """Staging for one run; JSON-serializable."""
@@ -387,6 +404,12 @@ class Scenario:
                 len(set(self.log_flux)) < len(self.log_flux):
             raise PlantError(f"log_flux must list distinct modules of {SENSOR_NAMES}, "
                              f"got {self.log_flux!r}")
+        # in floats, so no size is too large to compare
+        tick = _row_bytes(self.log_flux) + _TICK_BYTES
+        if self.duration_s / self.dt * tick > _MAX_BYTES:
+            raise PlantError(f"duration_s / dt is {self.duration_s / self.dt:.4g} ticks; a run "
+                             f"holds at most {_MAX_BYTES // tick} ticks of {tick} B "
+                             f"({_MAX_BYTES >> 20} MiB)")
 
     @property
     def weight_n(self) -> float:
@@ -483,43 +506,63 @@ class ScenarioResult:
         return cls(scenario=None, columns=header, data=data)
 
 
-def _ring_samples(n_steps, scenario, line):
-    """Per-module sample ticks and (n_i, 3) sensor noise on the fault-free
-    ring: each module samples at its frame starts (busring.ring_starts), on
-    the first tick at or after each and at most once a tick (binding only
-    when dt exceeds the round).  The noise is one block drawn in (tick,
-    module) order."""
-    n_mod, dt = len(SENSOR_NAMES), scenario.dt
-    due = busring.ring_starts(n_mod, line, n_steps * dt)
-    c = np.arange(due.shape[1])
+def _sample_ticks(due, dt, n_steps):
+    """The ticks before n_steps that a module samples at, from its frame
+    starts due: the first tick at or after each start, at most one a tick
+    (binding only when dt exceeds the round)."""
+    c = np.arange(len(due))
     tick = np.ceil(due / dt).astype(np.int64)
     tick -= (tick - 1) * dt >= due
     tick += tick * dt < due
-    tick = c + np.maximum.accumulate(tick - c, axis=1)
-    keep = tick < n_steps
-    mod = np.broadcast_to(np.arange(n_mod)[:, None], tick.shape)[keep]
-    noise = np.empty((len(mod), 3))
-    noise[np.lexsort((mod, tick[keep]))] = scenario.noise_sigma_mt * (
-        np.random.default_rng(scenario.seed * 100 + 7).standard_normal(noise.shape))
-    split = np.cumsum(keep.sum(axis=1))[:-1]
-    return np.split(tick[keep], split), np.split(noise, split)
+    tick = c + np.maximum.accumulate(tick - c)
+    return tick[tick < n_steps]
 
 
-def _oscillate(net, scenario, drive, phi, r, lo, hi):
-    """Step the network over ticks lo..hi-1 at each tick's drive and return
-    their joint targets.  Row k + 1 of phi, r keeps the state after tick k
-    (row 0 the initial one), which a later span resumes from."""
+def _ring_samples(n_steps, scenario, line):
+    """Per-module sample ticks and (n_i, 3) sensor noise on the fault-free
+    ring, each module at its frame starts (busring.ring_starts) by the tick
+    rule of _sample_ticks, one module at a time.
+
+    The noise is one stream drawn in (tick, module) order, _SPAN ticks at a
+    time: each window's draws are scaled and scattered into the modules'
+    arrays.  A generator draws the same stream in windows as in one block,
+    so no whole-ring block is held beside the modules' arrays."""
+    n_mod = len(SENSOR_NAMES)
+    ticks = [_sample_ticks(due, scenario.dt, n_steps)
+             for due in busring.ring_starts(n_mod, line, n_steps * scenario.dt)]
+    noise = [np.empty((len(tk), 3)) for tk in ticks]
+    rng = np.random.default_rng(scenario.seed * 100 + 7)
+    for k in range(0, n_steps, _SPAN):
+        cut = [np.searchsorted(tk, (k, k + _SPAN)) for tk in ticks]
+        key = np.concatenate([tk[a:b] * n_mod + i
+                              for i, (tk, (a, b)) in enumerate(zip(ticks, cut))])
+        block = np.empty((len(key), 3))    # the window's samples in module order
+        block[np.argsort(key)] = scenario.noise_sigma_mt * rng.standard_normal(block.shape)
+        at = 0
+        for (a, b), out in zip(cut, noise):
+            out[a:b] = block[at:at + b - a]
+            at += b - a
+    return ticks, noise
+
+
+def _oscillate(net, scenario, drive, state, lo, hi):
+    """Step the network from state, the (phi, r) after tick lo - 1 (the
+    initial one at lo = 0), over ticks lo..hi-1 at each tick's drive.
+    Returns their joint targets and the state after tick hi - 1, which the
+    next span resumes from; only the span's states are kept."""
     params, graph, jmap = net
-    for k in range(lo, hi):
-        phi[k + 1], r[k + 1] = cpg.step_network(phi[k], r[k], drive[k], params, graph,
-                                                scenario.dt)
-    out = cpg.oscillator_output(phi[lo + 1:hi + 1], r[lo + 1:hi + 1])
-    return cpg.joint_targets(out, jmap, scenario.gain)
+    phi, r = state
+    span = np.empty((2, hi - lo, cpg.N_OSC))
+    for j, k in enumerate(range(lo, hi)):
+        phi, r = cpg.step_network(phi, r, drive[k], params, graph, scenario.dt)
+        span[0, j], span[1, j] = phi, r
+    return cpg.joint_targets(cpg.oscillator_output(*span), jmap, scenario.gain), (phi, r)
 
 
-def _physics(scenario, swimming, x_body, data, col, lo, hi):
+def _physics(scenario, swimming, x_prev, data, col, lo, hi):
     """Body advance, contact wrenches and fin drag over ticks lo..hi-1 from
-    the joint columns of data; fills x_body and the wrench and fin columns."""
+    the joint columns of data, the body at x_prev before tick lo; fills the
+    wrench and fin columns and returns the body's x after tick hi - 1."""
     # each tick after its predecessor; tick 0 stands in for its own, so it
     # starts at rest
     rows = np.r_[max(lo - 1, 0), lo:hi]
@@ -527,8 +570,7 @@ def _physics(scenario, swimming, x_body, data, col, lo, hi):
     fk = _KIN.forward(qq)
     swim = swimming[lo:hi]
     speed = np.where(swim, scenario.swim_speed, scenario.advance_speed)
-    x_prev = x_body[lo - 1] if lo else scenario.x_start
-    x = x_body[lo:hi] = np.cumsum(np.r_[x_prev, speed * scenario.dt])[1:]
+    x = np.cumsum(np.r_[x_prev, speed * scenario.dt])[1:]
 
     # terrain under each foot and buoyancy from body immersion
     on_floor, wet = scenario.terrain == "floor", scenario.terrain == "water"
@@ -547,6 +589,7 @@ def _physics(scenario, swimming, x_body, data, col, lo, hi):
     f0 = col[f"gt_{FIN_NAMES[0]}_force"]    # fin forces, then fin angles
     data[lo:hi, f0:f0 + 2 * len(FIN_NAMES)] = np.where(
         wet, np.hstack([force[1:], angle[1:]]), 0.0)
+    return x[-1]
 
 
 def _sense(name, ticks, noise, data, col):
@@ -582,6 +625,13 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     est_foot_sum at its tick, and when a poll at tick k leaves walking the
     run swims on from tick k + 1 in spans of _SPAN ticks, so no tick is
     simulated twice.  An open-loop drive_switch_t switches at its tick.
+
+    Beside its trace a run keeps only each module's sample ticks and noise
+    (the noise until the module is sensed to its last sample) and
+    span-sized temporaries: the oscillator state and the body's position
+    are carried from span to span, and a sensor kind's filtered streams
+    are written straight into its inversion's input.  Scenario refuses a
+    run whose ticks would not fit _MAX_BYTES.
     """
     net = cpg.build_gait_network()
     models = _fit_sensor_models(scenario)
@@ -606,10 +656,9 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     t = data[:, 0] = np.arange(n_steps) * scenario.dt
 
     ticks, noise = _ring_samples(n_steps, scenario, line)
-    phi, r = np.empty((2, n_steps + 1, cpg.N_OSC))
-    phi[0], r[0] = cpg.initial_state(
-        net[0], scenario.drive, rng=np.random.default_rng(scenario.seed * 100 + 3))
-    x_body = np.empty(n_steps)
+    state = cpg.initial_state(net[0], scenario.drive,
+                              rng=np.random.default_rng(scenario.seed * 100 + 3))
+    x_body = scenario.x_start
     q0 = col["gt_q_ax1"]
 
     # the drive each tick steps with; the physics swims wherever it is a
@@ -622,8 +671,10 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
         drive[switch_k:] = cpg.D_SWIM
 
     def advance(lo, hi):
-        data[lo:hi, q0:q0 + cpg.N_JOINTS] = _oscillate(net, scenario, drive, phi, r, lo, hi)
-        _physics(scenario, drive >= cpg.D_SWIM, x_body, data, col, lo, hi)
+        nonlocal state, x_body
+        data[lo:hi, q0:q0 + cpg.N_JOINTS], state = _oscillate(net, scenario, drive, state,
+                                                               lo, hi)
+        x_body = _physics(scenario, drive >= cpg.D_SWIM, x_body, data, col, lo, hi)
 
     # each module's samples are sensed, filtered (the low-pass continued from
     # its last output), inverted and calibrated once, as a poll (the feet) or
@@ -636,36 +687,43 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
         # est_*, and raw_* and filt_* if logged, through tick k for the
         # modules of one sensor kind: new samples sensed, one inversion call
         mods, spec = KINDS[kind], calibration.KINDS[kind]
-        new, filts = [], []
+        new = []
         for name in mods.names:
             i = SENSOR_NAMES.index(name)
-            tk = ticks[i]
-            a, b = done[i], int(np.searchsorted(tk, k, side="right"))
-            if b == a:
-                continue
-            raw = _sense(name, tk[a:b], noise[i][a:b], data, col)
-            filts.append(magnetics.lowpass_trace(raw, round_p, y0=last[i]))
-            done[i], last[i] = b, filts[-1][-1].copy()     # not a view: frees filt
-            # the new samples each held from their tick to the next sample's
-            first, stop = tk[a], tk[b] if b < len(tk) else n_steps
-            held = np.searchsorted(tk[a:b], np.arange(first, stop), side="right") - 1
-            new.append((name, tk[a:b], slice(first, stop), held))
-            if name in scenario.log_flux:
-                data[first:stop, [col[f"raw_{name}_b{c}"] for c in "xyz"]] = raw[held]
-                data[first:stop, [col[f"filt_{name}_b{c}"] for c in "xyz"]] = filts[-1][held]
+            a, b = done[i], int(np.searchsorted(ticks[i], k, side="right"))
+            if b > a:
+                new.append((name, i, a, b))
         if not new:
             return
-        X, ok = spec.locate(np.concatenate(filts), mods.dipole, mods.rest,
-                            scenario.noise_sigma_mt)
-        at = np.cumsum([0] + [len(tk) for _, tk, _, _ in new])    # row offsets of each module
+        at = np.cumsum([0] + [b - a for _, _, a, b in new])    # row offsets of each module
+        filt = np.empty((at[-1], 3))    # the inversion's input, the only copy of the streams
+        held = []
+        for j, (name, i, a, b) in enumerate(new):
+            tk = ticks[i]
+            raw = _sense(name, tk[a:b], noise[i][a:b], data, col)
+            if b == len(tk):
+                noise[i] = None    # every sample sensed: freed before the next inversion
+            filt[at[j]:at[j + 1]] = magnetics.lowpass_trace(raw, round_p, y0=last[i])
+            done[i], last[i] = b, filt[at[j + 1] - 1].copy()    # not a view: frees filt
+            # the new samples each held from their tick to the next sample's
+            stop = tk[b] if b < len(tk) else n_steps
+            hold = np.diff(tk[a:b], append=stop)    # ticks each sample is held
+            held.append((name, slice(tk[a], stop), hold))
+            if name in scenario.log_flux:
+                data[tk[a]:stop, [col[f"raw_{name}_b{c}"] for c in "xyz"]] = \
+                    np.repeat(raw, hold, axis=0)
+                data[tk[a]:stop, [col[f"filt_{name}_b{c}"] for c in "xyz"]] = \
+                    np.repeat(filt[at[j]:at[j + 1]], hold, axis=0)
+        X, ok = spec.locate(filt, mods.dipole, mods.rest, scenario.noise_sigma_mt)
         if not ok.all():
             m = int(np.argmin(ok))
             j = int(np.searchsorted(at, m, side="right")) - 1
-            t_bad = new[j][1][m - at[j]] * scenario.dt
-            raise spec.error(f"{new[j][0]}: {spec.stall} at t = {t_bad:.3f} s")
-        for j, (name, _, rows, held) in enumerate(new):
+            name, i, a, _ = new[j]
+            t_bad = ticks[i][a + m - at[j]] * scenario.dt
+            raise spec.error(f"{name}: {spec.stall} at t = {t_bad:.3f} s")
+        for j, (name, rows, hold) in enumerate(held):
             est = calibration.apply_poly_batch(models[name], X[at[j]:at[j + 1]])
-            data[rows, [col[f"est_{name}_{c}"] for c in mods.est]] = est[held]
+            data[rows, [col[f"est_{name}_{c}"] for c in mods.est]] = np.repeat(est, hold, axis=0)
 
     lo = 0
     cmd = cpg.GaitCommand(cpg.GaitMode.WALKING, scenario.drive)
@@ -682,7 +740,6 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
                 break
     for a in range(lo, n_steps, _SPAN):
         advance(a, min(a + _SPAN, n_steps))
-    del phi, r     # spent; freed before the fins' inversion, where memory peaks
     estimate("foot", n_steps)
     data[:, col["est_foot_sum"]] = sum(data[:, c] for c in est_fx)
     estimate("flow", n_steps)

@@ -259,6 +259,14 @@ class TestJig:
         assert not set(train.cycles) & set(ev.cycles)
         assert len(ds) == 4 * 12 * cfg.samples_per_cycle
 
+    def test_rows_counts_a_units_bench(self):
+        # what calibrate's size bound counts, for each kind's bench
+        for cfg, transduce, params in (
+                (cal.JigConfig(n_train=3, n_eval=1), foot_transduce, FOOT_PARAMS),
+                (cal.JigConfig(kind="flow", samples_per_cycle=9), flow_transduce, FLOW_PARAMS)):
+            ds = cal.simulate_jig(transduce, params, cfg, np.random.default_rng(0))
+            assert len(ds) == cfg.rows
+
     @pytest.mark.parametrize("sigma", [-1.0, -1e-9, float("nan")])
     def test_noise_sigma_must_be_non_negative(self, sigma):
         with pytest.raises(cal.CalibrationError):

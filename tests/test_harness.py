@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amphisense import busring, harness, magnetics, plant
+from amphisense import busring, calibration, harness, magnetics, plant
 
 # a short shoreline crossing whose switch passes every bounded metric
 SHORT_SHORELINE = {
@@ -267,7 +267,7 @@ class TestCliRun:
         "plot_constant_time_trace": "time does not advance",
         "run_repeated_log_flux": "log_flux must list distinct modules",
         "run_shorter_than_window": "window_start",
-        "run_too_long_to_allocate": "out of memory",
+        "run_too_long_to_allocate": "a run holds at most",
         "line_too_many_modules_to_allocate": "n_modules must be 1-256",
         "line_module_ids_past_one_byte": "n_modules must be 1-256",
     }
@@ -311,6 +311,25 @@ class TestCliRun:
             if "missing_column" in case:
                 assert "'gt_foot_fl_fx'" in err
             assert self.EXIT_MESSAGES.get(case, "") in err
+
+    @pytest.mark.parametrize("doc", [{"duration_s": 1e13}, {"duration_s": 1e300},
+                                     {"duration_s": 1.0, "dt": 1e-300},
+                                     {"duration_s": 600.0, "log_flux": list(plant.SENSOR_NAMES)}])
+    def test_run_past_the_budget_exits_2_before_running(self, doc, tmp_path, monkeypatch,
+                                                        capsys):
+        # a run this long would allocate until the machine runs out, so the
+        # run is patched to fail should the bound ever let it through
+        def run_scenario(scenario):
+            raise AssertionError("ran")
+
+        monkeypatch.setattr(plant, "run_scenario", run_scenario)
+        cfg = tmp_path / "sc.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert harness.main(["--out", str(out), "run", str(cfg)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "a run holds at most" in err[0] and "(1024 MiB)" in err[0]
+        assert not out.exists()
 
     def test_bundled_names_resolve(self):
         for name in ("walk_floor", "swim_pool", "shoreline_transition",
@@ -490,6 +509,26 @@ class TestCliCalibrate:
         assert rc == 0
         assert len(list(tmp_path.glob("flow_*_model.json"))) == 2
 
+    @pytest.mark.parametrize("doc, limit", [
+        ({"n_units": 10 ** 6}, "n_units 1000000 and n_average 1 ask for 180175 MiB"),
+        ({"kind": "flow", "n_units": 1, "n_average": 10 ** 9}, "n_average 1000000000"),
+        ({"n_units": 10 ** 400}, "of foot bench rows")])
+    def test_bench_past_the_budget_exits_2_before_simulating(self, doc, limit, tmp_path,
+                                                            monkeypatch, capsys):
+        # a bench this large would allocate until the machine runs out, so
+        # the benches are patched to fail should the bound ever let it through
+        def simulate_jigs(*args):
+            raise AssertionError("simulated")
+
+        monkeypatch.setattr(calibration, "simulate_jigs", simulate_jigs)
+        cfg = tmp_path / "jig.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert harness.main(["--out", str(out), "calibrate", str(cfg)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and limit in err[0] and "calibrate holds at most 1024 MiB" in err[0]
+        assert not out.exists()
+
 
 # values a bus-bench config must refuse in any numeric field
 BAD_VALUES = st.sampled_from([None, True, False, "x", "", [], [1.0], {}, float("nan"),
@@ -627,6 +666,131 @@ class TestCliBusBench:
         # odd and even counts, ties and signed zeros among them
         a = np.array(values)
         assert np.float64(harness._median(a)).tobytes() == np.median(a).tobytes()
+
+
+# accepted values of each Scenario field: runs of at most 0.2 s at a dt of
+# 1-10 ms, so at most 200 ticks each
+RUN_FIELDS = {
+    "name": st.sampled_from(["gen", "a.b-c_1"]),
+    "terrain": st.sampled_from(["floor", "water", "shoreline"]),
+    "x_waterline": st.floats(-0.5, 0.5),
+    "duration_s": st.floats(1e-3, 0.2),
+    "dt": st.floats(1e-3, 1e-2),
+    "drive": st.floats(0.0, 6.0),
+    "feedback": st.booleans(),
+    "drive_switch_t": st.none() | st.floats(0.0, 0.3),
+    "advance_speed": st.floats(0.0, 0.2),
+    "swim_speed": st.floats(0.0, 0.5),
+    "x_start": st.floats(-0.5, 0.5),
+    "total_mass_kg": st.floats(0.5, 4.0),
+    "noise_sigma_mt": st.floats(0.0, 0.05),
+    "gain": st.floats(0.0, 1.5),
+    "seed": st.integers(0, 2 ** 70),
+    "window_start": st.floats(0.0, 0.2),
+    "log_flux": st.lists(st.sampled_from(plant.SENSOR_NAMES), max_size=3, unique=True),
+}
+
+# values out of a Scenario field's range, drawn beside BAD_VALUES (a run
+# takes some of those, such as -1 for x_start); a duration of 1e6 s or a dt
+# of 1e-300 s is past a run's budget, so it is refused before the run starts
+RUN_OUT_OF_RANGE = {
+    "name": st.sampled_from(["", "../x", "a b"]),
+    "terrain": st.just("lava"),
+    "duration_s": st.just(0.0) | st.floats(1e6, 1e300),
+    "dt": st.sampled_from([0.0, 1e-300, 0.011, 1.0]),
+    "log_flux": st.sampled_from([["foot_xx"], ["foot_fl", "foot_fl"]]),
+}
+
+# accepted values of each JigFile field: at most two units, eight draws a point
+JIG_FIELDS = {
+    "kind": st.sampled_from(["foot", "flow"]),
+    "n_units": st.integers(1, 2),
+    "noise_sigma": st.floats(0.0, 0.05),
+    "n_average": st.integers(1, 8),
+    "lever": st.none() | st.floats(5.0, 40.0),
+    "seed": st.integers(0, 2 ** 70),
+    "torque_band": st.none() | st.lists(st.floats(0.0, 5.0), min_size=2, max_size=2),
+    "force_band": st.none() | st.lists(st.floats(0.0, 5.0), min_size=2, max_size=2),
+    "rmse_max": st.none() | st.floats(0.0, 10.0),
+}
+
+# values out of a JigFile field's range, drawn beside BAD_VALUES; 10^9 units
+# or draws are past calibrate's budget, so they are refused before any bench
+JIG_OUT_OF_RANGE = {
+    "kind": st.just("wing"),
+    "n_units": st.sampled_from([0, 10 ** 9]),
+    "n_average": st.sampled_from([0, 10 ** 9]),
+    "torque_band": st.just([1.0]),
+    "force_band": st.just([1.0, 2.0, 3.0]),
+}
+
+
+@st.composite
+def config_documents(draw, fields, out_of_range, always):
+    """Config documents: the keys in always and some of the other fields
+    accepted, then up to two fields wrong in type or range, and maybe one
+    unknown key."""
+    doc = draw(st.fixed_dictionaries({k: fields[k] for k in always}, optional={
+        k: v for k, v in fields.items() if k not in always}))
+    for name in draw(st.lists(st.sampled_from(sorted(fields)), max_size=2, unique=True)):
+        doc[name] = draw(out_of_range.get(name, BAD_VALUES) | BAD_VALUES)
+    if draw(st.integers(0, 9)) == 0:
+        doc[draw(st.sampled_from(["dragg", "duration", "n_modules"]))] = 1
+    return doc
+
+
+def _main_on_generated(command, doc, outputs):
+    """harness.main on doc written as a config file; asserts the CLI contract:
+    exit 0, 1 or 2, one error line and no traceback on 2, and nothing
+    written outside --out (where exit 0 or 1 wrote the named outputs)."""
+    with tempfile.TemporaryDirectory() as root, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        cfg = f"{root}/config.json"
+        with open(cfg, "w") as fh:
+            json.dump(doc, fh)
+        out = f"{root}/a/out"
+        code = harness.main(["--out", out, command, cfg])
+        written = sorted(str(p) for p in pathlib.Path(root).rglob("*") if p.is_file())
+    assert code in (0, 1, 2)
+    assert all(p == cfg or p.startswith(out + "/") for p in written), written
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert {f"{out}/{name}" for name in outputs(doc)} <= set(written)
+
+
+class TestCliContractGenerated:
+    # a warning printed beside the error line breaks the one-line contract
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(config_documents(RUN_FIELDS, RUN_OUT_OF_RANGE, ("duration_s", "window_start")))
+    def test_run_over_generated_documents(self, doc):
+        # past the run's budget, a run must be refused before it starts
+        run = plant.run_scenario
+
+        def short_only(scenario):
+            assert scenario.duration_s <= 0.2 and scenario.dt >= 1e-3, "a long run started"
+            return run(scenario)
+
+        with mock.patch.object(plant, "run_scenario", short_only):
+            _main_on_generated("run", doc, lambda d: [f"{d.get('name', 'walk_floor')}_trace.csv",
+                                                      f"{d.get('name', 'walk_floor')}_metrics.json"])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=50, deadline=None)
+    @given(config_documents(JIG_FIELDS, JIG_OUT_OF_RANGE, ("n_units",)))
+    def test_calibrate_over_generated_documents(self, doc):
+        # past calibrate's budget, a bench must be refused before it runs
+        simulate = calibration.simulate_jigs
+
+        def small_only(transduce, params, cfg, rngs):
+            assert len(rngs) <= 2 and cfg.n_average <= 8, "a large bench ran"
+            return simulate(transduce, params, cfg, rngs)
+
+        with mock.patch.object(calibration, "simulate_jigs", small_only):
+            _main_on_generated("calibrate", doc, lambda d: ["calibration_report.json"])
 
 
 # ---------------------------------------------------------------------------

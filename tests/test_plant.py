@@ -6,6 +6,7 @@ or spectral checks against numpy.fft as an independent oracle.
 """
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -309,6 +310,22 @@ class TestScenarioConfig:
         back = plant.Scenario.from_json(path)
         assert back == sc
 
+    @pytest.mark.parametrize("doc", [{"duration_s": 1e13}, {"duration_s": 700.0},
+                                     {"duration_s": 1.0, "dt": 5e-324}])
+    def test_run_past_the_budget_is_refused(self, doc):
+        # refused as the scenario is made, before run_scenario allocates
+        with pytest.raises(plant.PlantError, match="a run holds at most"):
+            plant.Scenario(**doc)
+
+    def test_budget_counts_the_trace_row_and_the_working_set(self):
+        # the most ticks a run may hold, one logged module less or more
+        for log_flux in ((), plant.SENSOR_NAMES):
+            tick = plant._row_bytes(log_flux) + plant._TICK_BYTES
+            most = plant._MAX_BYTES // tick
+            plant.Scenario(duration_s=most * 1e-3, log_flux=log_flux)
+            with pytest.raises(plant.PlantError, match=f"at most {most} ticks of {tick} B"):
+                plant.Scenario(duration_s=(most + 1) * 1e-3, log_flux=log_flux)
+
     def test_bundled_scenarios_load(self):
         import importlib.resources as res
 
@@ -425,6 +442,32 @@ class TestRunScenario:
         for j, name in enumerate(res.columns):
             if name.startswith(("est_", "raw_", "filt_")):
                 assert res.data[0, j] == 0.0, name
+
+    def test_row_bytes_is_the_trace_row(self):
+        sc = plant.Scenario(name="row", duration_s=0.01, log_flux=("fin_tail",))
+        res = plant.run_scenario(sc)
+        assert plant._row_bytes(sc.log_flux) == res.data.itemsize * res.data.shape[1]
+
+    def test_working_set_per_tick(self, monkeypatch):
+        # a run keeps its trace and, per tick, only the ring's samples (ticks
+        # and noise) and the stage temporaries.  The models are fitted once
+        # and reused, so the peak is the run's own: it grows by 394 B a tick
+        # beyond the trace row (the oscillator history, the whole-ring noise
+        # block and the per-module filter copies took it to 708 B)
+        doc = dict(terrain="water", drive=cpg.D_SWIM, feedback=False, seed=1)
+        models = plant._fit_sensor_models(plant.Scenario(**doc))
+        monkeypatch.setattr(plant, "_fit_sensor_models", lambda sc: models)
+        plant.run_scenario(plant.Scenario(name="warm", duration_s=0.05, **doc))
+        peak = {}
+        for n in (300, 600):
+            tracemalloc.start()
+            try:
+                res = plant.run_scenario(plant.Scenario(name="mem", duration_s=n * 1e-3, **doc))
+                peak[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        row = res.data.itemsize * res.data.shape[1]
+        assert (peak[600] - peak[300]) / 300 <= row + 512
 
     def test_switch_steps_each_tick_once(self, monkeypatch):
         # walking advances poll by poll and the swim span resumes from the
