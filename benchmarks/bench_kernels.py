@@ -56,8 +56,8 @@ def run_suite(repeat):
     results["fit_sensor_models"] = best_of(
         lambda: plant._fit_sensor_models(plant.Scenario(seed=1)), repeat)
 
-    # the run's fin inversion on a 1.2 s swim: six filtered fin streams of
-    # 922 samples each, in one call and in six calls
+    # the fin inversion of a 1.2 s swim: six filtered fin streams of 922
+    # samples each, in one call and in the six calls the run makes, one a fin
     fin = plant.FlowFinModel()
     rest = fin.pose_for_force(0.0)
     streams = []

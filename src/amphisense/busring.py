@@ -23,8 +23,8 @@ The simulator schedules the ring as one running sum: while the set of
 live modules is fixed, every frame starts one gap plus one timeout per
 dead module skipped after the previous frame's end, so a block of start
 times is one np.add.accumulate.  At a kill the sum marks the module dead
-and resumes from the last frame end.  ring_starts is the fault-free
-schedule in closed form, which the plant samples.
+and resumes from the last frame end.  ring_starts is a module's
+fault-free schedule in closed form, which the plant samples.
 """
 
 from __future__ import annotations
@@ -210,14 +210,13 @@ def ring_rate(n_modules: int, config: LineConfig) -> float:
     return 1.0 / ring_round_period(n_modules, config)
 
 
-def ring_starts(n_modules: int, config: LineConfig, t_stop: float) -> np.ndarray:
-    """(n_modules, rounds) frame starts of the fault-free ring: module i at
-    t0 + i * slot + c * round_p in rounds c = 0 to int(t_stop / round_p) + 1."""
+def ring_starts(module: int, n_modules: int, config: LineConfig, t_stop: float) -> np.ndarray:
+    """Frame starts of module `module` on the fault-free ring of n_modules:
+    t0 + module * slot + c * round_p in rounds c = 0 to int(t_stop / round_p) + 1."""
     slot = config.frame_time + config.inter_frame_gap
     round_p = ring_round_period(n_modules, config)
     c = np.arange(int(t_stop / round_p) + 2)
-    return (config.ctrl_time + config.inter_frame_gap + np.arange(n_modules)[:, None] * slot
-            + c * round_p)
+    return config.ctrl_time + config.inter_frame_gap + module * slot + c * round_p
 
 
 def motor_bus_budget(n_motors: int, t_write: float, t_read: float) -> float:

@@ -559,9 +559,8 @@ def cmd_run(args) -> int:
         scenario.seed = args.seed
     # a floor or water run that ends before its analysis window fails
     # before it is simulated, leaving no trace behind
-    n_steps = int(round(scenario.duration_s / scenario.dt))
-    t_end = (n_steps - 1) * scenario.dt    # run_scenario's last tick
-    if scenario.terrain != "shoreline" and n_steps and t_end < scenario.window_start:
+    t_end = (scenario.n_steps - 1) * scenario.dt    # run_scenario's last tick
+    if scenario.terrain != "shoreline" and t_end < scenario.window_start:
         raise _too_short(scenario.window_start, t_end)
     os.makedirs(args.out, exist_ok=True)
     log.info("running scenario %s (%.1f s at %.0f Hz)", scenario.name,

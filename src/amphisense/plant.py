@@ -352,9 +352,9 @@ def from_doc(cls, doc, error):
 
 # The most memory one run, or one calibrate config, may ask for.  A run holds
 # its trace, 8 B a column a tick, and a working set: the ring's sample ticks
-# and noise, at most one sample a module a tick, and its frame starts, which
-# outnumber the ticks at a long dt.  tracemalloc's peak grew by at most 941 B
-# a tick beyond the trace row (swim, dt 1-10 ms; 400 B at 1 ms).
+# and noise, at most one sample a module a tick, and one module's frame starts
+# at a time.  tracemalloc's peak grew by at most 426 B a tick beyond the trace
+# row (swim, dt 0.7-10 ms; 361 B at 1 ms).
 _MAX_BYTES = 2 ** 30
 _TICK_BYTES = 1024
 
@@ -410,6 +410,14 @@ class Scenario:
             raise PlantError(f"duration_s / dt is {self.duration_s / self.dt:.4g} ticks; a run "
                              f"holds at most {_MAX_BYTES // tick} ticks of {tick} B "
                              f"({_MAX_BYTES >> 20} MiB)")
+        if self.n_steps == 0:
+            raise PlantError(f"duration_s {self.duration_s:g} at dt {self.dt:g} "
+                             f"is a run of no ticks")
+
+    @property
+    def n_steps(self) -> int:
+        """The run's ticks: duration_s / dt, rounded."""
+        return int(round(self.duration_s / self.dt))
 
     @property
     def weight_n(self) -> float:
@@ -528,8 +536,8 @@ def _ring_samples(n_steps, scenario, line):
     arrays.  A generator draws the same stream in windows as in one block,
     so no whole-ring block is held beside the modules' arrays."""
     n_mod = len(SENSOR_NAMES)
-    ticks = [_sample_ticks(due, scenario.dt, n_steps)
-             for due in busring.ring_starts(n_mod, line, n_steps * scenario.dt)]
+    ticks = [_sample_ticks(busring.ring_starts(i, n_mod, line, n_steps * scenario.dt),
+                           scenario.dt, n_steps) for i in range(n_mod)]
     noise = [np.empty((len(tk), 3)) for tk in ticks]
     rng = np.random.default_rng(scenario.seed * 100 + 7)
     for k in range(0, n_steps, _SPAN):
@@ -559,16 +567,18 @@ def _oscillate(net, scenario, drive, state, lo, hi):
     return cpg.joint_targets(cpg.oscillator_output(*span), jmap, scenario.gain), (phi, r)
 
 
-def _physics(scenario, swimming, x_prev, data, col, lo, hi):
+def _physics(scenario, drive, x_prev, data, col, lo, hi):
     """Body advance, contact wrenches and fin drag over ticks lo..hi-1 from
     the joint columns of data, the body at x_prev before tick lo; fills the
-    wrench and fin columns and returns the body's x after tick hi - 1."""
+    wrench and fin columns and returns the body's x after tick hi - 1.  The
+    body swims on the ticks whose drive is a swimming drive."""
     # each tick after its predecessor; tick 0 stands in for its own, so it
     # starts at rest
     rows = np.r_[max(lo - 1, 0), lo:hi]
     qq = data[rows, col["gt_q_ax1"]:col["gt_q_ax1"] + cpg.N_JOINTS]
     fk = _KIN.forward(qq)
-    swim = swimming[lo:hi]
+    swimming = drive[rows] >= cpg.D_SWIM
+    swim = swimming[1:]
     speed = np.where(swim, scenario.swim_speed, scenario.advance_speed)
     x = np.cumsum(np.r_[x_prev, speed * scenario.dt])[1:]
 
@@ -584,7 +594,7 @@ def _physics(scenario, swimming, x_prev, data, col, lo, hi):
     f0, n_w = col["gt_foot_fl_fx"], 3 * len(FOOT_NAMES)    # f_x, tau_pitch, tau_yaw
     data[lo:hi, f0:f0 + n_w] = wrenches.reshape(-1, n_w)
 
-    stream = np.where(swimming[rows], scenario.swim_speed, 0.0)
+    stream = np.where(swimming, scenario.swim_speed, 0.0)
     force, angle = flow_forces(qq, _KIN, _FIN, stream, scenario.dt, mounts=fk["fin_mounts"])
     f0 = col[f"gt_{FIN_NAMES[0]}_force"]    # fin forces, then fin angles
     data[lo:hi, f0:f0 + 2 * len(FIN_NAMES)] = np.where(
@@ -615,11 +625,11 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
 
     The plant fills the truth columns of a span of ticks stage by stage
     (oscillators, then kinematics and forces).  Each module's samples are
-    sensed from them, filtered, inverted and calibrated once, a sensor kind
-    at a time, and their estimates held in the trace: the feet's at the
+    sensed from them, filtered, inverted and calibrated once, one module at
+    a time, and their estimates held in the trace: the feet's at the
     supervisor poll that first reaches them or after the last span, then
-    the fins' whole streams in one inversion call.  A row that does not
-    invert raises, naming its module and its sample's time.
+    each fin's whole stream.  A row that does not invert raises, naming its
+    module and its sample's time.
     Without feedback the run is stepped in spans of _SPAN ticks.  With it,
     walking spans end at the 50 Hz supervisor's polls, each of which reads
     est_foot_sum at its tick, and when a poll at tick k leaves walking the
@@ -629,16 +639,16 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     Beside its trace a run keeps only each module's sample ticks and noise
     (the noise until the module is sensed to its last sample) and
     span-sized temporaries: the oscillator state and the body's position
-    are carried from span to span, and a sensor kind's filtered streams
-    are written straight into its inversion's input.  Scenario refuses a
-    run whose ticks would not fit _MAX_BYTES.
+    are carried from span to span, and a module's streams are held while
+    its new samples are estimated.  Scenario refuses a run whose ticks
+    would not fit _MAX_BYTES.
     """
     net = cpg.build_gait_network()
     models = _fit_sensor_models(scenario)
     line = busring.LineConfig()
     round_p = busring.ring_round_period(len(SENSOR_NAMES), line)
 
-    n_steps = int(round(scenario.duration_s / scenario.dt))
+    n_steps = scenario.n_steps
     legs = ("fl", "fr", "hl", "hr")
     columns = ["t", "mode", "drive"]
     columns += [f"gt_q_{nm}" for nm in net[2].names]
@@ -661,8 +671,7 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     x_body = scenario.x_start
     q0 = col["gt_q_ax1"]
 
-    # the drive each tick steps with; the physics swims wherever it is a
-    # swimming drive
+    # the drive each tick steps with
     drive = np.full(n_steps, float(scenario.drive))
     walking = scenario.drive < cpg.D_SWIM
     switch_k = n_steps
@@ -674,7 +683,7 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
         nonlocal state, x_body
         data[lo:hi, q0:q0 + cpg.N_JOINTS], state = _oscillate(net, scenario, drive, state,
                                                                lo, hi)
-        x_body = _physics(scenario, drive >= cpg.D_SWIM, x_body, data, col, lo, hi)
+        x_body = _physics(scenario, drive, x_body, data, col, lo, hi)
 
     # each module's samples are sensed, filtered (the low-pass continued from
     # its last output), inverted and calibrated once, as a poll (the feet) or
@@ -684,46 +693,33 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     est_fx = [col[f"est_{nm}_fx"] for nm in FOOT_NAMES]
 
     def estimate(kind, k):
-        # est_*, and raw_* and filt_* if logged, through tick k for the
-        # modules of one sensor kind: new samples sensed, one inversion call
+        # est_*, and raw_* and filt_* if logged, through tick k for each
+        # module of one sensor kind that has new samples
         mods, spec = KINDS[kind], calibration.KINDS[kind]
-        new = []
         for name in mods.names:
             i = SENSOR_NAMES.index(name)
-            a, b = done[i], int(np.searchsorted(ticks[i], k, side="right"))
-            if b > a:
-                new.append((name, i, a, b))
-        if not new:
-            return
-        at = np.cumsum([0] + [b - a for _, _, a, b in new])    # row offsets of each module
-        filt = np.empty((at[-1], 3))    # the inversion's input, the only copy of the streams
-        held = []
-        for j, (name, i, a, b) in enumerate(new):
-            tk = ticks[i]
+            tk, a = ticks[i], done[i]
+            b = int(np.searchsorted(tk, k, side="right"))
+            if b == a:
+                continue
             raw = _sense(name, tk[a:b], noise[i][a:b], data, col)
             if b == len(tk):
-                noise[i] = None    # every sample sensed: freed before the next inversion
-            filt[at[j]:at[j + 1]] = magnetics.lowpass_trace(raw, round_p, y0=last[i])
-            done[i], last[i] = b, filt[at[j + 1] - 1].copy()    # not a view: frees filt
+                noise[i] = None    # every sample sensed
+            filt = magnetics.lowpass_trace(raw, round_p, y0=last[i])
+            done[i], last[i] = b, filt[-1]
+            X, ok = spec.locate(filt, mods.dipole, mods.rest, scenario.noise_sigma_mt)
+            if not ok.all():
+                t_bad = tk[a + int(np.argmin(ok))] * scenario.dt
+                raise spec.error(f"{name}: {spec.stall} at t = {t_bad:.3f} s")
             # the new samples each held from their tick to the next sample's
             stop = tk[b] if b < len(tk) else n_steps
-            hold = np.diff(tk[a:b], append=stop)    # ticks each sample is held
-            held.append((name, slice(tk[a], stop), hold))
+            hold = np.diff(tk[a:b], append=stop)
+            est = calibration.apply_poly_batch(models[name], X)
+            data[tk[a]:stop, [col[f"est_{name}_{c}"] for c in mods.est]] = \
+                np.repeat(est, hold, axis=0)
             if name in scenario.log_flux:
-                data[tk[a]:stop, [col[f"raw_{name}_b{c}"] for c in "xyz"]] = \
-                    np.repeat(raw, hold, axis=0)
-                data[tk[a]:stop, [col[f"filt_{name}_b{c}"] for c in "xyz"]] = \
-                    np.repeat(filt[at[j]:at[j + 1]], hold, axis=0)
-        X, ok = spec.locate(filt, mods.dipole, mods.rest, scenario.noise_sigma_mt)
-        if not ok.all():
-            m = int(np.argmin(ok))
-            j = int(np.searchsorted(at, m, side="right")) - 1
-            name, i, a, _ = new[j]
-            t_bad = ticks[i][a + m - at[j]] * scenario.dt
-            raise spec.error(f"{name}: {spec.stall} at t = {t_bad:.3f} s")
-        for j, (name, rows, hold) in enumerate(held):
-            est = calibration.apply_poly_batch(models[name], X[at[j]:at[j + 1]])
-            data[rows, [col[f"est_{name}_{c}"] for c in mods.est]] = np.repeat(est, hold, axis=0)
+                logged = [col[f"{pre}_{name}_b{c}"] for pre in ("raw", "filt") for c in "xyz"]
+                data[tk[a]:stop, logged] = np.repeat(np.hstack([raw, filt]), hold, axis=0)
 
     lo = 0
     cmd = cpg.GaitCommand(cpg.GaitMode.WALKING, scenario.drive)

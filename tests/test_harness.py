@@ -233,6 +233,8 @@ class TestCliRun:
             "run", '{"name": "dup", "duration_s": 0.3, "log_flux": ["foot_fl", "foot_fl"]}',
             None, 2),
         "run_shorter_than_window": ("run", '{"name": "tiny", "duration_s": 0.03}', None, 2),
+        "run_of_zero_ticks": (
+            "run", '{"name": "z", "duration_s": 0.001, "dt": 0.01, "window_start": 0}', None, 2),
         # a size beyond any address space, so the allocation fails at once
         "run_too_long_to_allocate": ("run", '{"duration_s": 1e13}', None, 2),
         # refused by the ring's module-count bound before anything is allocated
@@ -267,6 +269,7 @@ class TestCliRun:
         "plot_constant_time_trace": "time does not advance",
         "run_repeated_log_flux": "log_flux must list distinct modules",
         "run_shorter_than_window": "window_start",
+        "run_of_zero_ticks": "a run of no ticks",
         "run_too_long_to_allocate": "a run holds at most",
         "line_too_many_modules_to_allocate": "n_modules must be 1-256",
         "line_module_ids_past_one_byte": "n_modules must be 1-256",
@@ -297,7 +300,7 @@ class TestCliRun:
         stray = [p for p in tmp_path.rglob("*")
                  if p.is_file() and p not in (trace, arg) and out not in p.parents]
         assert not stray, f"written outside --out: {stray}"
-        if case == "run_shorter_than_window":    # refused before a tick is stepped
+        if case in ("run_shorter_than_window", "run_of_zero_ticks"):    # refused unstepped
             assert not [p for p in out.rglob("*") if p.is_file()]
         if case == "jig_unknown_kind":    # refused before --out is made
             assert not out.exists()

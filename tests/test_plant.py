@@ -5,6 +5,7 @@ test body, structural identities (force closure, symmetry, determinism),
 or spectral checks against numpy.fft as an independent oracle.
 """
 
+import functools
 import math
 import tracemalloc
 from unittest import mock
@@ -317,6 +318,13 @@ class TestScenarioConfig:
         with pytest.raises(plant.PlantError, match="a run holds at most"):
             plant.Scenario(**doc)
 
+    @pytest.mark.parametrize("duration_s, dt", [(0.001, 0.01), (0.005, 0.01), (4e-4, 1e-3)])
+    def test_run_of_zero_ticks_is_refused(self, duration_s, dt):
+        # duration_s / dt rounds to 0, so the run would have no trace rows
+        with pytest.raises(plant.PlantError, match="a run of no ticks"):
+            plant.Scenario(duration_s=duration_s, dt=dt)
+        assert plant.Scenario(duration_s=dt, dt=dt).n_steps == 1
+
     def test_budget_counts_the_trace_row_and_the_working_set(self):
         # the most ticks a run may hold, one logged module less or more
         for log_flux in ((), plant.SENSOR_NAMES):
@@ -339,6 +347,11 @@ class TestScenarioConfig:
         assert names == {"walk_floor", "swim_pool", "shoreline_transition"}
 
 
+@functools.cache
+def _models_fitted_once():
+    return plant._fit_sensor_models(plant.Scenario())
+
+
 class TestRunScenario:
     def test_ring_schedule_matches_event_sim(self):
         # the runner samples each module on busring's closed-form fault-free
@@ -346,10 +359,10 @@ class TestRunScenario:
         line = busring.LineConfig()
         n = len(plant.SENSOR_NAMES)
         stats = busring.simulate_ring(n, line, 0.02)
-        due = busring.ring_starts(n, line, 0.02)
+        due = [busring.ring_starts(i, n, line, 0.02) for i in range(n)]
         rounds = np.zeros(n, dtype=int)
         for t_end, i in zip(stats.frame_ends, stats.frame_modules):
-            assert t_end == pytest.approx(due[i, rounds[i]] + line.frame_time, abs=1e-12)
+            assert t_end == pytest.approx(due[i][rounds[i]] + line.frame_time, abs=1e-12)
             rounds[i] += 1
         assert rounds.min() > 10
 
@@ -511,6 +524,51 @@ class TestRunScenario:
             sensed = np.concatenate([tk for nm, tk in calls if nm == name])
             np.testing.assert_array_equal(sensed, ticks[i], err_msg=name)
 
+    @settings(max_examples=10, deadline=None)
+    @given(terrain=st.sampled_from(["floor", "water", "shoreline"]),
+           seed=st.integers(0, 2**16), x_start=st.floats(0.0, 0.4), feedback=st.booleans(),
+           switch_t=st.none() | st.floats(0.0, 0.5), dt=st.sampled_from([0.7e-3, 1e-3, 2.5e-3]),
+           duration_s=st.floats(0.1, 0.5),
+           log_flux=st.lists(st.sampled_from(plant.SENSOR_NAMES), max_size=3, unique=True))
+    @example(terrain="shoreline", seed=1, x_start=0.3, feedback=True, switch_t=None, dt=1e-3,
+             duration_s=0.3, log_flux=[])    # a feedback switch at 0.06 s
+    @example(terrain="water", seed=2, x_start=0.0, feedback=True, switch_t=0.3, dt=2.5e-3,
+             duration_s=0.4, log_flux=["foot_hr", "fin_tail"])    # one before the open-loop tick
+    def test_sensed_once_and_switch_on_a_poll_generated(self, terrain, seed, x_start, feedback,
+                                                         switch_t, dt, duration_s, log_flux):
+        # the listed run of test_each_sample_sensed_once over generated runs:
+        # however the polls and the switch cut the run, every module's
+        # samples are sensed once each, in tick order, at its ring sample
+        # ticks; and a switch the supervisor makes falls on a poll tick.
+        # The sensing and the polls do not depend on the fitted models, so
+        # every example reuses one fit.
+        calls = []
+        sense = plant._sense
+
+        def recording(name, tk, *args):
+            calls.append((name, tk.copy()))
+            return sense(name, tk, *args)
+
+        sc = plant.Scenario(name="once", terrain=terrain, seed=seed, x_start=x_start,
+                            feedback=feedback, drive_switch_t=switch_t, dt=dt,
+                            duration_s=duration_s, log_flux=log_flux)
+        models = _models_fitted_once()
+        with mock.patch.object(plant, "_sense", recording), \
+                mock.patch.object(plant, "_fit_sensor_models", lambda sc: models):
+            res = plant.run_scenario(sc)
+        ticks, _ = plant._ring_samples(len(res.data), sc, busring.LineConfig())
+        for i, name in enumerate(plant.SENSOR_NAMES):
+            sensed = np.concatenate([tk for nm, tk in calls if nm == name])
+            np.testing.assert_array_equal(sensed, ticks[i], err_msg=name)
+        t = res.col("t")
+        open_loop_k = len(t) if switch_t is None else int(np.searchsorted(t, switch_t))
+        if res.switch_time is not None:
+            k = int(np.searchsorted(t, res.switch_time))
+            if k != open_loop_k:    # the supervisor's switch, before the open-loop one
+                assert feedback and k < open_loop_k
+                assert k % max(1, int(round(0.020 / dt))) == 0
+                assert t[k] >= cpg.SWITCH_HOLDOFF_S
+
     @pytest.mark.parametrize("seed", [1, 3, 5])
     def test_supervisor_reads_est_foot_sum(self, seed, monkeypatch):
         # every foot sum the supervisor acts on is the trace's est_foot_sum
@@ -597,7 +655,7 @@ class TestRunScenario:
                     assert np.all(res.col(f"gt_{nm}_{q}")[dry] == 0.0), (nm, q)
 
     def test_fin_stall_names_the_first_stalled_fin(self, monkeypatch):
-        # the fins' streams are inverted in one call; a stall still names the
+        # the fins' streams are inverted one fin at a time; a stall names the
         # first fin, in module order, whose stream stalls, and its first
         # stalled sample's time.  A 1 T spike lies far off the fin's flux
         # image, so its filtered sample stalls.
