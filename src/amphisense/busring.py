@@ -29,10 +29,10 @@ fault-free schedule in closed form, which the plant samples.
 
 from __future__ import annotations
 
-import json
 import numbers
 import struct
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -173,11 +173,12 @@ class LineConfig:
     def __post_init__(self):
         if self.baud <= 0:
             raise BusError("baud must be positive")
+        # past the float range, bits_per_byte / baud would raise OverflowError
         if (isinstance(self.bits_per_byte, bool)
                 or not isinstance(self.bits_per_byte, numbers.Integral)
-                or self.bits_per_byte <= 0):
-            raise BusError(f"bits_per_byte must be a positive integer, got "
-                           f"{self.bits_per_byte!r}")
+                or not 0 < self.bits_per_byte <= sys.float_info.max):
+            raise BusError(f"bits_per_byte must be a positive integer of at most "
+                           f"{sys.float_info.max:g}, got {self.bits_per_byte!r}")
         if not self.inter_frame_gap >= 0:      # NaN fails too
             raise BusError("gap must be non-negative")
         if self.timeout is None:
@@ -249,20 +250,17 @@ class FaultPlan:
 
 @dataclass
 class RingStats:
-    """What the host saw of one ring run: per-module frame counts, fault
-    counters and round periods.  corrupt_injected counts the flipped
-    frames that started.  collisions is always 0, as no two frames share
-    the line; it stays in the stats and their JSON for their readers."""
+    """What the host counted and logged of one ring run: per-module frame
+    counts and fault counters.  corrupt_injected counts the flipped frames
+    that started.  collisions is always 0, as no two frames share the
+    line; it stays for its readers."""
 
-    n_modules: int
-    duration: float
     frames_sent: np.ndarray
     frames_ok: np.ndarray
     corrupt_injected: int = 0
     corrupt_detected: int = 0
     timeout_recoveries: int = 0
     collisions: int = 0
-    round_periods: dict = field(default_factory=dict)
     # (t, module id, 11 frame bytes, ok) per ended frame; opt-in, for tests
     # and golden digests
     frame_log: list = None
@@ -270,28 +268,6 @@ class RingStats:
     # in end order: the frame log's first two columns
     frame_ends: np.ndarray = None
     frame_modules: np.ndarray = None
-
-    @property
-    def rates_hz(self) -> np.ndarray:
-        return self.frames_sent / self.duration
-
-    def to_json(self, path=None):
-        doc = {
-            "n_modules": self.n_modules,
-            "duration_s": self.duration,
-            "frames_sent": self.frames_sent.tolist(),
-            "frames_ok": self.frames_ok.tolist(),
-            "rates_hz": self.rates_hz.tolist(),
-            "corrupt_injected": self.corrupt_injected,
-            "corrupt_detected": self.corrupt_detected,
-            "timeout_recoveries": self.timeout_recoveries,
-            "collisions": self.collisions,
-            "round_periods": self.round_periods,
-        }
-        if path is not None:
-            with open(path, "w") as fh:
-                json.dump(doc, fh, indent=1)
-        return doc
 
 
 # frames per block of the running sum between kills
@@ -436,11 +412,11 @@ def simulate_ring(n_modules: int, config: LineConfig, duration: float,
     module's frame, or its own bytes if flipped, pass sync and CRC-8.
     `rng` draws the bit flips (None: np.random.default_rng(0)).
 
-    Returns accumulated RingStats; protocol anomalies are counted, not
-    raised.  Its frame_ends and frame_modules hold each ended frame's end
-    time and module in end order; record_frames adds the frame_log of
-    Python tuples with each frame's bytes and check, which costs far more
-    than the ring and is meant for tests and golden digests.
+    Returns the RingStats the host counted; protocol anomalies are
+    counted, not raised.  Its frame_ends and frame_modules hold each ended
+    frame's end time and module in end order; record_frames adds the
+    frame_log of Python tuples with each frame's bytes and check, which
+    costs far more than the ring and is meant for tests and golden digests.
     """
     if not 1 <= n_modules <= 256:
         raise BusError(f"n_modules must be 1-256, since a frame carries its module id "
@@ -472,36 +448,15 @@ def simulate_ring(n_modules: int, config: LineConfig, duration: float,
     n_ended = int(np.searchsorted(t_end, duration, side="right"))
     t_end, ended, ok = t_end[:n_ended], module[:n_ended], ok[:n_ended]
     return RingStats(
-        n_modules=n_modules,
-        duration=duration,
         frames_sent=np.bincount(ended, minlength=n_modules),
         frames_ok=np.bincount(ended[ok], minlength=n_modules),
         corrupt_injected=len(rows),
         corrupt_detected=n_ended - int(ok.sum()),
         timeout_recoveries=recoveries,
-        round_periods=_round_periods(ended, t_end),
         frame_log=_frame_log(t_end, ended, ok, zero, rows, flips) if record_frames else None,
         frame_ends=t_end,
         frame_modules=ended,
     )
-
-
-def _round_periods(module, t_end):
-    """min/mean/max/count of each frame's period since its module's
-    previous frame, taken in end order; {} when no module sent twice."""
-    periods = np.full(len(module), np.nan)
-    for m in np.flatnonzero(np.bincount(module) > 1):
-        idx = np.flatnonzero(module == m)
-        periods[idx[1:]] = np.diff(t_end[idx])
-    periods = periods[~np.isnan(periods)]
-    if not periods.size:
-        return {}
-    return {
-        "min": float(periods.min()),
-        "mean": float(periods.mean()),
-        "max": float(periods.max()),
-        "count": int(periods.size),
-    }
 
 
 # frames per chunk of the frame log

@@ -518,6 +518,16 @@ class LineFile:
         plant.check_fields(self, HarnessError)
         if self.kill_at is ...:
             self.kill_at = self.duration_s / 2.0
+        # refused here, before any ring runs; past the float range,
+        # n_motors * (t_write + t_read) would raise OverflowError
+        if not self.flip_rate <= 1.0:
+            raise HarnessError(f"flip_rate must be at most 1, got {self.flip_rate!r}")
+        if not 1 <= self.n_motors <= sys.float_info.max:
+            raise HarnessError(f"n_motors must be an integer from 1 to "
+                               f"{sys.float_info.max:g}, got {self.n_motors!r}")
+        for name in ("t_write", "t_read"):
+            if not getattr(self, name) > 0.0:
+                raise HarnessError(f"{name} must be positive, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -634,7 +644,6 @@ def cmd_bus_bench(args) -> int:
                               inter_frame_gap=cfg.inter_frame_gap)
     n, duration = cfg.n_modules, cfg.duration_s
     seed = args.seed if args.seed is not None else cfg.seed
-    os.makedirs(args.out, exist_ok=True)
     report = MetricsReport(source=f"bus-bench[{n} modules]")
 
     clean = busring.simulate_ring(n, line, duration)
@@ -677,6 +686,8 @@ def cmd_bus_bench(args) -> int:
     budget = busring.motor_bus_budget(cfg.n_motors, cfg.t_write, cfg.t_read)
     report.add("motor_loop_budget", budget, 100.0, None, "Hz")
 
+    # made only now, so a ring that refuses its config leaves no --out
+    os.makedirs(args.out, exist_ok=True)
     report.to_json(os.path.join(args.out, "bus_bench.json"))
     print(report.format_table())
     return 0 if report.all_pass else 1

@@ -354,9 +354,10 @@ def from_doc(cls, doc, error):
 # its trace, 8 B a column a tick, and a working set: the ring's sample ticks
 # and noise, at most one sample a module a tick, and one module's frame starts
 # at a time.  tracemalloc's peak grew by at most 426 B a tick beyond the trace
-# row (swim, dt 0.7-10 ms; 361 B at 1 ms).
+# row (swim, shoreline and walk, dt 0.5-10 ms, none to all modules logged;
+# 360 B at 1 ms).
 _MAX_BYTES = 2 ** 30
-_TICK_BYTES = 1024
+_TICK_BYTES = 512
 
 
 def _row_bytes(log_flux):

@@ -1,7 +1,6 @@
 """Frame codec, CRC-8, ring timing, self-healing, and the motor budget."""
 
 import heapq
-import math
 import re
 import struct
 
@@ -200,9 +199,10 @@ class TestRingSimulation:
 
     def test_fault_free_rate_matches_closed_form(self):
         cfg = bus.LineConfig()
-        stats = bus.simulate_ring(10, cfg, duration=2.0)
+        duration = 2.0
+        stats = bus.simulate_ring(10, cfg, duration)
         expect = bus.ring_rate(10, cfg)
-        for rate in stats.rates_hz:
+        for rate in stats.frames_sent / duration:
             assert abs(rate - expect) / expect < 1e-3
         assert stats.timeout_recoveries == 0
         assert stats.corrupt_detected == 0
@@ -221,15 +221,17 @@ class TestRingSimulation:
     def test_round_period_uniform_without_faults(self):
         cfg = bus.LineConfig()
         stats = bus.simulate_ring(10, cfg, duration=1.0)
-        rp = stats.round_periods
-        assert rp["max"] - rp["min"] < 1e-12
-        assert rp["mean"] == pytest.approx(bus.ring_round_period(10, cfg))
+        periods = np.concatenate([np.diff(stats.frame_ends[stats.frame_modules == m])
+                                  for m in range(10)])
+        assert periods.max() - periods.min() < 1e-12
+        assert periods.mean() == pytest.approx(bus.ring_round_period(10, cfg))
 
     def test_single_module_free_runs(self):
         cfg = bus.LineConfig()
-        stats = bus.simulate_ring(1, cfg, duration=0.5)
+        duration = 0.5
+        stats = bus.simulate_ring(1, cfg, duration)
         expect = 1.0 / (cfg.frame_time + cfg.inter_frame_gap)
-        assert abs(stats.rates_hz[0] - expect) / expect < 1e-3
+        assert abs(stats.frames_sent[0] / duration - expect) / expect < 1e-3
 
     def test_kill_one_module_heals_with_one_timeout_per_round(self):
         cfg = bus.LineConfig()
@@ -270,7 +272,7 @@ class TestRingSimulation:
                               rng=np.random.default_rng(7))
         assert np.array_equal(a.frames_sent, b.frames_sent)
         assert a.corrupt_injected == b.corrupt_injected
-        assert a.round_periods == b.round_periods
+        assert a.frame_ends.tobytes() == b.frame_ends.tobytes()
 
     def test_config_errors(self):
         with pytest.raises(bus.BusError):
@@ -368,13 +370,6 @@ class TestRingSimulation:
             bus.simulate_ring(4, bus.LineConfig(), 0.01,
                               faults=bus.FaultPlan(kills=((0.005, mid),)))
 
-    def test_stats_json(self, tmp_path):
-        stats = bus.simulate_ring(3, bus.LineConfig(), duration=0.1)
-        doc = stats.to_json(tmp_path / "ring.json")
-        assert doc["n_modules"] == 3
-        assert len(doc["rates_hz"]) == 3
-        assert doc["corrupt_detected"] <= doc["corrupt_injected"]
-
 
 def reference_ring(n_modules, config, duration, faults, rng):
     """The per-module scheduler that simulate_ring replaced: every frame end
@@ -385,10 +380,8 @@ def reference_ring(n_modules, config, duration, faults, rng):
     alive = np.ones(n_modules, dtype=bool)
     gen = np.zeros(n_modules, dtype=np.int64)
     kills = sorted(faults.kills)
-    stats = bus.RingStats(n_modules, duration, np.zeros(n_modules, dtype=np.int64),
+    stats = bus.RingStats(np.zeros(n_modules, dtype=np.int64),
                           np.zeros(n_modules, dtype=np.int64), frame_log=[])
-    last_end = np.full(n_modules, np.nan)
-    periods = []
     events = []
     seq = 0
     line_busy_until = 0.0
@@ -458,14 +451,7 @@ def reference_ring(n_modules, config, duration, faults, rng):
                     stats.corrupt_detected += 1
             stats.frames_ok[i] += ok
             stats.frame_log.append((t, i, bytes(frame), ok))
-            if not math.isnan(last_end[i]):
-                periods.append(t - last_end[i])
-            last_end[i] = t
             rearm_all(i, t)
-    if periods:
-        arr = np.array(periods)
-        stats.round_periods = {"min": float(arr.min()), "mean": float(arr.mean()),
-                               "max": float(arr.max()), "count": int(arr.size)}
     return stats
 
 
@@ -509,7 +495,7 @@ def delay_free_plans(draw):
 
 class TestReferenceScheduler:
     """simulate_ring's running sum against one fire entry per live module:
-    frame log, counters and round periods are identical."""
+    frame log and counters are identical."""
 
     @staticmethod
     def both(n, config, duration, plan, seed):
@@ -522,7 +508,6 @@ class TestReferenceScheduler:
             assert getattr(ring, name) == getattr(ref, name), name
         assert np.array_equal(ring.frames_sent, ref.frames_sent)
         assert np.array_equal(ring.frames_ok, ref.frames_ok)
-        assert ring.round_periods == ref.round_periods
         return ring
 
     @settings(max_examples=100, deadline=None)

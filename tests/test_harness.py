@@ -241,6 +241,17 @@ class TestCliRun:
         "line_too_many_modules_to_allocate": (
             "bus-bench", '{"n_modules": 100000000000000000, "duration_s": 0.01}', None, 2),
         "line_module_ids_past_one_byte": ("bus-bench", '{"n_modules": 257}', None, 2),
+        # refused as the line file is read, before any ring runs: 10^400 is
+        # past the float range, where the byte time or the motor budget used
+        # to raise OverflowError
+        "line_bits_per_byte_past_float": (
+            "bus-bench", '{"duration_s": 0.03125, "bits_per_byte": 1%s}' % ("0" * 400),
+            None, 2),
+        "line_n_motors_past_float": ("bus-bench", '{"n_motors": 1%s}' % ("0" * 400), None, 2),
+        "line_zero_n_motors": ("bus-bench", '{"n_motors": 0}', None, 2),
+        "line_negative_t_read": ("bus-bench", '{"t_read": -1.0}', None, 2),
+        "line_flip_rate_past_one": ("bus-bench", '{"flip_rate": 1.5, "duration_s": 0.05}',
+                                    None, 2),
     }
 
     # what the error line of a case says, where exit 2 alone would not tell
@@ -273,7 +284,17 @@ class TestCliRun:
         "run_too_long_to_allocate": "a run holds at most",
         "line_too_many_modules_to_allocate": "n_modules must be 1-256",
         "line_module_ids_past_one_byte": "n_modules must be 1-256",
+        "line_bits_per_byte_past_float": "bits_per_byte must be a positive integer of at most",
+        "line_n_motors_past_float": "n_motors must be an integer from 1 to",
+        "line_zero_n_motors": "n_motors must be an integer from 1 to",
+        "line_negative_t_read": "t_read must be positive",
+        "line_flip_rate_past_one": "flip_rate must be at most 1",
     }
+
+    # cases refused before --out is made
+    REFUSED_BEFORE_OUT = ("jig_unknown_kind", "line_bits_per_byte_past_float",
+                          "line_n_motors_past_float", "line_zero_n_motors",
+                          "line_negative_t_read", "line_flip_rate_past_one")
 
     # a warning printed beside the error line breaks the one-line contract
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -302,7 +323,7 @@ class TestCliRun:
         assert not stray, f"written outside --out: {stray}"
         if case in ("run_shorter_than_window", "run_of_zero_ticks"):    # refused unstepped
             assert not [p for p in out.rglob("*") if p.is_file()]
-        if case == "jig_unknown_kind":    # refused before --out is made
+        if case in self.REFUSED_BEFORE_OUT:
             assert not out.exists()
         if code == 2:
             err = capsys.readouterr().err
@@ -317,7 +338,7 @@ class TestCliRun:
 
     @pytest.mark.parametrize("doc", [{"duration_s": 1e13}, {"duration_s": 1e300},
                                      {"duration_s": 1.0, "dt": 1e-300},
-                                     {"duration_s": 600.0, "log_flux": list(plant.SENSOR_NAMES)}])
+                                     {"duration_s": 800.0, "log_flux": list(plant.SENSOR_NAMES)}])
     def test_run_past_the_budget_exits_2_before_running(self, doc, tmp_path, monkeypatch,
                                                         capsys):
         # a run this long would allocate until the machine runs out, so the

@@ -311,7 +311,7 @@ class TestScenarioConfig:
         back = plant.Scenario.from_json(path)
         assert back == sc
 
-    @pytest.mark.parametrize("doc", [{"duration_s": 1e13}, {"duration_s": 700.0},
+    @pytest.mark.parametrize("doc", [{"duration_s": 1e13}, {"duration_s": 1000.0},
                                      {"duration_s": 1.0, "dt": 5e-324}])
     def test_run_past_the_budget_is_refused(self, doc):
         # refused as the scenario is made, before run_scenario allocates
@@ -593,33 +593,52 @@ class TestRunScenario:
             assert s == res.col("est_foot_sum")[k], k
 
     @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 2**16), x_start=st.floats(0.15, 0.3),
-           advance_speed=st.floats(0.0, 0.3), duration=st.floats(0.3, 0.6))
-    def test_supervisor_reads_est_foot_sum_generated(self, seed, x_start, advance_speed,
-                                                     duration):
-        # the listed-seed test above over generated shoreline runs, about
-        # half of which switch: each poll reads est_foot_sum at its tick, bit
-        # for bit, and a switch falls on the last poll read
-        sums = []
+    @given(terrain=st.sampled_from(["floor", "water", "shoreline"]),
+           seed=st.integers(0, 2**16), x_start=st.floats(0.15, 0.3),
+           advance_speed=st.floats(0.0, 0.3), duration=st.floats(0.3, 0.6),
+           feedback=st.booleans(), switch_t=st.none() | st.floats(0.0, 0.6),
+           log_flux=st.lists(st.sampled_from(plant.SENSOR_NAMES), max_size=3, unique=True))
+    @example(terrain="water", seed=1, x_start=0.2, advance_speed=0.0, duration=0.3,
+             feedback=True, switch_t=None, log_flux=[])    # a supervisor switch
+    @example(terrain="floor", seed=2, x_start=0.2, advance_speed=0.1, duration=0.4,
+             feedback=True, switch_t=0.25, log_flux=["foot_fl"])    # polls stop at 0.25 s
+    def test_supervisor_reads_est_foot_sum_generated(self, terrain, seed, x_start,
+                                                     advance_speed, duration, feedback,
+                                                     switch_t, log_flux):
+        # the listed-seed test above over generated runs of every terrain,
+        # with or without feedback and an open-loop switch: each poll reads
+        # est_foot_sum at its tick, bit for bit; the polls stop at the
+        # open-loop switch, a run without feedback reads none, and a switch
+        # the supervisor makes falls on the last poll read.  The invariant
+        # holds for any fitted models, so every example reuses one fit.
+        reads = []
         decide = cpg.transition_controller
 
         def recording(load, cmd):
-            sums.append(load)
-            return decide(load, cmd)
+            out = decide(load, cmd)
+            reads.append((load, out.mode is not cmd.mode))
+            return out
 
-        sc = plant.Scenario(name="shore", terrain="shoreline", duration_s=duration,
-                            advance_speed=advance_speed, x_start=x_start,
-                            window_start=0.2, seed=seed)
-        with mock.patch.object(cpg, "transition_controller", recording):
+        sc = plant.Scenario(name="shore", terrain=terrain, duration_s=duration,
+                            advance_speed=advance_speed, x_start=x_start, feedback=feedback,
+                            drive_switch_t=switch_t, log_flux=log_flux, window_start=0.2,
+                            seed=seed)
+        models = _models_fitted_once()
+        with mock.patch.object(cpg, "transition_controller", recording), \
+                mock.patch.object(plant, "_fit_sensor_models", lambda sc: models):
             res = plant.run_scenario(sc)
-        polls = [k for k in range(0, len(res.data), 20) if k * sc.dt >= cpg.SWITCH_HOLDOFF_S]
-        if res.switch_time is None:
-            assert len(sums) == len(polls)
+        t = res.col("t")
+        open_loop_k = len(t) if switch_t is None else int(np.searchsorted(t, switch_t))
+        polls = [k for k in range(0, open_loop_k, 20)
+                 if feedback and t[k] >= cpg.SWITCH_HOLDOFF_S]
+        assert not any(switched for _, switched in reads[:-1])
+        if reads and reads[-1][1]:
+            assert res.switch_time == t[polls[len(reads) - 1]]
         else:
-            polls = polls[:len(sums)]
-            assert res.switch_time == res.col("t")[polls[-1]]
-        for k, s in zip(polls, sums):
-            assert s == res.col("est_foot_sum")[k], k
+            assert len(reads) == len(polls)
+            assert res.switch_time == (t[open_loop_k] if open_loop_k < len(t) else None)
+        for k, (load, _) in zip(polls, reads):
+            assert load == res.col("est_foot_sum")[k], k
 
     @settings(max_examples=10, deadline=None)
     @given(terrain=st.sampled_from(["floor", "water", "shoreline"]),
