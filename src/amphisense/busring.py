@@ -179,6 +179,9 @@ class LineConfig:
                 or not 0 < self.bits_per_byte <= sys.float_info.max):
             raise BusError(f"bits_per_byte must be a positive integer of at most "
                            f"{sys.float_info.max:g}, got {self.bits_per_byte!r}")
+        # a baud past the float range underflows bits_per_byte / baud to 0
+        if not self.byte_time > 0.0:
+            raise BusError(f"baud must leave a positive byte time, got {self.baud!r}")
         if not self.inter_frame_gap >= 0:      # NaN fails too
             raise BusError("gap must be non-negative")
         if self.timeout is None:
@@ -222,8 +225,13 @@ def ring_starts(module: int, n_modules: int, config: LineConfig, t_stop: float) 
 
 def motor_bus_budget(n_motors: int, t_write: float, t_read: float) -> float:
     """Max motor-loop rate when every cycle writes and reads each motor."""
-    if n_motors <= 0 or t_write <= 0 or t_read <= 0:
-        raise BusError("motor budget inputs must be positive")
+    # past the float range, n_motors * (t_write + t_read) would raise OverflowError
+    if not 1 <= n_motors <= sys.float_info.max:
+        raise BusError(f"n_motors must be an integer from 1 to {sys.float_info.max:g}, "
+                       f"got {n_motors!r}")
+    for name, value in (("t_write", t_write), ("t_read", t_read)):
+        if not value > 0.0:     # NaN fails too
+            raise BusError(f"{name} must be positive, got {value!r}")
     return 1.0 / (n_motors * (t_write + t_read))
 
 
@@ -242,7 +250,7 @@ class FaultPlan:
 
     def __post_init__(self):
         if not 0.0 <= self.flip_rate <= 1.0:
-            raise BusError("flip_rate must be in [0, 1]")
+            raise BusError(f"flip_rate must be at most 1 and non-negative, got {self.flip_rate!r}")
         # a NaN kill would never take effect and hold back every later one
         if not all(abs(t) < float("inf") for t, _ in self.kills):
             raise BusError("kill times must be finite")

@@ -61,6 +61,9 @@ FRONT_GIRDLE_JOINT = 1
 HIND_GIRDLE_JOINT = 5
 
 LEGS = ("fl", "fr", "hl", "hr")
+# spine joints ax1..ax8 head to tail, then per leg a swing and an elevation joint
+JOINT_NAMES = (tuple(f"ax{k + 1}" for k in range(N_AXIAL_JOINTS))
+               + tuple(f"{leg}_{j}" for leg in LEGS for j in ("swing", "elev")))
 # diagonal pairs stride together, ipsilateral pairs alternate
 LIMB_WALK_PHASE = {"fl": 0.0, "fr": math.pi, "hl": math.pi, "hr": 0.0}
 GIRDLE_PHASE = {"front": 0.0, "hind": math.pi}
@@ -236,13 +239,8 @@ def build_gait_network():
     phase-locked state of the full network advances at the amplitude
     weighted mean of the intrinsic rates.
     """
-    names = [f"ax{k + 1}" for k in range(N_AXIAL_JOINTS)]
-    groups = ["axial"] * N_AXIAL_JOINTS
-    for leg in LEGS:
-        names += [f"{leg}_swing", f"{leg}_elev"]
-        groups += ["limb", "limb"]
-    names = tuple(names)
-    groups = tuple(groups)
+    names = JOINT_NAMES
+    groups = ("axial",) * N_AXIAL_JOINTS + ("limb",) * (N_JOINTS - N_AXIAL_JOINTS)
 
     flexor = np.arange(N_JOINTS) * 2
     extensor = flexor + 1

@@ -39,6 +39,7 @@ SWIM_FOOT_QUIET_N = 1.0
 WALK_FIN_QUIET_N = 0.05
 LATENCY_MAX_S = 0.020
 MIN_CYCLES = 5
+RING_RATE_MIN_HZ = 589.8    # floor of each module's sample rate on the ten-module bus
 
 
 class HarnessError(ValueError):
@@ -154,7 +155,7 @@ class MetricsReport:
     def all_pass(self) -> bool:
         return all(m.ok for m in self.metrics)
 
-    def to_json(self, path=None):
+    def to_json(self, path):
         doc = {
             "source": self.source,
             "all_pass": self.all_pass,
@@ -170,11 +171,9 @@ class MetricsReport:
                 for m in self.metrics
             ],
         }
-        if path is not None:
-            with open(path, "w") as fh:
-                json.dump(doc, fh, indent=1)
-                fh.write("\n")
-        return doc
+        with open(path, "w") as fh:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
 
     def format_table(self) -> str:
         lines = [f"metrics for {self.source}"]
@@ -193,7 +192,6 @@ class MetricsReport:
 # trace analysis
 # ---------------------------------------------------------------------------
 
-_LEGS = ("fl", "fr", "hl", "hr")
 _DIAG_PAIRS = (("fl", "hr"), ("fr", "hl"))
 _IPSI_PAIRS = (("fl", "hl"), ("fr", "hr"))
 
@@ -246,7 +244,7 @@ def analyze_trace(result: plant.ScenarioResult,
         period = 1.0 / freq
         f0 = cpg.FREQ_WALK_HZ
         report.add("gait_freq", freq, f0 * (1 - FREQ_TOL), f0 * (1 + FREQ_TOL), "Hz")
-        fx = {leg: result.col(f"gt_foot_{leg}_fx")[w] for leg in _LEGS}
+        fx = {leg: result.col(f"gt_foot_{leg}_fx")[w] for leg in cpg.LEGS}
         for a, b in _DIAG_PAIRS:
             lag = circular_lag_cycles(fx[a], fx[b], period, dt)
             report.add(f"diag_lag_{a}_{b}", lag, -LAG_TOL_CYCLES, LAG_TOL_CYCLES, "cyc")
@@ -254,7 +252,7 @@ def analyze_trace(result: plant.ScenarioResult,
             lag = circular_lag_cycles(fx[a], fx[b], period, dt) % 1.0
             report.add(f"ipsi_lag_{a}_{b}", lag,
                        0.5 - LAG_TOL_CYCLES, 0.5 + LAG_TOL_CYCLES, "cyc")
-        for leg in _LEGS:
+        for leg in cpg.LEGS:
             e = rmse(result.col(f"est_foot_{leg}_fx")[w], fx[leg])
             report.add(f"est_fx_rmse_{leg}", e, None, EST_FX_RMSE_MAX_N, "N")
         fin_max = max(
@@ -289,7 +287,7 @@ def analyze_trace(result: plant.ScenarioResult,
             report.add(f"fin_lag_{nm}", lag,
                        -FIN_LAG_TOL_CYCLES, FIN_LAG_TOL_CYCLES, "cyc")
         foot_max = max(
-            float(np.abs(result.col(f"est_foot_{leg}_fx")).max()) for leg in _LEGS
+            float(np.abs(result.col(f"est_foot_{leg}_fx")).max()) for leg in cpg.LEGS
         )
         report.add("est_foot_max_wet", foot_max, None, SWIM_FOOT_QUIET_N, "N")
         if sw is not None:
@@ -298,7 +296,7 @@ def analyze_trace(result: plant.ScenarioResult,
             if late.any():
                 amp_limb = max(
                     float(np.abs(result.col(f"gt_q_{leg}_swing")[late]).max())
-                    for leg in _LEGS
+                    for leg in cpg.LEGS
                 )
                 report.add("limb_amp_after_3cyc", amp_limb, None, 1e-3, "rad")
 
@@ -318,7 +316,7 @@ def analyze_trace(result: plant.ScenarioResult,
 
     report.add("ring_rate", busring.ring_rate(len(plant.SENSOR_NAMES),
                                               busring.LineConfig()),
-               589.8, None, "Hz")
+               RING_RATE_MIN_HZ, None, "Hz")
     return report
 
 
@@ -351,8 +349,8 @@ def default_plot_spec(columns) -> dict:
         })
     panels.append({
         "title": "foot normal force, truth vs estimate (N)",
-        "series": [f"gt_foot_{leg}_fx" for leg in _LEGS]
-        + [f"est_foot_{leg}_fx" for leg in _LEGS],
+        "series": [f"gt_foot_{leg}_fx" for leg in cpg.LEGS]
+        + [f"est_foot_{leg}_fx" for leg in cpg.LEGS],
     })
     panels.append({
         "title": "axial joint targets (rad)",
@@ -475,10 +473,10 @@ def _load_json(path: str):
 class JigFile:
     """The calibrate command's config: the bench, the units and the bands."""
 
-    kind: str = "foot"                # foot | flow
+    kind: str = calibration.JigConfig.kind    # foot | flow
     n_units: int = 4
-    noise_sigma: float = 0.01
-    n_average: int = 1
+    noise_sigma: float = calibration.JigConfig.noise_sigma
+    n_average: int = calibration.JigConfig.n_average
     lever: float | None = None        # None: the foot bench's JigConfig.lever
     seed: int = 0
     torque_band: tuple[float, float] | None = None    # [lo, hi] of the mean RMSEs
@@ -499,16 +497,17 @@ class JigFile:
 
 @dataclass
 class LineFile:
-    """The bus-bench command's config: line, fault rings and motor bus."""
+    """The bus-bench command's config: line, fault rings and motor bus.
+    Its ranges are busring's, checked before the first ring runs."""
 
     n_modules: int = 10
     duration_s: float = 2.0
-    baud: int = 1_000_000
-    bits_per_byte: int = 10
-    inter_frame_gap: float = 20e-6
+    baud: int = busring.LineConfig.baud
+    bits_per_byte: int = busring.LineConfig.bits_per_byte
+    inter_frame_gap: float = busring.LineConfig.inter_frame_gap
     flip_rate: float = 0.001          # 0 runs no bit-flip ring
     kill_at: float | None = ...       # absent: half of duration_s; null: no kill ring
-    expect_rate_hz: float = 589.8
+    expect_rate_hz: float = RING_RATE_MIN_HZ
     n_motors: int = 16
     t_write: float = 2e-6
     t_read: float = 0.3e-3
@@ -518,16 +517,6 @@ class LineFile:
         plant.check_fields(self, HarnessError)
         if self.kill_at is ...:
             self.kill_at = self.duration_s / 2.0
-        # refused here, before any ring runs; past the float range,
-        # n_motors * (t_write + t_read) would raise OverflowError
-        if not self.flip_rate <= 1.0:
-            raise HarnessError(f"flip_rate must be at most 1, got {self.flip_rate!r}")
-        if not 1 <= self.n_motors <= sys.float_info.max:
-            raise HarnessError(f"n_motors must be an integer from 1 to "
-                               f"{sys.float_info.max:g}, got {self.n_motors!r}")
-        for name in ("t_write", "t_read"):
-            if not getattr(self, name) > 0.0:
-                raise HarnessError(f"{name} must be positive, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -554,9 +543,24 @@ class PlotSpec:
         self.panels = tuple(plant.from_doc(PlotPanel, p, HarnessError) for p in self.panels)
 
 
-def _config(cls, arg, error=HarnessError):
-    """A command's config of class cls from a path or bundled name."""
-    return plant.from_doc(cls, _load_json(_resolve_config(arg)), error)
+def _config(cls, arg, error=HarnessError, seed=None):
+    """A command's config of class cls from a path or bundled name; a seed
+    given (--seed) replaces the config's own."""
+    cfg = plant.from_doc(cls, _load_json(_resolve_config(arg)), error)
+    if seed is not None:
+        cfg.seed = seed
+    return cfg
+
+
+def _finish(report, out, name, *notes) -> int:
+    """Write report to out/name, making --out if no output came before, and
+    print its table, then each note; 0 iff every bounded metric passes."""
+    os.makedirs(out, exist_ok=True)
+    report.to_json(os.path.join(out, name))
+    print(report.format_table())
+    for note in notes:
+        print(note)
+    return 0 if report.all_pass else 1
 
 
 # ---------------------------------------------------------------------------
@@ -564,9 +568,7 @@ def _config(cls, arg, error=HarnessError):
 # ---------------------------------------------------------------------------
 
 def cmd_run(args) -> int:
-    scenario = _config(plant.Scenario, args.scenario, plant.PlantError)
-    if args.seed is not None:
-        scenario.seed = args.seed
+    scenario = _config(plant.Scenario, args.scenario, plant.PlantError, args.seed)
     # a floor or water run that ends before its analysis window fails
     # before it is simulated, leaving no trace behind
     t_end = (scenario.n_steps - 1) * scenario.dt    # run_scenario's last tick
@@ -578,11 +580,8 @@ def cmd_run(args) -> int:
     result = plant.run_scenario(scenario)
     trace_path = os.path.join(args.out, f"{scenario.name}_trace.csv")
     result.write_csv(trace_path)
-    report = analyze_trace(result, scenario)
-    report.to_json(os.path.join(args.out, f"{scenario.name}_metrics.json"))
-    print(report.format_table())
-    print(f"trace: {trace_path}")
-    return 0 if report.all_pass else 1
+    return _finish(analyze_trace(result, scenario), args.out,
+                   f"{scenario.name}_metrics.json", f"trace: {trace_path}")
 
 
 # Bytes calibrate holds a bench row: for each unit its flux, location, load
@@ -593,8 +592,7 @@ _DRAW_BYTES = 24
 
 
 def cmd_calibrate(args) -> int:
-    cfg = _config(JigFile, args.jig)
-    seed = args.seed if args.seed is not None else cfg.seed
+    cfg = _config(JigFile, args.jig, seed=args.seed)
     lever = calibration.JigConfig.lever if cfg.lever is None else cfg.lever
     jig = calibration.JigConfig(kind=cfg.kind, lever=lever, noise_sigma=cfg.noise_sigma,
                                 n_average=cfg.n_average)
@@ -608,7 +606,7 @@ def cmd_calibrate(args) -> int:
     mods, rows = plant.KINDS[cfg.kind], calibration.KINDS[cfg.kind].report
     datasets = calibration.simulate_jigs(
         mods.transduce, mods.dipole, jig,
-        [np.random.default_rng(seed + i) for i in range(cfg.n_units)])
+        [np.random.default_rng(cfg.seed + i) for i in range(cfg.n_units)])
     per_unit = [[] for _ in rows]
     for i, ds in enumerate(datasets):
         train, heldout = ds.train_eval_split()
@@ -622,9 +620,7 @@ def cmd_calibrate(args) -> int:
         if band is not None:    # the units' mean, in its band
             report.add(f"mean_{name}_rmse", float(np.mean(values)),
                        *(getattr(cfg, band) or (None, None)), unit)
-    report.to_json(os.path.join(args.out, "calibration_report.json"))
-    print(report.format_table())
-    return 0 if report.all_pass else 1
+    return _finish(report, args.out, "calibration_report.json")
 
 
 def _median(values) -> float:
@@ -639,32 +635,31 @@ def _median(values) -> float:
 
 
 def cmd_bus_bench(args) -> int:
-    cfg = _config(LineFile, args.line)
+    cfg = _config(LineFile, args.line, seed=args.seed)
+    n, duration = cfg.n_modules, cfg.duration_s
+    kill_mod = n // 2
+    # busring refuses a bad line, fault plan or motor bus here, before any ring
     line = busring.LineConfig(baud=cfg.baud, bits_per_byte=cfg.bits_per_byte,
                               inter_frame_gap=cfg.inter_frame_gap)
-    n, duration = cfg.n_modules, cfg.duration_s
-    seed = args.seed if args.seed is not None else cfg.seed
+    flips = busring.FaultPlan(flip_rate=cfg.flip_rate) if cfg.flip_rate > 0.0 else None
+    kills = (None if cfg.kill_at is None
+             else busring.FaultPlan(kills=((cfg.kill_at, kill_mod),)))
+    budget = busring.motor_bus_budget(cfg.n_motors, cfg.t_write, cfg.t_read)
     report = MetricsReport(source=f"bus-bench[{n} modules]")
 
     clean = busring.simulate_ring(n, line, duration)
     rate = float(clean.frames_ok.min()) / duration
     report.add("per_module_rate", rate, cfg.expect_rate_hz, None, "Hz")
 
-    if cfg.flip_rate > 0.0:
-        faulted = busring.simulate_ring(
-            n, line, duration, faults=busring.FaultPlan(flip_rate=cfg.flip_rate),
-            rng=np.random.default_rng(seed),
-        )
+    if flips is not None:
+        faulted = busring.simulate_ring(n, line, duration, faults=flips,
+                                        rng=np.random.default_rng(cfg.seed))
         detected = (faulted.corrupt_detected / faulted.corrupt_injected
                     if faulted.corrupt_injected else 1.0)
         report.add("corruption_detect_frac", detected, 1.0, 1.0, "")
 
-    if cfg.kill_at is not None:
-        kill_mod = n // 2
-        killed = busring.simulate_ring(
-            n, line, duration,
-            faults=busring.FaultPlan(kills=((cfg.kill_at, kill_mod),)),
-        )
+    if kills is not None:
+        killed = busring.simulate_ring(n, line, duration, faults=kills)
         # steady post-kill round period exceeds nominal by exactly one
         # timeout's worth iff the heal costs one timeout per round
         nominal = busring.ring_round_period(n, line)
@@ -683,14 +678,8 @@ def cmd_bus_bench(args) -> int:
         alive = float(t_ref.size > 0 and t_ref.max() > duration - 2.0 * (nominal + excess))
         report.add("ring_alive_after_kill", alive, 0.5, 1.5, "")
 
-    budget = busring.motor_bus_budget(cfg.n_motors, cfg.t_write, cfg.t_read)
     report.add("motor_loop_budget", budget, 100.0, None, "Hz")
-
-    # made only now, so a ring that refuses its config leaves no --out
-    os.makedirs(args.out, exist_ok=True)
-    report.to_json(os.path.join(args.out, "bus_bench.json"))
-    print(report.format_table())
-    return 0 if report.all_pass else 1
+    return _finish(report, args.out, "bus_bench.json")
 
 
 def cmd_analyze(args) -> int:
@@ -698,12 +687,8 @@ def cmd_analyze(args) -> int:
     scenario = None
     if args.scenario is not None:
         scenario = _config(plant.Scenario, args.scenario, plant.PlantError)
-    report = analyze_trace(result, scenario)
-    os.makedirs(args.out, exist_ok=True)
     stem = os.path.splitext(os.path.basename(args.trace))[0]
-    report.to_json(os.path.join(args.out, f"{stem}_metrics.json"))
-    print(report.format_table())
-    return 0 if report.all_pass else 1
+    return _finish(analyze_trace(result, scenario), args.out, f"{stem}_metrics.json")
 
 
 def cmd_plot(args) -> int:
@@ -728,12 +713,16 @@ def _seed_arg(text: str) -> int:
     return int(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises HarnessError for its and its subcommands' parse errors."""
+
+    def error(self, message):
+        raise HarnessError(message)
+
+
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(
-        prog="amphisense",
-        description="scenario runner and analysis tools for the sensing stack",
-        exit_on_error=False,
-    )
+    ap = _Parser(prog="amphisense",
+                 description="scenario runner and analysis tools for the sensing stack")
     ap.add_argument("--out", default="out", help="output directory")
     ap.add_argument("--seed", type=_seed_arg, default=None,
                     help="override the config seed")
@@ -765,14 +754,10 @@ def main(argv=None) -> int:
 
     try:
         args = ap.parse_args(argv)
-    except argparse.ArgumentError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-    try:
+        logging.basicConfig(
+            level=logging.INFO if args.verbose else logging.WARNING,
+            format="%(levelname)s %(name)s: %(message)s",
+        )
         return args.func(args)
     except (HarnessError, plant.PlantError, calibration.CalibrationError,
             busring.BusError, magnetics.SensorModelError, OSError) as e:

@@ -360,12 +360,27 @@ _MAX_BYTES = 2 ** 30
 _TICK_BYTES = 512
 
 
-def _row_bytes(log_flux):
-    """A trace row's bytes: t, mode, drive, the joints, the feet's truth and
+def _trace_columns(log_flux):
+    """A trace's columns: t, mode, drive, the joints, the feet's truth and
     estimates, the fins' truth forces, angles and estimates, est_foot_sum,
     and raw_* and filt_* of each logged module."""
-    n = 3 + cpg.N_JOINTS + 2 * 3 * len(FOOT_NAMES) + 3 * len(FIN_NAMES) + 1
-    return 8 * (n + 6 * len(log_flux))
+    columns = ["t", "mode", "drive"]
+    columns += [f"gt_q_{nm}" for nm in cpg.JOINT_NAMES]
+    columns += [f"gt_foot_{leg}_{c}" for leg in cpg.LEGS for c in ("fx", "tp", "ty")]
+    columns += [f"est_foot_{leg}_{c}" for leg in cpg.LEGS for c in ("fx", "tp", "ty")]
+    columns += [f"gt_{nm}_force" for nm in FIN_NAMES]
+    columns += [f"gt_{nm}_angle" for nm in FIN_NAMES]
+    columns += [f"est_{nm}_force" for nm in FIN_NAMES]
+    columns += ["est_foot_sum"]
+    for nm in log_flux:
+        columns += [f"raw_{nm}_b{a}" for a in "xyz"]
+        columns += [f"filt_{nm}_b{a}" for a in "xyz"]
+    return columns
+
+
+def _row_bytes(log_flux):
+    """A trace row's bytes, 8 a column."""
+    return 8 * len(_trace_columns(log_flux))
 
 
 @dataclass
@@ -650,18 +665,7 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     round_p = busring.ring_round_period(len(SENSOR_NAMES), line)
 
     n_steps = scenario.n_steps
-    legs = ("fl", "fr", "hl", "hr")
-    columns = ["t", "mode", "drive"]
-    columns += [f"gt_q_{nm}" for nm in net[2].names]
-    columns += [f"gt_foot_{leg}_{c}" for leg in legs for c in ("fx", "tp", "ty")]
-    columns += [f"est_foot_{leg}_{c}" for leg in legs for c in ("fx", "tp", "ty")]
-    columns += [f"gt_{nm}_force" for nm in FIN_NAMES]
-    columns += [f"gt_{nm}_angle" for nm in FIN_NAMES]
-    columns += [f"est_{nm}_force" for nm in FIN_NAMES]
-    columns += ["est_foot_sum"]
-    for nm in scenario.log_flux:
-        columns += [f"raw_{nm}_b{a}" for a in "xyz"]
-        columns += [f"filt_{nm}_b{a}" for a in "xyz"]
+    columns = _trace_columns(scenario.log_flux)
     col = {c: j for j, c in enumerate(columns)}
     data = np.zeros((n_steps, len(columns)))
     t = data[:, 0] = np.arange(n_steps) * scenario.dt

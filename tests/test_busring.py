@@ -183,6 +183,10 @@ class TestLineConfig:
         for bits in (0, -1, 2.5, "10", True):
             with pytest.raises(bus.BusError):
                 bus.LineConfig(bits_per_byte=bits)
+        # past the float range, bits_per_byte / baud underflows to 0
+        for baud in (10 ** 400, float("inf")):
+            with pytest.raises(bus.BusError, match="baud must leave a positive byte time"):
+                bus.LineConfig(baud=baud)
 
     def test_closed_form_rate(self):
         cfg = bus.LineConfig()

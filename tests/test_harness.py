@@ -252,6 +252,15 @@ class TestCliRun:
         "line_negative_t_read": ("bus-bench", '{"t_read": -1.0}', None, 2),
         "line_flip_rate_past_one": ("bus-bench", '{"flip_rate": 1.5, "duration_s": 0.05}',
                                     None, 2),
+        # 10^400 baud underflows the byte time to 0: zero-length frames, and
+        # with no gap a zero timeout
+        "line_baud_past_float": (
+            "bus-bench", '{"duration_s": 0.03125, "baud": 1%s}' % ("0" * 400), None, 2),
+        "line_baud_past_float_no_gap": (
+            "bus-bench", '{"duration_s": 0.03125, "baud": 1%s, "inter_frame_gap": 0}'
+            % ("0" * 400), None, 2),
+        "unknown_option": ("--bogus run", "{}", None, 2),
+        "extra_positional": ("run extra", "{}", None, 2),
     }
 
     # what the error line of a case says, where exit 2 alone would not tell
@@ -289,12 +298,18 @@ class TestCliRun:
         "line_zero_n_motors": "n_motors must be an integer from 1 to",
         "line_negative_t_read": "t_read must be positive",
         "line_flip_rate_past_one": "flip_rate must be at most 1",
+        "line_baud_past_float": "baud must leave a positive byte time",
+        "line_baud_past_float_no_gap": "baud must leave a positive byte time",
+        "unknown_option": "unrecognized arguments: --bogus",
+        "extra_positional": "unrecognized arguments:",
     }
 
     # cases refused before --out is made
     REFUSED_BEFORE_OUT = ("jig_unknown_kind", "line_bits_per_byte_past_float",
                           "line_n_motors_past_float", "line_zero_n_motors",
-                          "line_negative_t_read", "line_flip_rate_past_one")
+                          "line_negative_t_read", "line_flip_rate_past_one",
+                          "line_baud_past_float", "line_baud_past_float_no_gap",
+                          "unknown_option", "extra_positional")
 
     # a warning printed beside the error line breaks the one-line contract
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -335,6 +350,15 @@ class TestCliRun:
             if "missing_column" in case:
                 assert "'gt_foot_fl_fx'" in err
             assert self.EXIT_MESSAGES.get(case, "") in err
+
+    @pytest.mark.parametrize("argv", [[], ["run"]])
+    def test_missing_argument_exits_2_with_one_error_line(self, argv, tmp_path, monkeypatch,
+                                                          capsys):
+        monkeypatch.chdir(tmp_path)
+        assert harness.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("doc", [{"duration_s": 1e13}, {"duration_s": 1e300},
                                      {"duration_s": 1.0, "dt": 1e-300},
