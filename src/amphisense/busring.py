@@ -281,11 +281,12 @@ class RingStats:
 # frames per block of the running sum between kills
 _BLOCK = 2048
 # the most fault-free frames a ring may hold: 18 min of bus time on the default
-# line.  The schedule and the array pass peak at 31 B a frame (tracemalloc, 1M
-# frames, clean or with a kill and flips), so under 270 MB; with its frame log
-# a ring peaks at 174 B a frame, and may hold as many as fit that budget
+# line.  The schedule and the array pass peak at 21 B a frame, 22.3 with a kill
+# and flips (tracemalloc, 1M frames), so under 190 MB.  With its frame log a
+# ring peaks at 174 B a frame, so a recording ring holds at most 1,494,522
+# frames, 260 MB
 _MAX_FRAMES = 2 ** 23
-_MAX_LOGGED_FRAMES = _MAX_FRAMES * 31 // 174
+_MAX_LOGGED_FRAMES = 1_494_522
 
 
 def _schedule_ring(n_modules, config, duration, faults, rng):
@@ -293,7 +294,7 @@ def _schedule_ring(n_modules, config, duration, faults, rng):
 
     Returns (start, module, flipped, timeout_recoveries).  Frames are
     numbered in start order, which is time order; start and module hold
-    each one's start time (array 'd') and module id ('i').  flipped lists
+    each one's start time (float64) and module id (intc).  flipped lists
     the (frame, bit) pairs of the bit flips, the bit counted over the
     id/payload/crc region.
 
@@ -307,14 +308,19 @@ def _schedule_ring(n_modules, config, duration, faults, rng):
     before.  The bit flips are drawn afterwards, frame by frame in start
     order.
     """
-    # imported here, so that runs which never simulate the ring do not map
-    # the extension module
-    from array import array
-
     gap, timeout, frame_time = config.inter_frame_gap, config.timeout, config.frame_time
     alive = [True] * n_modules
     kills = sorted(faults.kills)
-    start, module = array("d"), array("i")
+    # the first frame starts at ctrl_time + gap and each later one at least
+    # a slot (frame_time + gap) after it, so at most (duration - ctrl_time -
+    # gap) / slot + 1 start by duration.  The running sum may place a start
+    # early by its rounding: each of its three additions a frame rounds by
+    # at most 2^-53 of duration, under 0.03 slot over the 2^23 frames that
+    # simulate_ring admits, and ctrl_time + gap is at least 3/11 of a slot.
+    # So at most duration / slot + 1 frames start, and int() + 2 exceeds it
+    cap = int(duration / (frame_time + gap)) + 2
+    start, module = np.empty(cap), np.empty(cap, dtype=np.intc)
+    filled = 0
     recoveries = 0
     # the host start broadcast acts as a frame from module n-1
     t_end, last = config.ctrl_time, n_modules - 1
@@ -349,8 +355,9 @@ def _schedule_ring(n_modules, config, duration, faults, rng):
                 n = int(np.searchsorted(starts, duration, side="right"))
             hit = np.flatnonzero(starts[:n] >= due[tx[:n]])
             f = int(hit[0]) if hit.size else n
-            start.frombytes(starts[:f].tobytes())
-            module.frombytes(tx[:f].tobytes())
+            start[filled:filled + f] = starts[:f]
+            module[filled:filled + f] = tx[:f]
+            filled += f
             recoveries += int(np.count_nonzero(waits[:f]))
             if f:
                 t_end, last = float(sums[3 * f]), int(tx[f - 1])
@@ -365,7 +372,8 @@ def _schedule_ring(n_modules, config, duration, faults, rng):
         # kill is due by then, and the sum resumes from t_end
         while kills and kills[0][0] <= starts[f]:
             alive[kills.pop(0)[1]] = False
-    return start, module, _draw_flips(len(start), faults.flip_rate, rng), recoveries
+    return (start[:filled], module[:filled], _draw_flips(filled, faults.flip_rate, rng),
+            recoveries)
 
 
 def _draw_flips(n_frames, flip_rate, rng):
@@ -443,7 +451,6 @@ def simulate_ring(n_modules: int, config: LineConfig, duration: float,
 
     zero = encode_frames(np.arange(n_modules), np.zeros((n_modules, 3)),
                          np.full(n_modules, 25.0))
-    module = np.asarray(module)
     rows, bits = np.array(flipped, dtype=np.intp).reshape(-1, 2).T
     flips = zero[module[rows]]
     flips[np.arange(len(rows)), 1 + bits // 8] ^= np.left_shift(1, bits % 8).astype(np.uint8)
@@ -451,13 +458,13 @@ def simulate_ring(n_modules: int, config: LineConfig, duration: float,
     ok[rows] = check_frames(flips)
 
     # the start times become end times in place: the schedule is spent
-    t_end = np.asarray(start)
-    t_end += config.frame_time
-    n_ended = int(np.searchsorted(t_end, duration, side="right"))
-    t_end, ended, ok = t_end[:n_ended], module[:n_ended], ok[:n_ended]
+    start += config.frame_time
+    n_ended = int(np.searchsorted(start, duration, side="right"))
+    t_end, ended, ok = start[:n_ended], module[:n_ended], ok[:n_ended]
+    sent = np.bincount(ended, minlength=n_modules)
     return RingStats(
-        frames_sent=np.bincount(ended, minlength=n_modules),
-        frames_ok=np.bincount(ended[ok], minlength=n_modules),
+        frames_sent=sent,
+        frames_ok=sent - np.bincount(ended[~ok], minlength=n_modules),
         corrupt_injected=len(rows),
         corrupt_detected=n_ended - int(ok.sum()),
         timeout_recoveries=recoveries,

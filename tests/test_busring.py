@@ -3,10 +3,11 @@
 import heapq
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from amphisense import busring as bus
@@ -298,7 +299,7 @@ class TestRingSimulation:
 
     @pytest.mark.parametrize("over", [False, True, "log"])
     def test_frame_count_bound_comes_before_scheduling(self, over, monkeypatch):
-        # a ring past the bound would allocate about 31 B a frame (174 B with
+        # a ring past the bound would allocate about 22 B a frame (174 B with
         # its frame log, whose bound is lower) until the machine runs out, so
         # it is refused before anything is scheduled; one at the bound
         # reaches the (patched) schedule
@@ -316,6 +317,26 @@ class TestRingSimulation:
         else:
             with pytest.raises(AssertionError, match="scheduled"):
                 bus.simulate_ring(10, line, duration)
+
+    @pytest.mark.parametrize("faulted", [False, True])
+    def test_ring_peaks_under_24_bytes_a_frame(self, faulted):
+        # the schedule is written once into arrays sized by the fault-free
+        # frame count: a ring of 100k frames peaks at 21 B a frame, 22.3 with
+        # a kill halfway and flips, where growing the arrays block by block
+        # peaked at 25.3 either way
+        line = bus.LineConfig()
+        duration = 100_000 * (line.frame_time + line.inter_frame_gap)
+        plan = bus.FaultPlan(kills=((duration / 2, 3),), flip_rate=1e-3) if faulted else None
+        bus.simulate_ring(10, line, 0.01, faults=plan, rng=np.random.default_rng(1))
+        tracemalloc.start()
+        try:
+            ring = bus.simulate_ring(10, line, duration, faults=plan,
+                                     rng=np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ring.frames_sent.sum() > 90_000
+        assert peak < 24 * ring.frames_sent.sum()
 
     def test_256_modules_fit_one_byte(self):
         stats = bus.simulate_ring(256, bus.LineConfig(), 0.04)
@@ -497,6 +518,28 @@ def delay_free_plans(draw):
     return n, config, duration, plan, draw(st.integers(0, 2**32 - 1))
 
 
+@st.composite
+def edge_durations(draw):
+    """(n_modules, LineConfig, duration, FaultPlan, seed, starts): duration
+    is the start of one frame of the ring, often its last, or one ulp either
+    side, and starts counts the frames that start by then."""
+    n = draw(st.integers(1, 12))
+    config = bus.LineConfig(baud=draw(st.sampled_from([500_000, 1_000_000, 2_000_000])),
+                            inter_frame_gap=draw(st.floats(0.0, 20e-6)))
+    horizon = 0.02
+    plan = bus.FaultPlan(
+        kills=tuple(draw(st.lists(st.tuples(st.floats(0.0, horizon), st.integers(0, n - 1)),
+                                  max_size=2))),
+        flip_rate=draw(st.sampled_from([0.0, 1e-3, 0.3])),
+    )
+    start = bus._schedule_ring(n, config, horizon, plan, None)[0]
+    assume(len(start))
+    k = draw(st.one_of(st.just(len(start) - 1), st.integers(0, len(start) - 1)))
+    side = draw(st.sampled_from([-1, 0, 1]))
+    duration = float(np.nextafter(start[k], side * np.inf) if side else start[k])
+    return n, config, duration, plan, draw(st.integers(0, 2**32 - 1)), k + (side >= 0)
+
+
 class TestReferenceScheduler:
     """simulate_ring's running sum against one fire entry per live module:
     frame log and counters are identical."""
@@ -517,6 +560,16 @@ class TestReferenceScheduler:
     @settings(max_examples=100, deadline=None)
     @given(ring_plans())
     def test_matches_per_module_entries(self, case):
+        self.both(*case)
+
+    @settings(max_examples=60, deadline=None)
+    @given(edge_durations())
+    def test_frame_starting_at_duration_fits_the_schedule(self, case):
+        # _schedule_ring sizes its arrays by the fault-free frame count; a
+        # frame that starts exactly at the duration is still scheduled
+        *case, starts = case
+        n, config, duration, plan, _ = case
+        assert len(bus._schedule_ring(n, config, duration, plan, None)[0]) == starts
         self.both(*case)
 
     def test_recovery_case(self):

@@ -4,9 +4,9 @@ perfbench/child.py and the scripts under benchmarks/ import amphisense
 modules and read names off them, some through hooks that take a name as a
 string.  Renaming or moving one of those names breaks the tools, not the
 package, so nothing else in the suite would notice.  These tests read the
-tools' sources and run neither.  The last two tests check how
-tools/bench_pair.py reads one perfbench invocation and sums up pairs,
-without running perfbench.
+tools' sources and run neither.  The last tests check how
+tools/bench_pair.py reads one perfbench invocation, sums up pairs and
+judges a claimed gain and the bounds, without running perfbench.
 """
 
 import ast
@@ -114,3 +114,54 @@ def test_bench_pair_summary_counts_wins_by_direction():
     assert doc["digests_equal"] is False and "rtf" not in doc
     assert doc["failed"] == {"parent": 1, "change": 1}
     assert doc["no_metrics"] == {"parent": 1, "change": 1}
+
+
+def _rss_pairs(parent, change, failed=(0, 0)):
+    """One pair per (parent, change) peak RSS; the first pair carries the
+    failed repetitions."""
+    return [{"parent": {"metrics": {"peak_rss_mb": p}, "failed": failed[0] if k == 0 else 0},
+             "change": {"metrics": {"peak_rss_mb": c}, "failed": failed[1] if k == 0 else 0},
+             "digest_equal": True}
+            for k, (p, c) in enumerate(zip(parent, change))]
+
+
+def test_bench_pair_claim_needs_wins_a_gap_and_no_more_failures():
+    bench_pair = _bench_pair()
+    parent = [38.4, 38.5, 38.6, 38.7, 38.8, 38.4, 38.5, 38.6, 38.7, 38.8]
+
+    def met(change, failed=(0, 0), better="lower"):
+        doc = bench_pair.summarize(_rss_pairs(parent, change, failed),
+                                   {"peak_rss_mb": better})
+        return bench_pair.claim_met(doc, "peak_rss_mb", better)
+
+    # parent median 38.6, q3 - q1 0.2: ten wins, median 0.5 lower
+    assert met([38.1] * 10)
+    # nine wins of ten still hold; eight do not
+    assert met([38.1] * 9 + [38.9])
+    assert not met([38.1] * 8 + [38.9] * 2)
+    # ten wins, but the median moves by less than the parent's q3 - q1
+    assert not met([p - 0.1 for p in parent])
+    assert met([p - 0.3 for p in parent])
+    # the change fails a repetition more than the parent
+    assert not met([38.1] * 10, failed=(0, 1))
+    assert met([38.1] * 10, failed=(2, 2))
+    # a gain in a higher-is-better metric is a rise
+    assert not met([38.1] * 10, better="higher")
+    assert met([39.1] * 10, better="higher")
+    # no pair has the metric on both sides
+    doc = bench_pair.summarize(_rss_pairs([], []), {"peak_rss_mb": "lower"})
+    assert not bench_pair.claim_met(doc, "peak_rss_mb", "lower")
+
+
+def test_bench_pair_bound_is_a_fraction_of_the_parents_median():
+    bench_pair = _bench_pair()
+
+    def within(change, better):
+        doc = bench_pair.summarize(_rss_pairs([40.0] * 3, change), {"peak_rss_mb": better})
+        return bench_pair.within_bound(doc, "peak_rss_mb", better, 0.05)
+
+    # 5 % of a 40 MB median is 2 MB either way
+    assert within([42.0] * 3, "lower") and not within([42.1] * 3, "lower")
+    assert within([38.0] * 3, "higher") and not within([37.9] * 3, "higher")
+    # a change that only gets better stays within any bound
+    assert within([10.0] * 3, "lower") and within([90.0] * 3, "higher")

@@ -14,12 +14,17 @@ can move a metric by several per cent.  Every invocation runs for
 BENCHMARK.json's `run_seconds`.
 
 The BENCH file holds every pair's end-to-end metrics, digest and counts,
-and per workload the quartiles of each metric on each side and the pairs
-the change won (ties count for neither side).  An invocation that exits
-non-zero or prints no passing result counts at least one failed
+and per workload the quartiles of each metric on each side, the pairs
+the change won (ties count for neither side) and whether the change's
+median is worse than the parent's by at most the metric's bound in
+BENCHMARK.json, a fraction of the parent's median.  An invocation that
+exits non-zero or prints no passing result counts at least one failed
 repetition, and each side's invocations without metrics are counted, since
 the quartiles leave them out.  `--workload` may be given more than once;
-each workload gets `--pairs` pairs.
+each workload gets `--pairs` pairs.  `--claim W:M` adds whether the claimed
+gain holds: the change wins at least 9 in 10 of the pairs with the metric
+on both sides, its median is better than the parent's by more than the
+parent's q3 - q1, and it fails no more repetitions than the parent.
 """
 
 import argparse
@@ -105,10 +110,34 @@ def summarize(pairs, better):
         doc[metric]["change_wins"] = sum(
             sign * (p["change"]["metrics"][metric] - p["parent"]["metrics"][metric]) > 0
             for p in both)
+        doc[metric]["pairs"] = len(both)
     doc["failed"] = {s: sum(p[s]["failed"] for p in pairs) for s in SIDES}
     doc["no_metrics"] = {s: sum(not p[s]["metrics"] for p in pairs) for s in SIDES}
     doc["digests_equal"] = all(p["digest_equal"] is True for p in pairs)
     return doc
+
+
+def within_bound(doc, metric, better, bound):
+    """Whether the change's median of `metric` in one workload's summary is
+    worse than the parent's by at most `bound` times the parent's median."""
+    parent, change = (doc[metric][s]["median"] for s in SIDES)
+    worse = parent - change if better == "higher" else change - parent
+    return worse <= bound * abs(parent)
+
+
+def claim_met(doc, metric, better):
+    """Whether one workload's summary bears out a claimed gain in `metric`:
+    the change wins at least 9 in 10 of the pairs with the metric on both
+    sides, its median is better than the parent's by more than the
+    parent's q3 - q1, and it fails no more repetitions than the parent."""
+    if metric not in doc:
+        return False
+    m = doc[metric]
+    sign = 1.0 if better == "higher" else -1.0
+    gain = sign * (m["change"]["median"] - m["parent"]["median"])
+    return (10 * m["change_wins"] >= 9 * m["pairs"]
+            and gain > m["parent"]["q3"] - m["parent"]["q1"]
+            and doc["failed"]["change"] <= doc["failed"]["parent"])
 
 
 def main(argv=None):
@@ -131,6 +160,7 @@ def main(argv=None):
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     seconds = bench["run_seconds"]
     known = {w["name"] for w in bench["workloads"]}
     for w in args.workload:
@@ -182,6 +212,15 @@ def main(argv=None):
             os.rmdir(work)
 
     pairs.sort(key=lambda p: (args.workload.index(p["workload"]), p["seed"]))
+    medians = {w: summarize([p for p in pairs if p["workload"] == w], better)
+               for w in args.workload}
+    for doc in medians.values():
+        for metric in better.keys() & doc.keys():
+            doc[metric]["within_bound"] = within_bound(doc, metric, better[metric],
+                                                       bounds[metric])
+    if claim:
+        claim["claim_met"] = claim_met(medians[claim["workload"]], claim["metric"],
+                                       claim["better"])
     doc = {
         "change": args.note,
         "commit": commits["change"],
@@ -204,8 +243,7 @@ def main(argv=None):
         "quartiles": "statistics.quantiles(n=4, method='inclusive') over the pairs' "
                      "per-invocation figures",
         "claim": claim,
-        "medians": {w: summarize([p for p in pairs if p["workload"] == w], better)
-                    for w in args.workload},
+        "medians": medians,
         "pairs": pairs,
     }
     with open(args.out, "w") as fh:
