@@ -78,7 +78,7 @@ def run_suite(repeat):
     # At the walking drive the amplitudes sit at their targets, so these
     # steps are phase-only; cpg_relax steps a walking state at the swimming
     # drive, its amplitudes relaxing toward the new targets every step.
-    params, graph, _ = cpg.build_gait_network()
+    params, graph = cpg.build_gait_network()
     phis, rs = np.stack([cpg.initial_state(params, cpg.D_WALK, rng=np.random.default_rng(s))
                          for s in range(3, 23)], axis=1)
 
@@ -105,7 +105,7 @@ def run_suite(repeat):
     kill = busring.FaultPlan(kills=((2.0, 5),))
     results["simulate_ring_kill_10x4s"] = best_of(
         lambda: busring.simulate_ring(10, line, 4.0, faults=kill), repeat)
-    # nine kills, modules 0-8 one every 0.4 s: each costs one event window
+    # nine kills, modules 0-8 one every 0.4 s: each restarts the running sum
     kills9 = busring.FaultPlan(kills=tuple((0.4 * (k + 1), k) for k in range(9)))
     results["simulate_ring_kills9_10x4s"] = best_of(
         lambda: busring.simulate_ring(10, line, 4.0, faults=kills9), repeat)

@@ -116,18 +116,17 @@ LIMB_AMP_MAP = SaturationMap(0.0, R_LIMB_WALK, *LIMB_BAND)
 
 @dataclass(frozen=True)
 class OscillatorParams:
-    """Per-oscillator rate constants, saturation maps, and group tags."""
+    """Per-oscillator rate constants and saturation maps."""
 
     a: np.ndarray
     omega_maps: tuple
     amp_maps: tuple
-    groups: tuple
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
         object.__setattr__(self, "a", a)
         n = a.shape[0]
-        if not (len(self.omega_maps) == len(self.amp_maps) == len(self.groups) == n):
+        if not (len(self.omega_maps) == len(self.amp_maps) == n):
             raise CpgConfigError("per-oscillator field lengths disagree")
         if np.any(a <= 0.0):
             raise CpgConfigError("amplitude rates a_i must be positive")
@@ -201,16 +200,6 @@ class CouplingGraph:
         return len(seen) == self.n
 
 
-@dataclass(frozen=True)
-class JointMap:
-    """Joint names and the (flexor, extensor) oscillator index of each."""
-
-    names: tuple
-    flexor: np.ndarray
-    extensor: np.ndarray
-    groups: tuple
-
-
 def initial_state(params: OscillatorParams, drive: float, rng=None):
     """Phases (n,) at 0 or random and amplitudes at their drive targets,
     as a pair (phi, r)."""
@@ -227,7 +216,7 @@ def build_gait_network():
 
     Returns
     -------
-    (OscillatorParams, CouplingGraph, JointMap)
+    (OscillatorParams, CouplingGraph)
 
     Notes
     -----
@@ -239,30 +228,13 @@ def build_gait_network():
     phase-locked state of the full network advances at the amplitude
     weighted mean of the intrinsic rates.
     """
-    names = JOINT_NAMES
-    groups = ("axial",) * N_AXIAL_JOINTS + ("limb",) * (N_JOINTS - N_AXIAL_JOINTS)
-
     flexor = np.arange(N_JOINTS) * 2
     extensor = flexor + 1
-    jmap = JointMap(names=names, flexor=flexor, extensor=extensor, groups=groups)
-
-    osc_groups = []
-    omega_maps = []
-    amp_maps = []
-    for g in groups:
-        for _ in range(2):
-            osc_groups.append(g)
-            if g == "axial":
-                omega_maps.append(AXIAL_OMEGA_MAP)
-                amp_maps.append(AXIAL_AMP_MAP)
-            else:
-                omega_maps.append(LIMB_OMEGA_MAP)
-                amp_maps.append(LIMB_AMP_MAP)
+    n_axial, n_limb = 2 * N_AXIAL_JOINTS, N_OSC - 2 * N_AXIAL_JOINTS
     params = OscillatorParams(
         a=np.full(N_OSC, A_RATE),
-        omega_maps=tuple(omega_maps),
-        amp_maps=tuple(amp_maps),
-        groups=tuple(osc_groups),
+        omega_maps=(AXIAL_OMEGA_MAP,) * n_axial + (LIMB_OMEGA_MAP,) * n_limb,
+        amp_maps=(AXIAL_AMP_MAP,) * n_axial + (LIMB_AMP_MAP,) * n_limb,
     )
 
     edges = []
@@ -281,7 +253,7 @@ def build_gait_network():
         add_sym(flexor[k], flexor[k + 1], -gap)
         add_sym(extensor[k], extensor[k + 1], -gap)
 
-    joint_index = {nm: k for k, nm in enumerate(names)}
+    joint_index = {nm: k for k, nm in enumerate(JOINT_NAMES)}
     swing_flex = {leg: flexor[joint_index[f"{leg}_swing"]] for leg in LEGS}
     elev_flex = {leg: flexor[joint_index[f"{leg}_elev"]] for leg in LEGS}
 
@@ -305,7 +277,7 @@ def build_gait_network():
         add_sym(flexor[girdle], swing_flex[leg], LIMB_WALK_PHASE[leg] - gphase)
 
     graph = CouplingGraph(n=N_OSC, edges=tuple(edges))
-    return params, graph, jmap
+    return params, graph
 
 
 # The network equations (module docstring) integrated with classic RK4 over
@@ -380,14 +352,15 @@ def oscillator_output(phi: np.ndarray, r: np.ndarray) -> np.ndarray:
     return r * (1.0 + np.cos(phi))
 
 
-def joint_targets(x: np.ndarray, jmap: JointMap, gain: float = 1.0) -> np.ndarray:
-    """Joint angles from antagonist activity differences.
+def joint_targets(x: np.ndarray, gain: float = 1.0) -> np.ndarray:
+    """Joint angles from antagonist activity differences: joint k is the
+    flexor 2k less the extensor 2k + 1.
 
     For a pair locked in anti-phase with common amplitude r the output
     is gain * 2 r cos(phi_flexor).
     """
     x = np.asarray(x, dtype=float)
-    return gain * (x[..., jmap.flexor] - x[..., jmap.extensor])
+    return gain * (x[..., 0::2] - x[..., 1::2])
 
 
 @dataclass(frozen=True)

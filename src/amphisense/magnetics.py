@@ -50,19 +50,18 @@ class DipoleParams:
     """Lumped dipole constant and validity guards.
 
     n_t collects permeabilities and the magnetic moment into one positive
-    constant; min_distance (mm) rejects poses where the point-dipole model is
-    meaningless, noise_floor (mT) is the weakest flux accepted by inversions.
+    constant.  The guards are the same for every sensor: min_distance (mm)
+    rejects poses where the point-dipole model is meaningless, noise_floor
+    (mT) is the weakest flux accepted by inversions.
     """
 
     n_t: float = 50.0
-    min_distance: float = 1.0
-    noise_floor: float = 1e-3
+    min_distance = 1.0
+    noise_floor = 1e-3
 
     def __post_init__(self):
         if not (self.n_t > 0):
             raise ValueError("n_t must be positive")
-        if not (self.min_distance > 0):
-            raise ValueError("min_distance must be positive")
 
 
 @dataclass

@@ -52,18 +52,19 @@ class ElasticRangeError(PlantError):
     """Load outside the transducer's elastic (linear) range."""
 
 
-@dataclass(frozen=True)
+# each leg's swing and elevation joints follow the axial ones (cpg.JOINT_NAMES)
+_SWING = slice(cpg.N_AXIAL_JOINTS, cpg.N_JOINTS, 2)
+_ELEV = slice(cpg.N_AXIAL_JOINTS + 1, cpg.N_JOINTS, 2)
+
+
 class RobotKinematics:
     """Planar chain geometry; lengths in meters."""
 
-    link_length: float = 0.055
-    head_length: float = 0.06
-    tail_length: float = 0.15
-    leg_length: float = 0.075
-    leg_lateral: float = 0.03
-    n_axial: int = 8
-    front_girdle: int = cpg.FRONT_GIRDLE_JOINT
-    hind_girdle: int = cpg.HIND_GIRDLE_JOINT
+    link_length = 0.055
+    head_length = 0.06
+    tail_length = 0.15
+    leg_length = 0.075
+    leg_lateral = 0.03
 
     def forward(self, q):
         """Forward kinematics in the body frame (robot faces +x).
@@ -82,7 +83,7 @@ class RobotKinematics:
         q = np.asarray(q, dtype=float)
         lead = q.shape[:-1]
         # spine extends backward from the first joint at the origin
-        headings = math.pi + np.cumsum(q[..., : self.n_axial], axis=-1)
+        headings = math.pi + np.cumsum(q[..., :cpg.N_AXIAL_JOINTS], axis=-1)
         steps = self.link_length * _unit(headings)
         nodes = np.concatenate([np.zeros(lead + (1, 2)), np.cumsum(steps, axis=-2)], axis=-2)
         snout = np.broadcast_to([self.head_length, 0.0], lead + (2,))
@@ -91,11 +92,11 @@ class RobotKinematics:
         # legs fl, fr at the front girdle, hl, hr at the hind one.  Links
         # run backward (heading ~ pi), so the robot's left (+y when facing
         # +x) sits at heading - pi/2: a lateral offset, then the swung leg
-        girdle = [self.front_girdle] * 2 + [self.hind_girdle] * 2
+        girdle = [cpg.FRONT_GIRDLE_JOINT] * 2 + [cpg.HIND_GIRDLE_JOINT] * 2
         side = np.array([-1.0, 1.0, -1.0, 1.0])
         beta = headings[..., girdle] + side * math.pi / 2.0
         root = nodes[..., girdle, :] + self.leg_lateral * _unit(beta)
-        feet = root + self.leg_length * _unit(beta + side * q[..., 8:16:2])
+        feet = root + self.leg_length * _unit(beta + side * q[..., _SWING])
 
         mounts = np.stack([tail_tip if link == "tail" else
                            0.5 * (nodes[..., link, :] + nodes[..., link + 1, :])
@@ -115,7 +116,6 @@ def _unit(angle):
     return np.stack([np.cos(angle), np.sin(angle)], axis=-1)
 
 
-@dataclass(frozen=True)
 class ElasticFootModel:
     """Linear elastic skin: load to magnet displacement, mm per native unit.
 
@@ -125,16 +125,12 @@ class ElasticFootModel:
     the linear regime and raise (the hardware saturates there).
     """
 
-    p0_mm: float = 4.0
-    c_fx: float = 0.0305        # mm per N
-    c_pitch: float = 0.003636   # rad per N*mm
-    c_yaw: float = 0.003636
-    f_cap: float = 30.0         # N
-    tau_cap: float = 150.0      # N*mm
-
-    def __post_init__(self):
-        if min(self.c_fx, self.c_pitch, self.c_yaw) <= 0:
-            raise PlantError("compliances must be positive")
+    p0_mm = 4.0
+    c_fx = 0.0305        # mm per N
+    c_pitch = 0.003636   # rad per N*mm
+    c_yaw = 0.003636
+    f_cap = 30.0         # N
+    tau_cap = 150.0      # N*mm
 
 
 def foot_deflection_p(wrench: calibration.FootWrench,
@@ -152,7 +148,6 @@ def foot_deflection_p(wrench: calibration.FootWrench,
     ], axis=-1)
 
 
-@dataclass(frozen=True)
 class FlowFinModel:
     """Spring-loaded drag plate with a magnet on its hinge lever.
 
@@ -162,18 +157,14 @@ class FlowFinModel:
     violent transients.
     """
 
-    k_torsion: float = 25.0      # N*mm per rad
-    lever_mm: float = 30.0
-    c_d: float = 0.8             # N per (m/s)^2 of plate-normal flow
-    rho_mm: float = 3.0          # magnet orbit radius
-    d_z0_mm: float = 4.0
-    alpha0: float = math.radians(20.0)
-    n_t: float = 120.0
-    theta_cap: float = math.radians(45.0)
-
-    def __post_init__(self):
-        if self.k_torsion <= 0 or self.lever_mm <= 0:
-            raise PlantError("spring constant and lever must be positive")
+    k_torsion = 25.0      # N*mm per rad
+    lever_mm = 30.0
+    c_d = 0.8             # N per (m/s)^2 of plate-normal flow
+    rho_mm = 3.0          # magnet orbit radius
+    d_z0_mm = 4.0
+    alpha0 = math.radians(20.0)
+    n_t = 120.0
+    theta_cap = math.radians(45.0)
 
     def angle_for_force(self, force_n):
         """Hinge angle (rad) under a plate force, scalar or array."""
@@ -203,24 +194,23 @@ _FOOT_DIPOLE = magnetics.DipoleParams(n_t=50.0)
 _FIN = FlowFinModel()
 
 
-@dataclass(frozen=True)
 class ContactConfig:
     # contact threshold sits above the walking elevation amplitude (20 deg)
     # so the sprawled gait modulates load without ever fully unloading a
     # foot; the weighting then stays a pure sinusoid (no clip kinks)
-    s_min: float = 0.45          # shallow stance-depth floor of the weighting
-    elev_ref: float = math.radians(24.0)
-    elev_contact: float = math.radians(24.0)
-    mu_yaw: float = 0.3
-    yaw_lever_mm: float = 15.0
-    cop_offset_mm: float = 5.0
-    swing_ref: float = math.radians(20.0)
+    s_min = 0.45          # shallow stance-depth floor of the weighting
+    elev_ref = math.radians(24.0)
+    elev_contact = math.radians(24.0)
+    mu_yaw = 0.3
+    yaw_lever_mm = 15.0
+    cop_offset_mm = 5.0
+    swing_ref = math.radians(20.0)
 
 
 def stance_weights(q, cfg: ContactConfig):
     """Smooth per-foot stance depth from the leg elevation joints."""
     q = np.asarray(q, dtype=float)
-    elev = q[..., 9:16:2]
+    elev = q[..., _ELEV]
     u = np.clip((cfg.elev_contact - elev) / (2.0 * cfg.elev_ref), 0.0, 1.0)
     in_contact = elev < cfg.elev_contact
     return np.where(in_contact, cfg.s_min + (1.0 - cfg.s_min) * u, 0.0)
@@ -243,12 +233,12 @@ def contact_forces(q, on_floor, weight_n, cfg: ContactConfig = ContactConfig(),
     q = np.asarray(q, dtype=float)
     s = stance_weights(q, cfg) * np.asarray(on_floor, dtype=float)
     total = s.sum(axis=-1, keepdims=True)
-    swing = q[..., 8:16:2]
+    swing = q[..., _SWING]
     if q_prev is None:
         swing_rate = np.zeros_like(swing)
     else:
-        swing_rate = (swing - np.asarray(q_prev, dtype=float)[..., 8:16:2]) / dt
-    peak_rate = cpg.TWO_PI * 0.47 * cfg.swing_ref
+        swing_rate = (swing - np.asarray(q_prev, dtype=float)[..., _SWING]) / dt
+    peak_rate = cpg.TWO_PI * cpg.FREQ_WALK_HZ * cfg.swing_ref
     loaded = (total > 0.0) & (s != 0.0)
     fx = np.asarray(weight_n, dtype=float)[..., None] * s / np.where(loaded, total, 1.0)
     slide = np.clip(swing_rate / peak_rate, -1.0, 1.0)
@@ -574,13 +564,13 @@ def _oscillate(net, scenario, drive, state, lo, hi):
     initial one at lo = 0), over ticks lo..hi-1 at each tick's drive.
     Returns their joint targets and the state after tick hi - 1, which the
     next span resumes from; only the span's states are kept."""
-    params, graph, jmap = net
+    params, graph = net
     phi, r = state
     span = np.empty((2, hi - lo, cpg.N_OSC))
     for j, k in enumerate(range(lo, hi)):
         phi, r = cpg.step_network(phi, r, drive[k], params, graph, scenario.dt)
         span[0, j], span[1, j] = phi, r
-    return cpg.joint_targets(cpg.oscillator_output(*span), jmap, scenario.gain), (phi, r)
+    return cpg.joint_targets(cpg.oscillator_output(*span), scenario.gain), (phi, r)
 
 
 def _physics(scenario, drive, x_prev, data, col, lo, hi):

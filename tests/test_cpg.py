@@ -19,7 +19,6 @@ def single_osc(omega, R, a=20.0):
         a=np.array([a]),
         omega_maps=(const_map(omega),),
         amp_maps=(const_map(R),),
-        groups=("axial",),
     )
 
 
@@ -28,10 +27,15 @@ def osc_pair(omega, R, w, b, a=20.0):
         a=np.array([a, a]),
         omega_maps=(const_map(omega),) * 2,
         amp_maps=(const_map(R),) * 2,
-        groups=("axial", "axial"),
     )
     graph = cpg.CouplingGraph(n=2, edges=((0, 1, w, b), (1, 0, w, -b)))
     return params, graph
+
+
+# joint k is oscillators 2k (flexor) and 2k + 1 (extensor)
+FLEXOR = np.arange(cpg.N_JOINTS) * 2
+EXTENSOR = FLEXOR + 1
+JOINT = {nm: k for k, nm in enumerate(cpg.JOINT_NAMES)}
 
 
 def wrap(x):
@@ -94,12 +98,12 @@ class TestSaturationMap:
 
 class TestBuildNetwork:
     def setup_method(self):
-        self.params, self.graph, self.jmap = cpg.build_gait_network()
+        self.params, self.graph = cpg.build_gait_network()
 
     def test_counts(self):
         assert self.params.n == 32
-        assert len(self.jmap.names) == 16
-        idx = np.concatenate([self.jmap.flexor, self.jmap.extensor])
+        assert len(cpg.JOINT_NAMES) == cpg.N_JOINTS == 16
+        idx = np.concatenate([FLEXOR, EXTENSOR])
         assert sorted(idx.tolist()) == list(range(32))
 
     def test_connected(self):
@@ -115,7 +119,7 @@ class TestBuildNetwork:
             assert not omega.flags.writeable and not R.flags.writeable
 
     def test_pair_edges_have_pi_bias(self):
-        for f, e in zip(self.jmap.flexor, self.jmap.extensor):
+        for f, e in zip(FLEXOR, EXTENSOR):
             found = [b for (i, j, w, b) in self.graph.edges if i == f and j == e]
             assert found and abs(abs(found[0]) - math.pi) < 1e-12
 
@@ -203,21 +207,13 @@ class TestOutputs:
         assert np.all(x >= 0) and np.all(x <= 2 * r + 1e-15)
 
     def test_joint_targets_symmetric_pair(self):
-        jmap = cpg.JointMap(
-            names=("j",), flexor=np.array([0]), extensor=np.array([1]),
-            groups=("axial",),
-        )
-        assert cpg.joint_targets(np.array([1.3, 1.3]), jmap)[0] == 0.0
+        assert cpg.joint_targets(np.array([1.3, 1.3]))[0] == 0.0
 
     def test_joint_targets_antiphase_pair(self):
-        jmap = cpg.JointMap(
-            names=("j",), flexor=np.array([0]), extensor=np.array([1]),
-            groups=("axial",),
-        )
         r, gain = 0.8, 1.7
         for phi in np.linspace(0, TWO_PI, 17):
             x = cpg.oscillator_output(np.array([phi, phi + math.pi]), np.full(2, r))
-            ang = cpg.joint_targets(x, jmap, gain=gain)[0]
+            ang = cpg.joint_targets(x, gain=gain)[0]
             assert ang == pytest.approx(gain * 2 * r * math.cos(phi), abs=1e-12)
 
 
@@ -235,40 +231,39 @@ def network():
 
 @pytest.fixture(scope="module")
 def walk_run(network):
-    params, graph, jmap = network
+    params, graph = network
     phi, r = cpg.initial_state(params, cpg.D_WALK, rng=np.random.default_rng(11))
     phis, rs = integrate(phi, r, cpg.D_WALK, params, graph, 1e-3, 16000)
-    return 1e-3 * np.arange(16001), phis, rs, jmap
+    return 1e-3 * np.arange(16001), phis, rs
 
 
 @pytest.fixture(scope="module")
 def swim_run(network):
     # start from the locked walk pattern, then switch drive, as on the robot
-    params, graph, jmap = network
+    params, graph = network
     phi, r = cpg.initial_state(params, cpg.D_WALK, rng=np.random.default_rng(12))
     phis, rs = integrate(phi, r, cpg.D_WALK, params, graph, 1e-3, 8000)
     phis2, rs2 = integrate(phis[-1], rs[-1], cpg.D_SWIM, params, graph, 1e-3, 14000)
-    return 8.0 + 1e-3 * np.arange(14001), phis2, rs2, jmap
+    return 8.0 + 1e-3 * np.arange(14001), phis2, rs2
 
 
 class TestWalking:
     def test_frequency(self, walk_run):
-        t, phis, rs, jmap = walk_run
+        t, phis, rs = walk_run
         x = rs * (1 + np.cos(phis))
-        ang = cpg.joint_targets(x, jmap)
+        ang = cpg.joint_targets(x)
         f = _measure_freq(ang[6000:, 0], t[6000:])
         assert abs(f - 0.47) / 0.47 < 0.02
 
     def test_axial_amplitude(self, walk_run):
-        t, phis, rs, jmap = walk_run
-        ang = cpg.joint_targets(rs * (1 + np.cos(phis)), jmap)
+        t, phis, rs = walk_run
+        ang = cpg.joint_targets(rs * (1 + np.cos(phis)))
         amp = math.degrees(np.ptp(ang[6000:, 0]) / 2)
         assert amp == pytest.approx(20.0, abs=0.2)
 
     def test_trot_phase_relations(self, walk_run):
-        t, phis, rs, jmap = walk_run
-        ji = {nm: k for k, nm in enumerate(jmap.names)}
-        ph = {leg: phis[-1, jmap.flexor[ji[f"{leg}_swing"]]] for leg in cpg.LEGS}
+        t, phis, rs = walk_run
+        ph = {leg: phis[-1, FLEXOR[JOINT[f"{leg}_swing"]]] for leg in cpg.LEGS}
         cyc = lambda d: abs(wrap(d)) / TWO_PI
         # diagonal pairs in phase
         assert cyc(ph["fl"] - ph["hr"]) < 0.05
@@ -278,38 +273,37 @@ class TestWalking:
         assert abs(cyc(ph["fr"] - ph["hr"]) - 0.5) < 0.05
 
     def test_elevation_quadrature(self, walk_run):
-        t, phis, rs, jmap = walk_run
-        ji = {nm: k for k, nm in enumerate(jmap.names)}
-        d = phis[-1, jmap.flexor[ji["fl_elev"]]] - phis[-1, jmap.flexor[ji["fl_swing"]]]
+        t, phis, rs = walk_run
+        d = phis[-1, FLEXOR[JOINT["fl_elev"]]] - phis[-1, FLEXOR[JOINT["fl_swing"]]]
         assert wrap(d) == pytest.approx(math.pi / 2, abs=0.05)
 
 
 class TestSwimming:
     def test_frequency(self, swim_run):
-        t, phis, rs, jmap = swim_run
-        ang = cpg.joint_targets(rs * (1 + np.cos(phis)), jmap)
+        t, phis, rs = swim_run
+        ang = cpg.joint_targets(rs * (1 + np.cos(phis)))
         f = _measure_freq(ang[6000:, 0], t[6000:])
         assert abs(f - 0.78) / 0.78 < 0.02
 
     def test_axial_amplitude(self, swim_run):
-        t, phis, rs, jmap = swim_run
-        ang = cpg.joint_targets(rs * (1 + np.cos(phis)), jmap)
+        t, phis, rs = swim_run
+        ang = cpg.joint_targets(rs * (1 + np.cos(phis)))
         amp = math.degrees(np.ptp(ang[6000:, 0]) / 2)
         assert abs(amp - 29.0) < 1.0
 
     def test_traveling_wave(self, swim_run):
-        t, phis, rs, jmap = swim_run
-        ax = phis[-1, jmap.flexor[:8]]
+        t, phis, rs = swim_run
+        ax = phis[-1, FLEXOR[:8]]
         gaps = wrap(np.diff(ax))
         assert np.all(gaps < 0.0)
         total = abs(gaps.sum())
         assert abs(total - TWO_PI) / TWO_PI < 0.05
 
     def test_limb_silencing_within_three_cycles(self, swim_run):
-        t, phis, rs, jmap = swim_run
-        ang = cpg.joint_targets(rs * (1 + np.cos(phis)), jmap)
+        t, phis, rs = swim_run
+        ang = cpg.joint_targets(rs * (1 + np.cos(phis)))
         k3 = int(3 / 0.78 / 1e-3)
-        limb_cols = [k for k, g in enumerate(jmap.groups) if g == "limb"]
+        limb_cols = slice(cpg.N_AXIAL_JOINTS, cpg.N_JOINTS)
         assert np.abs(ang[k3:, limb_cols]).max() < 1e-3
 
 
@@ -318,8 +312,8 @@ class TestNetworkProperties:
         # active (axial) relative phases reach a unique fixed point; limb
         # phases carry no amplitude at swim drive and are excluded.  The 20
         # seeds step together as one (20, 32) state.
-        params, graph, jmap = network
-        ax = np.concatenate([jmap.flexor[:8], jmap.extensor[:8]])
+        params, graph = network
+        ax = np.concatenate([FLEXOR[:8], EXTENSOR[:8]])
         phi, r = np.stack([cpg.initial_state(params, cpg.D_SWIM,
                                              rng=np.random.default_rng(seed))
                            for seed in range(20)], axis=1)
@@ -329,7 +323,7 @@ class TestNetworkProperties:
         assert np.abs(wrap(rel[1:] - rel[0])).max() < 1e-3
 
     def test_halving_dt_leaves_lock_unchanged(self, network):
-        params, graph, jmap = network
+        params, graph = network
 
         def steady(dt):
             phi, r = cpg.initial_state(params, cpg.D_WALK)
@@ -364,7 +358,7 @@ class TestTransition:
 
 class TestSerialization:
     def test_initial_state_reproducible(self, network):
-        params, _, _ = network
+        params, _ = network
         phi1, r1 = cpg.initial_state(params, cpg.D_WALK, rng=np.random.default_rng(9))
         phi2, _ = cpg.initial_state(params, cpg.D_WALK, rng=np.random.default_rng(9))
         np.testing.assert_array_equal(phi1, phi2)

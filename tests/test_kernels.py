@@ -308,7 +308,7 @@ def test_step_network_matches_cpg_step():
     dt = 1e-3
     const = lambda v: cpg.SaturationMap(0.0, float(v), 0.0, 10.0)
     params = cpg.OscillatorParams(a=a, omega_maps=tuple(map(const, omega)),
-                                  amp_maps=tuple(map(const, R)), groups=("axial",) * 4)
+                                  amp_maps=tuple(map(const, R)))
     trace = [(phi, r)]
     for _ in range(500):
         trace.append(cpg.step_network(*trace[-1], 1.0, params, graph, dt))
@@ -331,7 +331,7 @@ def gait_network():
 def test_cpg_batch_rows_equal_lone_states(gait_network, data):
     # a batch over leading axes steps each row exactly as it steps alone,
     # through cpg_step and through step_network
-    params, graph, _ = gait_network
+    params, graph = gait_network
     lead = tuple(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=2)))
     phi = data.draw(arrays(np.float64, lead + (cpg.N_OSC,), elements=st.floats(0.0, 2 * math.pi)))
     r = data.draw(arrays(np.float64, lead + (cpg.N_OSC,), elements=st.floats(0.0, 0.5)))
@@ -388,7 +388,7 @@ def test_phase_only_step_equals_general_step(gait_network, data):
     # amplitudes at their targets (the limbs' 0 at the swim drive, some as
     # -0.0), one row one ulp off them, or NaN and inf amplitudes: the step
     # gives the general step's bits, signed zeros included
-    params, graph, _ = gait_network
+    params, graph = gait_network
     lead = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2)))
     drive = data.draw(st.sampled_from([cpg.D_WALK, cpg.D_SWIM]))
     omega, R = params.intrinsic(drive)
@@ -414,7 +414,7 @@ def test_phase_only_step_equals_general_step(gait_network, data):
 def test_cpg_step_tracks_dense_coupling(gait_network, drive):
     # the edge-list sum reorders the dense row sum's additions only, so
     # 5,000 steps of the gait network stay within rounding of the dense form
-    params, graph, _ = gait_network
+    params, graph = gait_network
     W, B = _dense(graph.n, graph.edges)
     omega, R = params.intrinsic(drive)
     a = params.a

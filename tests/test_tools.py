@@ -165,3 +165,32 @@ def test_bench_pair_bound_is_a_fraction_of_the_parents_median():
     assert within([38.0] * 3, "higher") and not within([37.9] * 3, "higher")
     # a change that only gets better stays within any bound
     assert within([10.0] * 3, "lower") and within([90.0] * 3, "higher")
+
+
+def test_bench_pair_unresolved_where_the_parents_spread_passes_the_bound():
+    bench_pair = _bench_pair()
+
+    def verdict(parent, change, bound, better="higher"):
+        pairs = [{"parent": {"metrics": {"rtf": p}, "failed": 0},
+                  "change": {"metrics": {"rtf": c}, "failed": 0}, "digest_equal": True}
+                 for p, c in zip(parent, change)]
+        doc = bench_pair.summarize(pairs, {"rtf": better})
+        return bench_pair.resolved(doc, "rtf", bound), doc["rtf"]["parent"]
+
+    # BENCH_29.json's swim rtf: a parent q3 - q1 of 1.48 on a median of 4.39
+    # is wider than the bound of 0.25 (1.10), and the change's runs interleave
+    # with the parent's, so an 11.5 % lower median is not a verdict
+    parent = [3.441, 4.886, 4.984, 3.263, 4.406, 3.112, 3.052, 4.914, 4.473, 4.371]
+    change = [3.697, 4.549, 4.553, 4.550, 4.801, 3.201, 3.181, 3.837, 3.287, 3.930]
+    ok, quartiles = verdict(parent, change, 0.25)
+    assert not ok
+    assert quartiles["median"] == pytest.approx(4.389, abs=5e-4)
+    assert quartiles["q3"] - quartiles["q1"] == pytest.approx(1.475, abs=5e-4)
+    # the same spread, but every change run reads better than every parent
+    # run, in the metric's direction
+    assert verdict(parent, [5.0] * 10, 0.25)[0]
+    assert not verdict(parent, [3.0] * 10, 0.25)[0]
+    assert verdict(parent, [3.0] * 10, 0.25, better="lower")[0]
+    # a parent spread within the bound resolves whatever the change reads
+    assert verdict(parent, change, 0.34)[0]
+    assert verdict([4.0, 4.1, 4.2], [1.0, 9.0, 4.0], 0.05)[0]

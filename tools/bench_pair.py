@@ -17,14 +17,18 @@ The BENCH file holds every pair's end-to-end metrics, digest and counts,
 and per workload the quartiles of each metric on each side, the pairs
 the change won (ties count for neither side) and whether the change's
 median is worse than the parent's by at most the metric's bound in
-BENCHMARK.json, a fraction of the parent's median.  An invocation that
-exits non-zero or prints no passing result counts at least one failed
-repetition, and each side's invocations without metrics are counted, since
-the quartiles leave them out.  `--workload` may be given more than once;
-each workload gets `--pairs` pairs.  `--claim W:M` adds whether the claimed
-gain holds: the change wins at least 9 in 10 of the pairs with the metric
-on both sides, its median is better than the parent's by more than the
-parent's q3 - q1, and it fails no more repetitions than the parent.
+BENCHMARK.json, a fraction of the parent's median.  That verdict is
+`resolved: false` where the parent's own q3 - q1 is wider than the bound
+and not every change run reads better than every parent run: the pairs
+cannot then tell a move of the bound's size from the host's spread.  An
+invocation that exits non-zero or prints no passing result counts at least
+one failed repetition, and each side's invocations without metrics are
+counted, since the quartiles leave them out.  `--workload` may be given
+more than once; each workload gets `--pairs` pairs.  `--claim W:M` adds
+whether the claimed gain holds: the change wins at least 9 in 10 of the
+pairs with the metric on both sides, its median is better than the
+parent's by more than the parent's q3 - q1, and it fails no more
+repetitions than the parent.
 """
 
 import argparse
@@ -96,8 +100,9 @@ def quartiles(values):
 
 def summarize(pairs, better):
     """Per metric, each side's quartiles over the pairs that have the metric
-    on both sides and the pairs the change won; `better` maps each metric
-    to "higher" or "lower".  Per side, the failed repetitions and the
+    on both sides, the pairs the change won and whether every change run
+    reads better than every parent run; `better` maps each metric to
+    "higher" or "lower".  Per side, the failed repetitions and the
     invocations without metrics; `digests_equal` holds only if every pair
     has both digests and they are equal."""
     doc = {"pairs": len(pairs)}
@@ -110,6 +115,9 @@ def summarize(pairs, better):
         doc[metric]["change_wins"] = sum(
             sign * (p["change"]["metrics"][metric] - p["parent"]["metrics"][metric]) > 0
             for p in both)
+        doc[metric]["change_beats_all"] = (
+            min(sign * p["change"]["metrics"][metric] for p in both)
+            > max(sign * p["parent"]["metrics"][metric] for p in both))
         doc[metric]["pairs"] = len(both)
     doc["failed"] = {s: sum(p[s]["failed"] for p in pairs) for s in SIDES}
     doc["no_metrics"] = {s: sum(not p[s]["metrics"] for p in pairs) for s in SIDES}
@@ -123,6 +131,15 @@ def within_bound(doc, metric, better, bound):
     parent, change = (doc[metric][s]["median"] for s in SIDES)
     worse = parent - change if better == "higher" else change - parent
     return worse <= bound * abs(parent)
+
+
+def resolved(doc, metric, bound):
+    """Whether one workload's summary can judge `metric` against `bound`:
+    the parent's q3 - q1 is at most `bound` times the parent's |median|, or
+    every change run reads better than every parent run."""
+    parent = doc[metric]["parent"]
+    return (parent["q3"] - parent["q1"] <= bound * abs(parent["median"])
+            or doc[metric]["change_beats_all"])
 
 
 def claim_met(doc, metric, better):
@@ -218,6 +235,7 @@ def main(argv=None):
         for metric in better.keys() & doc.keys():
             doc[metric]["within_bound"] = within_bound(doc, metric, better[metric],
                                                        bounds[metric])
+            doc[metric]["resolved"] = resolved(doc, metric, bounds[metric])
     if claim:
         claim["claim_met"] = claim_met(medians[claim["workload"]], claim["metric"],
                                        claim["better"])
