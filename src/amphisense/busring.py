@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import numbers
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,14 +82,13 @@ def crc8(data) -> int:
     return int(_crc8_columns(np.frombuffer(bytes(data), dtype=np.uint8)[None])[0])
 
 
-@dataclass
 class FluxSample:
-    module_id: int
-    flux_mt: np.ndarray          # 3-axis flux, mT
-    temp_c: float = 25.0
+    """One module's sample: its id, 3-axis flux (mT) and temperature (degC)."""
 
-    def __post_init__(self):
-        self.flux_mt = np.asarray(self.flux_mt, dtype=float).reshape(3)
+    def __init__(self, module_id, flux_mt, temp_c=25.0):
+        self.module_id = module_id
+        self.flux_mt = np.asarray(flux_mt, dtype=float).reshape(3)
+        self.temp_c = temp_c
 
 
 def quantize(values, lsb: float) -> np.ndarray:
@@ -153,14 +151,21 @@ def decode_frame(buf) -> FluxSample:
     return FluxSample(module_id=int(row[1]), flux_mt=values[:3], temp_c=float(values[3]))
 
 
-@dataclass(frozen=True)
 class LineConfig:
-    baud: int = 1_000_000
-    bits_per_byte: int = 10        # 8N1
-    inter_frame_gap: float = 20e-6
-    timeout: float = None
+    """One bus line: its baud, byte framing, inter-frame gap and the
+    watchdog timeout (None: twice a frame and its gap).  The defaults are
+    class attributes too, for the configs that restate them."""
 
-    def __post_init__(self):
+    baud = 1_000_000
+    bits_per_byte = 10        # 8N1
+    inter_frame_gap = 20e-6
+
+    def __init__(self, baud=baud, bits_per_byte=bits_per_byte,
+                 inter_frame_gap=inter_frame_gap, timeout=None):
+        self.baud = baud
+        self.bits_per_byte = bits_per_byte
+        self.inter_frame_gap = inter_frame_gap
+        self.timeout = timeout
         if self.baud <= 0:
             raise BusError("baud must be positive")
         # past the float range, bits_per_byte / baud would raise OverflowError
@@ -175,9 +180,7 @@ class LineConfig:
         if not self.inter_frame_gap >= 0:      # NaN fails too
             raise BusError("gap must be non-negative")
         if self.timeout is None:
-            object.__setattr__(
-                self, "timeout", 2.0 * (self.frame_time + self.inter_frame_gap)
-            )
+            self.timeout = 2.0 * (self.frame_time + self.inter_frame_gap)
         if not self.timeout > self.frame_time:
             raise BusError("timeout must exceed one frame duration")
 
@@ -225,7 +228,6 @@ def motor_bus_budget(n_motors: int, t_write: float, t_read: float) -> float:
     return 1.0 / (n_motors * (t_write + t_read))
 
 
-@dataclass(frozen=True)
 class FaultPlan:
     """Scheduled failures: permanent kills and random flips.
 
@@ -235,10 +237,9 @@ class FaultPlan:
         of its id/payload/crc region flipped as seen by the host.
     """
 
-    kills: tuple = ()
-    flip_rate: float = 0.0
-
-    def __post_init__(self):
+    def __init__(self, kills=(), flip_rate=0.0):
+        self.kills = kills
+        self.flip_rate = flip_rate
         if not 0.0 <= self.flip_rate <= 1.0:
             raise BusError(f"flip_rate must be at most 1 and non-negative, got {self.flip_rate!r}")
         # a NaN kill would never take effect and hold back every later one
@@ -246,26 +247,28 @@ class FaultPlan:
             raise BusError("kill times must be finite")
 
 
-@dataclass
 class RingStats:
     """What the host counted and logged of one ring run: per-module frame
     counts and fault counters.  corrupt_injected counts the flipped frames
     that started.  collisions is always 0, as no two frames share the
     line; it stays for its readers."""
 
-    frames_sent: np.ndarray
-    frames_ok: np.ndarray
-    corrupt_injected: int = 0
-    corrupt_detected: int = 0
-    timeout_recoveries: int = 0
-    collisions: int = 0
-    # (t, module id, 11 frame bytes, ok) per ended frame; opt-in, for tests
-    # and golden digests
-    frame_log: list = None
-    # the end time (float64) and module id (int32) of each frame that ended,
-    # in end order: the frame log's first two columns
-    frame_ends: np.ndarray = None
-    frame_modules: np.ndarray = None
+    def __init__(self, frames_sent, frames_ok, corrupt_injected=0, corrupt_detected=0,
+                 timeout_recoveries=0, collisions=0, frame_log=None, frame_ends=None,
+                 frame_modules=None):
+        self.frames_sent = frames_sent
+        self.frames_ok = frames_ok
+        self.corrupt_injected = corrupt_injected
+        self.corrupt_detected = corrupt_detected
+        self.timeout_recoveries = timeout_recoveries
+        self.collisions = collisions
+        # (t, module id, 11 frame bytes, ok) per ended frame; opt-in, for
+        # tests and golden digests
+        self.frame_log = frame_log
+        # the end time (float64) and module id (int32) of each frame that
+        # ended, in end order: the frame log's first two columns
+        self.frame_ends = frame_ends
+        self.frame_modules = frame_modules
 
 
 # frames per block of the running sum between kills

@@ -12,10 +12,8 @@ Units follow the sensing stack: mm, mT, N, N*mm, rad.
 import itertools
 import json
 import math
-from collections.abc import Callable
 
 import numpy as np
-from dataclasses import dataclass, field
 
 from . import magnetics
 
@@ -42,28 +40,31 @@ class EmptyEvalError(CalibrationError):
     pass
 
 
-@dataclass
 class FootWrench:
     """Pitch torque (N*mm), yaw torque (N*mm), axial force (N)."""
 
-    tau_pitch: float
-    tau_yaw: float
-    f_x: float
+    def __init__(self, tau_pitch, tau_yaw, f_x):
+        self.tau_pitch = tau_pitch
+        self.tau_yaw = tau_yaw
+        self.f_x = f_x
 
 
-@dataclass(frozen=True)
 class SensorKind:
     """What makes a sensor kind, from its bench to its calibrate report."""
 
-    coords: tuple       # location coordinates; the quadratic basis in them follows
-    outputs: tuple      # the loads its models return
-    load_types: tuple   # a jig's default schedule
-    bench: Callable     # (transduce, params, cfg) -> flux, loads, cycle ids, load types, rest
-    locate: Callable    # (B, params, rest, noise_sigma) -> locations (N, coords), ok (N,)
-    error: type         # raised for a row that does not invert, saying stall
-    stall: str
-    report: tuple       # calibrate's rows: (name, outputs averaged, unit, band field)
-    jig_keys: tuple = ()    # calibrate config keys that only this kind's bench reads
+    def __init__(self, coords, outputs, load_types, bench, locate, error, stall, report,
+                 jig_keys=()):
+        self.coords = coords            # location coordinates; the quadratic basis follows
+        self.outputs = outputs          # the loads its models return
+        self.load_types = load_types    # a jig's default schedule
+        # (transduce, params, cfg) -> flux, loads, cycle ids, load types, rest
+        self.bench = bench
+        # (B, params, rest, noise_sigma) -> locations (N, coords), ok (N,)
+        self.locate = locate
+        self.error = error              # raised for a row that does not invert, saying stall
+        self.stall = stall
+        self.report = report            # calibrate's rows: (name, outputs, unit, band field)
+        self.jig_keys = jig_keys        # calibrate config keys only this kind's bench reads
 
     @property
     def config_keys(self):
@@ -90,21 +91,17 @@ def _feature_matrix(kind: str, X: np.ndarray) -> np.ndarray:
                             *(a * b for a, b in itertools.combinations(c, 2))])
 
 
-@dataclass
 class CalibrationDataset:
     """Location estimates paired with reference loads, labeled by jig cycle:
     X holds rows of the kind's coords, Y rows of its outputs."""
 
-    kind: str
-    X: np.ndarray
-    Y: np.ndarray
-    cycle_ids: list
-    load_types: list
-
-    def __post_init__(self):
-        kind = KINDS[self.kind]
-        self.X = np.asarray(self.X, dtype=float).reshape(-1, len(kind.coords))
-        self.Y = np.asarray(self.Y, dtype=float).reshape(-1, len(kind.outputs))
+    def __init__(self, kind, X, Y, cycle_ids, load_types):
+        self.kind = kind
+        spec = KINDS[kind]
+        self.X = np.asarray(X, dtype=float).reshape(-1, len(spec.coords))
+        self.Y = np.asarray(Y, dtype=float).reshape(-1, len(spec.outputs))
+        self.cycle_ids = cycle_ids
+        self.load_types = load_types
         if not (len(self.X) == len(self.Y) == len(self.cycle_ids) == len(self.load_types)):
             raise CalibrationError("dataset columns disagree in length")
 
@@ -139,14 +136,14 @@ class CalibrationDataset:
         return part(~held), part(held)
 
 
-@dataclass
 class PolyModel:
     """Per-output quadratic polynomial, fitted by ordinary least squares."""
 
-    kind: str
-    coef: np.ndarray  # outputs x features
-    train_rmse: np.ndarray
-    train_cycles: list = field(default_factory=list)
+    def __init__(self, kind, coef, train_rmse, train_cycles=None):
+        self.kind = kind
+        self.coef = coef    # outputs x features
+        self.train_rmse = train_rmse
+        self.train_cycles = [] if train_cycles is None else train_cycles
 
     @property
     def feature_names(self):
@@ -186,13 +183,13 @@ class PolyModel:
         return model
 
 
-@dataclass
 class RmseReport:
     """Per-output root mean square error with units, over n_samples."""
 
-    kind: str
-    rmse: dict
-    n_samples: int
+    def __init__(self, kind, rmse, n_samples):
+        self.kind = kind
+        self.rmse = rmse
+        self.n_samples = n_samples
 
     @property
     def mean_torque_rmse(self):
@@ -282,7 +279,6 @@ def fin_angle(pose: magnetics.FlowPose, rest_pose: magnetics.FlowPose) -> float:
 # bench jig
 # ---------------------------------------------------------------------------
 
-@dataclass
 class JigConfig:
     """Load schedule and noise for one simulated calibration bench.
 
@@ -290,22 +286,37 @@ class JigConfig:
     profile over samples_per_cycle points.  n_average flux draws are averaged
     per point before inversion (the bench is quasi-static).  The combo cycles
     drive all three foot axes together so the quadratic cross terms are
-    excited; single-axis cycles alone leave them unidentifiable.
+    excited; single-axis cycles alone leave them unidentifiable.  The
+    defaults are class attributes too, for the configs that restate them;
+    load_types None is the kind's own schedule.
     """
 
-    kind: str = "foot"
-    lever: float = 19.0
-    n_train: int = 10
-    n_eval: int = 2
-    samples_per_cycle: int = 41
-    n_average: int = 1
-    noise_sigma: float = 0.01
-    f_x_max: float = 8.0
-    tangential_max: float = 3.0
-    flow_force_max: float = 0.3
-    load_types: tuple = None
+    kind = "foot"
+    lever = 19.0
+    n_train = 10
+    n_eval = 2
+    samples_per_cycle = 41
+    n_average = 1
+    noise_sigma = 0.01
+    f_x_max = 8.0
+    tangential_max = 3.0
+    flow_force_max = 0.3
 
-    def __post_init__(self):
+    def __init__(self, kind=kind, lever=lever, n_train=n_train, n_eval=n_eval,
+                 samples_per_cycle=samples_per_cycle, n_average=n_average,
+                 noise_sigma=noise_sigma, f_x_max=f_x_max, tangential_max=tangential_max,
+                 flow_force_max=flow_force_max, load_types=None):
+        self.kind = kind
+        self.lever = lever
+        self.n_train = n_train
+        self.n_eval = n_eval
+        self.samples_per_cycle = samples_per_cycle
+        self.n_average = n_average
+        self.noise_sigma = noise_sigma
+        self.f_x_max = f_x_max
+        self.tangential_max = tangential_max
+        self.flow_force_max = flow_force_max
+        self.load_types = load_types
         if not self.noise_sigma >= 0:
             raise CalibrationError(f"noise_sigma must be non-negative, got {self.noise_sigma!r}")
         if not self.n_average >= 1:

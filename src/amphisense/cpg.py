@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,16 +77,14 @@ class GaitMode(enum.Enum):
     SWIMMING = "swimming"
 
 
-@dataclass(frozen=True)
 class SaturationMap:
     """Affine drive response c1*d + c0 inside [d_low, d_high], zero outside."""
 
-    c1: float
-    c0: float
-    d_low: float
-    d_high: float
-
-    def __post_init__(self):
+    def __init__(self, c1, c0, d_low, d_high):
+        self.c1 = c1
+        self.c0 = c0
+        self.d_low = d_low
+        self.d_high = d_high
         if not self.d_low < self.d_high:
             raise CpgConfigError("saturation band requires d_low < d_high")
 
@@ -114,21 +111,17 @@ LIMB_OMEGA_MAP = SaturationMap(0.0, TWO_PI * FREQ_WALK_HZ, *LIMB_BAND)
 LIMB_AMP_MAP = SaturationMap(0.0, R_LIMB_WALK, *LIMB_BAND)
 
 
-@dataclass(frozen=True)
 class OscillatorParams:
     """Per-oscillator rate constants and saturation maps."""
 
-    a: np.ndarray
-    omega_maps: tuple
-    amp_maps: tuple
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        object.__setattr__(self, "a", a)
-        n = a.shape[0]
-        if not (len(self.omega_maps) == len(self.amp_maps) == n):
+    def __init__(self, a, omega_maps, amp_maps):
+        self.a = np.asarray(a, dtype=float)
+        self.omega_maps = omega_maps
+        self.amp_maps = amp_maps
+        self._intrinsic_memo = None
+        if not (len(omega_maps) == len(amp_maps) == self.n):
             raise CpgConfigError("per-oscillator field lengths disagree")
-        if np.any(a <= 0.0):
+        if np.any(self.a <= 0.0):
             raise CpgConfigError("amplitude rates a_i must be positive")
 
     @property
@@ -139,18 +132,17 @@ class OscillatorParams:
         """Intrinsic rates and target amplitudes at drive d, as read-only
         arrays.  The last drive's pair is kept: step_network asks for it
         every tick, and a run changes its drive at most once."""
-        memo = self.__dict__.get("_intrinsic_memo")
+        memo = self._intrinsic_memo
         if memo is not None and memo[0] == d:
             return memo[1], memo[2]
         omega = np.array([m.value(d) for m in self.omega_maps])
         R = np.array([m.value(d) for m in self.amp_maps])
         omega.flags.writeable = False
         R.flags.writeable = False
-        object.__setattr__(self, "_intrinsic_memo", (d, omega, R))
+        self._intrinsic_memo = (d, omega, R)
         return omega, R
 
 
-@dataclass(frozen=True)
 class CouplingGraph:
     """Directed weighted edge list (i, j, w_ij, b_ij) over n oscillators.
 
@@ -158,12 +150,11 @@ class CouplingGraph:
     form the RK4 step gathers over.
     """
 
-    n: int
-    edges: tuple
-
-    def __post_init__(self):
+    def __init__(self, n, edges):
+        self.n = n
+        self.edges = edges
         seen = set()
-        for i, j, w, b in self.edges:
+        for i, j, w, b in edges:
             if i == j:
                 raise CpgConfigError("self-coupling is not allowed")
             if not (isinstance(i, (int, np.integer)) and isinstance(j, (int, np.integer))
@@ -174,13 +165,12 @@ class CouplingGraph:
             if (i, j) in seen:
                 raise CpgConfigError(f"duplicate edge ({i}, {j})")
             seen.add((i, j))
-        arrays = (np.array([e[0] for e in self.edges], dtype=np.intp),
-                  np.array([e[1] for e in self.edges], dtype=np.intp),
-                  np.array([e[2] for e in self.edges], dtype=float),
-                  np.array([e[3] for e in self.edges], dtype=float))
-        for arr in arrays:
+        self.arrays = (np.array([e[0] for e in edges], dtype=np.intp),
+                       np.array([e[1] for e in edges], dtype=np.intp),
+                       np.array([e[2] for e in edges], dtype=float),
+                       np.array([e[3] for e in edges], dtype=float))
+        for arr in self.arrays:
             arr.flags.writeable = False
-        object.__setattr__(self, "arrays", arrays)
 
     def is_connected(self) -> bool:
         """Whether every oscillator is reached over edges of positive weight,
@@ -363,10 +353,12 @@ def joint_targets(x: np.ndarray, gain: float = 1.0) -> np.ndarray:
     return gain * (x[..., 0::2] - x[..., 1::2])
 
 
-@dataclass(frozen=True)
 class GaitCommand:
-    mode: GaitMode
-    drive: float
+    """The supervisor's gait mode and the drive it steps the network at."""
+
+    def __init__(self, mode, drive):
+        self.mode = mode
+        self.drive = drive
 
 
 def transition_controller(load: float, cmd: GaitCommand) -> GaitCommand:

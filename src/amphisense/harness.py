@@ -19,17 +19,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import busring, calibration, cpg, magnetics, plant
-
-log = logging.getLogger("amphisense")
 
 FREQ_TOL = 0.02
 LAG_TOL_CYCLES = 0.15
@@ -112,13 +109,15 @@ def rmse(a, b) -> float:
 # metrics report
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Metric:
-    name: str
-    value: float
-    lo: float = None
-    hi: float = None
-    unit: str = ""
+    """One measured value, its bounds (None: unbounded on that side) and unit."""
+
+    def __init__(self, name, value, lo=None, hi=None, unit=""):
+        self.name = name
+        self.value = value
+        self.lo = lo
+        self.hi = hi
+        self.unit = unit
 
     @property
     def bounded(self) -> bool:
@@ -141,12 +140,12 @@ class Metric:
         return "pass" if self.ok else "FAIL"
 
 
-@dataclass
 class MetricsReport:
     """Measured quantities, each carrying its tolerance and verdict."""
 
-    source: str
-    metrics: list = field(default_factory=list)
+    def __init__(self, source, metrics=None):
+        self.source = source
+        self.metrics = [] if metrics is None else metrics
 
     def add(self, name, value, lo=None, hi=None, unit=""):
         self.metrics.append(Metric(name, float(value), lo, hi, unit))
@@ -575,8 +574,6 @@ def cmd_run(args) -> int:
     if scenario.terrain != "shoreline" and t_end < scenario.window_start:
         raise _too_short(scenario.window_start, t_end)
     os.makedirs(args.out, exist_ok=True)
-    log.info("running scenario %s (%.1f s at %.0f Hz)", scenario.name,
-             scenario.duration_s, 1.0 / scenario.dt)
     result = plant.run_scenario(scenario)
     trace_path = os.path.join(args.out, f"{scenario.name}_trace.csv")
     result.write_csv(trace_path)
@@ -726,7 +723,6 @@ def main(argv=None) -> int:
     ap.add_argument("--out", default="out", help="output directory")
     ap.add_argument("--seed", type=_seed_arg, default=None,
                     help="override the config seed")
-    ap.add_argument("--verbose", action="store_true")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="execute a scenario")
@@ -754,10 +750,6 @@ def main(argv=None) -> int:
 
     try:
         args = ap.parse_args(argv)
-        logging.basicConfig(
-            level=logging.INFO if args.verbose else logging.WARNING,
-            format="%(levelname)s %(name)s: %(message)s",
-        )
         return args.func(args)
     except (HarnessError, plant.PlantError, calibration.CalibrationError,
             busring.BusError, magnetics.SensorModelError, OSError) as e:

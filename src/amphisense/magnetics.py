@@ -17,7 +17,6 @@ scalars.
 import math
 
 import numpy as np
-from dataclasses import dataclass
 
 
 class SensorModelError(ValueError):
@@ -45,7 +44,6 @@ def _as_vec3(v):
     return v
 
 
-@dataclass
 class DipoleParams:
     """Lumped dipole constant and validity guards.
 
@@ -55,25 +53,21 @@ class DipoleParams:
     (mT) is the weakest flux accepted by inversions.
     """
 
-    n_t: float = 50.0
     min_distance = 1.0
     noise_floor = 1e-3
 
-    def __post_init__(self):
+    def __init__(self, n_t=50.0):
+        self.n_t = n_t
         if not (self.n_t > 0):
             raise ValueError("n_t must be positive")
 
 
-@dataclass
 class MagnetPose:
     """Magnet position p (mm) and unit magnetization direction h."""
 
-    p: np.ndarray
-    h: np.ndarray
-
-    def __post_init__(self):
-        self.p = _as_vec3(self.p)
-        self.h = _as_vec3(self.h)
+    def __init__(self, p, h):
+        self.p = _as_vec3(p)
+        self.h = _as_vec3(h)
         nh = np.linalg.norm(self.h)
         if abs(nh - 1.0) > 1e-9:
             raise ValueError(f"|h| must be 1, got {nh}")
@@ -81,7 +75,6 @@ class MagnetPose:
             raise ValueError("magnet position must not coincide with the sensor origin")
 
 
-@dataclass
 class FlowPose:
     """Fin-magnet state: in-plane position, y magnetization component, fixed z.
 
@@ -89,12 +82,11 @@ class FlowPose:
     magnetization within +-90 deg of the +x axis for this to hold.
     """
 
-    p_x: float
-    p_y: float
-    h_y: float
-    d_z0: float
-
-    def __post_init__(self):
+    def __init__(self, p_x, p_y, h_y, d_z0):
+        self.p_x = p_x
+        self.p_y = p_y
+        self.h_y = h_y
+        self.d_z0 = d_z0
         if abs(self.h_y) > 1.0:
             raise ValueError(f"|h_y| must be <= 1, got {self.h_y}")
 

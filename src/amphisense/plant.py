@@ -446,17 +446,17 @@ class Scenario:
         return from_doc(cls, source, PlantError)
 
 
-@dataclass(frozen=True)
 class _PlantKind:
     """The plant's side of a sensor kind of calibration.KINDS."""
 
-    names: tuple                       # its modules
-    transduce: object                  # their elastic law and dipole, as benches take them
-    dipole: magnetics.DipoleParams
-    rest: magnetics.FlowPose | None    # the pose their inversion starts from
-    est: tuple                         # est_* column suffixes, in model output order
-    n_average: int                     # a run's benches: flux draws a point,
-    seed: int                          # and the generators' seed offset
+    def __init__(self, names, transduce, dipole, rest, est, n_average, seed):
+        self.names = names              # its modules
+        self.transduce = transduce      # their elastic law and dipole, as benches take them
+        self.dipole = dipole
+        self.rest = rest                # the FlowPose their inversion starts from, or None
+        self.est = est                  # est_* column suffixes, in model output order
+        self.n_average = n_average      # a run's benches: flux draws a point,
+        self.seed = seed                # and the generators' seed offset
 
 
 KINDS = {
@@ -482,12 +482,15 @@ def _fit_sensor_models(scenario):
     return models
 
 
-@dataclass
 class ScenarioResult:
-    scenario: Scenario
-    columns: list
-    data: np.ndarray
-    switch_time: float = None
+    """A run's wide trace: its scenario (None when read from a CSV), column
+    names, (ticks, columns) data and the time of the gait switch, if any."""
+
+    def __init__(self, scenario, columns, data, switch_time=None):
+        self.scenario = scenario
+        self.columns = columns
+        self.data = data
+        self.switch_time = switch_time
 
     def col(self, name):
         if name not in self.columns:

@@ -154,11 +154,12 @@ class TestCliRun:
                 "wave_total_lag"} <= names
 
     # case: (command line before the input, input file text or None for a
-    # name that resolves to nothing or DIRECTORY for a directory, exception
-    # run_scenario raises or None, exit code); TRACE in the command line
-    # stands for a short valid trace file.  Input given as bytes is written
-    # as it stands.
+    # name that resolves to nothing or DIRECTORY for a directory or BUNDLED
+    # for the bundled scenario swim_pool, exception run_scenario raises or
+    # None, exit code); TRACE in the command line stands for a short valid
+    # trace file.  Input given as bytes is written as it stands.
     DIRECTORY = "<directory>"
+    BUNDLED = "<bundled>"
     TRACE = "<trace>"
     EXIT_CASES = {
         "passing_run": ("run", json.dumps(SHORT_SHORELINE), None, 0),
@@ -261,6 +262,8 @@ class TestCliRun:
             % ("0" * 400), None, 2),
         "unknown_option": ("--bogus run", "{}", None, 2),
         "extra_positional": ("run extra", "{}", None, 2),
+        # no such option: refused as any unknown argument is
+        "verbose_option": ("--verbose run", BUNDLED, None, 2),
     }
 
     # what the error line of a case says, where exit 2 alone would not tell
@@ -302,6 +305,7 @@ class TestCliRun:
         "line_baud_past_float_no_gap": "baud must leave a positive byte time",
         "unknown_option": "unrecognized arguments: --bogus",
         "extra_positional": "unrecognized arguments:",
+        "verbose_option": "unrecognized arguments: --verbose",
     }
 
     # cases refused before --out is made
@@ -309,7 +313,7 @@ class TestCliRun:
                           "line_n_motors_past_float", "line_zero_n_motors",
                           "line_negative_t_read", "line_flip_rate_past_one",
                           "line_baud_past_float", "line_baud_past_float_no_gap",
-                          "unknown_option", "extra_positional")
+                          "unknown_option", "extra_positional", "verbose_option")
 
     # a warning printed beside the error line breaks the one-line contract
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -320,7 +324,9 @@ class TestCliRun:
         trace.write_text("t,gt_q_ax4\n0.0,0\n0.001,1\n")
         command = command.replace(self.TRACE, str(trace))
         arg = "no_such_scenario"
-        if text == self.DIRECTORY:
+        if text == self.BUNDLED:
+            arg = "swim_pool"
+        elif text == self.DIRECTORY:
             arg = tmp_path / "a_directory"
             arg.mkdir()
         elif text is not None:

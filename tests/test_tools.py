@@ -6,7 +6,8 @@ string.  Renaming or moving one of those names breaks the tools, not the
 package, so nothing else in the suite would notice.  These tests read the
 tools' sources and run neither.  The last tests check how
 tools/bench_pair.py reads one perfbench invocation, sums up pairs and
-judges a claimed gain and the bounds, without running perfbench.
+judges a claimed gain and the bounds, without running perfbench, and how
+tools/import_time.py reads `python -X importtime` output.
 """
 
 import ast
@@ -194,3 +195,44 @@ def test_bench_pair_unresolved_where_the_parents_spread_passes_the_bound():
     # a parent spread within the bound resolves whatever the change reads
     assert verdict(parent, change, 0.34)[0]
     assert verdict([4.0, 4.1, 4.2], [1.0, 9.0, 4.0], 0.05)[0]
+
+
+# `python -X importtime` stderr: each import after the imports it made, one
+# level deeper; numpy's and a later import sit outside amphisense.harness
+IMPORTTIME = """\
+import time: self [us] | cumulative | imported package
+import time:       120 |        120 |   _io
+import time:      9000 |      50000 | numpy
+import time:       200 |        200 |   amphisense
+import time:       600 |        600 |     gettext
+import time:       900 |       1500 |   argparse
+import time:      1600 |       1600 |     amphisense.magnetics
+import time:      3100 |       4700 |   amphisense.calibration
+import time:      3000 |      10000 | amphisense.harness
+import time:        50 |         50 | atexit
+"""
+
+
+def test_import_time_reads_the_harness_subtree(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import_time = importlib.import_module("import_time")
+    entries = import_time.parse_importtime("a warning line\n" + IMPORTTIME)
+    assert len(entries) == 9
+    assert entries[3] == (2, "gettext", 600, 600) and entries[7][:2] == (0, "amphisense.harness")
+    cumulative, selfs = import_time.subtree(entries)
+    assert cumulative == 10000
+    assert selfs == {"amphisense": 200, "gettext": 600, "argparse": 900,
+                     "amphisense.magnetics": 1600, "amphisense.calibration": 3100,
+                     "amphisense.harness": 3000}
+    with pytest.raises(ValueError):
+        import_time.subtree(entries[:2])
+    # the median over two processes, then the five largest median self times
+    faster = dict(selfs, **{"amphisense.harness": 1000})
+    lines, median = import_time.report("change", "0123456789abcdef",
+                                       [(10000, selfs), (8000, faster)])
+    assert median == 9000
+    assert lines[0] == ("change 0123456789ab: amphisense.harness cumulative median 9000 us "
+                        "(q1 8500, q3 9500) over 2 processes")
+    assert [ln.split()[-1] for ln in lines[1:]] == [
+        "amphisense.calibration", "amphisense.harness", "amphisense.magnetics", "argparse",
+        "gettext"]
